@@ -13,10 +13,11 @@
 //!    trap_taken`) is hot-*trapping*; its function is recompiled at the
 //!    optimizing tier with that slot in an [`ExplicitOverride`] set, so
 //!    phase 2 keeps the check explicit instead of implicit.
-//! 3. Recompiles run on a **background worker pool** and land in a
-//!    content-addressed [`CodeCache`] (keyed on body hash, configuration,
-//!    trap model, and override set, with LRU eviction), then swap in at
-//!    the next call entry — heap and observation trace carry through.
+//! 3. Recompiles go through the **recompile queue** to background compile
+//!    workers and land in a content-addressed code cache (keyed on body
+//!    hash, configuration, trap model, and override set, with LRU
+//!    eviction), then swap in at the next call entry — heap and
+//!    observation trace carry through.
 //! 4. A site that *stops* trapping is **tiered back down**: its override
 //!    is dropped and the implicit (free) form recompiled in, windowed
 //!    mid-run and cumulatively at the post-run fixpoint.
@@ -25,13 +26,14 @@
 //!
 //! ## Compilation as a service
 //!
-//! The same machinery scales to many VM instances: [`ServiceRuntime`]
-//! runs hundreds of tenants against one [`ShardedCodeCache`] (sharded by
-//! body hash, per-shard LRU + frequency-based admission) fed by a
-//! [`RecompileQueue`] — priorities are modeled cycles at stake, requests
-//! for the same artifact coalesce into one compile installed into every
-//! waiting tenant (dedup), the queue is bounded (backpressure) and ages
-//! survivors (starvation freedom).
+//! The loop exists once. [`TieredRuntime`] runs its module as the single
+//! tenant of a [`ServiceRuntime`], and the same service runs hundreds of
+//! tenants against one [`ShardedCodeCache`] (sharded by body hash,
+//! per-shard LRU + frequency-based admission) fed by a [`RecompileQueue`]
+//! — priorities are modeled cycles at stake, requests for the same
+//! artifact coalesce into one compile installed into every waiting tenant
+//! (dedup), the queue is bounded (backpressure) and ages survivors
+//! (starvation freedom).
 //!
 //! ```
 //! use njc_arch::Platform;

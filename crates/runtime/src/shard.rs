@@ -86,7 +86,7 @@ impl Shard {
 }
 
 /// A fixed-fanout sharded artifact cache, shared by every tenant of the
-/// compilation service (and borrowable by a single [`TieredRuntime`]).
+/// compilation service ([`TieredRuntime`] uses one shard).
 ///
 /// [`TieredRuntime`]: crate::TieredRuntime
 #[derive(Debug)]

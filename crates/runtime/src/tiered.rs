@@ -3,41 +3,43 @@
 //! Tier 0 compiles the whole module at a cheap baseline configuration
 //! (Whaley elimination + trivial trap conversion, the paper's "Old Null
 //! Check") with site counters on, and starts the VM with a
-//! [`RuntimeHooks`] control surface attached. A controller thread polls
-//! the published profile; when the [`ProfilePolicy`] finds a hot function
-//! — or, the interesting case, a hot *trapping* implicit site — the
+//! [`RuntimeHooks`] control surface attached. A controller polls the
+//! published profile; when the [`ProfilePolicy`] finds a hot function —
+//! or, the interesting case, a hot *trapping* implicit site — the
 //! function is recompiled at the optimizing tier with the trapping slots
-//! forced explicit via [`ExplicitOverride`], on a background worker pool.
-//! The finished body is installed into the swap table and takes effect at
-//! the next call entry, heap and observation trace carrying straight
-//! through.
+//! forced explicit via [`ExplicitOverride`], by a compile worker fed
+//! through the recompile queue. The finished body is installed into the
+//! swap table and takes effect at the next call entry, heap and
+//! observation trace carrying straight through.
 //!
 //! After the adaptive run, any outstanding policy verdict is compiled
 //! synchronously (so the tiering always reaches its fixpoint), and a
 //! second, *measurement* run executes the final bodies with no adaptation
 //! — that run is fully deterministic, which is what the steady-state
 //! benchmark reports.
+//!
+//! [`TieredRuntime`] owns none of this machinery: it runs its module as
+//! the single tenant of a [`ServiceRuntime`], whose loop is the crate's
+//! only adaptive control loop.
+//!
+//! [`RuntimeHooks`]: njc_vm::RuntimeHooks
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::collections::BTreeMap;
 
 use njc_arch::Platform;
 use njc_core::ExplicitOverride;
-use njc_ir::{BlockId, CheckId, Function, FunctionId, Module};
+use njc_ir::{BlockId, CheckId, FunctionId, Module};
 use njc_observe::{
     reconcile_recovered_tiered, reconcile_tiered, FunctionTrace, ModuleTrace, RecompileEvent,
 };
-use njc_opt::{
-    optimize_function_overridden, optimize_module_traced, prepare_module, ConfigKind, OptConfig,
-};
+use njc_opt::ConfigKind;
 use njc_recover::{RecoveryCounts, RecoveryPolicy};
-use njc_vm::{Fault, Outcome, RuntimeHooks, SiteCounters, Value, Vm, VmConfig};
+use njc_vm::{Fault, Outcome, Value, VmConfig};
 
-use crate::cache::{CacheKey, CacheStats, CompiledArtifact};
+use crate::cache::CacheStats;
 use crate::policy::ProfilePolicy;
-use crate::shard::ShardedCodeCache;
+use crate::queue::QueueConfig;
+use crate::tenant::{ServiceConfig, ServiceRuntime, TenantSpec};
 
 /// Knobs of the tiered loop.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -48,8 +50,12 @@ pub struct RuntimeConfig {
     pub snapshot_interval: u64,
     /// Code cache capacity, in artifacts.
     pub cache_capacity: usize,
-    /// Worker threads for background recompilation; also threaded into
-    /// the tier compiles' [`OptConfig::threads`].
+    /// Compile worker threads for background recompilation. Tier compiles
+    /// themselves run single-threaded ([`OptConfig::threads`] = 1): the
+    /// workers are the parallelism, and the output is byte-identical at
+    /// any thread count.
+    ///
+    /// [`OptConfig::threads`]: njc_opt::OptConfig::threads
     pub threads: usize,
     /// The baseline tier every function starts in.
     pub tier0: ConfigKind,
@@ -292,111 +298,14 @@ impl RuntimeOutcome {
     }
 }
 
-/// A recompile request from the controller to the worker pool.
-struct Job {
-    index: usize,
-    overrides: ExplicitOverride,
-}
-
-/// A completed install, recorded by the worker that performed it.
-pub(crate) struct Install {
-    pub(crate) index: usize,
-    pub(crate) overrides: ExplicitOverride,
-    pub(crate) artifact: Arc<CompiledArtifact>,
-    pub(crate) event: RecompileEvent,
-    /// Counter snapshot at install time — the baseline the policy
-    /// subtracts so only the *new* tier's behaviour is judged.
-    pub(crate) baseline: SiteCounters,
-}
-
-/// The tier-1 compile path, factored out of [`TieredRuntime`] so the
-/// multi-tenant service's workers can compile any tenant's function
-/// through the same shared sharded cache.
-pub(crate) struct TierCompiler<'a> {
-    /// The prepared (intrinsics + inlining) tier-1 base module.
-    pub(crate) tier1_base: &'a Module,
-    /// The tier-1 `OptConfig`.
-    pub(crate) cfg1: &'a OptConfig,
-    /// The tier-1 preset, for cache keying.
-    pub(crate) kind: ConfigKind,
-    pub(crate) platform: &'a Platform,
-    pub(crate) cache: &'a ShardedCodeCache,
-    /// When set, cache misses compile under this lock (double-checked):
-    /// concurrent requests for the same key — different tenants reaching
-    /// the same tiering decision at once — collapse into one compile plus
-    /// hits instead of duplicate work. `None` for the single-tenant
-    /// runtime, whose worker jobs never share a key.
-    pub(crate) compile_lock: Option<&'a Mutex<()>>,
-    /// [`RuntimeConfig::panic_on_compile_of`], threaded through so the
-    /// injected unwind happens exactly where a real optimizer bug would:
-    /// inside a compile job, past the cache lookup.
-    pub(crate) panic_injection: Option<&'static str>,
-}
-
-impl TierCompiler<'_> {
-    /// Compiles function `index` of the prepared tier-1 module with
-    /// `overrides`, through the shared cache. Returns the artifact and
-    /// whether it was a cache hit.
-    pub(crate) fn compile(
-        &self,
-        index: usize,
-        overrides: &ExplicitOverride,
-    ) -> (Arc<CompiledArtifact>, bool) {
-        let fid = FunctionId::new(index);
-        let key = CacheKey::new(
-            self.tier1_base.function(fid),
-            self.kind,
-            self.cfg1.compiler_trap,
-            overrides,
-        );
-        if let Some(artifact) = self.cache.get(&key) {
-            return (artifact, true);
-        }
-        let _serialized = self
-            .compile_lock
-            .map(|l| l.lock().unwrap_or_else(PoisonError::into_inner));
-        if self.compile_lock.is_some() {
-            // Double-check: another holder may have landed this key while
-            // we waited on the lock.
-            if let Some(artifact) = self.cache.get(&key) {
-                return (artifact, true);
-            }
-        }
-        if self.panic_injection == Some(self.tier1_base.function(fid).name()) {
-            panic!("injected compile-job panic");
-        }
-        let mut func = self.tier1_base.function(fid).clone();
-        let (_stats, trace) = optimize_function_overridden(
-            self.tier1_base,
-            self.platform,
-            self.cfg1,
-            &mut func,
-            Some(overrides),
-            true,
-        );
-        let artifact = Arc::new(CompiledArtifact {
-            body: Arc::new(func),
-            trace: trace.expect("traced compile yields a trace"),
-        });
-        // An admission-policy bounce is fine: the artifact still goes to
-        // its requester, it just is not retained for the next asker.
-        let _ = self.cache.insert(key, Arc::clone(&artifact));
-        (artifact, false)
-    }
-}
-
-/// The tiered execution manager. The code cache persists across runs, so
-/// repeating a run hits instead of recompiling; it may also be *shared*
-/// between runtimes ([`TieredRuntime::with_shared_cache`]) — the
-/// compilation service runs hundreds of tenants against one sharded
-/// cache.
+/// The tiered execution manager: one module run as the single tenant of
+/// a private [`ServiceRuntime`]. The service's code cache persists across
+/// runs, so repeating a run hits instead of recompiling.
 #[derive(Debug)]
 pub struct TieredRuntime {
     module: Module,
-    platform: Platform,
-    config: RuntimeConfig,
-    cache: Arc<ShardedCodeCache>,
     recovery: RecoveryPolicy,
+    service: ServiceRuntime,
 }
 
 impl TieredRuntime {
@@ -406,26 +315,25 @@ impl TieredRuntime {
         Self::with_config(module, platform, config)
     }
 
-    /// A runtime with explicit knobs and a private single-shard cache.
+    /// A runtime with explicit knobs: a one-tenant service with one
+    /// `cache_capacity`-artifact shard, `threads` compile workers, and one
+    /// VM carrier.
     pub fn with_config(module: Module, platform: Platform, config: RuntimeConfig) -> Self {
-        let cache = Arc::new(ShardedCodeCache::new(1, config.cache_capacity));
-        Self::with_shared_cache(module, platform, config, cache)
-    }
-
-    /// A runtime borrowing a shared (possibly multi-tenant) code cache.
-    /// `config.cache_capacity` is ignored; the cache's own shape rules.
-    pub fn with_shared_cache(
-        module: Module,
-        platform: Platform,
-        config: RuntimeConfig,
-        cache: Arc<ShardedCodeCache>,
-    ) -> Self {
+        let service = ServiceRuntime::with_config(
+            platform,
+            ServiceConfig {
+                shards: 1,
+                shard_capacity: config.cache_capacity,
+                queue: QueueConfig::default(),
+                workers: config.threads,
+                carriers: 1,
+                runtime: config,
+            },
+        );
         TieredRuntime {
             module,
-            platform,
-            cache,
-            config,
             recovery: RecoveryPolicy::abort(),
+            service,
         }
     }
 
@@ -439,406 +347,31 @@ impl TieredRuntime {
         self
     }
 
-    /// Code cache counters (cache-wide: a shared cache reports traffic
-    /// from every runtime using it).
+    /// Code cache counters, cumulative over every run of this runtime.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn tier_config(&self, kind: ConfigKind) -> OptConfig {
-        OptConfig {
-            threads: self.config.threads.max(1),
-            interproc: self.config.interproc,
-            gvn: self.config.gvn,
-            ..kind.to_config(&self.platform)
-        }
+        self.service.cache().stats()
     }
 
     /// Runs `entry(args)` through the profile → recompile → swap loop,
     /// then once more (steady state) on the final bodies.
     ///
     /// # Errors
-    /// Propagates VM [`Fault`]s from either run.
+    /// Propagates VM [`Fault`]s from either run, including a wrong entry
+    /// arity.
     pub fn run(&self, entry: &str, args: &[Value]) -> Result<RuntimeOutcome, Fault> {
-        let platform = self.platform;
-        let cfg0 = self.tier_config(self.config.tier0);
-        let cfg1 = self.tier_config(self.config.tier1);
-
-        let mut tier0 = self.module.clone();
-        let (_s0, tier0_trace) = optimize_module_traced(&mut tier0, &platform, &cfg0);
-        // The recompile base: module-level preparation (intrinsics,
-        // inlining) applied once; per-function optimization happens per
-        // recompile, byte-identical to a whole-module tier-1 compile.
-        let mut tier1_base = self.module.clone();
-        prepare_module(&mut tier1_base, &platform, &cfg1);
-
-        let hooks = RuntimeHooks::new(self.config.snapshot_interval);
-        let vm_config = VmConfig {
-            count_sites: true,
-            ..self.config.vm
+        let spec = TenantSpec {
+            name: entry.to_string(),
+            module: self.module.clone(),
+            entry: entry.to_string(),
+            args: args.to_vec(),
+            recovery: self.recovery.clone(),
         };
-
-        let compiler = TierCompiler {
-            tier1_base: &tier1_base,
-            cfg1: &cfg1,
-            kind: self.config.tier1,
-            platform: &self.platform,
-            cache: &self.cache,
-            compile_lock: None,
-            panic_injection: self.config.panic_on_compile_of,
-        };
-
-        let compile_panics = AtomicU64::new(0);
-        let installs: Mutex<Vec<Install>> = Mutex::new(Vec::new());
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Mutex::new(job_rx);
-        let mut requested: HashMap<usize, ExplicitOverride> = HashMap::new();
-
-        let tier0_ref = &tier0;
-        let recovery_ref = &self.recovery;
-        let compiler_ref = &compiler;
-        let hooks_ref = &hooks;
-        let installs_ref = &installs;
-        let job_rx_ref = &job_rx;
-        let panics_ref = &compile_panics;
-        let install_delay = self.config.install_delay_micros;
-
-        let adaptive = std::thread::scope(|scope| -> Result<Outcome, Fault> {
-            let vm_handle = scope.spawn(move || {
-                Vm::new(tier0_ref, platform)
-                    .with_config(vm_config)
-                    .with_hooks(hooks_ref)
-                    .with_recovery(recovery_ref)
-                    .run(entry, args)
-            });
-            let workers: Vec<_> = (0..self.config.threads.max(1))
-                .map(|_| {
-                    scope.spawn(move || {
-                        loop {
-                            // Holding the lock across recv serializes job
-                            // pickup; recompiles are rare enough that this
-                            // is simpler than a shared deque.
-                            let job = job_rx_ref
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .recv();
-                            let Ok(job) = job else { break };
-                            // A panicking compile job (a buggy optimizer
-                            // pass) must kill neither this worker nor —
-                            // via a poisoned mutex — the whole runtime:
-                            // catch the unwind, count it, move on. The
-                            // function stays at its current tier.
-                            let survived =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let (artifact, cache_hit) =
-                                        compiler_ref.compile(job.index, &job.overrides);
-                                    if install_delay > 0 {
-                                        // Fault injection: the install channel sits
-                                        // on a finished artifact before publishing.
-                                        std::thread::sleep(Duration::from_micros(install_delay));
-                                    }
-                                    let snap = hooks_ref.snapshot();
-                                    hooks_ref.install(job.index as u32, Arc::clone(&artifact.body));
-                                    let event = RecompileEvent {
-                                        function: compiler_ref
-                                            .tier1_base
-                                            .function(FunctionId::new(job.index))
-                                            .name()
-                                            .to_string(),
-                                        to_config: compiler_ref.cfg1.name.to_string(),
-                                        overrides: job.overrides.len(),
-                                        cache_hit,
-                                        mid_run: !hooks_ref.is_finished(),
-                                        at_calls: snap.calls,
-                                    };
-                                    installs_ref
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .push(Install {
-                                            index: job.index,
-                                            overrides: job.overrides,
-                                            artifact,
-                                            event,
-                                            baseline: snap.counters,
-                                        });
-                                }));
-                            if survived.is_err() {
-                                panics_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    })
-                })
-                .collect();
-
-            // Controller: poll the profile, plan, dispatch. The second
-            // condition covers a panicking VM thread, whose hooks would
-            // otherwise never be marked finished.
-            while !hooks.is_finished() && !vm_handle.is_finished() {
-                let snap = hooks.snapshot();
-                let installed = installs.lock().unwrap_or_else(PoisonError::into_inner);
-                for fi in 0..tier0.num_functions() {
-                    let latest = installed.iter().rev().find(|i| i.index == fi);
-                    let body: &Function = latest
-                        .map(|i| &*i.artifact.body)
-                        .unwrap_or_else(|| tier0.function(FunctionId::new(fi)));
-                    let plan = self.config.policy.assess(
-                        fi,
-                        body,
-                        &|f| self.module.field_offset(f),
-                        &snap.counters,
-                        latest.map(|i| &i.baseline),
-                    );
-                    if !plan.hot {
-                        continue;
-                    }
-                    // Desired set = what the installed body's window still
-                    // justifies (tier-down drops quiesced slots), plus any
-                    // newly hot-trapping slots from this poll.
-                    let mut want = match latest {
-                        Some(inst) if self.config.tier_down => self.config.policy.assess_tier_down(
-                            fi,
-                            body,
-                            &|f| self.module.field_offset(f),
-                            &inst.overrides,
-                            &snap.counters,
-                            Some(&inst.baseline),
-                        ),
-                        Some(inst) => inst.overrides.clone(),
-                        None => requested.get(&fi).cloned().unwrap_or_default(),
-                    };
-                    for (off, kind) in plan.overrides.keys() {
-                        want.insert(off, kind);
-                    }
-                    if requested.get(&fi) != Some(&want) {
-                        requested.insert(fi, want.clone());
-                        let _ = job_tx.send(Job {
-                            index: fi,
-                            overrides: want,
-                        });
-                    }
-                }
-                drop(installed);
-                std::thread::sleep(Duration::from_micros(
-                    self.config.controller_poll_micros.max(1),
-                ));
-            }
-            drop(job_tx); // close the channel: workers drain, then exit
-            let out = vm_handle
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for w in workers {
-                w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            }
-            out
-        })?;
-
-        let mid_run_swaps = hooks.swapped_calls();
-        let installs = installs
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let final_snap = hooks.snapshot();
-
-        let finalized = finalize_tiers(FinalizeInput {
-            tier0: &tier0,
-            tier0_trace: &tier0_trace,
-            compiler: &compiler,
-            policy: &self.config.policy,
-            tier_down: self.config.tier_down,
-            field_offset: &|f| self.module.field_offset(f),
-            installs,
-            final_counters: &final_snap.counters,
-            final_calls: final_snap.calls,
-        });
-        let Finalized {
-            final_module,
-            overrides,
-            tier_traces,
-            recompiles,
-            compile_panics: fixpoint_panics,
-        } = finalized;
-
-        // The measurement run: final bodies, no adaptation, fully
-        // deterministic.
-        let steady = Vm::new(&final_module, platform)
-            .with_config(self.config.vm)
-            .with_recovery(&self.recovery)
-            .run(entry, args)?;
-
-        let mut recoveries = adaptive.stats.recoveries;
-        recoveries.absorb(&steady.stats.recoveries);
-        Ok(RuntimeOutcome {
-            adaptive,
-            steady,
-            recompiles,
-            cache: self.cache.stats(),
-            overrides,
-            mid_run_swaps,
-            final_module,
-            tier0_trace,
-            tier_traces,
-            compile_panics: compile_panics.load(Ordering::Relaxed) + fixpoint_panics,
-            recoveries,
-        })
-    }
-}
-
-/// Inputs to the post-adaptive fixpoint pass, shared between the
-/// single-tenant runtime and the multi-tenant service.
-pub(crate) struct FinalizeInput<'a> {
-    /// The tier-0 module the adaptive run started from.
-    pub(crate) tier0: &'a Module,
-    /// Tier-0 provenance for the whole module.
-    pub(crate) tier0_trace: &'a ModuleTrace,
-    /// The tier-1 compile path (and its shared cache).
-    pub(crate) compiler: &'a TierCompiler<'a>,
-    pub(crate) policy: &'a ProfilePolicy,
-    /// Cumulative (tier-down capable) fixpoint vs grow-only.
-    pub(crate) tier_down: bool,
-    pub(crate) field_offset: &'a dyn Fn(njc_ir::FieldId) -> u64,
-    /// Every mid-run install, completion order.
-    pub(crate) installs: Vec<Install>,
-    /// The run's complete cumulative counters.
-    pub(crate) final_counters: &'a SiteCounters,
-    pub(crate) final_calls: u64,
-}
-
-/// What the fixpoint pass settles on.
-pub(crate) struct Finalized {
-    pub(crate) final_module: Module,
-    pub(crate) overrides: BTreeMap<String, ExplicitOverride>,
-    pub(crate) tier_traces: BTreeMap<String, Vec<FunctionTrace>>,
-    pub(crate) recompiles: Vec<RecompileEvent>,
-    /// Fixpoint compiles that panicked (and were survived): the function
-    /// keeps its last successfully installed body.
-    pub(crate) compile_panics: u64,
-}
-
-/// The post-run fixpoint pass: the adaptive run may have ended before the
-/// controller saw the final profile, and mid-run decisions depend on
-/// timing. Assess once more against the *complete* counters and compile
-/// anything outstanding (synchronously — no VM left to swap into, so
-/// these are recorded with `mid_run: false`).
-///
-/// With `tier_down` the assessment is cumulative
-/// ([`ProfilePolicy::assess_cumulative`]): the final override set is
-/// exactly what the run's total null-arrival history justifies, dropping
-/// any mid-run override whose site quiesced. Null arrivals are counted by
-/// slot key (traps) and check id (caught nulls), both independent of
-/// which tier's body was installed when a null arrived — so the settled
-/// set is deterministic even though mid-run swap timing is not. Without
-/// `tier_down` the set only grows, reproducing the original behavior.
-pub(crate) fn finalize_tiers(input: FinalizeInput<'_>) -> Finalized {
-    let FinalizeInput {
-        tier0,
-        tier0_trace,
-        compiler,
-        policy,
-        tier_down,
-        field_offset,
-        installs,
-        final_counters,
-        final_calls,
-    } = input;
-
-    // Per-function running state: final body, overrides, tier traces.
-    struct FuncState {
-        body: Option<Arc<Function>>,
-        overrides: ExplicitOverride,
-        baseline: Option<SiteCounters>,
-        traces: Vec<FunctionTrace>,
-    }
-    let mut state: Vec<FuncState> = (0..tier0.num_functions())
-        .map(|fi| {
-            let name = tier0.function(FunctionId::new(fi)).name();
-            FuncState {
-                body: None,
-                overrides: ExplicitOverride::new(),
-                baseline: None,
-                traces: tier0_trace.function(name).cloned().into_iter().collect(),
-            }
-        })
-        .collect();
-    let mut recompiles = Vec::new();
-    let mut compile_panics = 0u64;
-    for install in installs {
-        let st = &mut state[install.index];
-        st.body = Some(Arc::clone(&install.artifact.body));
-        st.overrides = install.overrides;
-        st.baseline = Some(install.baseline);
-        st.traces.push(install.artifact.trace.clone());
-        recompiles.push(install.event);
-    }
-
-    for (fi, st) in state.iter_mut().enumerate() {
-        let tier0_body = tier0.function(FunctionId::new(fi));
-        let body: &Function = st.body.as_deref().unwrap_or(tier0_body);
-        let (hot, want) = if tier_down {
-            let plan = policy.assess_cumulative(
-                fi,
-                tier0_body,
-                body,
-                field_offset,
-                &compiler.cfg1.compiler_trap,
-                final_counters,
-            );
-            (plan.hot, plan.overrides)
-        } else {
-            let plan = policy.assess(fi, body, field_offset, final_counters, st.baseline.as_ref());
-            let mut want = st.overrides.clone();
-            for (off, kind) in plan.overrides.keys() {
-                want.insert(off, kind);
-            }
-            (plan.hot, want)
-        };
-        if !hot {
-            continue;
-        }
-        if st.body.is_some() && want == st.overrides {
-            continue; // already at the fixpoint
-        }
-        let compiled =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| compiler.compile(fi, &want)));
-        let (artifact, cache_hit) = match compiled {
-            Ok(c) => c,
-            Err(_) => {
-                // The fixpoint compile panicked: keep the last installed
-                // body (or tier 0) instead of wedging the whole run.
-                compile_panics += 1;
-                continue;
-            }
-        };
-        recompiles.push(RecompileEvent {
-            function: tier0_body.name().to_string(),
-            to_config: compiler.cfg1.name.to_string(),
-            overrides: want.len(),
-            cache_hit,
-            mid_run: false,
-            at_calls: final_calls,
-        });
-        st.body = Some(Arc::clone(&artifact.body));
-        st.overrides = want;
-        st.traces.push(artifact.trace.clone());
-    }
-
-    // Final bodies → the steady-state module.
-    let mut final_module = tier0.clone();
-    let mut overrides = BTreeMap::new();
-    let mut tier_traces = BTreeMap::new();
-    for (fi, st) in state.into_iter().enumerate() {
-        let fid = FunctionId::new(fi);
-        let name = final_module.function(fid).name().to_string();
-        if let Some(body) = &st.body {
-            *final_module.function_mut(fid) = (**body).clone();
-            overrides.insert(name.clone(), st.overrides);
-        }
-        tier_traces.insert(name, st.traces);
-    }
-
-    Finalized {
-        final_module,
-        overrides,
-        tier_traces,
-        recompiles,
-        compile_panics,
+        let out = self.service.run(std::slice::from_ref(&spec))?;
+        let tenant = out
+            .tenants
+            .into_iter()
+            .next()
+            .expect("one tenant, one outcome");
+        Ok(tenant.outcome)
     }
 }

@@ -551,8 +551,20 @@ impl<'m> Vm<'m> {
                 .module
                 .function_by_name(function)
                 .ok_or_else(|| Fault::NoSuchFunction(function.to_string()))?;
+            let func = vm.module.function(id);
+            if locals.len() != func.var_types().len() {
+                return Err(Self::ill_typed(
+                    func,
+                    point.block,
+                    format!(
+                        "resumed frame carries {} locals, `{function}` has {}",
+                        locals.len(),
+                        func.var_types().len()
+                    ),
+                ));
+            }
             vm.cur_func = id.index() as u32;
-            let out = vm.call_resumed(id, locals, point);
+            let out = vm.run_frame(func, locals, 0, Some(point));
             vm.finish(out)
         })
     }
@@ -605,6 +617,20 @@ impl<'m> Vm<'m> {
             .module
             .function_by_name(entry)
             .ok_or_else(|| Fault::NoSuchFunction(entry.to_string()))?;
+        // Entry arguments come from outside the program, so a wrong count
+        // is a structured verdict rather than a panic in frame setup.
+        let func = self.module.function(id);
+        if args.len() != func.params().len() {
+            return Err(Self::ill_typed(
+                func,
+                func.entry(),
+                format!(
+                    "entry arity: `{entry}` takes {} argument(s), got {}",
+                    func.params().len(),
+                    args.len()
+                ),
+            ));
+        }
         self.call(id, args.to_vec(), 0)
     }
 
@@ -696,10 +722,24 @@ impl<'m> Vm<'m> {
             .collect();
         debug_assert_eq!(args.len(), func.params().len(), "{}", func.name());
         locals[..args.len()].copy_from_slice(&args);
+        self.run_frame(func, locals, depth, None)
+    }
 
-        let mut block_id = func.entry();
+    /// The frame loop: executes `func` block by block with try-region
+    /// dispatch, from its entry — or, for a deoptimized frame, from
+    /// `resume`, whose access base is re-checked explicitly before the
+    /// access executes.
+    fn run_frame(
+        &mut self,
+        func: &Function,
+        mut locals: Vec<Value>,
+        depth: usize,
+        resume: Option<ResumePoint>,
+    ) -> Result<CallOutcome, Fault> {
+        let mut block_id = resume.map_or_else(|| func.entry(), |p| p.block);
+        let mut resume_at = resume.map(|p| p.inst);
         loop {
-            let exit = self.exec_block(func, block_id, &mut locals, depth)?;
+            let exit = self.exec_block(func, block_id, &mut locals, depth, resume_at.take())?;
             match exit {
                 BlockExit::Jump(next) => block_id = next,
                 BlockExit::Return(v) => return Ok(CallOutcome::Return(v)),
@@ -723,69 +763,18 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Runs one deoptimized frame of `id`: enters at `point` with the
-    /// reconstructed `locals`, re-checking the resumed access's base
-    /// explicitly before executing it, then continues normally.
-    fn call_resumed(
-        &mut self,
-        id: FunctionId,
-        mut locals: Vec<Value>,
-        point: ResumePoint,
-    ) -> Result<CallOutcome, Fault> {
-        let func = self.module.function(id);
-        debug_assert_eq!(locals.len(), func.var_types().len(), "{}", func.name());
-        let mut block_id = point.block;
-        let mut resume_at = Some(point.inst);
-        loop {
-            let exit = match resume_at.take() {
-                Some(start) => self.exec_block_from(func, block_id, &mut locals, 0, start, true)?,
-                None => self.exec_block(func, block_id, &mut locals, 0)?,
-            };
-            match exit {
-                BlockExit::Jump(next) => block_id = next,
-                BlockExit::Return(v) => return Ok(CallOutcome::Return(v)),
-                BlockExit::Threw(kind) => {
-                    let region = func.block(block_id).try_region;
-                    if let Some(tr) = region {
-                        let r = func.try_region(tr);
-                        if r.catch.catches(kind) {
-                            self.charge(self.platform.cost.throw_dispatch);
-                            if let Some(dst) = r.exception_code_dst {
-                                locals[dst.index()] = Value::Int(kind.code());
-                            }
-                            block_id = r.handler;
-                            continue;
-                        }
-                    }
-                    return Ok(CallOutcome::Threw(kind));
-                }
-            }
-        }
-    }
-
+    /// Executes `block_id`, from its first instruction or from
+    /// `resume_at`. A resumed instruction has its access base re-checked
+    /// with explicit-check semantics before it executes — the deopt resume
+    /// contract (the access trapped in compiled code; the recovery path
+    /// re-executes it under an explicit check).
     fn exec_block(
         &mut self,
         func: &Function,
         block_id: BlockId,
         locals: &mut [Value],
         depth: usize,
-    ) -> Result<BlockExit, Fault> {
-        self.exec_block_from(func, block_id, locals, depth, 0, false)
-    }
-
-    /// Executes `block_id` from instruction `start`. With `recheck_first`,
-    /// the instruction at `start` has its access base re-checked with
-    /// explicit-check semantics before it executes — the deopt resume
-    /// contract (the access trapped in compiled code; the recovery path
-    /// re-executes it under an explicit check).
-    fn exec_block_from(
-        &mut self,
-        func: &Function,
-        block_id: BlockId,
-        locals: &mut [Value],
-        depth: usize,
-        start: usize,
-        recheck_first: bool,
+        resume_at: Option<usize>,
     ) -> Result<BlockExit, Fault> {
         let block = func.block(block_id);
         self.safe_point();
@@ -796,10 +785,10 @@ impl<'m> Vm<'m> {
                 .entry((self.cur_func, block_id.index() as u32))
                 .or_insert(0) += 1;
         }
-        for (i, inst) in block.insts.iter().enumerate().skip(start) {
+        for (i, inst) in block.insts.iter().enumerate().skip(resume_at.unwrap_or(0)) {
             self.fuel()?;
             self.cur_inst = i as u32;
-            if recheck_first && i == start {
+            if resume_at == Some(i) {
                 let base = inst
                     .slot_access(|f| self.module.field_offset(f))
                     .map(|s| s.base);

@@ -613,6 +613,36 @@ mod tests {
     }
 
     #[test]
+    fn wrong_entry_arity_is_a_structured_fault() {
+        // Entry arguments come from outside the program: too few or too
+        // many must be a verdict, not a panic in frame setup.
+        let m = module_with("func main(v0: int) -> int {\nbb0:\n  return v0\n}");
+        for args in [vec![], vec![Value::Int(1); 64]] {
+            let err = run_module(&m, win(), "main", &args).unwrap_err();
+            assert!(
+                matches!(&err, Fault::IllTyped { detail, .. } if detail.contains("arity")),
+                "{} args: {err}",
+                args.len()
+            );
+        }
+    }
+
+    #[test]
+    fn resume_with_wrong_frame_size_is_a_structured_fault() {
+        let m = module_with(
+            "func main(v0: ref, v1: int) -> int {\n  locals v2: int v3: int\nbb0:\n  v2 = getfield v0, field0 [site]\n  v3 = add.int v2, v1\n  return v3\n}",
+        );
+        let point = njc_recover::ResumePoint {
+            block: njc_ir::BlockId(0),
+            inst: 0,
+        };
+        let err = Vm::new(&m, win())
+            .resume("main", point, vec![Value::Ref(0)])
+            .unwrap_err();
+        assert!(matches!(err, Fault::IllTyped { .. }), "{err}");
+    }
+
+    #[test]
     fn implicit_check_instruction_is_free_documentation() {
         let m = module_with(
             "func main(v0: ref) -> int {\n  locals v1: int\nbb0:\n  nullcheck! v0\n  v1 = getfield v0, field0 [site]\n  return v1\n}",

@@ -7,7 +7,11 @@
 //! content-addressed for real workload bodies; a capacity-1 shared cache
 //! under contention must evict without changing any tenant's results; and
 //! tier-down must return a quiesced site to the implicit (free) form with
-//! every tier's conservation ledger still balanced.
+//! every tier's conservation ledger still balanced. `TieredRuntime` is a
+//! one-tenant service, so each comparison against it is N tenants against
+//! one. Two robustness properties follow: a wrong entry arity is a prompt
+//! structured fault, and a panicked compile job is charged to the tenant
+//! that waited on it.
 
 use njc_arch::{Platform, TrapModel};
 use njc_core::ExplicitOverride;
@@ -18,8 +22,9 @@ use njc_runtime::{
     hot_field_workload, many_hot_workload, phase_shift_workload, CacheKey, CompiledArtifact,
     ServiceConfig, ServiceRuntime, ShardedCodeCache, TenantSpec, TieredRuntime, PHASE_NULL,
 };
-use njc_vm::Value;
+use njc_vm::{Fault, Value};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn fleet(name: &str, module: &njc_ir::Module, args: &[Value], n: usize) -> Vec<TenantSpec> {
     (0..n)
@@ -243,4 +248,55 @@ fn tier_down_returns_quiesced_site_to_implicit_with_ledger_conservation() {
         );
         assert_eq!(t.outcome.final_module, out.final_module, "{}", t.name);
     }
+}
+
+/// A wrong entry arity comes from outside the program, so it must be a
+/// structured fault — through the tiered front end and a one-tenant
+/// service alike — and it must arrive promptly: no VM panic, and no
+/// controller left polling a tenant that never finishes.
+#[test]
+fn wrong_entry_arity_is_a_prompt_structured_fault() {
+    let platform = Platform::windows_ia32();
+    let args = vec![Value::Int(1); 64];
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let tiered = TieredRuntime::new(hot_field_workload(), platform)
+            .run("main", &args)
+            .map(|_| ());
+        let service = ServiceRuntime::new(platform)
+            .run(&fleet("arity", &hot_field_workload(), &args, 1))
+            .map(|_| ());
+        let _ = tx.send([tiered, service]);
+    });
+    let results = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("both runs return, neither panics nor hangs");
+    for r in results {
+        assert!(
+            matches!(&r, Err(Fault::IllTyped { detail, .. }) if detail.contains("arity")),
+            "{r:?}"
+        );
+    }
+}
+
+/// A panicked worker job is charged to every tenant that waited on it,
+/// so a one-tenant fleet's own count equals the fleet total — what
+/// `TieredRuntime::run` reports for the same run.
+#[test]
+fn worker_compile_panics_count_in_the_waiting_tenant() {
+    let platform = Platform::windows_ia32();
+    let mut config = ServiceConfig::for_platform(&platform);
+    config.runtime.panic_on_compile_of = Some("hot");
+    // Long enough that the controller issues the mid-run request for
+    // "hot", whose worker job panics before the fixpoint's does.
+    let args = [Value::Int(200_000), Value::Ref(0)];
+    let out = ServiceRuntime::with_config(platform, config)
+        .run(&fleet("panicky", &hot_field_workload(), &args, 1))
+        .expect("the fleet survives its panicking compiles");
+    let tenant = out.tenants[0].outcome.compile_panics;
+    assert!(
+        tenant >= 2,
+        "a mid-run worker job and the fixpoint compile both panic: {tenant}"
+    );
+    assert_eq!(tenant, out.compile_panics);
 }
