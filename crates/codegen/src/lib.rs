@@ -1,7 +1,7 @@
-//! # njc-codegen — code generation backend and machine simulator
+//! # njc-codegen — code generation backend
 //!
-//! Lowers njc IR to a linear virtual machine code and executes it at the
-//! machine level, completing the JIT picture the paper assumes:
+//! Lowers njc IR to a linear virtual machine code, completing the JIT
+//! picture the paper assumes:
 //!
 //! * explicit null checks become real [`isa::MInst::CheckNull`]
 //!   instructions (compare-and-branch on IA32, one-cycle `tw` on PowerPC —
@@ -10,22 +10,21 @@
 //!   entries in the per-function [`table::ExceptionSiteTable`], exactly the
 //!   "mark such an instruction as an exception site" of §3.3.2;
 //! * try regions become PC-range entries in a [`table::HandlerTable`], the
-//!   machine's exception unwinder;
-//! * at run time, a hardware trap (from the [`njc_trap`] guarded memory)
-//!   is resolved by PC lookup: site hit → `NullPointerException` +
-//!   handler-table unwinding; miss → [`machine::MachineFault`] (the crash
-//!   a real JIT would suffer from an unsoundly removed check).
+//!   machine's exception unwinder.
 //!
-//! The machine simulator is differentially tested against the IR
-//! interpreter (`njc-vm`): same results, same observation traces, same
-//! exceptions, across workloads and optimization configurations.
+//! `njc-emit` encodes the lowered code to x86-64 bytes and executes them:
+//! a hardware trap is resolved by PC lookup in the binary site table — site
+//! hit → `NullPointerException` + handler-range unwinding; miss →
+//! [`outcome::MachineFault`] (the crash a real JIT would suffer from an
+//! unsoundly removed check). The [`outcome`] types are what that executor
+//! reports, held observable-for-observable to the IR interpreter
+//! (`njc-vm`).
 //!
 //! ## Example
 //!
 //! ```
-//! use njc_arch::Platform;
-//! use njc_codegen::{lower_module, Machine, MValue};
-//! use njc_ir::{parse_function, Module, Type};
+//! use njc_codegen::{lower_module, MInst};
+//! use njc_ir::{parse_function, AccessKind, Module, Type};
 //!
 //! let mut module = Module::new("demo");
 //! module.add_class("C", &[("x", Type::Int)]);
@@ -33,21 +32,23 @@
 //!     "func main() -> int {\n  locals v0: ref v1: int v2: int\nbb0:\n  v0 = new class0\n  v1 = const 21\n  putfield v0, field0, v1\n  v2 = getfield v0, field0 [site]\n  v2 = add.int v2, v2\n  return v2\n}",
 //! ).unwrap());
 //! let machine_module = lower_module(&module);
-//! let out = Machine::new(&machine_module, Platform::windows_ia32())
-//!     .run("main")
-//!     .unwrap();
-//! assert_eq!(out.result, Some(MValue::Int(42)));
-//! assert_eq!(out.stats.explicit_null_checks, 0, "the check is a table entry");
+//! let main = &machine_module.functions[machine_module.function_by_name("main").unwrap()];
+//! // The implicit check is a table entry, not an instruction.
+//! assert!(!main.code.iter().any(|i| matches!(i, MInst::CheckNull { .. })));
+//! assert_eq!(main.sites.len(), 1);
+//! let (pc, info) = main.sites.iter().next().unwrap();
+//! assert!(matches!(main.code[pc], MInst::Load { .. }), "the site is the load");
+//! assert_eq!(info.kind, AccessKind::Read);
 //! ```
 
 pub mod isa;
 pub mod lower;
-pub mod machine;
+pub mod outcome;
 pub mod table;
 
 pub use isa::{AluOp, FaluOp, MInst, Reg};
 pub use lower::{lower_function, lower_module};
-pub use machine::{MValue, Machine, MachineFault, MachineOutcome, MachineStats};
+pub use outcome::{MValue, MachineFault, MachineOutcome, MachineStats};
 pub use table::{
     ExceptionSiteTable, HandlerTable, MachineClass, MachineFunction, MachineModule, SiteInfo,
 };

@@ -66,33 +66,9 @@ impl ExceptionSiteTable {
         self.sites.contains_key(&pc)
     }
 
-    /// The site entry at `pc`, if registered.
-    pub fn get(&self, pc: usize) -> Option<&SiteInfo> {
-        self.sites.get(&pc)
-    }
-
     /// All entries in ascending PC order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &SiteInfo)> {
         self.sites.iter().map(|(pc, info)| (*pc, info))
-    }
-
-    /// The registered site nearest to `pc` (ties break toward the earlier
-    /// PC) — the best provenance hint for a trap the table does *not*
-    /// cover.
-    pub fn nearest(&self, pc: usize) -> Option<(usize, &SiteInfo)> {
-        let below = self.sites.range(..=pc).next_back();
-        let above = self.sites.range(pc..).next();
-        match (below, above) {
-            (Some((bp, bi)), Some((ap, ai))) => {
-                if pc - bp <= ap - pc {
-                    Some((*bp, bi))
-                } else {
-                    Some((*ap, ai))
-                }
-            }
-            (Some((p, i)), None) | (None, Some((p, i))) => Some((*p, i)),
-            (None, None) => None,
-        }
     }
 
     /// Number of registered sites.
@@ -127,15 +103,6 @@ pub struct HandlerEntry {
 pub struct HandlerTable {
     /// The entries.
     pub entries: Vec<HandlerEntry>,
-}
-
-impl HandlerTable {
-    /// Finds the handler covering `pc` for exception `kind`.
-    pub fn lookup(&self, pc: usize, kind: njc_ir::ExceptionKind) -> Option<&HandlerEntry> {
-        self.entries
-            .iter()
-            .find(|e| e.start_pc <= pc && pc < e.end_pc && e.catch.catches(kind))
-    }
 }
 
 /// A lowered function.
@@ -195,7 +162,6 @@ impl MachineModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use njc_ir::ExceptionKind;
 
     #[test]
     fn site_table_membership() {
@@ -206,61 +172,5 @@ mod tests {
         assert_eq!(t.len(), 1);
         assert!(t.contains(7));
         assert!(!t.contains(8));
-    }
-
-    #[test]
-    fn site_table_nearest_prefers_closer_entry() {
-        let mut t = ExceptionSiteTable::new();
-        assert!(t.nearest(3).is_none());
-        let info = |c: u32| SiteInfo {
-            check: CheckId(c),
-            kind: njc_ir::AccessKind::Read,
-            offset: Some(8),
-        };
-        t.insert(10, info(0));
-        t.insert(20, info(1));
-        assert_eq!(t.nearest(12).unwrap().0, 10);
-        assert_eq!(t.nearest(17).unwrap().0, 20);
-        assert_eq!(t.nearest(15).unwrap().0, 10, "tie breaks low");
-        assert_eq!(t.nearest(100).unwrap().1.check, CheckId(1));
-    }
-
-    #[test]
-    fn handler_lookup_respects_range_and_kind() {
-        let table = HandlerTable {
-            entries: vec![
-                HandlerEntry {
-                    start_pc: 10,
-                    end_pc: 20,
-                    catch: CatchKind::Only(ExceptionKind::NullPointer),
-                    handler_pc: 100,
-                    code_reg: None,
-                },
-                HandlerEntry {
-                    start_pc: 10,
-                    end_pc: 20,
-                    catch: CatchKind::Any,
-                    handler_pc: 200,
-                    code_reg: None,
-                },
-            ],
-        };
-        assert_eq!(
-            table
-                .lookup(15, ExceptionKind::NullPointer)
-                .unwrap()
-                .handler_pc,
-            100
-        );
-        assert_eq!(
-            table
-                .lookup(15, ExceptionKind::Arithmetic)
-                .unwrap()
-                .handler_pc,
-            200,
-            "first matching entry wins"
-        );
-        assert!(table.lookup(25, ExceptionKind::NullPointer).is_none());
-        assert!(table.lookup(9, ExceptionKind::NullPointer).is_none());
     }
 }

@@ -295,7 +295,7 @@ fn encode_access(
     a.load_slot(Gp::Rax, base.0);
     // Static displacements must fit in a signed 32-bit field; larger
     // offsets (wild "BigOffset" probes) are folded into the base with
-    // 64-bit arithmetic, preserving the simulator's wrapping semantics.
+    // 64-bit wrapping arithmetic.
     let disp = if imm <= i32::MAX as u64 {
         imm as u32
     } else {
@@ -334,9 +334,9 @@ fn encode_function(
     // (rel32 operand position, target virtual pc) branch fixups.
     let mut branch_fixups: Vec<(usize, usize)> = Vec::new();
 
-    // Prologue: zero the non-parameter slots, matching the simulator's
-    // zeroed register file (the stack region may hold stale bytes from an
-    // earlier, deeper activation).
+    // Prologue: zero the non-parameter slots, matching the IR
+    // interpreter's zero-initialized locals (the stack region may hold
+    // stale bytes from an earlier, deeper activation).
     a.raw(&[0x48, 0x31, 0xC0]); // xor rax, rax
     for slot in func.num_params..func.num_regs {
         a.store_slot(slot as u32, Gp::Rax);
@@ -369,7 +369,7 @@ fn encode_function(
                     AluOp::Or => a.raw(&[0x48, 0x09, 0xC8]),
                     AluOp::Xor => a.raw(&[0x48, 0x31, 0xC8]),
                     // Hardware masks the `cl` count to 6 bits for 64-bit
-                    // operands — exactly the `& 63` the simulator applies.
+                    // operands — exactly the `& 63` the IR interpreter applies.
                     AluOp::Shl => a.raw(&[0x48, 0xD3, 0xE0]),
                     AluOp::Shr => a.raw(&[0x48, 0xD3, 0xF8]),
                     AluOp::Ushr => a.raw(&[0x48, 0xD3, 0xE8]),
@@ -433,7 +433,7 @@ fn encode_function(
                 a.load_slot(Gp::Rax, x.0);
                 if *float {
                     // IEEE negate is a sign-bit flip — bit-exact with the
-                    // simulator's `-f64` including NaN payloads.
+                    // IR interpreter's `-f64` including NaN payloads.
                     a.movabs(Gp::Rdx, 0x8000_0000_0000_0000);
                     a.raw(&[0x48, 0x31, 0xD0]); // xor rax, rdx
                 } else {
@@ -443,8 +443,8 @@ fn encode_function(
             }
             MInst::Cvt { dst, src, to_int } => {
                 if *to_int {
-                    // `cvttsd2si` traps to 0x8000.. on overflow; the
-                    // simulator (Rust `as`) saturates. Routed through the
+                    // `cvttsd2si` traps to 0x8000.. on overflow; the IR
+                    // interpreter (Rust `as`) saturates. Routed through the
                     // runtime to keep the two bit-identical.
                     a.mov_esi(src.0);
                     a.mov_eax(abi::SVC_CVT_TO_INT);
@@ -555,7 +555,7 @@ fn encode_function(
                 a.u32(0);
                 a.raw(&[0x48, 0x8D, 0xAD]); // lea rbp, [rbp - frame]
                 a.u32(frame.wrapping_neg());
-                // The simulator only stores a result the callee produced.
+                // Only a result the callee produced is stored.
                 if let (Some(d), Some(_)) = (dst, rets[target.index()]) {
                     a.store_slot(d.0, Gp::Rax);
                 }

@@ -7,20 +7,20 @@
 //! resolves hardware traps by **binary** exception-site lookup (the
 //! function-relative byte offset of the faulting instruction against
 //! `.njc.exctab`). Observable behaviour — result, escaped exception,
-//! observation trace, trap/check counters, heap digest — must match the
-//! costed machine simulator instruction for instruction; the difftest
+//! observation trace, trap/check/missed-NPE counters — must match the IR
+//! interpreter (`njc-vm`) running the same optimized module; the difftest
 //! harness holds it to that.
 
 use njc_arch::Platform;
 use njc_codegen::{MValue, MachineFault, MachineOutcome, MachineStats};
-use njc_ir::{CheckId, ExceptionKind, Type};
+use njc_ir::{AccessKind, CheckId, ExceptionKind, Type};
 use njc_trap::{GuardedMemory, MemoryError};
 
 use crate::abi;
 use crate::decode::{decode_one, Dec, Imm32Reg, Scratch};
 use crate::encode::{BinSite, EmittedFunction, EmittedModule};
 
-/// Call depth limit, matching the simulator's.
+/// Call depth limit, matching the IR interpreter's default `max_depth`.
 const MAX_DEPTH: usize = 256;
 
 /// The machine state captured at a registered-site hardware trap, in the
@@ -40,7 +40,7 @@ pub struct TrapSnapshot {
     /// The check the site discharges.
     pub check: CheckId,
     /// Read or write.
-    pub kind: njc_ir::AccessKind,
+    pub kind: AccessKind,
     /// Static displacement of the access (`None` when index-scaled).
     pub offset: Option<u64>,
     /// Frame slots `r0..r{num_regs}` at the trapping pc, raw bits.
@@ -102,19 +102,11 @@ struct Exec<'m> {
     cmp: (u64, u64),
 }
 
-fn from_bits(bits: u64, ty: Type) -> MValue {
-    match ty {
-        Type::Int => MValue::Int(bits as i64),
-        Type::Float => MValue::Float(f64::from_bits(bits)),
-        Type::Ref => MValue::Ref(bits),
-    }
-}
-
 impl<'m> ByteMachine<'m> {
     /// Creates a byte machine for `em` under `platform`'s trap model.
     pub fn new(em: &'m EmittedModule, platform: Platform) -> Self {
-        // The simulator budgets 200M virtual instructions; each expands to
-        // a bounded handful of x86 instructions.
+        // The IR interpreter budgets 200M instructions; each lowers to a
+        // bounded handful of x86 instructions.
         ByteMachine {
             em,
             platform,
@@ -131,8 +123,8 @@ impl<'m> ByteMachine<'m> {
     /// Runs `entry` (no arguments) to completion.
     ///
     /// # Errors
-    /// [`MachineFault`] on compiler bugs or resource exhaustion, exactly
-    /// like the costed simulator.
+    /// [`MachineFault`] on compiler bugs or resource exhaustion; escaped
+    /// Java exceptions are a normal outcome.
     pub fn run(self, entry: &str) -> Result<MachineOutcome, MachineFault> {
         let (exec, outcome, ret_ty) = self.exec(entry, false)?;
         Ok(Self::outcome(exec, outcome, ret_ty))
@@ -160,7 +152,7 @@ impl<'m> ByteMachine<'m> {
         ret_ty: Option<Type>,
     ) -> MachineOutcome {
         let (result, exception) = match outcome {
-            None => (ret_ty.map(|t| from_bits(exec.rax, t)), None),
+            None => (ret_ty.map(|t| MValue::from_bits(exec.rax, t)), None),
             Some(kind) => (None, Some(kind)),
         };
         MachineOutcome {
@@ -270,7 +262,7 @@ impl Exec<'_> {
         }
     }
 
-    fn unexpected_trap(&self, kind: njc_ir::AccessKind, offset: Option<u64>) -> MachineFault {
+    fn unexpected_trap(&self, kind: AccessKind, offset: Option<u64>) -> MachineFault {
         let f = self.func();
         let rel = self.pc - f.text_off as usize;
         let nearest: Option<(usize, CheckId)> = f
@@ -284,6 +276,20 @@ impl Exec<'_> {
             kind,
             offset,
             nearest_site: nearest,
+        }
+    }
+
+    /// The effective address of a `[rax + disp]` or `[rax + rcx*8 + disp]`
+    /// operand, wrapping modulo 2^64 exactly as x86-64 address generation
+    /// does. The VM checks indexed addresses for overflow instead
+    /// (`Heap::element_addr_checked`); the difftest `+bytes` column counts
+    /// the resulting split as a known gap, `byte_wrap_gaps`.
+    fn address(&self, disp: u32, indexed: bool) -> u64 {
+        let addr = self.rax.wrapping_add(u64::from(disp));
+        if indexed {
+            addr.wrapping_add(self.rcx.wrapping_mul(8))
+        } else {
+            addr
         }
     }
 
@@ -363,11 +369,7 @@ impl Exec<'_> {
                     self.write_slot(slot, v);
                 }
                 Dec::LoadMem { disp, indexed } => {
-                    let mut addr = self.rax.wrapping_add(u64::from(disp));
-                    if indexed {
-                        addr = addr.wrapping_add(self.rcx.wrapping_mul(8));
-                    }
-                    match self.mem.read_u64(addr) {
+                    match self.mem.read_u64(self.address(disp, indexed)) {
                         Ok(out) => {
                             if out.from_guard && self.site().is_some() {
                                 self.stats.missed_npes += 1;
@@ -384,7 +386,7 @@ impl Exec<'_> {
                                 raise!(ExceptionKind::NullPointer);
                             }
                             return Err(self.unexpected_trap(
-                                njc_ir::AccessKind::Read,
+                                AccessKind::Read,
                                 (!indexed).then_some(u64::from(disp)),
                             ));
                         }
@@ -397,11 +399,7 @@ impl Exec<'_> {
                     }
                 }
                 Dec::StoreMem { disp, indexed } => {
-                    let mut addr = self.rax.wrapping_add(u64::from(disp));
-                    if indexed {
-                        addr = addr.wrapping_add(self.rcx.wrapping_mul(8));
-                    }
-                    match self.mem.write_u64(addr, self.rdx) {
+                    match self.mem.write_u64(self.address(disp, indexed), self.rdx) {
                         Ok(()) => {}
                         Err(MemoryError::Trap(_)) => {
                             if let Some(&site) = self.site() {
@@ -413,7 +411,7 @@ impl Exec<'_> {
                                 raise!(ExceptionKind::NullPointer);
                             }
                             return Err(self.unexpected_trap(
-                                njc_ir::AccessKind::Write,
+                                AccessKind::Write,
                                 (!indexed).then_some(u64::from(disp)),
                             ));
                         }
@@ -580,7 +578,7 @@ impl Exec<'_> {
                     abi::SVC_OBSERVE => {
                         let ty = abi::type_from_tag(self.edi).expect("emitted type tag");
                         let bits = self.read_slot(self.esi);
-                        self.trace.push(from_bits(bits, ty));
+                        self.trace.push(MValue::from_bits(bits, ty));
                     }
                     abi::SVC_MATH => {
                         let op = abi::intrinsic_from_tag(self.edi).expect("emitted intrinsic");
@@ -637,11 +635,11 @@ impl Exec<'_> {
 mod tests {
     use super::*;
     use crate::encode::emit_module;
-    use njc_codegen::{lower_module, Machine};
+    use njc_codegen::lower_module;
     use njc_ir::{parse_function, Module};
 
     #[test]
-    fn byte_machine_matches_simulator_on_demo() {
+    fn byte_machine_matches_vm_on_demo() {
         let mut m = Module::new("demo");
         m.add_class("C", &[("x", Type::Int)]);
         m.add_function(
@@ -650,18 +648,18 @@ mod tests {
             )
             .unwrap(),
         );
-        let mm = lower_module(&m);
         let platform = Platform::windows_ia32();
-        let sim = Machine::new(&mm, platform).run("main").unwrap();
-        let em = emit_module(&mm, 1);
+        let vm = njc_vm::run_module(&m, platform, "main", &[]).unwrap();
+        let em = emit_module(&lower_module(&m), 1);
         let out = ByteMachine::new(&em, platform).run("main").unwrap();
-        assert_eq!(out.result, sim.result);
-        assert_eq!(out.exception, sim.exception);
-        assert_eq!(out.trace, sim.trace);
-        assert_eq!(out.stats.traps_taken, sim.stats.traps_taken);
+        assert_eq!(out.result, Some(MValue::Int(42)));
+        assert_eq!(vm.result, Some(njc_vm::Value::Int(42)));
+        assert_eq!(out.exception, vm.exception);
+        assert!(out.trace.is_empty() && vm.trace.is_empty());
+        assert_eq!(out.stats.traps_taken, vm.stats.traps_taken);
         assert_eq!(
             out.stats.explicit_null_checks,
-            sim.stats.explicit_null_checks
+            vm.stats.explicit_null_checks
         );
     }
 
@@ -684,7 +682,7 @@ mod tests {
             panic!("expected a site trap, got {out:?}");
         };
         assert_eq!(snap.function, "main");
-        assert_eq!(snap.kind, njc_ir::AccessKind::Read);
+        assert_eq!(snap.kind, AccessKind::Read);
         assert_eq!(snap.offset, Some(16), "field1 lives at byte offset 16");
         // Frame slot 1 holds r1 = 41; slot 0 holds the null base.
         assert_eq!(snap.frame[0], 0);

@@ -25,8 +25,8 @@
 //!   (b) no eliminated check left a residual compare-and-branch guarding
 //!   its access, and (c) handler ranges are well-formed and nest.
 //! * [`interp`] executes the emitted bytes directly over the guarded
-//!   memory — the encoder-faithful referee the difftest harness replays
-//!   fixtures through against the costed machine simulator.
+//!   memory — the encoder-faithful executor the difftest harness holds to
+//!   the IR interpreter (`njc-vm`) on every optimized cell.
 
 pub mod abi;
 pub mod decode;

@@ -737,8 +737,7 @@ fn golden_static_call() {
 
 #[test]
 fn golden_void_call_stores_nothing() {
-    // A callee with no return type must leave the destination untouched,
-    // exactly like the simulator.
+    // A callee with no return type must leave the destination untouched.
     let callee = MachineFunction {
         name: "callee".to_string(),
         code: vec![MInst::Ret { src: None }],

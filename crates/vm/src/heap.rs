@@ -114,10 +114,16 @@ impl Heap {
     ///
     /// * a base inside the protected region (a null-ish reference) raises
     ///   the [`HardwareTrap`] the guard page owes the access — on every
-    ///   platform model, because a wrapped address is a fault on real
-    ///   hardware regardless of whether the first page traps reads;
+    ///   platform model, even one whose first-page reads are silent;
     /// * any other base is a [`MemoryError::WildAccess`] (the BigOffset
     ///   hazard, Figure 5 (1)).
+    ///
+    /// This is the VM's reference semantics, not what x86-64 does: the
+    /// emitted `[base + index*8 + 16]` operand wraps modulo 2^64, so a null
+    /// base with an index near 2^61 lands in page 0, which an AIX-like
+    /// model reads silently. The byte machine runs what the bytes say, and
+    /// the difftest `+bytes` column counts that split as a known gap
+    /// (`byte_wrap_gaps`) rather than hiding it.
     ///
     /// # Errors
     /// [`MemoryError`] as classified above; the caller maps a trap at a

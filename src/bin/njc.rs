@@ -171,11 +171,13 @@ fn difftest_main(args: &[String]) -> ExitCode {
     }
     let report = run_difftest(&opts);
     println!(
-        "difftest: {} programs, {} cells ({} byte-level), {} divergences, {} claim-9 \
-         confirmations (Illegal Implicit missed NPEs), {} ill-typed cells survived, {} panics",
+        "difftest: {} programs, {} cells ({} byte-level, {} known wrap gaps), {} divergences, \
+         {} claim-9 confirmations (Illegal Implicit missed NPEs), {} ill-typed cells survived, \
+         {} panics",
         report.programs,
         report.cells,
         report.byte_cells,
+        report.byte_wrap_gaps,
         report.divergences.len(),
         report.claim9_confirmations,
         report.ill_typed_cells,
@@ -946,15 +948,15 @@ fn explain_one(
                  resolved to provenance records"
             );
         }
-        // Machine-level reconciliation: the same module lowered to the
-        // linear ISA and executed over its exception site tables. A
-        // hardware trap escaping the table is a compiler soundness bug;
-        // the enriched fault carries enough provenance (function, PC,
-        // access kind, static offset, nearest surviving site) to pull the
-        // responsible check's life story out of the optimizer trace
-        // instead of surfacing a bare PC.
-        let mm = njc_codegen::lower_module(&optimized);
-        match njc_codegen::Machine::new(&mm, *platform).run("main") {
+        // Machine-level reconciliation: the same module lowered, emitted to
+        // x86-64 bytes, and executed over its binary exception site tables.
+        // A hardware trap escaping the table is a compiler soundness bug;
+        // the enriched fault carries enough provenance (function, byte
+        // offset, access kind, static offset, nearest surviving site) to
+        // pull the responsible check's life story out of the optimizer
+        // trace instead of surfacing a bare PC.
+        let em = njc_emit::emit_module(&njc_codegen::lower_module(&optimized), threads);
+        match njc_emit::ByteMachine::new(&em, *platform).run("main") {
             Ok(mout) => {
                 if !quiet {
                     println!(
@@ -972,8 +974,8 @@ fn explain_one(
                 nearest_site,
             }) => {
                 let mut msg = format!(
-                    "machine trap escaped the site table: {kind:?} access at pc {pc} in \
-                     `{function}`"
+                    "machine trap escaped the site table: {kind:?} access at byte offset {pc} \
+                     in `{function}`"
                 );
                 match offset {
                     Some(off) => {
@@ -988,7 +990,9 @@ fn explain_one(
                     Some((spc, check)) if check.is_some() => {
                         let _ = std::fmt::Write::write_fmt(
                             &mut msg,
-                            format_args!("\nnearest surviving site: pc {spc}, check {check}"),
+                            format_args!(
+                                "\nnearest surviving site: byte offset {spc}, check {check}"
+                            ),
                         );
                         if let Some(ft) = trace.function(&function) {
                             let _ = std::fmt::Write::write_fmt(
@@ -1000,7 +1004,9 @@ fn explain_one(
                     Some((spc, _)) => {
                         let _ = std::fmt::Write::write_fmt(
                             &mut msg,
-                            format_args!("\nnearest surviving site: pc {spc} (over-marking)"),
+                            format_args!(
+                                "\nnearest surviving site: byte offset {spc} (over-marking)"
+                            ),
                         );
                     }
                     None => {

@@ -1,144 +1,181 @@
-//! Differential testing: the machine-level simulator (lowered code +
-//! exception tables) must agree with the IR interpreter on every
-//! observable, for every workload and optimization configuration.
+//! Differential testing of the machine-code path: every workload is
+//! lowered, emitted to real x86-64 bytes, and executed by the byte
+//! machine, which must agree with the IR interpreter — the semantic
+//! reference — on every observable (result, exception, trace, explicit
+//! checks, traps, missed NPEs) for every platform trap model and
+//! optimization configuration. The comparison is the difftest harness's
+//! own `+bytes` oracle ([`byte_mismatch`]).
+//!
+//! The site-table tests pin the binary exception-site lookup itself: traps
+//! dispatch through `.njc.exctab`, a stripped table turns the first trap
+//! into an `UnexpectedTrap` carrying reconcilable provenance, and the AIX
+//! negative control silently misses NPEs at the byte level too.
 
 use njc_arch::Platform;
-use njc_codegen::{lower_module, MValue, Machine};
+use njc_bench::difftest::{byte_mismatch, byte_verdict, ByteVerdict};
+use njc_codegen::{lower_module, MValue, MachineFault, MachineOutcome};
+use njc_emit::{emit_module, parse_elf, verify_module, write_elf, ByteMachine, EmittedModule};
+use njc_ir::{FuncBuilder, Inst, Module, Type};
 use njc_jit::compile;
 use njc_opt::ConfigKind;
-use njc_vm::{Value, Vm};
+use njc_vm::Vm;
+use njc_workloads::{micro, Suite, Workload};
 
+fn platforms() -> [Platform; 3] {
+    [
+        Platform::windows_ia32(),
+        Platform::aix_ppc(),
+        Platform::linux_s390(),
+    ]
+}
+
+/// Sound configurations spanning the interesting emission shapes:
+/// all-explicit, trivially converted, fully implicit, and (on AIX) the
+/// speculative variants.
+fn kinds(platform: &Platform) -> Vec<ConfigKind> {
+    let mut kinds = vec![
+        ConfigKind::NoNullOptNoTrap,
+        ConfigKind::OldNullCheck,
+        ConfigKind::Full,
+    ];
+    if !platform.trap.traps_on_read {
+        kinds.extend([ConfigKind::AixSpeculation, ConfigKind::AixNoSpeculation]);
+    }
+    kinds
+}
+
+/// Runs `module` on the VM and its emitted bytes `em` on the byte
+/// machine, each once. Both runs must complete, and they must agree on
+/// every observable [`byte_mismatch`] compares. Returns the byte run.
 fn assert_agree(
-    name: &str,
-    kind: &str,
-    vm_out: &njc_vm::Outcome,
-    m_out: &njc_codegen::MachineOutcome,
-) {
-    assert_eq!(
-        vm_out.exception, m_out.exception,
-        "{name} [{kind}]: exception mismatch"
-    );
-    let conv = |v: &Value| match *v {
-        Value::Int(i) => MValue::Int(i),
-        Value::Float(f) => MValue::Float(f),
-        Value::Ref(_) => MValue::Ref(0), // addresses differ between heaps
+    what: &str,
+    module: &Module,
+    em: &EmittedModule,
+    platform: &Platform,
+) -> MachineOutcome {
+    let vm = Vm::new(module, *platform).run("main", &[]);
+    let bytes = ByteMachine::new(em, *platform).run("main");
+    let name = platform.name;
+    if let Some(detail) = byte_mismatch(&vm, &bytes) {
+        panic!("{what} on {name}: {detail}");
+    }
+    if let Err(fault) = &vm {
+        panic!("{what} on {name}: VM faulted: {fault}");
+    }
+    bytes.unwrap_or_else(|fault| panic!("{what} on {name}: bytes faulted: {fault}"))
+}
+
+fn emit(module: &Module) -> EmittedModule {
+    emit_module(&lower_module(module), 1)
+}
+
+/// The null-seeded stress program, optimized under `kind` for `platform`.
+fn null_seeded(platform: &Platform, kind: ConfigKind) -> Module {
+    let w = Workload {
+        name: "null_seeded",
+        suite: Suite::Micro,
+        module: micro::null_seeded(),
+        entry: "main",
+        work_units: 1,
     };
-    assert_eq!(
-        vm_out.result.as_ref().map(conv),
-        m_out.result,
-        "{name} [{kind}]: result mismatch"
-    );
-    let vm_trace: Vec<MValue> = vm_out.trace.iter().map(conv).collect();
-    assert_eq!(vm_trace, m_out.trace, "{name} [{kind}]: trace mismatch");
+    compile(&w, platform, kind).module
 }
 
 #[test]
 fn machine_matches_interpreter_on_unoptimized_workloads() {
     let p = Platform::windows_ia32();
     for w in njc_workloads::all() {
-        let vm_out = Vm::new(&w.module, p).run("main", &[]).unwrap();
-        let mm = lower_module(&w.module);
-        let m_out = Machine::new(&mm, p).run("main").unwrap();
-        assert_agree(w.name, "unoptimized", &vm_out, &m_out);
+        assert_agree(w.name, &w.module, &emit(&w.module), &p);
     }
 }
 
 #[test]
 fn machine_matches_interpreter_on_optimized_workloads() {
-    for p in [Platform::windows_ia32(), Platform::aix_ppc()] {
-        for w in njc_workloads::all() {
-            for kind in [ConfigKind::Full, ConfigKind::OldNullCheck] {
-                let compiled = compile(&w, &p, kind);
-                let vm_out = Vm::new(&compiled.module, p).run("main", &[]).unwrap();
+    let mut cells = 0usize;
+    for platform in platforms() {
+        for kind in kinds(&platform) {
+            for w in njc_workloads::all() {
+                let compiled = compile(&w, &platform, kind);
+                let what = format!("{} [{kind:?}]", w.name);
                 let mm = lower_module(&compiled.module);
-                let m_out = Machine::new(&mm, p).run("main").unwrap();
-                assert_agree(w.name, &format!("{kind:?} {}", p.name), &vm_out, &m_out);
-                // The machine's explicit check count must match the
-                // interpreter's: both execute the same residual checks.
+                let em = emit_module(&mm, 4);
+
+                // Emission is deterministic across thread counts.
                 assert_eq!(
-                    vm_out.stats.explicit_null_checks, m_out.stats.explicit_null_checks,
-                    "{} [{kind:?}]: residual check count",
-                    w.name
+                    em,
+                    emit_module(&mm, 1),
+                    "{what} on {}: thread-count-dependent emission",
+                    platform.name
                 );
+
+                // The ELF container preserves everything.
+                let parsed = parse_elf(&write_elf(&em)).expect("elf parses");
+                assert_eq!(em, parsed, "{what}: elf round-trip");
+
+                // The binary verifier proves the artifact clean.
+                let report = verify_module(&em, &platform, 4);
+                assert!(
+                    report.findings.is_empty(),
+                    "{what} on {}: {:?}",
+                    platform.name,
+                    report.findings
+                );
+
+                assert_agree(&what, &compiled.module, &em, &platform);
+                cells += 1;
             }
         }
     }
+    assert!(cells >= 150, "expected a real matrix, ran {cells} cells");
 }
 
 #[test]
 fn machine_traps_dispatch_through_the_site_table() {
     // The null-seeded stress program under Full: its NPEs arrive as real
-    // hardware traps resolved by PC lookup.
-    let w = njc_workloads::Workload {
-        name: "null_seeded",
-        suite: njc_workloads::Suite::Micro,
-        module: njc_workloads::micro::null_seeded(),
-        entry: "main",
-        work_units: 1,
-    };
+    // hardware traps resolved by byte-offset lookup.
     let p = Platform::windows_ia32();
-    let compiled = compile(&w, &p, ConfigKind::Full);
-    let vm_out = Vm::new(&compiled.module, p).run("main", &[]).unwrap();
-    let mm = lower_module(&compiled.module);
-    assert!(mm.total_sites() > 0, "the optimized code relies on traps");
-    let m_out = Machine::new(&mm, p).run("main").unwrap();
-    assert_agree("null_seeded", "Full", &vm_out, &m_out);
+    let module = null_seeded(&p, ConfigKind::Full);
+    let em = emit(&module);
+    let sites: usize = em.functions.iter().map(|f| f.sites.len()).sum();
+    assert!(sites > 0, "the optimized code relies on traps");
+    let out = assert_agree("null_seeded [Full]", &module, &em, &p);
     assert!(
-        m_out.stats.traps_taken > 0,
+        out.stats.traps_taken > 0,
         "NPEs must arrive via hardware traps: {:?}",
-        m_out.stats
+        out.stats
     );
 }
 
 #[test]
 fn machine_detects_unsound_code() {
-    // Strip the exception site tables from correctly optimized code: the
-    // first trap must become an UnexpectedTrap machine fault.
-    let w = njc_workloads::Workload {
-        name: "null_seeded",
-        suite: njc_workloads::Suite::Micro,
-        module: njc_workloads::micro::null_seeded(),
-        entry: "main",
-        work_units: 1,
-    };
+    // Strip the binary exception site tables from correctly optimized
+    // code: the first trap must become an UnexpectedTrap machine fault.
     let p = Platform::windows_ia32();
-    let compiled = compile(&w, &p, ConfigKind::Full);
-    let mut mm = lower_module(&compiled.module);
-    for f in &mut mm.functions {
-        f.sites = njc_codegen::ExceptionSiteTable::new();
+    let mut em = emit(&null_seeded(&p, ConfigKind::Full));
+    for f in &mut em.functions {
+        f.sites.clear();
     }
-    let err = Machine::new(&mm, p).run("main").unwrap_err();
-    assert!(
-        matches!(err, njc_codegen::MachineFault::UnexpectedTrap { .. }),
-        "{err}"
-    );
+    let err = ByteMachine::new(&em, p).run("main").unwrap_err();
+    assert!(matches!(err, MachineFault::UnexpectedTrap { .. }), "{err}");
 }
 
 #[test]
 fn unexpected_trap_carries_reconcilable_provenance() {
     // The enriched fault must identify the escape precisely enough to
-    // reconcile it against the intact site table: faulting function, PC,
-    // access kind, and static offset all name the exact entry that was
-    // deleted, and with the rest of the table left in place the nearest
-    // surviving site is offered as the provenance lead.
-    let w = njc_workloads::Workload {
-        name: "null_seeded",
-        suite: njc_workloads::Suite::Micro,
-        module: njc_workloads::micro::null_seeded(),
-        entry: "main",
-        work_units: 1,
-    };
+    // reconcile it against the intact site table: faulting function, byte
+    // offset, access kind, and static offset all name the exact entry that
+    // was deleted, and with the rest of the table left in place the
+    // nearest surviving site is offered as the provenance lead.
     let p = Platform::windows_ia32();
-    let compiled = compile(&w, &p, ConfigKind::Full);
-    let intact = lower_module(&compiled.module);
+    let intact = emit(&null_seeded(&p, ConfigKind::Full));
 
     // First escape: strip every table, so the very first trap escapes.
     let mut stripped = intact.clone();
     for f in &mut stripped.functions {
-        f.sites = njc_codegen::ExceptionSiteTable::new();
+        f.sites.clear();
     }
-    let err = Machine::new(&stripped, p).run("main").unwrap_err();
-    let njc_codegen::MachineFault::UnexpectedTrap {
+    let err = ByteMachine::new(&stripped, p).run("main").unwrap_err();
+    let MachineFault::UnexpectedTrap {
         function,
         pc,
         kind,
@@ -155,10 +192,11 @@ fn unexpected_trap_carries_reconcilable_provenance() {
     // Reconcile against the intact table: the fault names exactly the
     // entry that was deleted, down to access kind and static offset.
     let fi = intact.function_by_name(&function).expect("known function");
-    let site = intact.functions[fi]
+    let site = *intact.functions[fi]
         .sites
-        .get(pc)
-        .unwrap_or_else(|| panic!("pc {pc} of {function} is not a registered site"));
+        .iter()
+        .find(|s| s.byte_off as usize == pc)
+        .unwrap_or_else(|| panic!("byte offset {pc} of {function} is not a registered site"));
     assert_eq!(site.kind, kind, "access kind matches the table entry");
     assert_eq!(site.offset, offset, "static offset matches the table entry");
     assert!(
@@ -170,49 +208,88 @@ fn unexpected_trap_carries_reconcilable_provenance() {
     // Second escape: delete only that one entry. The trap still escapes,
     // but now the nearest surviving site is handed over as the lead.
     let mut holed = intact.clone();
-    let table = &mut holed.functions[fi].sites;
-    let mut rebuilt = njc_codegen::ExceptionSiteTable::new();
-    for (spc, info) in table.iter() {
-        if spc != pc {
-            rebuilt.insert(spc, *info);
-        }
-    }
-    assert!(!rebuilt.is_empty(), "the function has surviving sites");
-    holed.functions[fi].sites = rebuilt;
-    let err = Machine::new(&holed, p).run("main").unwrap_err();
-    let njc_codegen::MachineFault::UnexpectedTrap {
+    holed.functions[fi]
+        .sites
+        .retain(|s| s.byte_off != site.byte_off);
+    assert!(
+        !holed.functions[fi].sites.is_empty(),
+        "the function has surviving sites"
+    );
+    let err = ByteMachine::new(&holed, p).run("main").unwrap_err();
+    let MachineFault::UnexpectedTrap {
         pc: pc2,
-        nearest_site: Some((lead_pc, lead_check)),
+        nearest_site: Some((lead_off, lead_check)),
         ..
     } = err
     else {
         panic!("expected a led UnexpectedTrap, got {err:?}");
     };
     assert_eq!(pc2, pc, "the same access escapes");
-    assert_ne!(lead_pc, pc, "the lead is a surviving neighbor");
-    assert!(
-        intact.functions[fi].sites.contains(lead_pc),
-        "the lead is a genuine registered site"
-    );
+    assert_ne!(lead_off, pc, "the lead is a surviving neighbor");
+    let lead = intact.functions[fi]
+        .sites
+        .iter()
+        .find(|s| s.byte_off as usize == lead_off)
+        .expect("the lead is a genuine registered site");
     assert_eq!(
-        intact.functions[fi].sites.get(lead_pc).unwrap().check,
-        lead_check,
+        lead.check, lead_check,
         "the lead hands over the surviving entry's IR check"
     );
 }
 
 #[test]
 fn illegal_implicit_misses_npes_at_machine_level_too() {
-    let w = njc_workloads::Workload {
-        name: "null_seeded",
-        suite: njc_workloads::Suite::Micro,
-        module: njc_workloads::micro::null_seeded(),
-        entry: "main",
-        work_units: 1,
-    };
     let aix = Platform::aix_ppc();
-    let compiled = compile(&w, &aix, ConfigKind::AixIllegalImplicit);
-    let mm = lower_module(&compiled.module);
-    let m_out = Machine::new(&mm, aix).run("main").unwrap();
-    assert!(m_out.stats.missed_npes > 0, "{:?}", m_out.stats);
+    let module = null_seeded(&aix, ConfigKind::AixIllegalImplicit);
+    let em = emit(&module);
+    // The VM misses exactly the same NPEs: the negative control is
+    // reproduced byte for byte, not masked.
+    let out = assert_agree("null_seeded [AixIllegalImplicit]", &module, &em, &aix);
+    assert!(out.stats.missed_npes > 0, "{:?}", out.stats);
+}
+
+/// `main` loads element `2^61 + 14` of a null array without a bounds
+/// check: the mathematical address overflows, the wrapped one is 128.
+fn wrap_around_load() -> Module {
+    let mut m = Module::new("wrap");
+    let mut b = FuncBuilder::new("main", &[], Type::Int);
+    let arr = b.null_ref();
+    let index = b.iconst((1i64 << 61) + 14);
+    let dst = b.var(Type::Int);
+    b.emit(Inst::ArrayLoad {
+        dst,
+        arr,
+        index,
+        ty: Type::Int,
+        exception_site: false,
+    });
+    b.ret(Some(dst));
+    m.add_function(b.finish());
+    m
+}
+
+#[test]
+fn wrapping_index_is_the_known_vm_binary_gap() {
+    // The VM checks indexed addresses for overflow and traps; the emitted
+    // `[rax + rcx*8 + 16]` operand wraps modulo 2^64 into page 0. Where
+    // page-0 reads trap both sides fault alike. On AIX the bytes read zero
+    // silently, and the `+bytes` oracle must name that as the known gap,
+    // not pass it as agreement.
+    let m = wrap_around_load();
+    let em = emit(&m);
+    for platform in platforms() {
+        let expected = if platform.trap.traps_on_read {
+            ByteVerdict::Agree
+        } else {
+            ByteVerdict::WrapGap
+        };
+        assert_eq!(
+            byte_verdict(&m, &em, &platform),
+            expected,
+            "{}",
+            platform.name
+        );
+    }
+    let aix = ByteMachine::new(&em, Platform::aix_ppc()).run("main");
+    assert_eq!(aix.unwrap().result, Some(MValue::Int(0)));
 }

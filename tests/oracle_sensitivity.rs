@@ -5,6 +5,9 @@
 //! detection.
 
 use njc_arch::Platform;
+use njc_bench::difftest::{byte_verdict, ByteVerdict};
+use njc_codegen::lower_module;
+use njc_emit::{emit_module, ByteMachine, TrapOutcome};
 use njc_ir::{Inst, Module, NullCheckKind};
 use njc_jit::{execute_unoptimized, Compiled};
 use njc_opt::ConfigKind;
@@ -202,4 +205,36 @@ fn exception_identity_is_part_of_the_oracle() {
     base.assert_equivalent(&out)
         .expect("trap-everything is a legal implementation on a read+write-trap platform");
     assert!(out.stats.traps_taken > 0, "NPEs now arrive via traps");
+}
+
+/// The `+bytes` difftest column must catch an encoder that drops a binary
+/// exception-site entry: the VM still raises the NPE at that access, the
+/// byte machine takes an unregistered trap.
+#[test]
+fn dropped_binary_site_diverges_in_the_byte_column() {
+    let p = Platform::windows_ia32();
+    let compiled = njc_jit::compile(&null_seeded(), &p, ConfigKind::Full);
+    let em = emit_module(&lower_module(&compiled.module), 1);
+    assert_eq!(
+        byte_verdict(&compiled.module, &em, &p),
+        ByteVerdict::Agree,
+        "the honest emission agrees with the VM"
+    );
+    // Plant the bug at the first registered site that actually traps.
+    let TrapOutcome::Trapped(snap) = ByteMachine::new(&em, p)
+        .run_until_site_trap("main")
+        .unwrap()
+    else {
+        panic!("null_seeded must trap at a registered site");
+    };
+    let mut planted = em.clone();
+    let fi = planted.function_by_name(&snap.function).unwrap();
+    let sites = &mut planted.functions[fi].sites;
+    let before = sites.len();
+    sites.retain(|s| s.byte_off != snap.byte_off);
+    assert_eq!(sites.len(), before - 1, "exactly one entry dropped");
+    let ByteVerdict::Diverged(detail) = byte_verdict(&compiled.module, &planted, &p) else {
+        panic!("a dropped site entry must diverge from the VM");
+    };
+    assert!(detail.contains("unregistered"), "{detail}");
 }

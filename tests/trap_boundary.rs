@@ -15,10 +15,11 @@
 //! at every level: optimized IR (check kind + exception-site marking),
 //! the lowered machine site tables, execution with real null arrivals,
 //! and the emitted x86-64 binary (the `njc-emit` verifier must find
-//! nothing, and byte-level execution must match the simulator).
+//! nothing, and byte-level execution must match the IR interpreter).
 
 use njc_arch::Platform;
-use njc_codegen::{lower_module, Machine};
+use njc_bench::difftest::byte_mismatch;
+use njc_codegen::lower_module;
 use njc_emit::{emit_module, verify_module, ByteMachine};
 use njc_ir::{CatchKind, ExceptionKind, FuncBuilder, Inst, Module, NullCheckKind, Op, Type};
 use njc_opt::ConfigKind;
@@ -287,17 +288,16 @@ fn machine_tables_and_null_arrivals_respect_the_fence() {
     // Null actually arrives in main (through both callees): the inside
     // dereference resolves via hardware trap, the fence one via its
     // explicit check — and nothing is missed either way.
-    let vm_out = njc_vm::run_module(&m, p, "main", &[]).unwrap();
-    let out = Machine::new(&mm, p).run("main").unwrap();
+    let vm_run = njc_vm::run_module(&m, p, "main", &[]);
+    let em = emit_module(&mm, 1);
+    let byte_run = ByteMachine::new(&em, p).run("main");
     assert_eq!(
-        vm_out.result.map(|v| match v {
-            njc_vm::Value::Int(i) => njc_codegen::MValue::Int(i),
-            njc_vm::Value::Float(f) => njc_codegen::MValue::Float(f),
-            njc_vm::Value::Ref(_) => njc_codegen::MValue::Ref(0),
-        }),
-        out.result
+        byte_mismatch(&vm_run, &byte_run),
+        None,
+        "the emitted bytes agree with the IR interpreter"
     );
-    assert_eq!(vm_out.exception, out.exception);
+    let vm_out = vm_run.unwrap();
+    let out = byte_run.unwrap();
     assert_eq!(out.stats.missed_npes, 0);
     assert!(out.stats.traps_taken > 0, "the protected side trapped");
     assert!(
@@ -334,9 +334,16 @@ fn emitted_binary_verifies_clean_and_executes_the_fence_correctly() {
                 p.name,
                 report.findings
             );
-            let byte_out = ByteMachine::new(&em, p).run("main").unwrap();
-            let sim_out = Machine::new(&mm, p).run("main").unwrap();
-            assert_eq!(byte_out.result, sim_out.result, "{} {kind:?}", p.name);
+            let vm_run = njc_vm::run_module(&m, p, "main", &[]);
+            let byte_run = ByteMachine::new(&em, p).run("main");
+            assert_eq!(
+                byte_mismatch(&vm_run, &byte_run),
+                None,
+                "{} {kind:?}",
+                p.name
+            );
+            vm_run.unwrap();
+            let byte_out = byte_run.unwrap();
             assert_eq!(
                 byte_out.stats.missed_npes, 0,
                 "{} {kind:?}: no null dereference may escape",
