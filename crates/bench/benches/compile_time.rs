@@ -6,26 +6,11 @@
 //! offline and cannot depend on criterion. Run with
 //! `cargo bench --bench compile_time`.
 
-use std::time::Instant;
-
 use njc_arch::{Platform, TrapModel};
+use njc_bench::harness::measure;
 use njc_core::ctx::AnalysisCtx;
 use njc_core::{phase1, phase2, whaley};
 use njc_opt::ConfigKind;
-
-/// Times `body` over `iters` iterations after `warmup` discarded ones,
-/// printing mean time per iteration.
-fn measure<T>(label: &str, warmup: u32, iters: u32, mut body: impl FnMut() -> T) {
-    for _ in 0..warmup {
-        std::hint::black_box(body());
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(body());
-    }
-    let per_iter = start.elapsed() / iters;
-    println!("{label:<44} {per_iter:>12.2?}/iter  ({iters} iters)");
-}
 
 fn pipeline_configs() {
     let p = Platform::windows_ia32();

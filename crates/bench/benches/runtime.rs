@@ -6,25 +6,10 @@
 //! offline and cannot depend on criterion. Run with
 //! `cargo bench --bench runtime`.
 
-use std::time::Instant;
-
 use njc_arch::Platform;
+use njc_bench::harness::measure;
 use njc_jit::{compile, execute};
 use njc_opt::ConfigKind;
-
-/// Times `body` over `iters` iterations after `warmup` discarded ones,
-/// printing mean time per iteration.
-fn measure<T>(label: &str, warmup: u32, iters: u32, mut body: impl FnMut() -> T) {
-    for _ in 0..warmup {
-        std::hint::black_box(body());
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(body());
-    }
-    let per_iter = start.elapsed() / iters;
-    println!("{label:<44} {per_iter:>12.2?}/iter  ({iters} iters)");
-}
 
 fn run_configs() {
     let p = Platform::windows_ia32();

@@ -34,9 +34,11 @@
 use std::time::{Duration, Instant};
 
 use njc_arch::Platform;
+use njc_bench::harness::{median_ms, p90_ms};
 use njc_core::nonnull::{compute_sets, NonNullProblem};
 use njc_dataflow::{solve_cached, solve_round_robin};
 use njc_ir::{CfgCache, Cond, FuncBuilder, Module, Type};
+use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig, PipelineStats};
 use njc_workloads::Workload;
 
@@ -137,16 +139,6 @@ fn irregular_module() -> Module {
         m.add_function(back_edge_chain(&format!("chain{depth}"), depth));
     }
     m
-}
-
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-fn p90_ms(sorted: &[f64]) -> f64 {
-    let idx = ((sorted.len() as f64) * 0.9).ceil() as usize;
-    sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
 }
 
 fn ms(d: Duration) -> f64 {
@@ -257,14 +249,6 @@ fn solve_module(module: &Module, worklist: bool) -> SolverSample {
     }
 }
 
-fn json_passes(passes: &[(&'static str, f64)]) -> String {
-    let items: Vec<String> = passes
-        .iter()
-        .map(|(name, v)| format!("{{\"pass\":\"{name}\",\"ms\":{v:.4}}}"))
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
 fn main() {
     let args = parse_args();
     let platform = Platform::windows_ia32();
@@ -345,29 +329,30 @@ fn main() {
             grid[0].solver_pops,
         );
 
-        let grid_items: Vec<String> = grid
-            .iter()
-            .map(|g| {
-                format!(
-                    "{{\"threads\":{},\"median_ms\":{:.4},\"p90_ms\":{:.4},\"opt_wall_ms\":{:.4},\"pass_cpu_total_ms\":{:.4},\"solver_pops\":{},\"solver_iterations\":{},\"passes\":{}}}",
-                    g.threads,
-                    g.median_ms,
-                    g.p90_ms,
-                    g.opt_wall_ms,
-                    g.pass_cpu_total_ms(),
-                    g.solver_pops,
-                    g.solver_iterations,
-                    json_passes(&g.passes)
-                )
-            })
-            .collect();
-        workload_json.push(format!(
-            "{{\"name\":\"{name}\",\"functions\":{},\"config\":\"{}\",\"deterministic\":{deterministic},\"speedup_t{}_vs_t1\":{speedup:.4},\"pass_cpu_stability\":{stability:.4},\"grid\":[{}]}}",
-            module.num_functions(),
-            base.name,
-            THREAD_GRID.last().unwrap(),
-            grid_items.join(",")
-        ));
+        let grid_json = grid.iter().map(|g| {
+            let passes = g.passes.iter().map(|&(pass, ms)| {
+                json_obj! {"pass": pass, "ms": Json::Fixed(ms, 4)}
+            });
+            json_obj! {
+                "threads": g.threads, "median_ms": Json::Fixed(g.median_ms, 4),
+                "p90_ms": Json::Fixed(g.p90_ms, 4), "opt_wall_ms": Json::Fixed(g.opt_wall_ms, 4),
+                "pass_cpu_total_ms": Json::Fixed(g.pass_cpu_total_ms(), 4),
+                "solver_pops": g.solver_pops, "solver_iterations": g.solver_iterations,
+                "passes": Json::array(passes),
+            }
+        });
+        workload_json.push(
+            json_obj! {
+                "name": name, "functions": module.num_functions(), "config": base.name,
+                "deterministic": deterministic,
+            }
+            .with(
+                format!("speedup_t{}_vs_t1", THREAD_GRID.last().unwrap()),
+                Json::Fixed(speedup, 4),
+            )
+            .with("pass_cpu_stability", Json::Fixed(stability, 4))
+            .with("grid", Json::array(grid_json)),
+        );
     }
 
     // Algorithmic comparison: worklist vs round-robin on the same
@@ -406,14 +391,19 @@ fn main() {
             "  solver {name}: worklist {wl_med:.3}ms ({} blocks) vs round-robin {rr_med:.3}ms ({} blocks, {} passes) = {blocks_speedup:.2}x blocks",
             wl.blocks_processed, rr.blocks_processed, rr.iterations
         );
-        solver_json.push(format!(
-            "{{\"name\":\"{name}\",\"worklist\":{{\"median_ms\":{wl_med:.4},\"pops\":{},\"blocks_processed\":{},\"iterations\":{}}},\"round_robin\":{{\"median_ms\":{rr_med:.4},\"blocks_processed\":{},\"iterations\":{}}},\"blocks_speedup\":{blocks_speedup:.4},\"wall_speedup\":{alg_speedup:.4}}}",
-            wl.pops,
-            wl.blocks_processed,
-            wl.iterations,
-            rr.blocks_processed,
-            rr.iterations,
-        ));
+        let worklist = json_obj! {
+            "median_ms": Json::Fixed(wl_med, 4), "pops": wl.pops,
+            "blocks_processed": wl.blocks_processed, "iterations": wl.iterations,
+        };
+        let round_robin = json_obj! {
+            "median_ms": Json::Fixed(rr_med, 4), "blocks_processed": rr.blocks_processed,
+            "iterations": rr.iterations,
+        };
+        solver_json.push(json_obj! {
+            "name": name, "worklist": worklist, "round_robin": round_robin,
+            "blocks_speedup": Json::Fixed(blocks_speedup, 4),
+            "wall_speedup": Json::Fixed(alg_speedup, 4),
+        });
     }
 
     // Block counts are deterministic, so this gate is flake-free: if the
@@ -440,16 +430,19 @@ fn main() {
         return;
     }
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"compile_bench\",\n  \"host_parallelism\": {host_parallelism},\n  \"runs\": {runs},\n  \"thread_grid\": [{}],\n  \"note\": \"median_ms/p90_ms/opt_wall_ms are wall-clock (thread speedup bounded by host_parallelism); 'passes' entries are per-pass thread CPU time summed across workers, stable across thread counts (pass_cpu_stability is the worst cross-thread ratio); blocks_speedup and wall_speedup under 'solver' compare the worklist solver to the round-robin oracle and are host-independent — one-sweep CFGs sit at the 2.0 compute+confirm floor, the 'irregular chains' entry is where the schedules diverge\",\n  \"workloads\": [\n    {}\n  ],\n  \"solver\": [\n    {}\n  ]\n}}\n",
-        THREAD_GRID
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        workload_json.join(",\n    "),
-        solver_json.join(",\n    ")
-    );
+    let json = json_obj! {
+        "generated_by": "compile_bench", "host_parallelism": host_parallelism, "runs": runs,
+        "thread_grid": Json::array(THREAD_GRID),
+        "note": "median_ms/p90_ms/opt_wall_ms are wall-clock (thread speedup bounded by \
+                 host_parallelism); 'passes' entries are per-pass thread CPU time summed across \
+                 workers, stable across thread counts (pass_cpu_stability is the worst \
+                 cross-thread ratio); blocks_speedup and wall_speedup under 'solver' compare the \
+                 worklist solver to the round-robin oracle and are host-independent — one-sweep \
+                 CFGs sit at the 2.0 compute+confirm floor, the 'irregular chains' entry is where \
+                 the schedules diverge",
+        "workloads": Json::Array(workload_json), "solver": Json::Array(solver_json),
+    }
+    .report();
     std::fs::write(&args.out, json).expect("write BENCH_compile.json");
     println!("wrote {}", args.out);
 }

@@ -50,13 +50,13 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use njc_analysis::validate_module;
 use njc_arch::Platform;
 use njc_ir::Module;
 use njc_jit::compile;
+use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig};
 use njc_workloads::gen::{build_call_module, gen_call_actions, Rng};
 
@@ -221,74 +221,29 @@ fn facts_summary(facts: &njc_core::ctx::FnFacts) -> String {
     parts.join("; ")
 }
 
-fn infer_json(rows: &[InferRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::new();
-    out.push_str("{\n  \"programs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", esc(&r.name));
-        let _ = writeln!(out, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(
-            out,
-            "      \"phase1_eliminated_off\": {},",
-            r.eliminated_off
-        );
-        let _ = writeln!(out, "      \"phase1_eliminated_on\": {},", r.eliminated_on);
-        let _ = writeln!(out, "      \"killed\": {},", r.killed);
-        out.push_str("      \"functions\": [\n");
-        for (j, (fname, (facts, killed))) in r.functions.iter().enumerate() {
-            let params: Vec<String> = facts.nonnull_params.iter().map(u32::to_string).collect();
-            let _ = write!(
-                out,
-                "        {{\"name\": \"{}\", \"nonnull_params\": [{}], \
-                 \"call_sites\": {}, \"nonnull_return\": {}, \"killed\": {}}}",
-                esc(fname),
-                params.join(", "),
-                facts.call_sites,
-                facts.nonnull_return,
-                killed
-            );
-            out.push_str(if j + 1 < r.functions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+fn infer_json(rows: &[InferRow], total_facts: usize, total_killed: usize) -> String {
+    let programs = rows.iter().map(|r| {
+        let functions = r.functions.iter().map(|(fname, (facts, killed))| {
+            json_obj! {
+                "name": fname, "nonnull_params": Json::array(facts.nonnull_params.iter().copied()),
+                "call_sites": facts.call_sites, "nonnull_return": facts.nonnull_return,
+                "killed": *killed,
+            }
+        });
+        json_obj! {
+            "name": &r.name, "rounds": r.rounds,
+            "phase1_eliminated_off": r.eliminated_off, "phase1_eliminated_on": r.eliminated_on,
+            "killed": r.killed, "functions": Json::array(functions),
+            "nonnull_fields": Json::array(&r.fields),
         }
-        out.push_str("      ],\n");
-        let fields: Vec<String> = r.fields.iter().map(|f| format!("\"{}\"", esc(f))).collect();
-        let _ = writeln!(out, "      \"nonnull_fields\": [{}]", fields.join(", "));
-        out.push_str("    }");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    });
+    json_obj! {
+        "programs": Json::array(programs), "total_facts": total_facts,
+        "total_phase1_eliminated_off": rows.iter().map(|r| r.eliminated_off).sum::<usize>(),
+        "total_phase1_eliminated_on": rows.iter().map(|r| r.eliminated_on).sum::<usize>(),
+        "total_killed": total_killed,
     }
-    let total_killed: usize = rows.iter().map(|r| r.killed).sum();
-    let total_facts: usize = rows
-        .iter()
-        .map(|r| {
-            r.fields.len()
-                + r.functions
-                    .values()
-                    .map(|(f, _)| f.nonnull_params.len() + usize::from(f.nonnull_return))
-                    .sum::<usize>()
-        })
-        .sum();
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"total_facts\": {total_facts},");
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_off\": {},",
-        rows.iter().map(|r| r.eliminated_off).sum::<usize>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_on\": {},",
-        rows.iter().map(|r| r.eliminated_on).sum::<usize>()
-    );
-    let _ = writeln!(out, "  \"total_killed\": {total_killed}");
-    out.push_str("}\n");
-    out
+    .report()
 }
 
 /// `--infer`: print (or gate on) the interprocedural inference lint.
@@ -315,7 +270,7 @@ fn infer_main(json: bool, smoke: bool, filter: Option<String>) -> ExitCode {
     }
 
     if json {
-        print!("{}", infer_json(&rows));
+        print!("{}", infer_json(&rows, total_facts, total_killed));
     } else {
         for r in &rows {
             println!(
@@ -427,55 +382,23 @@ fn gvn_row(name: &str, module: &Module, platform: &Platform) -> GvnRow {
 }
 
 fn gvn_json(rows: &[GvnRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::new();
-    out.push_str("{\n  \"programs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", esc(&r.name));
-        let _ = writeln!(
-            out,
-            "      \"phase1_eliminated_off\": {},",
-            r.eliminated_off
-        );
-        let _ = writeln!(out, "      \"phase1_eliminated_on\": {},", r.eliminated_on);
-        let _ = writeln!(out, "      \"gvn_killed\": {},", r.killed());
-        out.push_str("      \"functions\": [\n");
-        for (j, (fname, killed)) in r.functions.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"name\": \"{}\", \"gvn_killed\": {killed}}}",
-                esc(fname)
-            );
-            out.push_str(if j + 1 < r.functions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+    let programs = rows.iter().map(|r| {
+        let functions = r.functions.iter().map(|(fname, killed)| {
+            json_obj! {"name": fname, "gvn_killed": *killed}
+        });
+        json_obj! {
+            "name": &r.name, "phase1_eliminated_off": r.eliminated_off,
+            "phase1_eliminated_on": r.eliminated_on, "gvn_killed": r.killed(),
+            "functions": Json::array(functions),
         }
-        out.push_str("      ]\n    }");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
+    });
+    json_obj! {
+        "programs": Json::array(programs),
+        "total_phase1_eliminated_off": rows.iter().map(|r| r.eliminated_off).sum::<usize>(),
+        "total_phase1_eliminated_on": rows.iter().map(|r| r.eliminated_on).sum::<usize>(),
+        "total_gvn_killed": rows.iter().map(GvnRow::killed).sum::<usize>(),
     }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_off\": {},",
-        rows.iter().map(|r| r.eliminated_off).sum::<usize>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_on\": {},",
-        rows.iter().map(|r| r.eliminated_on).sum::<usize>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"total_gvn_killed\": {}",
-        rows.iter().map(GvnRow::killed).sum::<usize>()
-    );
-    out.push_str("}\n");
-    out
+    .report()
 }
 
 /// The `--gvn` corpus: the `--infer` corpus plus the paper-figure micro

@@ -15,9 +15,10 @@
 //!
 //! Results go to `BENCH_runtime.json`. Cycle counts come from the VM's
 //! deterministic cost model, so everything in the JSON is reproducible
-//! except the lines carrying `"wall_ms"` or `"volatile"` — wall-clock
-//! times and adaptive-run scheduling details (when the swap landed, cache
-//! traffic), which CI filters out before its byte-identity comparison.
+//! except what lives under the `"volatile"` key — wall-clock times and
+//! adaptive-run scheduling details (when the swap landed, cache traffic),
+//! which CI deletes (`jq -c 'del(.. | .volatile?)'`) before comparing two
+//! runs.
 //!
 //! ```text
 //! cargo run --release -p njc-bench --bin runtime_bench            # full run
@@ -38,7 +39,7 @@ use std::time::Instant;
 
 use njc_arch::Platform;
 use njc_bench::runtime_diff::{run_runtime_difftest, RuntimeDiffOptions};
-use njc_observe::{CheckEvent, ExplicitCause};
+use njc_observe::{json_obj, CheckEvent, ExplicitCause, Json};
 use njc_opt::ConfigKind;
 use njc_runtime::{hot_field_workload, RuntimeOutcome, TieredRuntime};
 use njc_vm::{run_module, Outcome, Value};
@@ -279,44 +280,47 @@ fn main() {
     }
 
     let config_row = |name: &str, config: &str, o: &Outcome| {
-        format!(
-            "{{\"name\":\"{name}\",\"config\":\"{config}\",\"cycles\":{},\"cycles_per_iter\":{:.4},\"traps_taken\":{},\"explicit_null_checks\":{},\"implicit_site_hits\":{}}}",
-            o.stats.cycles,
-            per_iter(o.stats.cycles),
-            o.stats.traps_taken,
-            o.stats.explicit_null_checks,
-            o.stats.implicit_site_hits
-        )
+        json_obj! {
+            "name": name, "config": config, "cycles": o.stats.cycles,
+            "cycles_per_iter": Json::Fixed(per_iter(o.stats.cycles), 4),
+            "traps_taken": o.stats.traps_taken,
+            "explicit_null_checks": o.stats.explicit_null_checks,
+            "implicit_site_hits": o.stats.implicit_site_hits,
+        }
     };
-    let overrides_json: Vec<String> = out
-        .overrides
-        .iter()
-        .map(|(n, ov)| format!("\"{n}\":{}", ov.len()))
-        .collect();
-    let cache = out.cache;
-    let json = format!(
-        "{{\n  \"generated_by\": \"runtime_bench\",\n  \"iters\": {},\n  \"tenants\": 1,\n  \"note\": \"cycles are deterministic cost-model cycles (reproducible); lines containing wall_ms or volatile carry wall-clock and adaptive-scheduling data and are excluded from the CI byte-identity comparison\",\n  \"configs\": [\n    {},\n    {},\n    {}\n  ],\n  \"overrides\": {{{}}},\n  \"difftest\": {{\"programs\":{},\"cells\":{},\"divergences\":{}}},\n  \"wall_ms\": {{\"always_implicit\":{:.3},\"always_explicit\":{:.3},\"adaptive\":{:.3}}},\n  \"volatile\": {{\"host_parallelism\":{},\"mid_run_swaps\":{},\"swap_proof_iters\":{},\"adaptive_cycles\":{},\"recompile_events\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"inserts\":{}}}}}\n}}\n",
-        args.iters,
+    let configs = Json::array([
         config_row("always_implicit", "Full", &implicit),
         config_row("always_explicit", "NoNullOptNoTrap", &explicit),
-        config_row("adaptive_steady", "OldNullCheck+overrides->Full", &out.steady),
-        overrides_json.join(","),
-        diff.programs,
-        diff.cells,
-        diff.divergences.len(),
-        implicit_wall,
-        explicit_wall,
-        adaptive_wall,
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        mid_run_swaps,
-        swap_iters,
-        out.adaptive.stats.cycles,
-        out.recompiles.len(),
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        cache.inserts,
-    );
+        config_row(
+            "adaptive_steady",
+            "OldNullCheck+overrides->Full",
+            &out.steady,
+        ),
+    ]);
+    let overrides = Json::map(out.overrides.iter().map(|(n, ov)| (n, ov.len())));
+    let difftest = json_obj! {
+        "programs": diff.programs, "cells": diff.cells, "divergences": diff.divergences.len(),
+    };
+    let wall_ms = json_obj! {
+        "always_implicit": Json::Fixed(implicit_wall, 3),
+        "always_explicit": Json::Fixed(explicit_wall, 3),
+        "adaptive": Json::Fixed(adaptive_wall, 3),
+    };
+    let json = json_obj! {
+        "generated_by": "runtime_bench", "iters": args.iters, "tenants": 1u64,
+        "note": "cycles are deterministic cost-model cycles (reproducible); wall-clock and \
+                 adaptive-scheduling data live under the volatile key, which the CI determinism \
+                 comparison deletes",
+        "configs": configs, "overrides": overrides, "difftest": difftest,
+    }
+    .volatile(json_obj! {
+        "wall_ms": wall_ms,
+        "host_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
+        "mid_run_swaps": mid_run_swaps, "swap_proof_iters": swap_iters,
+        "adaptive_cycles": out.adaptive.stats.cycles, "recompile_events": out.recompiles.len(),
+        "cache": &out.cache,
+    })
+    .report();
     std::fs::write(&args.out, json).expect("write BENCH_runtime.json");
     println!("wrote {}", args.out);
 }

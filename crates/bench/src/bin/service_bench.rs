@@ -13,11 +13,12 @@
 //! * **deterministic rows** — per-workload steady-state cycles/iteration,
 //!   steady trap counts, and settled override totals. Every tenant of the
 //!   same workload must settle on the identical steady state (checked),
-//!   so these lines are byte-reproducible across runs;
-//! * **volatile line** — cache hit rate, dedup hits, fresh vs isolated
-//!   compile counts, queue latency p50/p99, per-shard occupancy, wall
-//!   time, host parallelism. Timing-dependent; CI's byte-identity
-//!   comparison excludes lines carrying `"wall_ms"` or `"volatile"`.
+//!   so they are byte-reproducible across runs;
+//! * **`"volatile"` object** — cache hit rate, dedup hits, fresh vs
+//!   isolated compile counts, queue counters and latency p50/p99,
+//!   per-shard occupancy, wall time, host parallelism. Timing-dependent;
+//!   CI's determinism comparison deletes it
+//!   (`jq -c 'del(.. | .volatile?)'`).
 //!
 //! Gated in every mode, before any JSON is written: every tenant
 //! reconciles and converges; dedup hits are strictly positive; total
@@ -33,6 +34,7 @@ use std::time::Instant;
 
 use njc_arch::Platform;
 use njc_ir::Module;
+use njc_observe::{json_obj, Json};
 use njc_runtime::{
     deep_chain_workload, hot_field_workload, many_hot_workload, phase_shift_workload,
     write_hot_workload, ServiceConfig, ServiceOutcome, ServiceRuntime, TenantSpec, PHASE_ALTERNATE,
@@ -130,9 +132,14 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 /// One sweep cell: `n` tenants stamped round-robin from the platform's
-/// workload set, one shared service. Returns the JSON fragment and pushes
-/// gate violations.
-fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<String>) -> String {
+/// workload set, one shared service. Returns the sweep's JSON (`None`
+/// when the service faulted) and pushes gate violations.
+fn run_sweep(
+    platform: Platform,
+    n: usize,
+    smoke: bool,
+    failures: &mut Vec<String>,
+) -> Option<Json> {
     let ctx = format!("{}/{n}-tenants", platform.name);
     let workloads = workload_set(&platform, if smoke { 4 } else { 1 });
     let specs: Vec<TenantSpec> = (0..n)
@@ -157,7 +164,7 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
         Ok(out) => out,
         Err(f) => {
             failures.push(format!("{ctx}: service faulted: {f:?}"));
-            return String::new();
+            return None;
         }
     };
     let wall_ms = t.elapsed().as_secs_f64() * 1000.0;
@@ -204,16 +211,13 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
             .values()
             .map(|ov| ov.len())
             .sum();
-        rows.push(format!(
-            "      {{\"workload\":\"{}\",\"tenants\":{},\"iters\":{},\"cycles_per_iter\":{:.4},\"steady_traps\":{},\"steady_explicit_checks\":{},\"override_slots\":{}}}",
-            w.name,
-            members.len(),
-            w.iters,
-            steady.cycles as f64 / w.iters as f64,
-            steady.traps_taken,
-            steady.explicit_null_checks,
-            override_slots
-        ));
+        rows.push(json_obj! {
+            "workload": w.name, "tenants": members.len(), "iters": w.iters,
+            "cycles_per_iter": Json::Fixed(steady.cycles as f64 / w.iters as f64, 4),
+            "steady_traps": steady.traps_taken,
+            "steady_explicit_checks": steady.explicit_null_checks,
+            "override_slots": override_slots,
+        });
     }
 
     let hit_rate = {
@@ -226,7 +230,6 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
     };
     let mut lat = out.latencies_us.clone();
     lat.sort_unstable();
-    let occupancy: Vec<String> = out.shards.iter().map(|s| s.occupancy.to_string()).collect();
     println!(
         "{ctx}: {} workloads, {} fresh compiles vs {} isolated, {} dedup hits, cache hit rate {:.2}, queue p50/p99 {}/{} us, {:.0} ms",
         workloads.len(),
@@ -239,31 +242,23 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
         wall_ms
     );
 
-    format!(
-        "    {{\n      \"platform\": \"{}\",\n      \"tenants\": {},\n      \"rows\": [\n{}\n      ],\n      \"checks\": {{\"all_tenants_verified\":true,\"dedup_hits_gt_zero\":true,\"shared_compiles_lt_isolated\":true,\"uniform_steady_within_workload\":true}},\n      \"volatile\": {{\"wall_ms\":{:.3},\"cache_hit_rate\":{:.4},\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\"dedup_hits\":{},\"compiles_performed\":{},\"isolated_compiles\":{},\"queue\":{{\"submitted\":{},\"coalesced\":{},\"rejected\":{},\"batches\":{},\"completed\":{},\"aged_promotions\":{},\"latency_us_p50\":{},\"latency_us_p99\":{}}},\"shard_occupancy\":[{}],\"host_parallelism\":{}}}\n    }}",
-        platform.name,
-        n,
-        rows.join(",\n"),
-        wall_ms,
-        hit_rate,
-        out.cache.hits,
-        out.cache.misses,
-        out.cache.inserts,
-        out.cache.evictions,
-        out.dedup_hits,
-        out.compiles_performed,
-        out.isolated_compiles,
-        out.queue.submitted,
-        out.queue.coalesced,
-        out.queue.rejected,
-        out.queue.batches,
-        out.queue.completed,
-        out.queue.aged_promotions,
-        percentile(&lat, 0.50),
-        percentile(&lat, 0.99),
-        occupancy.join(","),
-        out.host_parallelism
-    )
+    let checks = json_obj! {
+        "all_tenants_verified": true, "dedup_hits_gt_zero": true,
+        "shared_compiles_lt_isolated": true, "uniform_steady_within_workload": true,
+    };
+    let queue = Json::from(&out.queue)
+        .with("latency_us_p50", percentile(&lat, 0.50))
+        .with("latency_us_p99", percentile(&lat, 0.99));
+    let occupancy = Json::array(out.shards.iter().map(|s| s.occupancy));
+    let sweep = json_obj! {
+        "platform": platform.name, "tenants": n, "rows": Json::Array(rows), "checks": checks,
+    };
+    Some(sweep.volatile(json_obj! {
+        "wall_ms": Json::Fixed(wall_ms, 3), "cache_hit_rate": Json::Fixed(hit_rate, 4),
+        "cache": &out.cache, "dedup_hits": out.dedup_hits,
+        "compiles_performed": out.compiles_performed, "isolated_compiles": out.isolated_compiles,
+        "queue": queue, "shard_occupancy": occupancy, "host_parallelism": out.host_parallelism,
+    }))
 }
 
 fn main() {
@@ -272,10 +267,7 @@ fn main() {
     let mut sweeps = Vec::new();
     for platform in [Platform::windows_ia32(), Platform::aix_ppc()] {
         for &n in &args.tenants {
-            let cell = run_sweep(platform, n, args.smoke, &mut failures);
-            if !cell.is_empty() {
-                sweeps.push(cell);
-            }
+            sweeps.extend(run_sweep(platform, n, args.smoke, &mut failures));
         }
     }
 
@@ -291,10 +283,14 @@ fn main() {
         return;
     }
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"service_bench\",\n  \"note\": \"rows are deterministic cost-model results (reproducible); lines containing wall_ms or volatile carry wall-clock, scheduling, and host data and are excluded from the CI byte-identity comparison\",\n  \"sweeps\": [\n{}\n  ]\n}}\n",
-        sweeps.join(",\n")
-    );
+    let json = json_obj! {
+        "generated_by": "service_bench",
+        "note": "rows are deterministic cost-model results (reproducible); wall-clock, \
+                 scheduling, and host data live under each sweep's volatile key, which the CI \
+                 determinism comparison deletes",
+        "sweeps": Json::Array(sweeps),
+    }
+    .report();
     std::fs::write(&args.out, json).expect("write BENCH_service.json");
     println!("wrote {}", args.out);
 }

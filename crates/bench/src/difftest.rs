@@ -38,6 +38,7 @@ use njc_arch::Platform;
 use njc_codegen::{lower_module, MValue, MachineFault, MachineOutcome};
 use njc_emit::{emit_module, ByteMachine, EmittedModule};
 use njc_ir::{ExceptionKind, FuncBuilder, Module, Op, Type};
+use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig};
 use njc_recover::{RecoveryPolicy, RecoveryStrategy};
 use njc_vm::{Fault, Outcome, Value, Vm, VmConfig};
@@ -295,82 +296,36 @@ impl DiffReport {
         self.divergences.is_empty() && self.panicked_cells == 0
     }
 
-    /// Hand-rolled JSON (the container has no serde).
+    /// The report form of `DIFF_report.json`.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
+        let path = |f: &Option<PathBuf>| f.as_ref().map(|f| f.display().to_string());
+        let observations = self.recovery_observations.iter().map(|o| {
+            json_obj! {
+                "program": &o.program, "config": &o.config, "strategy": o.strategy,
+                "class": &o.class,
+            }
+            .with_opt("minimized", o.minimized.as_ref())
+            .with_opt("fixture", path(&o.fixture))
+        });
+        let divergences = self.divergences.iter().map(|d| {
+            json_obj! {
+                "program": &d.program, "config": &d.config, "left": &d.left,
+                "right": &d.right, "detail": &d.detail,
+            }
+            .with_opt("minimized", d.minimized.as_ref())
+            .with_opt("fixture", path(&d.fixture))
+            .with_opt("provenance", d.provenance.as_ref())
+        });
+        json_obj! {
+            "programs": self.programs, "cells": self.cells,
+            "claim9_confirmations": self.claim9_confirmations,
+            "ill_typed_cells": self.ill_typed_cells, "panicked_cells": self.panicked_cells,
+            "byte_cells": self.byte_cells, "byte_wrap_gaps": self.byte_wrap_gaps,
+            "recovery_cells": self.recovery_cells,
+            "recovery_observations": Json::array(observations),
+            "divergences": Json::array(divergences),
         }
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"programs\": {},", self.programs);
-        let _ = writeln!(out, "  \"cells\": {},", self.cells);
-        let _ = writeln!(
-            out,
-            "  \"claim9_confirmations\": {},",
-            self.claim9_confirmations
-        );
-        let _ = writeln!(out, "  \"ill_typed_cells\": {},", self.ill_typed_cells);
-        let _ = writeln!(out, "  \"panicked_cells\": {},", self.panicked_cells);
-        let _ = writeln!(out, "  \"byte_cells\": {},", self.byte_cells);
-        let _ = writeln!(out, "  \"byte_wrap_gaps\": {},", self.byte_wrap_gaps);
-        let _ = writeln!(out, "  \"recovery_cells\": {},", self.recovery_cells);
-        out.push_str("  \"recovery_observations\": [\n");
-        for (i, o) in self.recovery_observations.iter().enumerate() {
-            out.push_str("    {");
-            let _ = write!(
-                out,
-                "\"program\": \"{}\", \"config\": \"{}\", \"strategy\": \"{}\", \"class\": \"{}\"",
-                esc(&o.program),
-                esc(&o.config),
-                o.strategy,
-                esc(&o.class)
-            );
-            if let Some(m) = &o.minimized {
-                let _ = write!(out, ", \"minimized\": \"{}\"", esc(m));
-            }
-            if let Some(f) = &o.fixture {
-                let _ = write!(out, ", \"fixture\": \"{}\"", esc(&f.display().to_string()));
-            }
-            out.push('}');
-            out.push_str(if i + 1 < self.recovery_observations.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"divergences\": [\n");
-        for (i, d) in self.divergences.iter().enumerate() {
-            out.push_str("    {");
-            let _ = write!(
-                out,
-                "\"program\": \"{}\", \"config\": \"{}\", \"left\": \"{}\", \"right\": \"{}\", \"detail\": \"{}\"",
-                esc(&d.program),
-                esc(&d.config),
-                esc(&d.left),
-                esc(&d.right),
-                esc(&d.detail)
-            );
-            if let Some(m) = &d.minimized {
-                let _ = write!(out, ", \"minimized\": \"{}\"", esc(m));
-            }
-            if let Some(f) = &d.fixture {
-                let _ = write!(out, ", \"fixture\": \"{}\"", esc(&f.display().to_string()));
-            }
-            if let Some(p) = &d.provenance {
-                let _ = write!(out, ", \"provenance\": \"{}\"", esc(p));
-            }
-            out.push('}');
-            out.push_str(if i + 1 < self.divergences.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        .report()
     }
 }
 

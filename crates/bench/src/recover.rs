@@ -33,13 +33,13 @@
 //! the faulting coordinate ([`njc_recover::find_resume_point`]) with an
 //! explicit recheck — the outcome must equal the pure-VM reference run.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use njc_arch::Platform;
 use njc_codegen::lower_module;
 use njc_emit::{emit_module, ByteMachine, TrapOutcome};
 use njc_ir::{ExceptionKind, Module, Type};
+use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig};
 use njc_recover::{find_resume_point, frame_locals, rules, PatternRule, RecoveryPolicy};
 use njc_vm::{Outcome, Value, Vm};
@@ -421,57 +421,26 @@ impl RecoverReport {
         self.cells.iter().all(PatternCell::ok) && self.drift.is_empty() && self.deopt.is_ok()
     }
 
-    /// Hand-rolled JSON (the container has no serde), deterministic: no
-    /// timing or environment lines.
+    /// Report-form JSON, deterministic: no timing or environment data.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        let mut out = String::new();
-        out.push_str("{\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"rule\": \"{}\", \"strategy\": \"{}\", \"seed\": {}, \
-                 \"recovered\": {}, \"ok\": {}",
-                c.rule,
-                c.strategy,
-                c.seed,
-                c.recovered,
-                c.ok()
-            );
-            if let Some(m) = &c.mismatch {
-                let _ = write!(out, ", \"mismatch\": \"{}\"", esc(m));
+        let cells = self.cells.iter().map(|c| {
+            json_obj! {
+                "rule": c.rule, "strategy": c.strategy, "seed": c.seed,
+                "recovered": c.recovered, "ok": c.ok(),
             }
-            if let Some(m) = &c.strict_mismatch {
-                let _ = write!(out, ", \"strict_mismatch\": \"{}\"", esc(m));
-            }
-            out.push('}');
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"drift\": {},", self.drift.len());
-        for d in &self.drift {
-            let _ = writeln!(out, "  \"drifted\": \"{}\",", esc(d));
-        }
+            .with_opt("mismatch", c.mismatch.as_ref())
+            .with_opt("strict_mismatch", c.strict_mismatch.as_ref())
+        });
+        let drifted = (!self.drift.is_empty()).then(|| Json::array(&self.drift));
+        let report = json_obj! {"cells": Json::array(cells), "drift": self.drift.len()}
+            .with_opt("drifted", drifted);
         match &self.deopt {
-            Ok(s) => {
-                let _ = writeln!(out, "  \"deopt_round_trip\": \"{}\",", esc(s));
-            }
-            Err(e) => {
-                let _ = writeln!(out, "  \"deopt_round_trip_error\": \"{}\",", esc(e));
-            }
+            Ok(s) => report.with("deopt_round_trip", s),
+            Err(e) => report.with("deopt_round_trip_error", e),
         }
-        let _ = writeln!(out, "  \"clean\": {}", self.is_clean());
-        out.push_str("}\n");
-        out
+        .with("clean", self.is_clean())
+        .report()
     }
 }
 

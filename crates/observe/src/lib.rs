@@ -27,6 +27,10 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+pub mod json;
+
+pub use json::Json;
+
 use njc_ir::{BlockId, CheckId, FieldId, Function, FunctionId, Inst, VarId};
 use njc_recover::RecoveryStrategy;
 
@@ -532,46 +536,109 @@ pub struct ModuleTrace {
     pub functions: Vec<FunctionTrace>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn redundancy_json(why: &Redundancy) -> String {
+fn redundancy_json(why: &Redundancy) -> Json {
     match why {
-        Redundancy::NonNullAtEntry => "{\"fact\":\"nonnull-at-entry\"}".to_string(),
-        Redundancy::PriorCheck(id) => format!("{{\"fact\":\"prior-check\",\"check\":{}}}", id.0),
-        Redundancy::Allocation => "{\"fact\":\"allocation\"}".to_string(),
-        Redundancy::Interproc(fact) => match fact {
-            InterprocFact::Param { param, sites } => format!(
-                "{{\"fact\":\"interproc-param\",\"param\":{},\"sites\":{sites}}}",
-                param.0
-            ),
-            InterprocFact::Return { callee } => {
-                format!("{{\"fact\":\"interproc-return\",\"callee\":{}}}", callee.0)
-            }
-            InterprocFact::Field { field } => {
-                format!("{{\"fact\":\"interproc-field\",\"field\":{}}}", field.0)
-            }
-        },
+        Redundancy::NonNullAtEntry => json_obj! {"fact": "nonnull-at-entry"},
+        Redundancy::PriorCheck(id) => json_obj! {"fact": "prior-check", "check": id.0},
+        Redundancy::Allocation => json_obj! {"fact": "allocation"},
+        Redundancy::Interproc(InterprocFact::Param { param, sites }) => {
+            json_obj! {"fact": "interproc-param", "param": param.0, "sites": *sites}
+        }
+        Redundancy::Interproc(InterprocFact::Return { callee }) => {
+            json_obj! {"fact": "interproc-return", "callee": callee.0}
+        }
+        Redundancy::Interproc(InterprocFact::Field { field }) => {
+            json_obj! {"fact": "interproc-field", "field": field.0}
+        }
         Redundancy::Gvn {
             representative,
             class_size,
-        } => format!(
-            "{{\"fact\":\"gvn\",\"representative\":{},\"class_size\":{class_size}}}",
-            representative.0
-        ),
+        } => {
+            json_obj! {"fact": "gvn", "representative": representative.0, "class_size": *class_size}
+        }
+    }
+}
+
+impl From<&CheckEvent> for Json {
+    fn from(e: &CheckEvent) -> Json {
+        let at = |ev: &str, id: &CheckId, var: &VarId, block: &BlockId| {
+            json_obj! {"ev": ev, "id": id.0, "var": var.0, "block": block.0}
+        };
+        match e {
+            CheckEvent::Origin { id, var, block } => at("origin", id, var, block),
+            CheckEvent::Phase1Inserted { id, var, block } => at("phase1-inserted", id, var, block),
+            CheckEvent::Phase1Eliminated {
+                id,
+                var,
+                block,
+                why,
+            } => at("phase1-eliminated", id, var, block).with("why", redundancy_json(why)),
+            CheckEvent::WhaleyEliminated {
+                id,
+                var,
+                block,
+                why,
+            } => at("whaley-eliminated", id, var, block).with("why", redundancy_json(why)),
+            CheckEvent::TrivialConverted {
+                id,
+                var,
+                block,
+                site_ordinal,
+            } => at("trivial-converted", id, var, block).with("site", *site_ordinal),
+            CheckEvent::Phase2Absorbed { id, var, block } => at("phase2-absorbed", id, var, block),
+            CheckEvent::Phase2Merged {
+                id,
+                var,
+                block,
+                into,
+            } => at("phase2-merged", id, var, block).with("into", into.0),
+            CheckEvent::Phase2Respawn { id, var, block } => at("phase2-respawn", id, var, block),
+            CheckEvent::Phase2Converted {
+                id,
+                var,
+                block,
+                site_ordinal,
+                rule,
+            } => at("phase2-converted", id, var, block)
+                .with("site", *site_ordinal)
+                .with("rule", rule),
+            CheckEvent::Phase2Explicit {
+                id,
+                var,
+                block,
+                cause,
+            } => {
+                let cause = match cause {
+                    ExplicitCause::Hazard => "hazard",
+                    ExplicitCause::Barrier => "barrier",
+                    ExplicitCause::Overwrite => "overwrite",
+                    ExplicitCause::BlockEnd => "block-end",
+                    ExplicitCause::Override => "override",
+                };
+                at("phase2-explicit", id, var, block).with("cause", cause)
+            }
+            CheckEvent::Phase2Postponed { id, var, block } => {
+                at("phase2-postponed", id, var, block)
+            }
+            CheckEvent::Phase2Substituted { id, var, block, by } => {
+                let by = match by {
+                    Cover::Check(c) => json_obj! {"kind": "check", "check": c.0},
+                    Cover::TrapSite { block } => json_obj! {"kind": "trap-site", "block": block.0},
+                    Cover::CrossBlock => json_obj! {"kind": "cross-block"},
+                };
+                at("phase2-substituted", id, var, block).with("by", by)
+            }
+            CheckEvent::Recovery {
+                id,
+                strategy,
+                count,
+            } => {
+                json_obj! {"ev": "recovery", "id": id.0, "strategy": strategy.as_str(), "count": *count}
+            }
+            CheckEvent::PassDelta { pass, delta } => {
+                json_obj! {"ev": "pass-delta", "pass": *pass, "delta": *delta}
+            }
+        }
     }
 }
 
@@ -579,130 +646,7 @@ impl CheckEvent {
     /// One-object JSON encoding (stable field order; no timestamps, so the
     /// stream is byte-identical across runs and thread counts).
     pub fn to_json(&self) -> String {
-        match self {
-            CheckEvent::Origin { id, var, block } => format!(
-                "{{\"ev\":\"origin\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase1Inserted { id, var, block } => format!(
-                "{{\"ev\":\"phase1-inserted\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase1Eliminated {
-                id,
-                var,
-                block,
-                why,
-            } => format!(
-                "{{\"ev\":\"phase1-eliminated\",\"id\":{},\"var\":{},\"block\":{},\"why\":{}}}",
-                id.0,
-                var.0,
-                block.0,
-                redundancy_json(why)
-            ),
-            CheckEvent::WhaleyEliminated {
-                id,
-                var,
-                block,
-                why,
-            } => format!(
-                "{{\"ev\":\"whaley-eliminated\",\"id\":{},\"var\":{},\"block\":{},\"why\":{}}}",
-                id.0,
-                var.0,
-                block.0,
-                redundancy_json(why)
-            ),
-            CheckEvent::TrivialConverted {
-                id,
-                var,
-                block,
-                site_ordinal,
-            } => format!(
-                "{{\"ev\":\"trivial-converted\",\"id\":{},\"var\":{},\"block\":{},\"site\":{site_ordinal}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase2Absorbed { id, var, block } => format!(
-                "{{\"ev\":\"phase2-absorbed\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase2Merged {
-                id,
-                var,
-                block,
-                into,
-            } => format!(
-                "{{\"ev\":\"phase2-merged\",\"id\":{},\"var\":{},\"block\":{},\"into\":{}}}",
-                id.0, var.0, block.0, into.0
-            ),
-            CheckEvent::Phase2Respawn { id, var, block } => format!(
-                "{{\"ev\":\"phase2-respawn\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase2Converted {
-                id,
-                var,
-                block,
-                site_ordinal,
-                rule,
-            } => format!(
-                "{{\"ev\":\"phase2-converted\",\"id\":{},\"var\":{},\"block\":{},\"site\":{site_ordinal},\"rule\":\"{}\"}}",
-                id.0,
-                var.0,
-                block.0,
-                esc(rule)
-            ),
-            CheckEvent::Phase2Explicit {
-                id,
-                var,
-                block,
-                cause,
-            } => format!(
-                "{{\"ev\":\"phase2-explicit\",\"id\":{},\"var\":{},\"block\":{},\"cause\":\"{}\"}}",
-                id.0,
-                var.0,
-                block.0,
-                match cause {
-                    ExplicitCause::Hazard => "hazard",
-                    ExplicitCause::Barrier => "barrier",
-                    ExplicitCause::Overwrite => "overwrite",
-                    ExplicitCause::BlockEnd => "block-end",
-                    ExplicitCause::Override => "override",
-                }
-            ),
-            CheckEvent::Phase2Postponed { id, var, block } => format!(
-                "{{\"ev\":\"phase2-postponed\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase2Substituted {
-                id,
-                var,
-                block,
-                by,
-            } => format!(
-                "{{\"ev\":\"phase2-substituted\",\"id\":{},\"var\":{},\"block\":{},\"by\":{}}}",
-                id.0,
-                var.0,
-                block.0,
-                match by {
-                    Cover::Check(c) => format!("{{\"kind\":\"check\",\"check\":{}}}", c.0),
-                    Cover::TrapSite { block } =>
-                        format!("{{\"kind\":\"trap-site\",\"block\":{}}}", block.0),
-                    Cover::CrossBlock => "{\"kind\":\"cross-block\"}".to_string(),
-                }
-            ),
-            CheckEvent::Recovery {
-                id,
-                strategy,
-                count,
-            } => format!(
-                "{{\"ev\":\"recovery\",\"id\":{},\"strategy\":\"{}\",\"count\":{count}}}",
-                id.0,
-                strategy.as_str()
-            ),
-            CheckEvent::PassDelta { pass, delta } => {
-                format!("{{\"ev\":\"pass-delta\",\"pass\":\"{pass}\",\"delta\":{delta}}}")
-            }
-        }
+        Json::from(self).compact()
     }
 
     /// The check id this event is about, if any.
@@ -933,62 +877,31 @@ impl FunctionTrace {
         );
         out
     }
+}
 
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"function\":\"{}\",\"events\":[",
-            esc(&self.function)
-        );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push_str("],\"sites\":[");
-        for (i, s) in self.sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let prov = match &s.provenance {
-                SiteProvenance::Converted(id) => {
-                    format!("{{\"kind\":\"phase2\",\"check\":{}}}", id.0)
-                }
-                SiteProvenance::Trivial(id) => {
-                    format!("{{\"kind\":\"trivial\",\"check\":{}}}", id.0)
-                }
-                SiteProvenance::OverMark => "{\"kind\":\"over-mark\"}".to_string(),
+impl From<&FunctionTrace> for Json {
+    fn from(f: &FunctionTrace) -> Json {
+        let sites = f.sites.iter().map(|s| {
+            let provenance = match &s.provenance {
+                SiteProvenance::Converted(id) => json_obj! {"kind": "phase2", "check": id.0},
+                SiteProvenance::Trivial(id) => json_obj! {"kind": "trivial", "check": id.0},
+                SiteProvenance::OverMark => json_obj! {"kind": "over-mark"},
             };
-            let _ = write!(
-                out,
-                "{{\"block\":{},\"inst\":{},\"var\":{},\"provenance\":{prov}}}",
-                s.block.0, s.inst_idx, s.var.0
-            );
+            json_obj! {"block": s.block.0, "inst": s.inst_idx, "var": s.var.0, "provenance": provenance}
+        });
+        let l = &f.ledger;
+        let ledger = json_obj! {
+            "origins": l.origins, "phase1_inserted": l.phase1_inserted,
+            "respawned": l.respawned, "other_inserted": l.other_inserted,
+            "converted_implicit": l.converted_implicit, "explicit_final": l.explicit_final,
+            "phase1_eliminated": l.phase1_eliminated, "whaley_eliminated": l.whaley_eliminated,
+            "merged": l.merged, "postponed": l.postponed, "other_removed": l.other_removed,
+            "substituted": l.substituted, "balanced": l.check().is_ok(),
+        };
+        json_obj! {
+            "function": &f.function, "events": Json::array(&f.events),
+            "sites": Json::array(sites), "ledger": ledger,
         }
-        let l = &self.ledger;
-        let _ = write!(
-            out,
-            "],\"ledger\":{{\"origins\":{},\"phase1_inserted\":{},\"respawned\":{},\
-             \"other_inserted\":{},\"converted_implicit\":{},\"explicit_final\":{},\
-             \"phase1_eliminated\":{},\"whaley_eliminated\":{},\"merged\":{},\"postponed\":{},\
-             \"other_removed\":{},\"substituted\":{},\"balanced\":{}}}}}",
-            l.origins,
-            l.phase1_inserted,
-            l.respawned,
-            l.other_inserted,
-            l.converted_implicit,
-            l.explicit_final,
-            l.phase1_eliminated,
-            l.whaley_eliminated,
-            l.merged,
-            l.postponed,
-            l.other_removed,
-            l.substituted,
-            l.check().is_ok()
-        );
-        out
     }
 }
 
@@ -1001,21 +914,10 @@ impl ModuleTrace {
     /// The deterministic JSON event stream: no timestamps, function-index
     /// order, byte-identical across runs and thread counts.
     pub fn to_events_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"config\":\"{}\",\"platform\":\"{}\",\"functions\":[",
-            esc(&self.config),
-            esc(&self.platform)
-        );
-        for (i, f) in self.functions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.to_json());
-        }
-        out.push_str("]}\n");
-        out
+        let functions = Json::array(&self.functions);
+        json_obj! {"config": &self.config, "platform": &self.platform, "functions": functions}
+            .compact()
+            + "\n"
     }
 
     /// Checks the conservation ledger of every function.
@@ -1037,32 +939,23 @@ impl ModuleTrace {
 /// Timings are measurements, so unlike the event stream this output is not
 /// expected to be deterministic.
 pub fn chrome_trace_json(passes: &[(&str, Duration)], wall: Duration) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut ts = 0u128;
-    for (i, (name, d)) in passes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let span = |name: &str, ts: u128, dur: Duration, tid: u64, cat: &str| {
+        let us = |t: u128| u64::try_from(t).unwrap_or(u64::MAX);
+        json_obj! {
+            "name": name, "ph": "X", "ts": us(ts), "dur": us(dur.as_micros()),
+            "pid": 1u64, "tid": tid, "cat": cat,
         }
-        let us = d.as_micros();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{us},\"pid\":1,\"tid\":1,\
-             \"cat\":\"pass\"}}",
-            esc(name)
-        );
-        ts += us;
-    }
-    if !passes.is_empty() {
-        out.push(',');
-    }
-    let _ = write!(
-        out,
-        "{{\"name\":\"wall\",\"ph\":\"X\",\"ts\":0,\"dur\":{},\"pid\":1,\"tid\":0,\
-         \"cat\":\"pipeline\"}}",
-        wall.as_micros()
-    );
-    out.push_str("]}\n");
-    out
+    };
+    let mut ts = 0u128;
+    let mut events: Vec<Json> = passes
+        .iter()
+        .map(|&(name, d)| {
+            ts += d.as_micros();
+            span(name, ts - d.as_micros(), d, 1, "pass")
+        })
+        .collect();
+    events.push(span("wall", 0, wall, 0, "pipeline"));
+    json_obj! {"traceEvents": Json::Array(events)}.compact() + "\n"
 }
 
 // ---------------------------------------------------------------------------
@@ -1282,22 +1175,6 @@ pub struct RecompileEvent {
     pub mid_run: bool,
     /// VM call count in the profile snapshot that triggered the decision.
     pub at_calls: u64,
-}
-
-impl RecompileEvent {
-    /// Deterministic single-line JSON (stable field order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ev\":\"recompile\",\"function\":\"{}\",\"to\":\"{}\",\"overrides\":{},\
-             \"cache_hit\":{},\"mid_run\":{},\"at_calls\":{}}}",
-            esc(&self.function),
-            esc(&self.to_config),
-            self.overrides,
-            self.cache_hit,
-            self.mid_run,
-            self.at_calls
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use njc_arch::TrapModel;
 use njc_core::ExplicitOverride;
 use njc_ir::{AccessKind, Function};
-use njc_observe::FunctionTrace;
+use njc_observe::{json_obj, FunctionTrace, Json};
 use njc_opt::ConfigKind;
 
 /// The identity of a compiled artifact: everything that can change the
@@ -108,6 +108,12 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Artifacts inserted.
     pub inserts: u64,
+}
+
+impl From<&CacheStats> for Json {
+    fn from(c: &CacheStats) -> Json {
+        json_obj! {"hits": c.hits, "misses": c.misses, "inserts": c.inserts, "evictions": c.evictions}
+    }
 }
 
 /// An LRU-evicting, content-addressed artifact cache.

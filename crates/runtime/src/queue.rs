@@ -30,6 +30,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use njc_core::ExplicitOverride;
+use njc_observe::{json_obj, Json};
 
 use crate::cache::CacheKey;
 
@@ -137,6 +138,16 @@ pub struct QueueStats {
     /// Popped entries that outranked a higher-base-priority survivor only
     /// thanks to aging — the starvation-freedom mechanism firing.
     pub aged_promotions: u64,
+}
+
+impl From<&QueueStats> for Json {
+    fn from(q: &QueueStats) -> Json {
+        json_obj! {
+            "submitted": q.submitted, "coalesced": q.coalesced, "rejected": q.rejected,
+            "batches": q.batches, "completed": q.completed, "max_pending": q.max_pending,
+            "aged_promotions": q.aged_promotions,
+        }
+    }
 }
 
 #[derive(Debug, Default)]

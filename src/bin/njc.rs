@@ -99,7 +99,7 @@
 //! `--recover <strategy>` (`abort|strict|nullobject|skipeffect`) to attach
 //! a uniform recovery policy — per-run for `runtime`, per-tenant for
 //! `service` — and `--json` for a machine-readable outcome whose
-//! nondeterministic counters ride on `"volatile"` lines, mirroring the
+//! nondeterministic counters live under a `"volatile"` key, mirroring the
 //! BENCH_*.json discipline.
 //!
 //! The `emit` subcommand lowers the optimized program all the way to x86-64
@@ -131,7 +131,7 @@ use std::process::ExitCode;
 use njc_arch::Platform;
 use njc_bench::difftest::{run_difftest, write_report, DiffOptions};
 use njc_ir::{CheckId, FunctionId, Module, Type};
-use njc_observe::{chrome_trace_json, reconcile, ModuleTrace};
+use njc_observe::{chrome_trace_json, json_obj, reconcile, Json, ModuleTrace};
 use njc_opt::{ConfigKind, OptConfig, PipelineStats};
 use njc_vm::{SiteCounters, Vm, VmConfig};
 
@@ -322,17 +322,6 @@ fn runtime_smoke() -> ExitCode {
     }
 }
 
-/// Renders per-strategy recovery counts as a JSON object.
-fn recovery_counts_json(c: &njc_runtime::RecoveryCounts) -> String {
-    format!(
-        "{{\"strict\":{},\"nullobject\":{},\"skipeffect\":{},\"total\":{}}}",
-        c.strict,
-        c.null_object,
-        c.skip_effect,
-        c.total()
-    )
-}
-
 /// Verifies a tiered-runtime outcome without printing (the `--json` path):
 /// tiered reconciliation — including that every recovered trap maps back to
 /// site provenance — and override convergence.
@@ -350,52 +339,32 @@ fn verify_runtime_outcome(out: &njc_runtime::RuntimeOutcome) -> Vec<String> {
 /// Deterministic-modulo-volatile JSON for one tiered-runtime outcome: the
 /// steady state, overrides, and steady recovery counts are reproducible
 /// run-to-run; adaptive counters (swap timing, cache traffic, recoveries
-/// absorbed before an override landed) ride on the `"volatile"` line, which
-/// the CI byte-identity comparison strips — the BENCH_*.json discipline.
+/// absorbed before an override landed) live under `"volatile"`.
 fn runtime_json(
     platform: &Platform,
     recover: njc_runtime::RecoveryStrategy,
     out: &njc_runtime::RuntimeOutcome,
     verified: bool,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"generated_by\": \"njc runtime\",");
-    let _ = writeln!(s, "  \"platform\": \"{}\",", platform.name);
-    let _ = writeln!(s, "  \"recover\": \"{}\",", recover.as_str());
-    let _ = writeln!(
-        s,
-        "  \"steady\": {{\"cycles\":{},\"traps_taken\":{},\"explicit_null_checks\":{},\"missed_npes\":{},\"recoveries\":{}}},",
-        out.steady.stats.cycles,
-        out.steady.stats.traps_taken,
-        out.steady.stats.explicit_null_checks,
-        out.steady.stats.missed_npes,
-        recovery_counts_json(&out.steady.stats.recoveries)
-    );
-    let overrides: Vec<String> = out
-        .overrides
-        .iter()
-        .map(|(name, ov)| format!("\"{name}\":{}", ov.len()))
-        .collect();
-    let _ = writeln!(s, "  \"overrides\": {{{}}},", overrides.join(","));
-    let _ = writeln!(s, "  \"compile_panics\": {},", out.compile_panics);
-    let _ = writeln!(s, "  \"verified\": {verified},");
-    let _ = writeln!(
-        s,
-        "  \"volatile\": {{\"adaptive_cycles\":{},\"adaptive_traps\":{},\"mid_run_swaps\":{},\"recompiles\":{},\"recoveries_total\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}}}}",
-        out.adaptive.stats.cycles,
-        out.adaptive.stats.traps_taken,
-        out.mid_run_swaps,
-        out.recompiles.len(),
-        recovery_counts_json(&out.recoveries),
-        out.cache.hits,
-        out.cache.misses,
-        out.cache.inserts,
-        out.cache.evictions
-    );
-    s.push_str("}\n");
-    s
+    let s = &out.steady.stats;
+    let steady = json_obj! {
+        "cycles": s.cycles, "traps_taken": s.traps_taken,
+        "explicit_null_checks": s.explicit_null_checks, "missed_npes": s.missed_npes,
+        "recoveries": &s.recoveries,
+    };
+    let overrides = Json::map(out.overrides.iter().map(|(name, ov)| (name, ov.len())));
+    json_obj! {
+        "generated_by": "njc runtime", "platform": platform.name, "recover": recover.as_str(),
+        "steady": steady, "overrides": overrides, "compile_panics": out.compile_panics,
+        "verified": verified,
+    }
+    .volatile(json_obj! {
+        "adaptive_cycles": out.adaptive.stats.cycles,
+        "adaptive_traps": out.adaptive.stats.traps_taken, "mid_run_swaps": out.mid_run_swaps,
+        "recompiles": out.recompiles.len(), "recoveries_total": &out.recoveries,
+        "cache": &out.cache,
+    })
+    .report()
 }
 
 fn runtime_main(args: &[String]) -> ExitCode {
@@ -684,58 +653,31 @@ fn service_smoke(tenants: usize) -> ExitCode {
 /// steady rows are reproducible (each tenant's steady state matches its
 /// single-tenant reference byte-for-byte); fleet-level scheduling data —
 /// cache and queue traffic, dedup, compile counts, adaptive recoveries —
-/// ride on the `"volatile"` line.
+/// live under `"volatile"`.
 fn service_json(
     platform: &Platform,
     recover: njc_runtime::RecoveryStrategy,
     out: &njc_runtime::ServiceOutcome,
     verified: bool,
 ) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"generated_by\": \"njc service\",");
-    let _ = writeln!(s, "  \"platform\": \"{}\",", platform.name);
-    let _ = writeln!(s, "  \"recover\": \"{}\",", recover.as_str());
-    let _ = writeln!(s, "  \"tenants\": {},", out.tenants.len());
-    s.push_str("  \"tenant_rows\": [\n");
-    for (i, t) in out.tenants.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"steady\": {{\"cycles\":{},\"traps_taken\":{},\"explicit_null_checks\":{},\"recoveries\":{}}}}}",
-            t.name,
-            t.outcome.steady.stats.cycles,
-            t.outcome.steady.stats.traps_taken,
-            t.outcome.steady.stats.explicit_null_checks,
-            recovery_counts_json(&t.outcome.steady.stats.recoveries)
-        );
-        s.push_str(if i + 1 < out.tenants.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+    let rows = out.tenants.iter().map(|t| {
+        let s = &t.outcome.steady.stats;
+        let steady = json_obj! {
+            "cycles": s.cycles, "traps_taken": s.traps_taken,
+            "explicit_null_checks": s.explicit_null_checks, "recoveries": &s.recoveries,
+        };
+        json_obj! {"name": &t.name, "steady": steady}
+    });
+    json_obj! {
+        "generated_by": "njc service", "platform": platform.name, "recover": recover.as_str(),
+        "tenants": out.tenants.len(), "tenant_rows": Json::array(rows), "verified": verified,
     }
-    s.push_str("  ],\n");
-    let _ = writeln!(s, "  \"verified\": {verified},");
-    let _ = writeln!(
-        s,
-        "  \"volatile\": {{\"compiles_performed\":{},\"isolated_compiles\":{},\"dedup_hits\":{},\"recoveries_total\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\"queue\":{{\"submitted\":{},\"coalesced\":{},\"rejected\":{},\"batches\":{},\"aged_promotions\":{}}}}}",
-        out.compiles_performed,
-        out.isolated_compiles,
-        out.dedup_hits,
-        recovery_counts_json(&out.recoveries),
-        out.cache.hits,
-        out.cache.misses,
-        out.cache.inserts,
-        out.cache.evictions,
-        out.queue.submitted,
-        out.queue.coalesced,
-        out.queue.rejected,
-        out.queue.batches,
-        out.queue.aged_promotions
-    );
-    s.push_str("}\n");
-    s
+    .volatile(json_obj! {
+        "compiles_performed": out.compiles_performed, "isolated_compiles": out.isolated_compiles,
+        "dedup_hits": out.dedup_hits, "recoveries_total": &out.recoveries, "cache": &out.cache,
+        "queue": &out.queue,
+    })
+    .report()
 }
 
 fn service_main(args: &[String]) -> ExitCode {
