@@ -90,6 +90,17 @@ impl Platform {
         }
     }
 
+    /// Parses a command-line platform name (`ia32`/`windows`, `aix`/`ppc`,
+    /// `s390`); `None` for anything else.
+    pub fn parse(s: &str) -> Option<Self> {
+        Some(match s {
+            "ia32" | "windows" => Platform::windows_ia32(),
+            "aix" | "ppc" => Platform::aix_ppc(),
+            "s390" => Platform::linux_s390(),
+            _ => return None,
+        })
+    }
+
     /// This platform with a different trap model (used to build the
     /// "no hardware trap" baseline configuration).
     pub const fn with_trap_model(mut self, trap: TrapModel) -> Self {
@@ -129,6 +140,14 @@ mod tests {
         assert!(!p.trap.access_traps(AccessKind::Read, Some(0)));
         // Cost model is unchanged.
         assert_eq!(p.cost, CostModel::ia32());
+    }
+
+    #[test]
+    fn parses_command_line_names() {
+        assert_eq!(Platform::parse("windows"), Some(Platform::windows_ia32()));
+        assert_eq!(Platform::parse("ppc"), Some(Platform::aix_ppc()));
+        assert_eq!(Platform::parse("s390"), Some(Platform::linux_s390()));
+        assert_eq!(Platform::parse("ia32-winnt"), None);
     }
 
     #[test]

@@ -31,9 +31,11 @@
 //!   `threads > 1`). `pass_cpu_stability` records the worst cross-thread
 //!   ratio per workload as the regression witness.
 
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use njc_arch::Platform;
+use njc_bench::cli::{Spec, UsageError};
 use njc_bench::harness::{median_ms, p90_ms};
 use njc_core::nonnull::{compute_sets, NonNullProblem};
 use njc_dataflow::{solve_cached, solve_round_robin};
@@ -46,31 +48,26 @@ use njc_workloads::Workload;
 const SCALE_COPIES: usize = 7;
 const THREAD_GRID: [usize; 3] = [1, 2, 4];
 
+const SPEC: Spec = Spec {
+    usage: "usage: compile_bench [--smoke] [--runs N] [--out PATH]",
+    switches: &["--smoke"],
+    options: &["--runs", "--out"],
+    positionals: 0,
+};
+
 struct Args {
     smoke: bool,
     runs: usize,
-    out: String,
+    out: PathBuf,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        runs: 5,
-        out: "BENCH_compile.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--runs" => {
-                let v = it.next().expect("--runs needs a value");
-                args.runs = v.parse().expect("--runs needs an integer");
-            }
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    args
+fn parse_args() -> Result<Args, UsageError> {
+    let args = SPEC.parse(std::env::args().skip(1))?;
+    Ok(Args {
+        smoke: args.flag("--smoke"),
+        runs: args.get("--runs")?.unwrap_or(5),
+        out: args.out().unwrap_or_else(|| "BENCH_compile.json".into()),
+    })
 }
 
 /// Scales a workload into a multi-function module: every original
@@ -250,7 +247,7 @@ fn solve_module(module: &Module, worklist: bool) -> SolverSample {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| e.exit());
     let platform = Platform::windows_ia32();
     let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     let runs = if args.smoke { 1 } else { args.runs.max(1) };
@@ -444,5 +441,5 @@ fn main() {
     }
     .report();
     std::fs::write(&args.out, json).expect("write BENCH_compile.json");
-    println!("wrote {}", args.out);
+    println!("wrote {}", args.out.display());
 }

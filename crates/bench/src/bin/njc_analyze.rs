@@ -54,40 +54,32 @@ use std::process::ExitCode;
 
 use njc_analysis::validate_module;
 use njc_arch::Platform;
+use njc_bench::cli::Spec;
 use njc_ir::Module;
 use njc_jit::compile;
 use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig};
 use njc_workloads::gen::{build_call_module, gen_call_actions, Rng};
 
+const SPEC: Spec = Spec {
+    usage: "usage: njc_analyze [--verbose] [workload-filter]\n       \
+            njc_analyze --infer [--json] [--smoke] [workload-filter]\n       \
+            njc_analyze --gvn [--json] [--smoke] [workload-filter]",
+    switches: &["--verbose", "-v", "--infer", "--gvn", "--json", "--smoke"],
+    options: &[],
+    positionals: 1,
+};
+
 fn main() -> ExitCode {
-    let mut verbose = false;
-    let mut infer = false;
-    let mut gvn = false;
-    let mut json = false;
-    let mut smoke = false;
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--verbose" | "-v" => verbose = true,
-            "--infer" => infer = true,
-            "--gvn" => gvn = true,
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: njc_analyze [--verbose] [workload-filter]\n\
-                     \x20      njc_analyze --infer [--json] [--smoke] [workload-filter]\n\
-                     \x20      njc_analyze --gvn [--json] [--smoke] [workload-filter]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => filter = Some(other.to_string()),
-        }
-    }
-    if gvn {
+    let args = SPEC
+        .parse(std::env::args().skip(1))
+        .unwrap_or_else(|e| e.exit());
+    let verbose = args.flag("--verbose") || args.flag("-v");
+    let (json, smoke) = (args.flag("--json"), args.flag("--smoke"));
+    let filter = args.positional(0).map(str::to_string);
+    if args.flag("--gvn") {
         gvn_main(json, smoke, filter)
-    } else if infer {
+    } else if args.flag("--infer") {
         infer_main(json, smoke, filter)
     } else {
         classic_main(verbose, filter)

@@ -1,39 +1,48 @@
-//! Regenerates every table and figure of the paper and prints the full
-//! report (the content of EXPERIMENTS.md's measured sections).
+//! Regenerates the paper's tables and figures. With no arguments it prints
+//! the full report (the content of EXPERIMENTS.md's measured sections) and
+//! syncs shape claim 9; given artifact names it prints only those.
 //!
-//! Usage: `cargo run --release -p njc-bench --bin report [output.md]`
+//! Usage: `cargo run --release -p njc-bench --bin report [-- ARTIFACT...]`
 
 use std::time::Instant;
 
+use njc_bench::cli::Spec;
+use njc_bench::tables::ARTIFACTS;
+
+const SPEC: Spec = Spec {
+    usage: "usage: report [ARTIFACT...]\n  \
+            ARTIFACT: table1..table7 | fig8..fig15 | compile-cost (none: the full report)",
+    switches: &[],
+    options: &[],
+    positionals: usize::MAX,
+};
+
 fn main() {
+    let args = SPEC
+        .parse(std::env::args().skip(1))
+        .unwrap_or_else(|e| e.exit());
+    let mut generators = Vec::new();
+    for name in &args.positionals {
+        // Figure 13 is the chart form of Table 4's breakdown.
+        let wanted = if name == "fig13" { "table4" } else { name };
+        match ARTIFACTS.iter().find(|(n, _)| *n == wanted) {
+            Some((_, generate)) => generators.push(*generate),
+            None => args.error(format!("unknown artifact `{name}`")).exit(),
+        }
+    }
     let t = Instant::now();
     let mut h = njc_bench::Harness::new();
-    let sections: Vec<String> = vec![
-        njc_bench::tables::table1(&mut h),
-        njc_bench::tables::fig8(&mut h),
-        njc_bench::tables::table2(&mut h),
-        njc_bench::tables::fig9(&mut h),
-        njc_bench::tables::fig10(&mut h),
-        njc_bench::tables::fig11(&mut h),
-        njc_bench::tables::table3(&mut h),
-        njc_bench::tables::fig12(&mut h),
-        njc_bench::tables::table4(&mut h),
-        njc_bench::tables::table5(&mut h),
-        njc_bench::tables::table6(&mut h),
-        njc_bench::tables::fig14(&mut h),
-        njc_bench::tables::table7(&mut h),
-        njc_bench::tables::fig15(&mut h),
-        njc_bench::tables::compile_cost(&mut h),
-    ];
+    if !generators.is_empty() {
+        let sections: Vec<String> = generators.iter().map(|g| g(&mut h)).collect();
+        print!("{}", sections.join("\n"));
+        return;
+    }
+    let sections: Vec<String> = ARTIFACTS.iter().map(|(_, g)| g(&mut h)).collect();
     let body = sections.join("\n");
     let report = format!(
         "# Measured reproduction report\n\nGenerated by `cargo run --release -p njc-bench --bin report` in {:.1}s.\n\n{body}",
         t.elapsed().as_secs_f64()
     );
-    if let Some(path) = std::env::args().nth(1) {
-        std::fs::write(&path, &report).expect("write report");
-        eprintln!("wrote {path}");
-    }
     // Shape claim 9 cites the missed-NPE count the differential harness
     // measured; sync the EXPERIMENTS.md prose from DIFF_report.json so the
     // number can never drift from the measurement again.

@@ -35,9 +35,11 @@
 //!
 //! [`ExplicitOverride`]: njc_core::ExplicitOverride
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use njc_arch::Platform;
+use njc_bench::cli::{Spec, UsageError};
 use njc_bench::runtime_diff::{run_runtime_difftest, RuntimeDiffOptions};
 use njc_observe::{json_obj, CheckEvent, ExplicitCause, Json};
 use njc_opt::ConfigKind;
@@ -49,37 +51,28 @@ const DEFAULT_ITERS: i64 = 30_000;
 /// the loop is still turning (each attempt 4× the last).
 const SWAP_ATTEMPTS: usize = 4;
 
+const SPEC: Spec = Spec {
+    usage: "usage: runtime_bench [--smoke] [--iters N] [--seeds N] [--out PATH]",
+    switches: &["--smoke"],
+    options: &["--iters", "--seeds", "--out"],
+    positionals: 0,
+};
+
 struct Args {
     smoke: bool,
     iters: i64,
     seeds: u64,
-    out: String,
+    out: PathBuf,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        iters: DEFAULT_ITERS,
-        seeds: 24,
-        out: "BENCH_runtime.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--iters" => {
-                let v = it.next().expect("--iters needs a value");
-                args.iters = v.parse().expect("--iters needs an integer");
-            }
-            "--seeds" => {
-                let v = it.next().expect("--seeds needs a value");
-                args.seeds = v.parse().expect("--seeds needs an integer");
-            }
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    args
+fn parse_args() -> Result<Args, UsageError> {
+    let args = SPEC.parse(std::env::args().skip(1))?;
+    Ok(Args {
+        smoke: args.flag("--smoke"),
+        iters: args.positive("--iters")?.unwrap_or(DEFAULT_ITERS),
+        seeds: args.seeds()?.unwrap_or(24),
+        out: args.out().unwrap_or_else(|| "BENCH_runtime.json".into()),
+    })
 }
 
 fn workload_args(iters: i64) -> [Value; 2] {
@@ -120,7 +113,7 @@ fn override_checks(out: &RuntimeOutcome, name: &str) -> usize {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| e.exit());
     let platform = Platform::windows_ia32();
     let mut failures: Vec<String> = Vec::new();
 
@@ -222,8 +215,6 @@ fn main() {
     let diff = run_runtime_difftest(&RuntimeDiffOptions {
         seeds: args.seeds,
         smoke: args.smoke,
-        interproc: true,
-        gvn: true,
     });
     if !diff.is_clean() {
         failures.push(format!(
@@ -322,5 +313,5 @@ fn main() {
     })
     .report();
     std::fs::write(&args.out, json).expect("write BENCH_runtime.json");
-    println!("wrote {}", args.out);
+    println!("wrote {}", args.out.display());
 }

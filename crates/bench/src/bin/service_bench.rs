@@ -30,9 +30,11 @@
 //! cargo run --release -p njc-bench --bin service_bench -- --smoke # CI gate
 //! ```
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use njc_arch::Platform;
+use njc_bench::cli::{Spec, UsageError};
 use njc_ir::Module;
 use njc_observe::{json_obj, Json};
 use njc_runtime::{
@@ -42,41 +44,32 @@ use njc_runtime::{
 };
 use njc_vm::Value;
 
+const SPEC: Spec = Spec {
+    usage: "usage: service_bench [--smoke] [--tenants N[,N...]] [--out PATH]",
+    switches: &["--smoke"],
+    options: &["--tenants", "--out"],
+    positionals: 0,
+};
+
 struct Args {
     smoke: bool,
     tenants: Vec<usize>,
-    out: String,
+    out: PathBuf,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        tenants: Vec::new(),
-        out: "BENCH_service.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--tenants" => {
-                let v = it.next().expect("--tenants needs a comma-separated list");
-                args.tenants = v
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--tenants needs integers"))
-                    .collect();
-            }
-            "--out" => args.out = it.next().expect("--out needs a path"),
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    if args.tenants.is_empty() {
-        args.tenants = if args.smoke {
-            vec![8, 16]
-        } else {
-            vec![64, 256]
-        };
-    }
-    args
+fn parse_args() -> Result<Args, UsageError> {
+    let args = SPEC.parse(std::env::args().skip(1))?;
+    let smoke = args.flag("--smoke");
+    let tenants = args.parsed("--tenants", |v| {
+        v.split(',')
+            .map(|s| s.trim().parse().ok().filter(|&n: &usize| n > 0))
+            .collect()
+    })?;
+    Ok(Args {
+        smoke,
+        tenants: tenants.unwrap_or_else(|| if smoke { vec![8, 16] } else { vec![64, 256] }),
+        out: args.out().unwrap_or_else(|| "BENCH_service.json".into()),
+    })
 }
 
 /// One workload template tenants are stamped from.
@@ -262,7 +255,7 @@ fn run_sweep(
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_args().unwrap_or_else(|e| e.exit());
     let mut failures = Vec::new();
     let mut sweeps = Vec::new();
     for platform in [Platform::windows_ia32(), Platform::aix_ppc()] {
@@ -292,5 +285,5 @@ fn main() {
     }
     .report();
     std::fs::write(&args.out, json).expect("write BENCH_service.json");
-    println!("wrote {}", args.out);
+    println!("wrote {}", args.out.display());
 }

@@ -74,16 +74,6 @@ pub struct DiffOptions {
     /// GVN-only kill that removes a needed check shows up as a divergence
     /// and is minimized like any other.
     pub gvn: bool,
-    /// Rerun every sound optimized cell under uniform trap-recovery
-    /// policies (`njc_recover`): a `+recover:strict` column that must be
-    /// observation-identical to the policy-free cell on every config ×
-    /// platform (deopt-and-recheck is a semantic no-op), plus
-    /// `NullObject`/`SkipEffect` columns whose differences are *expected*
-    /// on null-exercising programs — those are classified by which
-    /// observable moved (exception/result/trace/events/heap digest) and
-    /// reported as non-failing [`RecoveryObservation`]s, minimized like
-    /// divergences.
-    pub recover: bool,
     /// Where to write minimized `.njc` regression fixtures (skipped when
     /// `None`).
     pub fixtures_dir: Option<PathBuf>,
@@ -97,7 +87,6 @@ impl Default for DiffOptions {
             legacy_wrapping: false,
             interproc: true,
             gvn: true,
-            recover: true,
             fixtures_dir: None,
         }
     }
@@ -975,7 +964,7 @@ fn diff_program(
     // *expected* to differ on null-exercising programs; their deltas are
     // classified by which observable moved and recorded as non-failing
     // observations, later minimized like divergences.
-    if !vm_only && opts.recover {
+    if !vm_only {
         for (p, platform) in plats.iter().enumerate() {
             for (k, kind) in kinds.iter().enumerate() {
                 let base = verdicts[p][1 + k].clone();

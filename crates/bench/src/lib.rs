@@ -3,14 +3,18 @@
 //! One generator per table and figure of the paper's §5 (see
 //! [`tables`]), driven by the measurement [`harness`] against the
 //! [`paper`] reference numbers. The `report` binary regenerates
-//! everything; `table1` … `fig15` print individual artifacts:
+//! everything, or only the artifacts it is given by name
+//! ([`tables::ARTIFACTS`]):
 //!
 //! ```text
 //! cargo run --release -p njc-bench --bin report   # writes EXPERIMENTS.md content
-//! cargo run --release -p njc-bench --bin table1
+//! cargo run --release -p njc-bench --bin report -- table1 fig8
 //! ```
+//!
+//! Every binary here and `njc` read their command line through [`cli`].
 
 pub mod claims;
+pub mod cli;
 pub mod difftest;
 pub mod harness;
 pub mod paper;

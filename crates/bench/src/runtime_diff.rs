@@ -11,6 +11,15 @@
 //! single-shot reference. It also runs the runtime's own invariants per
 //! program: tiered reconciliation (every trap and explicit check resolves
 //! in some installed tier) and override convergence.
+//!
+//! Every tier compile runs the interprocedural inference and the
+//! value-numbered analysis (`RuntimeConfig::{interproc, gvn}`) while the
+//! reference stays off both, so each inferred fact and congruence-class
+//! kill is cross-checked against the baseline on every observable channel.
+//! A call-heavy corpus feeds the inference, and each program's facts are
+//! also asserted directly: the fact-assertion module
+//! ([`njc_interproc::assertion_module`]) must match the raw run on every
+//! channel *and* on the trap/silent-read counters.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -33,18 +42,6 @@ pub struct RuntimeDiffOptions {
     pub seeds: u64,
     /// Smoke mode: clamp the seed count for a fast CI gate.
     pub smoke: bool,
-    /// Enable the interprocedural inference in every tier compile, add the
-    /// call-heavy corpus, and cross-check each program's inferred facts
-    /// against the dynamic run: the fact-assertion module
-    /// ([`njc_interproc::assertion_module`]) must match the raw run on
-    /// every observable channel *and* on the trap/silent-read counters.
-    pub interproc: bool,
-    /// Run the value-numbered non-nullness analysis (`OptConfig::gvn`,
-    /// via `RuntimeConfig::gvn`) in every tier compile. The reference run
-    /// stays GVN-off, so every congruence-class kill in every tier is
-    /// cross-checked against the per-variable baseline on every
-    /// observable channel — the runtime leg of the §15 soundness oracle.
-    pub gvn: bool,
 }
 
 impl Default for RuntimeDiffOptions {
@@ -52,8 +49,6 @@ impl Default for RuntimeDiffOptions {
         RuntimeDiffOptions {
             seeds: 24,
             smoke: false,
-            interproc: true,
-            gvn: true,
         }
     }
 }
@@ -101,17 +96,15 @@ fn corpus(opts: &RuntimeDiffOptions) -> Vec<(String, Module)> {
         let actions = gen_fault_actions(&mut rng, len, 2);
         programs.push((format!("seed-{seed}"), build_module(&actions)));
     }
-    if opts.interproc {
-        // Call-heavy programs give the tier compiles real interprocedural
-        // facts, so mid-run swaps install bodies optimized under entry
-        // assumptions — the case the adaptive/steady diff must not notice.
-        let call_seeds = if opts.smoke { 4 } else { seeds.div_ceil(2) };
-        for seed in 0..call_seeds {
-            let mut rng = Rng::new(seed ^ 0xca11);
-            let len = rng.range(1, 10);
-            let actions = gen_call_actions(&mut rng, len, 2);
-            programs.push((format!("call-{seed}"), build_call_module(&actions)));
-        }
+    // Call-heavy programs give the tier compiles real interprocedural
+    // facts, so mid-run swaps install bodies optimized under entry
+    // assumptions — the case the adaptive/steady diff must not notice.
+    let call_seeds = if opts.smoke { 4 } else { seeds.div_ceil(2) };
+    for seed in 0..call_seeds {
+        let mut rng = Rng::new(seed ^ 0xca11);
+        let len = rng.range(1, 10);
+        let actions = gen_call_actions(&mut rng, len, 2);
+        programs.push((format!("call-{seed}"), build_call_module(&actions)));
     }
     programs
 }
@@ -293,12 +286,11 @@ fn run_service_cell(
     name: &str,
     module: &Module,
     platform: Platform,
-    interproc: bool,
     reference: &Result<Outcome, Fault>,
     report: &mut RuntimeDiffReport,
 ) {
     let mut config = njc_runtime::ServiceConfig::for_platform(&platform);
-    config.runtime.interproc = interproc;
+    config.runtime.interproc = true;
     let specs: Vec<TenantSpec> = (0..2)
         .map(|i| TenantSpec {
             name: format!("{name}#{i}"),
@@ -382,15 +374,13 @@ pub fn run_runtime_difftest(opts: &RuntimeDiffOptions) -> RuntimeDiffReport {
     let mut report = RuntimeDiffReport::default();
     for (name, module) in corpus(opts) {
         report.programs += 1;
-        if opts.interproc {
-            // Facts-vs-dynamics cross-check, independent of the runtime:
-            // every inferred fact must survive the program's real run.
-            report.cells += 1;
-            oracle_check(&name, &module, platform, &mut report.divergences);
-        }
+        // Facts-vs-dynamics cross-check, independent of the runtime: every
+        // inferred fact must survive the program's real run.
+        report.cells += 1;
+        oracle_check(&name, &module, platform, &mut report.divergences);
         // Reference: single-shot compile at the runtime's tier-1 config,
         // *without* the inference — the adaptive runtime (which runs it in
-        // every tier when enabled) must still be observationally identical.
+        // every tier) must still be observationally identical.
         let reference = {
             let mut m = module.clone();
             njc_opt::optimize_module(&mut m, &platform, &ConfigKind::Full.to_config(&platform));
@@ -400,8 +390,8 @@ pub fn run_runtime_difftest(opts: &RuntimeDiffOptions) -> RuntimeDiffReport {
             report.faulting_programs += 1;
         }
         let rt_config = RuntimeConfig {
-            interproc: opts.interproc,
-            gvn: opts.gvn,
+            interproc: true,
+            gvn: true,
             ..RuntimeConfig::for_platform(&platform)
         };
         run_tiered_cell(
@@ -452,14 +442,7 @@ pub fn run_runtime_difftest(opts: &RuntimeDiffOptions) -> RuntimeDiffReport {
                 &mut report,
             );
         }
-        run_service_cell(
-            &name,
-            &module,
-            platform,
-            opts.interproc,
-            &reference,
-            &mut report,
-        );
+        run_service_cell(&name, &module, platform, &reference, &mut report);
     }
     report
 }
@@ -473,8 +456,6 @@ mod tests {
         let report = run_runtime_difftest(&RuntimeDiffOptions {
             seeds: 4,
             smoke: true,
-            interproc: true,
-            gvn: true,
         });
         assert!(report.programs > 10, "micros + probe + seeds");
         assert!(

@@ -73,6 +73,30 @@ fn metric_table(
     format!("## {title}\n{note}\n\n{}", t.render())
 }
 
+/// Renders one table or figure.
+pub type Generator = fn(&mut Harness) -> String;
+
+/// Every artifact of the full report, by command-line name, in report
+/// order. Figure 13 is the chart form of Table 4's breakdown, so it has no
+/// generator of its own.
+pub const ARTIFACTS: [(&str, Generator); 15] = [
+    ("table1", table1),
+    ("fig8", fig8),
+    ("table2", table2),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("table3", table3),
+    ("fig12", fig12),
+    ("table4", table4),
+    ("table5", table5),
+    ("table6", table6),
+    ("fig14", fig14),
+    ("table7", table7),
+    ("fig15", fig15),
+    ("compile-cost", compile_cost),
+];
+
 /// Table 1 — jBYTEmark on Windows/IA32 (index; larger is better).
 pub fn table1(h: &mut Harness) -> String {
     let workloads = njc_workloads::jbytemark();

@@ -143,6 +143,41 @@ impl ConfigKind {
         ]
     }
 
+    /// Every preset, in declaration order.
+    pub const ALL: [ConfigKind; 10] = [
+        ConfigKind::NoNullOptNoTrap,
+        ConfigKind::NoNullOptTrap,
+        ConfigKind::OldNullCheck,
+        ConfigKind::Phase1Only,
+        ConfigKind::Full,
+        ConfigKind::RefJit,
+        ConfigKind::AixSpeculation,
+        ConfigKind::AixNoSpeculation,
+        ConfigKind::AixNoNullOpt,
+        ConfigKind::AixIllegalImplicit,
+    ];
+
+    /// Stable lower-case name, as accepted by `--config`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ConfigKind::NoNullOptNoTrap => "none",
+            ConfigKind::NoNullOptTrap => "trap",
+            ConfigKind::OldNullCheck => "old",
+            ConfigKind::Phase1Only => "phase1",
+            ConfigKind::Full => "full",
+            ConfigKind::RefJit => "refjit",
+            ConfigKind::AixSpeculation => "speculation",
+            ConfigKind::AixNoSpeculation => "no-speculation",
+            ConfigKind::AixNoNullOpt => "aix-none",
+            ConfigKind::AixIllegalImplicit => "illegal-implicit",
+        }
+    }
+
+    /// Parses the stable name back; `None` for anything else.
+    pub fn parse(s: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|k| k.as_str() == s)
+    }
+
     /// Resolves the preset against a platform.
     pub fn to_config(self, platform: &Platform) -> OptConfig {
         let trap = platform.trap;
@@ -1261,6 +1296,18 @@ mod tests {
             assert_eq!(s_seq.scalar, s_par.scalar);
             assert_eq!(s_seq.dead_removed, s_par.dead_removed);
         }
+    }
+
+    #[test]
+    fn every_preset_round_trips_through_its_name() {
+        for kind in ConfigKind::ALL {
+            assert_eq!(ConfigKind::parse(kind.as_str()), Some(kind), "{kind:?}");
+        }
+        let mut names: Vec<_> = ConfigKind::ALL.iter().map(|k| k.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ConfigKind::ALL.len(), "names are distinct");
+        assert_eq!(ConfigKind::parse("bogus"), None);
     }
 
     #[test]

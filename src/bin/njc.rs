@@ -15,20 +15,26 @@
 //! njc service <file.ir> [--platform <name>] [--tenants N] [--recover <strategy>]
 //!             [--json]
 //! njc service --smoke [--tenants N]
-//! njc recover [--smoke] [--seeds N] [--json] [--write-fixtures] [--fixtures DIR]
+//! njc recover [--seeds N] [--json] [--write-fixtures] [--fixtures DIR]
 //! njc emit <file.ir> [--config <name>] [--platform <name>] [--threads N] [--out PATH]
 //! njc verify-binary <file.ir> [--config <name>] [--platform <name>] [--threads N]
 //! njc verify-binary --smoke [--threads N]
 //!
-//!   --config      full (default) | phase1 | old | trap | none | speculation |
-//!                 no-speculation | illegal-implicit
+//!   --config      full (default) | phase1 | old | trap | none | refjit |
+//!                 speculation | no-speculation | aix-none | illegal-implicit
+//!                 (`ConfigKind::as_str`: one name per row of Tables 1–2, 6–7)
 //!   --platform    ia32 (default) | aix | s390
 //!   --emit        print the optimized IR
 //!   --run         execute `main` and print the outcome (default when no --emit)
-//!   --all         compare every configuration side by side
+//!   --all         compare the Table 1–2 configurations side by side
 //!   --events-out  write the deterministic JSON provenance event stream
 //!   --trace-out   write a Chrome-trace (chrome://tracing) pass timing profile
+//!   --help        print this usage and exit 0
 //! ```
+//!
+//! Every subcommand reads its command line through `njc_bench::cli`: an
+//! unknown flag, a missing value, or an unparsable value prints a message
+//! naming the flag plus the usage text and exits 1.
 //!
 //! The `explain` subcommand runs the optimizer with provenance tracing and
 //! prints the life story of every null check (or of one check, by `#N` id)
@@ -129,46 +135,99 @@
 use std::process::ExitCode;
 
 use njc_arch::Platform;
+use njc_bench::cli::{Args, Spec, UsageError};
 use njc_bench::difftest::{run_difftest, write_report, DiffOptions};
 use njc_ir::{CheckId, FunctionId, Module, Type};
 use njc_observe::{chrome_trace_json, json_obj, reconcile, Json, ModuleTrace};
 use njc_opt::{ConfigKind, OptConfig, PipelineStats};
 use njc_vm::{SiteCounters, Vm, VmConfig};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: njc <file.ir> [--config full|phase1|old|trap|none|speculation|no-speculation|illegal-implicit] [--platform ia32|aix|s390] [--emit] [--run] [--all] [--events-out PATH] [--trace-out PATH]\n       njc explain <file.ir> [<fn> [<check-id>]] [--config ...] [--platform ...] [--interproc] [--gvn] [--run] [--threads N] [--events-out PATH] [--trace-out PATH]\n       njc explain --smoke [--threads N]\n       njc difftest [--smoke] [--seeds N] [--legacy-addressing] [--no-interproc] [--no-gvn] [--fixtures DIR] [--out PATH]\n       njc runtime <file.ir> [--platform ia32|aix|s390] [--profile-threshold R] [--recover abort|strict|nullobject|skipeffect] [--json]\n       njc runtime --smoke\n       njc service <file.ir> [--platform ia32|aix|s390] [--tenants N] [--recover abort|strict|nullobject|skipeffect] [--json]\n       njc service --smoke [--tenants N]\n       njc recover [--smoke] [--seeds N] [--json] [--write-fixtures] [--fixtures DIR]\n       njc emit <file.ir> [--config ...] [--platform ...] [--threads N] [--out PATH]\n       njc verify-binary <file.ir> [--config ...] [--platform ...] [--threads N]\n       njc verify-binary --smoke [--threads N]"
-    );
-    ExitCode::FAILURE
+/// Every subcommand's usage text; printed on `--help` and after any
+/// command-line error.
+const USAGE: &str = "usage: njc <file.ir> [--config <name>] [--platform <name>] [--emit] [--run] [--all] [--events-out PATH] [--trace-out PATH]
+       njc explain <file.ir> [<fn> [<check-id>]] [--config <name>] [--platform <name>] [--interproc] [--gvn] [--run] [--threads N] [--events-out PATH] [--trace-out PATH]
+       njc explain --smoke [--threads N]
+       njc difftest [--smoke] [--seeds N] [--legacy-addressing] [--no-interproc] [--no-gvn] [--fixtures DIR] [--out PATH]
+       njc runtime <file.ir> [--platform <name>] [--profile-threshold R] [--recover <strategy>] [--json]
+       njc runtime --smoke
+       njc service <file.ir> [--platform <name>] [--tenants N] [--recover <strategy>] [--json]
+       njc service --smoke [--tenants N]
+       njc recover [--seeds N] [--json] [--write-fixtures] [--fixtures DIR]
+       njc emit <file.ir> [--config <name>] [--platform <name>] [--threads N] [--out PATH]
+       njc verify-binary <file.ir> [--config <name>] [--platform <name>] [--threads N]
+       njc verify-binary --smoke [--threads N]
+
+  --config    full | phase1 | old | trap | none | refjit | speculation | no-speculation |
+              aix-none | illegal-implicit
+  --platform  ia32 | aix | s390
+  --recover   abort | strict | nullobject | skipeffect";
+
+/// Why a subcommand stopped early: a bad command line, or an error that
+/// `main` prints after the subcommand's name.
+enum Stop {
+    Usage(UsageError),
+    Error(String),
 }
 
-fn difftest_main(args: &[String]) -> ExitCode {
-    let mut opts = DiffOptions::default();
-    let mut out_path = std::path::PathBuf::from("DIFF_report.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--seeds" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => opts.seeds = n,
-                None => return usage(),
-            },
-            "--legacy-addressing" => opts.legacy_wrapping = true,
-            "--interproc" => opts.interproc = true,
-            "--no-interproc" => opts.interproc = false,
-            "--gvn" => opts.gvn = true,
-            "--no-gvn" => opts.gvn = false,
-            "--fixtures" => match it.next() {
-                Some(d) => opts.fixtures_dir = Some(std::path::PathBuf::from(d)),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = std::path::PathBuf::from(p),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+impl From<UsageError> for Stop {
+    fn from(e: UsageError) -> Self {
+        Stop::Usage(e)
     }
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Error(e)
+    }
+}
+
+type Run = Result<ExitCode, Stop>;
+
+/// Parses one subcommand's arguments against its accepted flags.
+fn parse(
+    argv: &[String],
+    switches: &'static [&'static str],
+    options: &'static [&'static str],
+    positionals: usize,
+) -> Result<Args, UsageError> {
+    let spec = Spec {
+        usage: USAGE,
+        switches,
+        options,
+        positionals,
+    };
+    spec.parse(argv.iter().cloned())
+}
+
+/// The input file, the first positional argument.
+fn input_file(args: &Args) -> Result<&str, UsageError> {
+    args.positional(0)
+        .ok_or_else(|| args.error("missing input file".into()))
+}
+
+fn difftest_main(argv: &[String]) -> Run {
+    let args = parse(
+        argv,
+        &[
+            "--smoke",
+            "--legacy-addressing",
+            "--interproc",
+            "--no-interproc",
+            "--gvn",
+            "--no-gvn",
+        ],
+        &["--seeds", "--fixtures", "--out"],
+        0,
+    )?;
+    let opts = DiffOptions {
+        seeds: args.seeds()?.unwrap_or(DiffOptions::default().seeds),
+        smoke: args.flag("--smoke"),
+        legacy_wrapping: args.flag("--legacy-addressing"),
+        interproc: args.last_of(&["--interproc", "--no-interproc"]) != Some("--no-interproc"),
+        gvn: args.last_of(&["--gvn", "--no-gvn"]) != Some("--no-gvn"),
+        fixtures_dir: args.path("--fixtures"),
+    };
+    let out_path = args.out().unwrap_or_else(|| "DIFF_report.json".into());
     let report = run_difftest(&opts);
     println!(
         "difftest: {} programs, {} cells ({} byte-level, {} known wrap gaps), {} divergences, \
@@ -183,38 +242,35 @@ fn difftest_main(args: &[String]) -> ExitCode {
         report.ill_typed_cells,
         report.panicked_cells
     );
-    if let Err(e) = write_report(&report, &out_path) {
-        eprintln!("njc difftest: cannot write {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
+    write_report(&report, &out_path)
+        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
     println!("report written to {}", out_path.display());
     if report.is_clean() {
         println!("difftest: CLEAN");
-        ExitCode::SUCCESS
-    } else {
-        for d in &report.divergences {
-            eprintln!(
-                "DIVERGENCE [{}] {} vs {}: {}",
-                d.program, d.left, d.right, d.detail
-            );
-            if let Some(m) = &d.minimized {
-                eprintln!("  minimized: {m}");
-            }
-            if let Some(f) = &d.fixture {
-                eprintln!("  reproducer: {}", f.display());
-            }
-            if let Some(p) = &d.provenance {
-                for line in p.lines() {
-                    eprintln!("  | {line}");
-                }
+        return Ok(ExitCode::SUCCESS);
+    }
+    for d in &report.divergences {
+        eprintln!(
+            "DIVERGENCE [{}] {} vs {}: {}",
+            d.program, d.left, d.right, d.detail
+        );
+        if let Some(m) = &d.minimized {
+            eprintln!("  minimized: {m}");
+        }
+        if let Some(f) = &d.fixture {
+            eprintln!("  reproducer: {}", f.display());
+        }
+        if let Some(p) = &d.provenance {
+            for line in p.lines() {
+                eprintln!("  | {line}");
             }
         }
-        eprintln!(
-            "difftest: FAILED ({} divergences)",
-            report.divergences.len()
-        );
-        ExitCode::FAILURE
     }
+    eprintln!(
+        "difftest: FAILED ({} divergences)",
+        report.divergences.len()
+    );
+    Ok(ExitCode::FAILURE)
 }
 
 /// Prints one tiered-runtime outcome and verifies its invariants
@@ -367,69 +423,28 @@ fn runtime_json(
     .report()
 }
 
-fn runtime_main(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut platform = Platform::windows_ia32();
-    let mut threshold: Option<f64> = None;
-    let mut smoke = false;
-    let mut json = false;
-    let mut recover = njc_runtime::RecoveryStrategy::Abort;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--platform" => match it.next().and_then(|s| parse_platform(s)) {
-                Some(p) => platform = p,
-                None => return usage(),
-            },
-            "--profile-threshold" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(r) => threshold = Some(r),
-                None => return usage(),
-            },
-            "--recover" => match it
-                .next()
-                .and_then(|s| njc_runtime::RecoveryStrategy::parse(s))
-            {
-                Some(s) => recover = s,
-                None => return usage(),
-            },
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            _ => return usage(),
-        }
+fn runtime_main(argv: &[String]) -> Run {
+    let args = parse(
+        argv,
+        &["--json", "--smoke"],
+        &["--platform", "--profile-threshold", "--recover"],
+        1,
+    )?;
+    let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
+    let threshold: Option<f64> = args.get("--profile-threshold")?;
+    let recover = args.recover()?.unwrap_or_default();
+    if args.flag("--smoke") {
+        return Ok(runtime_smoke());
     }
-    if smoke {
-        return runtime_smoke();
-    }
-    let Some(file) = file else { return usage() };
-    let source = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("njc runtime: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let module = match load_module(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("njc runtime: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let module = read_module(input_file(&args)?)?;
     let mut config = njc_runtime::RuntimeConfig::for_platform(&platform);
     if let Some(r) = threshold {
         config.policy.trap_ratio = r;
     }
     let rt = njc_runtime::TieredRuntime::with_config(module, platform, config)
         .with_recovery(njc_runtime::RecoveryPolicy::uniform(recover));
-    let out = match rt.run("main", &[]) {
-        Ok(o) => o,
-        Err(f) => {
-            eprintln!("njc runtime: VM fault: {f}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let failures = if json {
+    let out = rt.run("main", &[]).map_err(|f| format!("VM fault: {f}"))?;
+    let failures = if args.flag("--json") {
         let failures = verify_runtime_outcome(&out);
         print!(
             "{}",
@@ -447,12 +462,12 @@ fn runtime_main(args: &[String]) -> ExitCode {
         failures
     };
     if failures.is_empty() {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         for f in &failures {
             eprintln!("njc runtime: FAIL: {f}");
         }
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -680,57 +695,22 @@ fn service_json(
     .report()
 }
 
-fn service_main(args: &[String]) -> ExitCode {
-    use njc_runtime::{
-        RecoveryPolicy, RecoveryStrategy, ServiceConfig, ServiceRuntime, TenantSpec,
-    };
-    let mut file = None;
-    let mut platform = Platform::windows_ia32();
-    let mut tenants: Option<usize> = None;
-    let mut smoke = false;
-    let mut json = false;
-    let mut recover = RecoveryStrategy::Abort;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--platform" => match it.next().and_then(|s| parse_platform(s)) {
-                Some(p) => platform = p,
-                None => return usage(),
-            },
-            "--tenants" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => tenants = Some(n),
-                _ => return usage(),
-            },
-            "--recover" => match it.next().and_then(|s| RecoveryStrategy::parse(s)) {
-                Some(s) => recover = s,
-                None => return usage(),
-            },
-            "--json" => json = true,
-            "--smoke" => smoke = true,
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            _ => return usage(),
-        }
+fn service_main(argv: &[String]) -> Run {
+    use njc_runtime::{RecoveryPolicy, ServiceConfig, ServiceRuntime, TenantSpec};
+    let args = parse(
+        argv,
+        &["--json", "--smoke"],
+        &["--platform", "--tenants", "--recover"],
+        1,
+    )?;
+    let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
+    let tenants: Option<usize> = args.positive("--tenants")?;
+    let recover = args.recover()?.unwrap_or_default();
+    if args.flag("--smoke") {
+        return Ok(service_smoke(tenants.unwrap_or(12)));
     }
-    if smoke {
-        return service_smoke(tenants.unwrap_or(12));
-    }
-    let Some(file) = file else { return usage() };
-    let source = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("njc service: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let module = match load_module(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("njc service: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let n = tenants.unwrap_or(8);
-    let specs: Vec<TenantSpec> = (0..n)
+    let module = read_module(input_file(&args)?)?;
+    let specs: Vec<TenantSpec> = (0..tenants.unwrap_or(8))
         .map(|i| TenantSpec {
             name: format!("tenant-{i}"),
             module: module.clone(),
@@ -740,53 +720,39 @@ fn service_main(args: &[String]) -> ExitCode {
         })
         .collect();
     let service = ServiceRuntime::with_config(platform, ServiceConfig::for_platform(&platform));
-    let out = match service.run(&specs) {
-        Ok(o) => o,
-        Err(f) => {
-            eprintln!("njc service: VM fault: {f}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let out = service.run(&specs).map_err(|f| format!("VM fault: {f}"))?;
     let verify = out.verify();
-    if json {
+    if args.flag("--json") {
         print!("{}", service_json(&platform, recover, &out, verify.is_ok()));
-        return match verify {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(errs) => {
-                for e in errs {
-                    eprintln!("njc service: FAIL: {e}");
-                }
-                ExitCode::FAILURE
-            }
-        };
-    }
-    report_service_outcome(&out);
-    for t in &out.tenants {
-        println!(
-            "tenant {}: steady cycles = {}, traps = {}, explicit checks = {}, {} distinct cache key(s)",
-            t.name,
-            t.outcome.steady.stats.cycles,
-            t.outcome.steady.stats.traps_taken,
-            t.outcome.steady.stats.explicit_null_checks,
-            t.distinct_keys
-        );
-    }
-    if out.recoveries.total() > 0 {
-        println!(
-            "recovered: {} strict, {} nullobject, {} skipeffect across the fleet",
-            out.recoveries.strict, out.recoveries.null_object, out.recoveries.skip_effect
-        );
+    } else {
+        report_service_outcome(&out);
+        for t in &out.tenants {
+            println!(
+                "tenant {}: steady cycles = {}, traps = {}, explicit checks = {}, {} distinct cache key(s)",
+                t.name,
+                t.outcome.steady.stats.cycles,
+                t.outcome.steady.stats.traps_taken,
+                t.outcome.steady.stats.explicit_null_checks,
+                t.distinct_keys
+            );
+        }
+        if out.recoveries.total() > 0 {
+            println!(
+                "recovered: {} strict, {} nullobject, {} skipeffect across the fleet",
+                out.recoveries.strict, out.recoveries.null_object, out.recoveries.skip_effect
+            );
+        }
+        if verify.is_ok() {
+            println!("verify: every tenant reconciled and converged");
+        }
     }
     match verify {
-        Ok(()) => {
-            println!("verify: every tenant reconciled and converged");
-            ExitCode::SUCCESS
-        }
+        Ok(()) => Ok(ExitCode::SUCCESS),
         Err(errs) => {
             for e in errs {
                 eprintln!("njc service: FAIL: {e}");
             }
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -824,27 +790,17 @@ fn reconcile_counts(module: &Module, trace: &ModuleTrace, counts: &SiteCounters)
 /// Optimizes with tracing, optionally runs `main` with per-site counters,
 /// and reports: the requested explanation, the conservation verdict, and
 /// (after a run) the dynamic reconciliation verdict.
-#[allow(clippy::too_many_arguments)]
 fn explain_one(
     module: &Module,
     platform: &Platform,
-    kind: ConfigKind,
-    interproc: bool,
-    gvn: bool,
+    config: &OptConfig,
     fn_name: Option<&str>,
     check: Option<CheckId>,
     run: bool,
-    threads: usize,
     quiet: bool,
 ) -> Result<(PipelineStats, ModuleTrace), String> {
     let mut optimized = module.clone();
-    let config = OptConfig {
-        threads,
-        interproc,
-        gvn,
-        ..kind.to_config(platform)
-    };
-    let (stats, trace) = njc_opt::optimize_module_traced(&mut optimized, platform, &config);
+    let (stats, trace) = njc_opt::optimize_module_traced(&mut optimized, platform, config);
     trace.check_conservation()?;
     if !quiet {
         match fn_name {
@@ -897,7 +853,7 @@ fn explain_one(
         // offset, access kind, static offset, nearest surviving site) to
         // pull the responsible check's life story out of the optimizer
         // trace instead of surfacing a bare PC.
-        let em = njc_emit::emit_module(&njc_codegen::lower_module(&optimized), threads);
+        let em = njc_emit::emit_module(&njc_codegen::lower_module(&optimized), config.threads);
         match njc_emit::ByteMachine::new(&em, *platform).run("main") {
             Ok(mout) => {
                 if !quiet {
@@ -1023,16 +979,20 @@ fn explain_smoke(threads: usize) -> ExitCode {
     );
     let mut checked = 0usize;
     for (name, module) in &programs {
-        for (kind, platform, interproc, gvn) in cells {
-            match explain_one(
-                module, platform, *kind, *interproc, *gvn, None, None, true, threads, true,
-            ) {
+        for &(kind, platform, interproc, gvn) in cells {
+            let config = OptConfig {
+                threads,
+                interproc,
+                gvn,
+                ..kind.to_config(&platform)
+            };
+            match explain_one(module, &platform, &config, None, None, true, true) {
                 Ok(_) => checked += 1,
                 Err(e) => {
                     eprintln!(
                         "explain --smoke: {name} × {kind:?}{}{} on {}: {e}",
-                        if *interproc { "+interproc" } else { "" },
-                        if *gvn { "+gvn" } else { "" },
+                        if interproc { "+interproc" } else { "" },
+                        if gvn { "+gvn" } else { "" },
                         platform.name
                     );
                     return ExitCode::FAILURE;
@@ -1049,105 +1009,55 @@ fn explain_smoke(threads: usize) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn explain_main(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut fn_name: Option<String> = None;
-    let mut check: Option<CheckId> = None;
-    let mut kind = ConfigKind::Full;
-    let mut platform = Platform::windows_ia32();
-    let mut run = false;
-    let mut smoke = false;
-    let mut interproc = false;
-    let mut gvn = false;
-    let mut threads = 1usize;
-    let mut events_out: Option<std::path::PathBuf> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--config" => match it.next().and_then(|s| parse_config(s)) {
-                Some(k) => kind = k,
-                None => return usage(),
-            },
-            "--platform" => match it.next().and_then(|s| parse_platform(s)) {
-                Some(p) => platform = p,
-                None => return usage(),
-            },
-            "--interproc" => interproc = true,
-            "--gvn" => gvn = true,
-            "--run" => run = true,
-            "--smoke" => smoke = true,
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) => threads = n,
-                None => return usage(),
-            },
-            "--events-out" => match it.next() {
-                Some(p) => events_out = Some(std::path::PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(std::path::PathBuf::from(p)),
-                None => return usage(),
-            },
-            other if !other.starts_with('-') => {
-                if file.is_none() {
-                    file = Some(other.to_string());
-                } else if fn_name.is_none() {
-                    fn_name = Some(other.to_string());
-                } else if check.is_none() {
-                    match other.trim_start_matches('#').parse::<u32>() {
-                        Ok(n) => check = Some(CheckId(n)),
-                        Err(_) => return usage(),
-                    }
-                } else {
-                    return usage();
-                }
-            }
-            _ => return usage(),
-        }
-    }
-    if smoke {
-        return explain_smoke(threads);
-    }
-    let Some(file) = file else { return usage() };
-    let source = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("njc explain: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
+fn explain_main(argv: &[String]) -> Run {
+    let args = parse(
+        argv,
+        &["--interproc", "--gvn", "--run", "--smoke"],
+        &[
+            "--config",
+            "--platform",
+            "--threads",
+            "--events-out",
+            "--trace-out",
+        ],
+        3,
+    )?;
+    let kind = args.config()?.unwrap_or(ConfigKind::Full);
+    let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
+    let threads = args.threads()?.unwrap_or(1);
+    let check = match args.positional(2) {
+        Some(id) => match id.trim_start_matches('#').parse::<u32>() {
+            Ok(n) => Some(CheckId(n)),
+            Err(_) => return Err(args.error(format!("invalid check id `{id}`")).into()),
+        },
+        None => None,
     };
-    let module = match load_module(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("njc explain: {e}");
-            return ExitCode::FAILURE;
-        }
+    if args.flag("--smoke") {
+        return Ok(explain_smoke(threads));
+    }
+    let module = read_module(input_file(&args)?)?;
+    let config = OptConfig {
+        threads,
+        interproc: args.flag("--interproc"),
+        gvn: args.flag("--gvn"),
+        ..kind.to_config(&platform)
     };
-    match explain_one(
+    let (stats, trace) = explain_one(
         &module,
         &platform,
-        kind,
-        interproc,
-        gvn,
-        fn_name.as_deref(),
+        &config,
+        args.positional(1),
         check,
-        run,
-        threads,
+        args.flag("--run"),
         false,
-    ) {
-        Ok((stats, trace)) => {
-            if let Err(e) = write_outputs(&stats, &trace, &events_out, &trace_out) {
-                eprintln!("njc explain: {e}");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("njc explain: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    )?;
+    write_outputs(
+        &stats,
+        &trace,
+        &args.path("--events-out"),
+        &args.path("--trace-out"),
+    )?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Writes the deterministic event stream and/or the Chrome-trace profile.
@@ -1170,27 +1080,10 @@ fn write_outputs(
     Ok(())
 }
 
-fn parse_config(s: &str) -> Option<ConfigKind> {
-    Some(match s {
-        "full" => ConfigKind::Full,
-        "phase1" => ConfigKind::Phase1Only,
-        "old" => ConfigKind::OldNullCheck,
-        "trap" => ConfigKind::NoNullOptTrap,
-        "none" => ConfigKind::NoNullOptNoTrap,
-        "speculation" => ConfigKind::AixSpeculation,
-        "no-speculation" => ConfigKind::AixNoSpeculation,
-        "illegal-implicit" => ConfigKind::AixIllegalImplicit,
-        _ => return None,
-    })
-}
-
-fn parse_platform(s: &str) -> Option<Platform> {
-    Some(match s {
-        "ia32" | "windows" => Platform::windows_ia32(),
-        "aix" | "ppc" => Platform::aix_ppc(),
-        "s390" => Platform::linux_s390(),
-        _ => return None,
-    })
+/// Reads `path` and loads it with [`load_module`].
+fn read_module(path: &str) -> Result<Module, String> {
+    let source = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    load_module(&source)
 }
 
 /// Builds a module from the file's functions plus synthetic classes so
@@ -1334,66 +1227,24 @@ fn emit_one(
     Ok((em, census, bytes))
 }
 
-fn emit_main(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut kind = ConfigKind::Full;
-    let mut platform = Platform::windows_ia32();
-    let mut threads = 4usize;
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--config" => match it.next().and_then(|s| parse_config(s)) {
-                Some(k) => kind = k,
-                None => return usage(),
-            },
-            "--platform" => match it.next().and_then(|s| parse_platform(s)) {
-                Some(p) => platform = p,
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => threads = n,
-                _ => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(std::path::PathBuf::from(p)),
-                None => return usage(),
-            },
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            _ => return usage(),
-        }
-    }
-    let Some(file) = file else { return usage() };
-    let source = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("njc emit: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let module = match load_module(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("njc emit: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (em, _, bytes) = match emit_one(&module, &platform, kind, threads) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("njc emit: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let out_path = out.unwrap_or_else(|| {
-        std::path::Path::new(&file)
-            .with_extension("o")
-            .to_path_buf()
-    });
-    if let Err(e) = std::fs::write(&out_path, &bytes) {
-        eprintln!("njc emit: cannot write {}: {e}", out_path.display());
-        return ExitCode::FAILURE;
-    }
+fn emit_main(argv: &[String]) -> Run {
+    let args = parse(
+        argv,
+        &[],
+        &["--config", "--platform", "--threads", "--out"],
+        1,
+    )?;
+    let kind = args.config()?.unwrap_or(ConfigKind::Full);
+    let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
+    let threads = args.threads()?.unwrap_or(4);
+    let file = input_file(&args)?;
+    let module = read_module(file)?;
+    let (em, _, bytes) = emit_one(&module, &platform, kind, threads)?;
+    let out_path = args
+        .out()
+        .unwrap_or_else(|| std::path::Path::new(file).with_extension("o"));
+    std::fs::write(&out_path, &bytes)
+        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
     println!(
         "emitted {} functions, {} text bytes, {} exception sites ({} on {}) → {} ({} ELF bytes)",
         em.functions.len(),
@@ -1404,7 +1255,7 @@ fn emit_main(args: &[String]) -> ExitCode {
         out_path.display(),
         bytes.len(),
     );
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Verifies one emitted module and returns the findings (structural
@@ -1477,57 +1328,21 @@ fn verify_binary_smoke(threads: usize) -> ExitCode {
     }
 }
 
-fn verify_binary_main(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut kind = ConfigKind::Full;
-    let mut platform = Platform::windows_ia32();
-    let mut threads = 4usize;
-    let mut smoke = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--config" => match it.next().and_then(|s| parse_config(s)) {
-                Some(k) => kind = k,
-                None => return usage(),
-            },
-            "--platform" => match it.next().and_then(|s| parse_platform(s)) {
-                Some(p) => platform = p,
-                None => return usage(),
-            },
-            "--threads" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => threads = n,
-                _ => return usage(),
-            },
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            _ => return usage(),
-        }
+fn verify_binary_main(argv: &[String]) -> Run {
+    let args = parse(
+        argv,
+        &["--smoke"],
+        &["--config", "--platform", "--threads"],
+        1,
+    )?;
+    let kind = args.config()?.unwrap_or(ConfigKind::Full);
+    let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
+    let threads = args.threads()?.unwrap_or(4);
+    if args.flag("--smoke") {
+        return Ok(verify_binary_smoke(threads));
     }
-    if smoke {
-        return verify_binary_smoke(threads);
-    }
-    let Some(file) = file else { return usage() };
-    let source = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("njc verify-binary: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let module = match load_module(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("njc verify-binary: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (em, census, _) = match emit_one(&module, &platform, kind, threads) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("njc verify-binary: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let module = read_module(input_file(&args)?)?;
+    let (em, census, _) = emit_one(&module, &platform, kind, threads)?;
     let (report, findings) = verify_one_binary(&em, &census, &platform, threads);
     println!(
         "verified {} functions, {} site entries, {} handler ranges, {} silent-read sites ({} on {})",
@@ -1540,66 +1355,45 @@ fn verify_binary_main(args: &[String]) -> ExitCode {
     );
     if findings.is_empty() {
         println!("verify-binary: CLEAN");
-        ExitCode::SUCCESS
-    } else {
-        for f in &findings {
-            eprintln!("FINDING: {f}");
-        }
-        eprintln!("verify-binary: FAILED ({} findings)", findings.len());
-        ExitCode::FAILURE
+        return Ok(ExitCode::SUCCESS);
     }
+    for f in &findings {
+        eprintln!("FINDING: {f}");
+    }
+    eprintln!("verify-binary: FAILED ({} findings)", findings.len());
+    Ok(ExitCode::FAILURE)
 }
 
-fn recover_main(args: &[String]) -> ExitCode {
+fn recover_main(argv: &[String]) -> Run {
     use njc_bench::recover::{write_fixtures, RecoverReport, COMMITTED_SEEDS};
-    let mut json = false;
-    let mut write = false;
-    let mut smoke = false;
-    let mut seeds: Option<u64> = None;
-    let mut fixtures = std::path::PathBuf::from("tests/fixtures");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--write-fixtures" => write = true,
-            "--smoke" => smoke = true,
-            "--seeds" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => seeds = Some(n),
-                _ => return usage(),
-            },
-            "--fixtures" => match it.next() {
-                Some(p) => fixtures = std::path::PathBuf::from(p),
-                None => return usage(),
-            },
-            "--help" | "-h" => return usage(),
-            _ => return usage(),
-        }
-    }
-    if write {
-        return match write_fixtures(&fixtures, &COMMITTED_SEEDS) {
-            Ok(n) => {
-                println!(
-                    "njc recover: wrote {} fixture file(s) under {}",
-                    n,
-                    fixtures.display()
-                );
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("njc recover: cannot write fixtures: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    let args = parse(
+        argv,
+        &["--json", "--write-fixtures"],
+        &["--seeds", "--fixtures"],
+        0,
+    )?;
+    // The default runs the committed corpus; --seeds N sweeps fresh
+    // instances 0..N instead.
+    let seeds: Option<u64> = args.positive("--seeds")?;
+    let fixtures = args
+        .path("--fixtures")
+        .unwrap_or_else(|| "tests/fixtures".into());
+    if args.flag("--write-fixtures") {
+        let n = write_fixtures(&fixtures, &COMMITTED_SEEDS)
+            .map_err(|e| format!("cannot write fixtures: {e}"))?;
+        println!(
+            "njc recover: wrote {} fixture file(s) under {}",
+            n,
+            fixtures.display()
+        );
+        return Ok(ExitCode::SUCCESS);
     }
     let seed_list: Vec<u64> = match seeds {
-        // --smoke and the default both run the committed corpus; --seeds N
-        // extends the sweep to fresh instances 0..N on top of it.
         None => COMMITTED_SEEDS.to_vec(),
         Some(n) => (0..n).collect(),
     };
-    let _ = smoke; // --smoke is the committed-corpus run, which is the default
     let report = RecoverReport::run(&seed_list, &fixtures);
-    if json {
+    if args.flag("--json") {
         print!("{}", report.to_json());
     } else {
         for c in &report.cells {
@@ -1634,107 +1428,76 @@ fn recover_main(args: &[String]) -> ExitCode {
             }
         );
     }
-    if report.is_clean() {
+    Ok(if report.is_clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
+/// The default command: optimize one file and run and/or print it.
+fn compile_main(argv: &[String]) -> Run {
+    let args = parse(
+        argv,
+        &["--emit", "--run", "--all"],
+        &["--config", "--platform", "--events-out", "--trace-out"],
+        1,
+    )?;
+    let kind = args.config()?.unwrap_or(ConfigKind::Full);
+    let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
+    let module = read_module(input_file(&args)?)?;
+    let emit = args.flag("--emit");
+    let run = args.flag("--run") || !emit;
+    let (events_out, trace_out) = (args.path("--events-out"), args.path("--trace-out"));
+    if !args.flag("--all") {
+        return Ok(run_one(
+            &module,
+            &platform,
+            kind,
+            emit,
+            run,
+            &events_out,
+            &trace_out,
+        ));
+    }
+    let mut code = ExitCode::SUCCESS;
+    for k in ConfigKind::table12_rows() {
+        let c = run_one(&module, &platform, k, emit, run, &events_out, &trace_out);
+        if c != ExitCode::SUCCESS {
+            code = c;
+        }
+        println!();
+    }
+    Ok(code)
+}
+
+type Command = fn(&[String]) -> Run;
+
+const COMMANDS: [(&str, Command); 7] = [
+    ("difftest", difftest_main),
+    ("emit", emit_main),
+    ("verify-binary", verify_binary_main),
+    ("explain", explain_main),
+    ("runtime", runtime_main),
+    ("service", service_main),
+    ("recover", recover_main),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("difftest") {
-        return difftest_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("emit") {
-        return emit_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("verify-binary") {
-        return verify_binary_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("explain") {
-        return explain_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("runtime") {
-        return runtime_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("service") {
-        return service_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("recover") {
-        return recover_main(&args[1..]);
-    }
-    let mut file = None;
-    let mut kind = ConfigKind::Full;
-    let mut platform = Platform::windows_ia32();
-    let mut emit = false;
-    let mut run = false;
-    let mut all = false;
-    let mut events_out: Option<std::path::PathBuf> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--config" => match it.next().and_then(|s| parse_config(s)) {
-                Some(k) => kind = k,
-                None => return usage(),
-            },
-            "--platform" => match it.next().and_then(|s| parse_platform(s)) {
-                Some(p) => platform = p,
-                None => return usage(),
-            },
-            "--emit" => emit = true,
-            "--run" => run = true,
-            "--all" => all = true,
-            "--events-out" => match it.next() {
-                Some(p) => events_out = Some(std::path::PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--trace-out" => match it.next() {
-                Some(p) => trace_out = Some(std::path::PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--help" | "-h" => return usage(),
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            _ => return usage(),
-        }
-    }
-    let Some(file) = file else { return usage() };
-    if !emit && !run {
-        run = true;
-    }
-    let source = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("njc: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let command = COMMANDS
+        .iter()
+        .find(|(name, _)| argv.first().is_some_and(|a| a == name));
+    let (prefix, result) = match command {
+        Some((name, run)) => (format!("njc {name}"), run(&argv[1..])),
+        None => ("njc".to_string(), compile_main(&argv)),
     };
-    let module = match load_module(&source) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("njc: {e}");
-            return ExitCode::FAILURE;
+    match result {
+        Ok(code) => code,
+        Err(Stop::Usage(e)) => e.exit(),
+        Err(Stop::Error(e)) => {
+            eprintln!("{prefix}: {e}");
+            ExitCode::FAILURE
         }
-    };
-    if all {
-        let kinds = [
-            ConfigKind::Full,
-            ConfigKind::Phase1Only,
-            ConfigKind::OldNullCheck,
-            ConfigKind::NoNullOptTrap,
-            ConfigKind::NoNullOptNoTrap,
-        ];
-        let mut code = ExitCode::SUCCESS;
-        for k in kinds {
-            let c = run_one(&module, &platform, k, emit, run, &events_out, &trace_out);
-            if c != ExitCode::SUCCESS {
-                code = c;
-            }
-            println!();
-        }
-        code
-    } else {
-        run_one(&module, &platform, kind, emit, run, &events_out, &trace_out)
     }
 }
