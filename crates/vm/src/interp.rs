@@ -19,14 +19,14 @@
 //!   [`Fault::WildAccess`] (the real-world consequence of skipping a
 //!   "BigOffset" check, Figure 5 (1)).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use njc_arch::Platform;
 use njc_ir::{
     AccessKind, BlockId, CallTarget, ExceptionKind, Function, FunctionId, Inst, Module,
-    NullCheckKind, Op, Terminator, Type, VarId,
+    NullCheckKind, Op, Terminator, Type,
 };
 use njc_recover::{RecoveryCounts, RecoveryPolicy, RecoveryStrategy, ResumePoint};
 use njc_trap::{GuardedMemory, MemoryError};
@@ -73,32 +73,128 @@ impl Default for VmConfig {
 pub struct SiteCounters {
     /// Executions of each explicit null check instruction, keyed by
     /// `(function index, check id)`.
-    pub explicit_checks: std::collections::BTreeMap<(u32, u32), u64>,
+    pub explicit_checks: BTreeMap<(u32, u32), u64>,
     /// Hardware traps taken at marked exception sites, keyed by
     /// `(function index, block index, instruction index)`.
-    pub traps: std::collections::BTreeMap<(u32, u32, u32), u64>,
+    pub traps: BTreeMap<(u32, u32, u32), u64>,
     /// Block executions, keyed by `(function index, block index)`.
-    pub blocks: std::collections::BTreeMap<(u32, u32), u64>,
+    pub blocks: BTreeMap<(u32, u32), u64>,
     /// Nulls *caught* by an explicit check (the check threw), keyed by
     /// `(function index, check id)`. Together with [`trap_slots`] this
     /// gives a body-independent count of null arrivals: once a site is
     /// compiled explicit it stops trapping, so traps alone under-count.
     ///
     /// [`trap_slots`]: SiteCounters::trap_slots
-    pub check_nulls: std::collections::BTreeMap<(u32, u32), u64>,
+    pub check_nulls: BTreeMap<(u32, u32), u64>,
     /// Hardware traps keyed by *slot* — `(function index, field offset,
     /// access kind)` — instead of body coordinates. Block/instruction
     /// indices shift between compiled tiers of the same function; the slot
     /// key is stable across every tier, which is what lets a cumulative
     /// (timing-independent) profile assessment attribute traps taken under
     /// different installed bodies to the same site.
-    pub trap_slots: std::collections::BTreeMap<(u32, u64, AccessKind), u64>,
+    pub trap_slots: BTreeMap<(u32, u64, AccessKind), u64>,
     /// Traps *recovered* (any non-abort strategy) at marked sites, keyed
     /// like [`traps`](SiteCounters::traps) by `(function index, block
     /// index, instruction index)`. Every recovered trap is also counted in
     /// `traps`/`trap_slots`, so per site `recovered ≤ traps` — the
     /// conservation check `reconcile()` enforces.
-    pub recoveries: std::collections::BTreeMap<(u32, u32, u32), u64>,
+    pub recoveries: BTreeMap<(u32, u32, u32), u64>,
+}
+
+/// Indices at or past this count go to the [`SiteCounters`]-shaped map
+/// instead of a dense row: parsed IR may carry any check id, the
+/// `CheckId::NONE` sentinel (`u32::MAX`) included.
+const DENSE_LIMIT: u32 = 1 << 12;
+
+/// Makes `dst` equal to `src` in place. A VM's counter maps only ever gain
+/// keys, so once `dst` has caught up with a key set this allocates nothing.
+fn sync_map<K: Ord + Copy>(dst: &mut BTreeMap<K, u64>, src: &BTreeMap<K, u64>) {
+    for (&k, &n) in src {
+        dst.insert(k, n);
+    }
+    if dst.len() != src.len() {
+        dst.retain(|k, _| src.contains_key(k));
+    }
+}
+
+/// Which dense row set [`Counters::count`] bumps.
+#[derive(Clone, Copy)]
+enum Dense {
+    Blocks,
+    ExplicitChecks,
+    CheckNulls,
+}
+
+/// The VM's live per-site counters. The three bumped on every block or
+/// explicit check are dense rows per function, indexed by block or check
+/// id and grown on demand (a body swapped in mid-run may have more blocks
+/// than tier 0). The trap-path maps, and any index at or past [`DENSE_LIMIT`],
+/// stay in `sparse` in their [`SiteCounters`] shape. [`Counters::export`]
+/// folds the rows into that shape, omitting zeros, so it builds exactly
+/// the maps that bumping them directly would have built.
+#[derive(Clone, Debug, Default)]
+struct Counters {
+    blocks: Vec<Vec<u64>>,
+    explicit_checks: Vec<Vec<u64>>,
+    check_nulls: Vec<Vec<u64>>,
+    sparse: SiteCounters,
+}
+
+impl Counters {
+    fn count(&mut self, which: Dense, func: u32, index: u32) {
+        let (rows, map) = match which {
+            Dense::Blocks => (&mut self.blocks, &mut self.sparse.blocks),
+            Dense::ExplicitChecks => (&mut self.explicit_checks, &mut self.sparse.explicit_checks),
+            Dense::CheckNulls => (&mut self.check_nulls, &mut self.sparse.check_nulls),
+        };
+        if index >= DENSE_LIMIT {
+            *map.entry((func, index)).or_insert(0) += 1;
+            return;
+        }
+        let (f, i) = (func as usize, index as usize);
+        if rows.len() <= f {
+            rows.resize_with(f + 1, Vec::new);
+        }
+        let row = &mut rows[f];
+        if row.len() <= i {
+            row.resize(i + 1, 0);
+        }
+        row[i] += 1;
+    }
+
+    /// Makes `self` equal to `src`, reusing `self`'s allocations: rows are
+    /// copied in place, and map entries are overwritten rather than rebuilt.
+    fn copy_from(&mut self, src: &Counters) {
+        self.blocks.clone_from(&src.blocks);
+        self.explicit_checks.clone_from(&src.explicit_checks);
+        self.check_nulls.clone_from(&src.check_nulls);
+        let (dst, src) = (&mut self.sparse, &src.sparse);
+        sync_map(&mut dst.explicit_checks, &src.explicit_checks);
+        sync_map(&mut dst.traps, &src.traps);
+        sync_map(&mut dst.blocks, &src.blocks);
+        sync_map(&mut dst.check_nulls, &src.check_nulls);
+        sync_map(&mut dst.trap_slots, &src.trap_slots);
+        sync_map(&mut dst.recoveries, &src.recoveries);
+    }
+
+    /// The counters in their public [`SiteCounters`] shape.
+    fn export(&self) -> SiteCounters {
+        let mut out = self.sparse.clone();
+        for (rows, map) in [
+            (&self.blocks, &mut out.blocks),
+            (&self.explicit_checks, &mut out.explicit_checks),
+            (&self.check_nulls, &mut out.check_nulls),
+        ] {
+            for (f, row) in rows.iter().enumerate() {
+                for (i, &n) in row.iter().enumerate() {
+                    if n > 0 {
+                        map.insert((f as u32, i as u32), n);
+                    }
+                }
+            }
+        }
+        out
+    }
 }
 
 /// A point-in-time copy of a running VM's dynamic profile, published by
@@ -123,17 +219,23 @@ pub struct ProfileSnapshot {
 /// [`install`]s recompiled bodies. With no hooks attached the interpreter
 /// behaves exactly as before, cycle accounting included.
 ///
+/// Both directions are cheap for the VM. It reads the swap table through
+/// a VM-local cache that it refreshes only when the install version moves,
+/// and it publishes by copying its dense counters into a buffer here that
+/// keeps its allocations; [`snapshot`] builds the [`SiteCounters`] maps on
+/// the controller's side.
+///
 /// [`snapshot`]: RuntimeHooks::snapshot
 /// [`install`]: RuntimeHooks::install
 #[derive(Debug)]
 pub struct RuntimeHooks {
     /// Replacement bodies by function index, consulted at call entry.
     swap: Mutex<HashMap<u32, Arc<Function>>>,
-    /// Bumped on every install; zero means the swap table was never
-    /// touched, letting the VM skip the lock entirely.
+    /// Bumped on every install. The VM takes the lock only when this
+    /// differs from the version its body cache was filled at.
     version: AtomicU64,
-    /// Latest published profile.
-    profile: Mutex<ProfileSnapshot>,
+    /// Latest published counters and call count.
+    profile: Mutex<(Counters, u64)>,
     /// Safe points between profile publications.
     snapshot_interval: u64,
     /// Calls that entered a swapped body (mid-run tier switches observed).
@@ -150,7 +252,7 @@ impl RuntimeHooks {
         RuntimeHooks {
             swap: Mutex::new(HashMap::new()),
             version: AtomicU64::new(0),
-            profile: Mutex::new(ProfileSnapshot::default()),
+            profile: Mutex::new((Counters::default(), 0)),
             snapshot_interval: snapshot_interval.max(1),
             swapped_calls: AtomicU64::new(0),
             finished: AtomicBool::new(false),
@@ -163,14 +265,6 @@ impl RuntimeHooks {
     pub fn install(&self, index: u32, body: Arc<Function>) {
         self.swap.lock().unwrap().insert(index, body);
         self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// The replacement body for `index`, if one has been installed.
-    pub fn body(&self, index: u32) -> Option<Arc<Function>> {
-        if self.version.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        self.swap.lock().unwrap().get(&index).cloned()
     }
 
     /// Number of [`install`](Self::install) calls so far.
@@ -186,7 +280,11 @@ impl RuntimeHooks {
 
     /// The most recent profile the VM published.
     pub fn snapshot(&self) -> ProfileSnapshot {
-        self.profile.lock().unwrap().clone()
+        let (counters, calls) = self.profile.lock().unwrap().clone();
+        ProfileSnapshot {
+            counters: counters.export(),
+            calls,
+        }
     }
 
     /// Whether the attached VM's run is over (set even when the run
@@ -195,10 +293,10 @@ impl RuntimeHooks {
         self.finished.load(Ordering::Acquire)
     }
 
-    fn publish(&self, counters: &SiteCounters, calls: u64) {
+    fn publish(&self, counters: &Counters, calls: u64) {
         let mut p = self.profile.lock().unwrap();
-        p.counters = counters.clone();
-        p.calls = calls;
+        p.0.copy_from(counters);
+        p.1 = calls;
     }
 
     fn set_finished(&self) {
@@ -457,7 +555,13 @@ pub struct Vm<'m> {
     stats: RunStats,
     trace: Vec<Value>,
     events: Vec<ExceptionEvent>,
-    site_counts: SiteCounters,
+    counters: Counters,
+    /// Call frames returned by finished calls, reused by the next ones.
+    frames: Vec<Vec<Value>>,
+    /// Replacement bodies by function index, as of `swap_version`.
+    swap_cache: Vec<Option<Arc<Function>>>,
+    /// The hooks' install version `swap_cache` reflects.
+    swap_version: u64,
     /// Function currently executing (for site-counter keys).
     cur_func: u32,
     /// Index of the instruction currently executing within its block.
@@ -483,7 +587,10 @@ impl<'m> Vm<'m> {
             stats: RunStats::default(),
             trace: Vec::new(),
             events: Vec::new(),
-            site_counts: SiteCounters::default(),
+            counters: Counters::default(),
+            frames: Vec::new(),
+            swap_cache: Vec::new(),
+            swap_version: 0,
             cur_func: 0,
             cur_inst: 0,
             hooks: None,
@@ -544,7 +651,7 @@ impl<'m> Vm<'m> {
         self,
         function: &str,
         point: ResumePoint,
-        locals: Vec<Value>,
+        mut locals: Vec<Value>,
     ) -> Result<Outcome, Fault> {
         self.on_interp_thread(move |mut vm| {
             let id = vm
@@ -564,7 +671,7 @@ impl<'m> Vm<'m> {
                 ));
             }
             vm.cur_func = id.index() as u32;
-            let out = vm.run_frame(func, locals, 0, Some(point));
+            let out = vm.run_frame(func, &mut locals, 0, Some(point));
             vm.finish(out)
         })
     }
@@ -594,7 +701,7 @@ impl<'m> Vm<'m> {
         if let Some(h) = self.hooks {
             // Final (and on a fault, last-known) profile, then release any
             // controller polling for the end of the run.
-            h.publish(&self.site_counts, self.stats.calls);
+            h.publish(&self.counters, self.stats.calls);
             h.set_finished();
         }
         let (result, exception) = match out? {
@@ -608,7 +715,7 @@ impl<'m> Vm<'m> {
             events: self.events,
             heap_digest: self.heap.mem.digest(),
             stats: self.stats,
-            site_counts: self.site_counts,
+            site_counts: self.counters.export(),
         })
     }
 
@@ -617,21 +724,7 @@ impl<'m> Vm<'m> {
             .module
             .function_by_name(entry)
             .ok_or_else(|| Fault::NoSuchFunction(entry.to_string()))?;
-        // Entry arguments come from outside the program, so a wrong count
-        // is a structured verdict rather than a panic in frame setup.
-        let func = self.module.function(id);
-        if args.len() != func.params().len() {
-            return Err(Self::ill_typed(
-                func,
-                func.entry(),
-                format!(
-                    "entry arity: `{entry}` takes {} argument(s), got {}",
-                    func.params().len(),
-                    args.len()
-                ),
-            ));
-        }
-        self.call(id, args.to_vec(), 0)
+        self.call(id, args.len(), args.iter().copied(), 0)
     }
 
     /// A swap/publish safe point: bumps the tick counter and publishes the
@@ -641,18 +734,29 @@ impl<'m> Vm<'m> {
         self.ticks_since_publish += 1;
         if self.ticks_since_publish >= h.snapshot_interval {
             self.ticks_since_publish = 0;
-            h.publish(&self.site_counts, self.stats.calls);
+            h.publish(&self.counters, self.stats.calls);
         }
     }
 
-    /// The replacement body for `id` if the controller installed one.
-    fn swapped_body(&self, id: FunctionId) -> Option<Arc<Function>> {
+    /// The replacement body for `id` if the controller installed one. Reads
+    /// the VM-local cache, refilled from the swap table only when the
+    /// hooks' install version has moved since the last fill.
+    fn swapped_body(&mut self, id: FunctionId) -> Option<Arc<Function>> {
         let h = self.hooks?;
-        let body = h.body(id.index() as u32);
-        if body.is_some() {
-            h.swapped_calls.fetch_add(1, Ordering::Relaxed);
+        let version = h.version.load(Ordering::Acquire);
+        if version != self.swap_version {
+            self.swap_version = version;
+            for (&index, body) in h.swap.lock().unwrap().iter() {
+                let index = index as usize;
+                if self.swap_cache.len() <= index {
+                    self.swap_cache.resize(index + 1, None);
+                }
+                self.swap_cache[index] = Some(Arc::clone(body));
+            }
         }
-        body
+        let body = self.swap_cache.get(id.index()).cloned().flatten()?;
+        h.swapped_calls.fetch_add(1, Ordering::Relaxed);
+        Some(body)
     }
 
     fn charge(&mut self, cycles: u64) {
@@ -672,11 +776,12 @@ impl<'m> Vm<'m> {
     }
 
     /// Structured verdict for an ill-typed operand in an unverified module.
-    fn ill_typed(func: &Function, block: BlockId, detail: String) -> Fault {
+    #[cold]
+    fn ill_typed(func: &Function, block: BlockId, detail: impl std::fmt::Display) -> Fault {
         Fault::IllTyped {
             function: func.name().to_string(),
             block,
-            detail,
+            detail: detail.to_string(),
         }
     }
 
@@ -689,15 +794,18 @@ impl<'m> Vm<'m> {
         }
     }
 
+    /// Calls `id` with `count` actuals, which are written straight into a
+    /// pooled callee frame.
     fn call(
         &mut self,
         id: FunctionId,
-        args: Vec<Value>,
+        count: usize,
+        actuals: impl Iterator<Item = Value>,
         depth: usize,
     ) -> Result<CallOutcome, Fault> {
         let saved = self.cur_func;
         self.cur_func = id.index() as u32;
-        let out = self.call_inner(id, args, depth);
+        let out = self.call_inner(id, count, actuals, depth);
         self.cur_func = saved;
         out
     }
@@ -705,7 +813,8 @@ impl<'m> Vm<'m> {
     fn call_inner(
         &mut self,
         id: FunctionId,
-        args: Vec<Value>,
+        count: usize,
+        actuals: impl Iterator<Item = Value>,
         depth: usize,
     ) -> Result<CallOutcome, Fault> {
         if depth > self.config.max_depth {
@@ -715,14 +824,28 @@ impl<'m> Vm<'m> {
         let swapped = self.swapped_body(id);
         let module = self.module;
         let func: &Function = swapped.as_deref().unwrap_or_else(|| module.function(id));
-        let mut locals: Vec<Value> = func
-            .var_types()
-            .iter()
-            .map(|&t| Value::default_of(t))
-            .collect();
-        debug_assert_eq!(args.len(), func.params().len(), "{}", func.name());
-        locals[..args.len()].copy_from_slice(&args);
-        self.run_frame(func, locals, depth, None)
+        // Entry arguments come from outside the program and call sites
+        // from unverified modules, so a wrong count is a structured
+        // verdict rather than a panic in frame setup.
+        if count != func.params().len() {
+            return Err(Self::ill_typed(
+                func,
+                func.entry(),
+                format_args!(
+                    "arity: `{}` takes {} argument(s), got {count}",
+                    func.name(),
+                    func.params().len()
+                ),
+            ));
+        }
+        let mut frame = self.frames.pop().unwrap_or_default();
+        frame.clear();
+        frame.extend(actuals);
+        let defaults = func.var_types().iter().skip(count);
+        frame.extend(defaults.map(|&t| Value::default_of(t)));
+        let out = self.run_frame(func, &mut frame, depth, None);
+        self.frames.push(frame);
+        out
     }
 
     /// The frame loop: executes `func` block by block with try-region
@@ -732,14 +855,14 @@ impl<'m> Vm<'m> {
     fn run_frame(
         &mut self,
         func: &Function,
-        mut locals: Vec<Value>,
+        locals: &mut [Value],
         depth: usize,
         resume: Option<ResumePoint>,
     ) -> Result<CallOutcome, Fault> {
         let mut block_id = resume.map_or_else(|| func.entry(), |p| p.block);
         let mut resume_at = resume.map(|p| p.inst);
         loop {
-            let exit = self.exec_block(func, block_id, &mut locals, depth, resume_at.take())?;
+            let exit = self.exec_block(func, block_id, locals, depth, resume_at.take())?;
             match exit {
                 BlockExit::Jump(next) => block_id = next,
                 BlockExit::Return(v) => return Ok(CallOutcome::Return(v)),
@@ -779,11 +902,8 @@ impl<'m> Vm<'m> {
         let block = func.block(block_id);
         self.safe_point();
         if self.config.count_sites {
-            *self
-                .site_counts
-                .blocks
-                .entry((self.cur_func, block_id.index() as u32))
-                .or_insert(0) += 1;
+            self.counters
+                .count(Dense::Blocks, self.cur_func, block_id.index() as u32);
         }
         for (i, inst) in block.insts.iter().enumerate().skip(resume_at.unwrap_or(0)) {
             self.fuel()?;
@@ -1080,19 +1200,12 @@ impl<'m> Vm<'m> {
                     self.charge(cost.explicit_null_check);
                     self.stats.explicit_null_checks += 1;
                     if self.config.count_sites {
-                        *self
-                            .site_counts
-                            .explicit_checks
-                            .entry((self.cur_func, id.0))
-                            .or_insert(0) += 1;
+                        self.counters
+                            .count(Dense::ExplicitChecks, self.cur_func, id.0);
                     }
                     if locals[var.index()].is_null() {
                         if self.config.count_sites {
-                            *self
-                                .site_counts
-                                .check_nulls
-                                .entry((self.cur_func, id.0))
-                                .or_insert(0) += 1;
+                            self.counters.count(Dense::CheckNulls, self.cur_func, id.0);
                         }
                         self.charge(cost.throw_dispatch);
                         return Ok(Some(self.raise(ExceptionKind::NullPointer, func, block_id)));
@@ -1311,7 +1424,16 @@ impl<'m> Vm<'m> {
                         }
                         // Dispatch reads the object header at offset 0.
                         self.stats.loads += 1;
-                        let base = locals[receiver.expect("virtual call receiver").index()]
+                        let Some(receiver) = receiver else {
+                            return Err(Self::ill_typed(
+                                func,
+                                block_id,
+                                format_args!(
+                                    "call arity: virtual call of `{method}` has no receiver"
+                                ),
+                            ));
+                        };
+                        let base = locals[receiver.index()]
                             .try_ref_addr()
                             .map_err(|e| Self::ill_typed(func, block_id, e))?;
                         match self.mem_read(func, block_id, base, *exception_site)? {
@@ -1344,12 +1466,9 @@ impl<'m> Vm<'m> {
                         }
                     }
                 };
-                let mut actuals: Vec<Value> = Vec::with_capacity(args.len() + 1);
-                if let Some(r) = receiver {
-                    actuals.push(locals[r.index()]);
-                }
-                actuals.extend(args.iter().map(|a| locals[a.index()]));
-                match self.call(callee, actuals, depth + 1)? {
+                let count = usize::from(receiver.is_some()) + args.len();
+                let actuals = receiver.iter().chain(args).map(|a| locals[a.index()]);
+                match self.call(callee, count, actuals, depth + 1)? {
                     CallOutcome::Return(v) => {
                         if let (Some(d), Some(v)) = (dst, v) {
                             locals[d.index()] = v;
@@ -1380,7 +1499,6 @@ impl<'m> Vm<'m> {
                 self.trace.push(locals[var.index()]);
             }
         }
-        let _ = VarId::new(0);
         Ok(None)
     }
 
@@ -1409,15 +1527,14 @@ impl<'m> Vm<'m> {
                         .get(self.cur_inst as usize)
                         .and_then(|inst| inst.slot_access(|f| self.module.field_offset(f)));
                     if self.config.count_sites {
-                        *self
-                            .site_counts
+                        let sparse = &mut self.counters.sparse;
+                        *sparse
                             .traps
                             .entry((self.cur_func, block_id.index() as u32, self.cur_inst))
                             .or_insert(0) += 1;
                         if let Some(sa) = slot {
                             if let Some(off) = sa.offset {
-                                *self
-                                    .site_counts
+                                *sparse
                                     .trap_slots
                                     .entry((self.cur_func, off, sa.kind))
                                     .or_insert(0) += 1;
@@ -1460,7 +1577,8 @@ impl<'m> Vm<'m> {
             self.stats.recoveries.record(strategy);
             if self.config.count_sites {
                 *self
-                    .site_counts
+                    .counters
+                    .sparse
                     .recoveries
                     .entry((self.cur_func, block_id.index() as u32, self.cur_inst))
                     .or_insert(0) += 1;
@@ -1570,4 +1688,35 @@ pub fn run_module(
     args: &[Value],
 ) -> Result<Outcome, Fault> {
     Vm::new(module, platform).run(entry, args)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use njc_ir::parse_function;
+
+    #[test]
+    fn stack_overflow_unwind_returns_every_frame_to_the_pool() {
+        let mut m = Module::new("t");
+        m.add_function(
+            parse_function("func r(v0: int) -> int {\n  locals v1: int\nbb0:\n  v1 = call fn0(v0)\n  return v1\n}").unwrap(),
+        );
+        m.add_function(parse_function("func id(v0: int) -> int {\nbb0:\n  return v0\n}").unwrap());
+        let mut vm = Vm::new(&m, Platform::windows_ia32()).with_config(VmConfig {
+            max_depth: 8,
+            ..VmConfig::default()
+        });
+        let err = vm
+            .call(FunctionId::new(0), 1, [Value::Int(0)].into_iter(), 0)
+            .err();
+        assert_eq!(err, Some(Fault::StackOverflow));
+        assert_eq!(
+            vm.frames.len(),
+            9,
+            "depths 0..=8 each gave their frame back"
+        );
+        let out = vm.call(FunctionId::new(1), 1, [Value::Int(7)].into_iter(), 0);
+        assert!(matches!(out, Ok(CallOutcome::Return(Some(Value::Int(7))))));
+        assert_eq!(vm.frames.len(), 9, "the next call reused a pooled frame");
+    }
 }

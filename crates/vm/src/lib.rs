@@ -31,7 +31,7 @@ pub use interp::{
     run_module, ExceptionEvent, Fault, Outcome, ProfileSnapshot, RunStats, RuntimeHooks,
     SiteCounters, Vm, VmConfig, VmError,
 };
-pub use value::Value;
+pub use value::{Mismatch, Value};
 
 #[cfg(test)]
 mod tests {
@@ -547,8 +547,10 @@ mod tests {
         );
         let policy =
             njc_recover::RecoveryPolicy::uniform(njc_recover::RecoveryStrategy::NullObject);
+        let hooks = RuntimeHooks::new(1);
         let out = Vm::new(&m, win())
             .with_recovery(&policy)
+            .with_hooks(&hooks)
             .with_config(VmConfig {
                 count_sites: true,
                 ..VmConfig::default()
@@ -561,6 +563,31 @@ mod tests {
             Some(&1),
             "a recovered trap still counts as a trap at the same site"
         );
+        assert_eq!(
+            hooks.snapshot().counters,
+            out.site_counts,
+            "the published profile carries the trap-path counters"
+        );
+    }
+
+    #[test]
+    fn unassigned_check_ids_are_counted_under_the_sentinel() {
+        // Hand-written IR leaves check ids at `CheckId::NONE` (u32::MAX);
+        // counting must neither size a row by it nor drop it.
+        let m = module_with(
+            "func main(v0: ref) -> int {\n  locals v1: int\nbb0:\n  nullcheck v0\n  v1 = getfield v0, field0\n  nullcheck v0\n  return v1\n}",
+        );
+        let out = Vm::new(&m, win())
+            .with_config(VmConfig {
+                count_sites: true,
+                ..VmConfig::default()
+            })
+            .run("main", &[Value::Ref(0)])
+            .unwrap();
+        let none = njc_ir::CheckId::NONE.0;
+        assert_eq!(out.site_counts.explicit_checks.get(&(0, none)), Some(&1));
+        assert_eq!(out.site_counts.check_nulls.get(&(0, none)), Some(&1));
+        assert_eq!(out.site_counts.blocks.get(&(0, 0)), Some(&1));
     }
 
     #[test]
@@ -625,6 +652,149 @@ mod tests {
                 args.len()
             );
         }
+    }
+
+    /// `main(v0: int)` calls `callee` (fn0) with `args`; `parse_function`
+    /// accepts any count.
+    fn call_site_arity_module(callee: &str, args: &str) -> Module {
+        let mut m = Module::new("t");
+        m.add_function(parse_function(callee).unwrap());
+        m.add_function(
+            parse_function(&format!(
+                "func main(v0: int) -> int {{\n  locals v1: int\nbb0:\n  v1 = call fn0({args})\n  return v1\n}}"
+            ))
+            .unwrap(),
+        );
+        m
+    }
+
+    #[test]
+    fn wrong_call_site_arity_is_a_structured_fault() {
+        // Too many actuals used to panic copying them into the frame; too
+        // few panicked in debug builds and zero-filled in release.
+        let nullary = "func f() -> int {\n  locals v0: int\nbb0:\n  v0 = const 1\n  return v0\n}";
+        let binary = "func g(v0: int, v1: int) -> int {\nbb0:\n  return v1\n}";
+        for (callee, args) in [(nullary, "v0, v0, v0"), (binary, "v0")] {
+            let m = call_site_arity_module(callee, args);
+            let err = run_module(&m, win(), "main", &[Value::Int(1)]).unwrap_err();
+            assert!(
+                matches!(&err, Fault::IllTyped { detail, .. } if detail.contains("arity")),
+                "{args}: {err}"
+            );
+        }
+        let m = call_site_arity_module(binary, "v0, v0");
+        let out = run_module(&m, win(), "main", &[Value::Int(1)]).unwrap();
+        assert_eq!(out.result, Some(Value::Int(1)), "the matching count runs");
+    }
+
+    #[test]
+    fn virtual_call_without_receiver_is_a_structured_fault() {
+        let mut m = Module::new("t");
+        let a = m.add_class("A", &[]);
+        m.add_method(
+            a,
+            "get",
+            parse_function("func A_get(v0: ref) -> int instance {\n  locals v1: int\nbb0:\n  v1 = const 1\n  return v1\n}").unwrap(),
+        );
+        m.add_function(
+            parse_function(
+                "func main(v0: ref) -> int {\n  locals v1: int\nbb0:\n  v0 = new class0\n  v1 = vcall class0.get(v0)\n  return v1\n}",
+            )
+            .unwrap(),
+        );
+        let err = run_module(&m, win(), "main", &[Value::Ref(0)]).unwrap_err();
+        assert!(
+            matches!(&err, Fault::IllTyped { detail, .. } if detail.contains("arity")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn pooled_frames_start_callee_locals_at_typed_defaults() {
+        // `fill` leaves non-null refs in locals 1-4 of its frame; `read`,
+        // entered next through the same pooled buffer, must still see its
+        // int, float and ref locals there at their typed defaults.
+        let mut m = Module::new("t");
+        m.add_class("C", &[("x", Type::Int)]);
+        m.add_function(
+            parse_function("func fill(v0: int) -> int {\n  locals v1: ref v2: ref v3: ref v4: ref\nbb0:\n  v1 = new class0\n  v2 = new class0\n  v3 = new class0\n  v4 = new class0\n  return v0\n}").unwrap(),
+        );
+        m.add_function(
+            parse_function("func read(v0: int) -> int {\n  locals v1: int v2: float v3: ref v4: int\nbb0:\n  observe v1\n  observe v2\n  observe v3\n  observe v4\n  return v0\n}").unwrap(),
+        );
+        m.add_function(
+            parse_function("func main(v0: int) -> int {\n  locals v1: int\nbb0:\n  v1 = call fn0(v0)\n  v1 = call fn1(v0)\n  v1 = call fn0(v0)\n  v1 = call fn1(v0)\n  return v1\n}").unwrap(),
+        );
+        njc_ir::verify_module(&m).unwrap();
+        let out = run_module(&m, win(), "main", &[Value::Int(9)]).unwrap();
+        let defaults = [
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Ref(0),
+            Value::Int(0),
+        ];
+        assert_eq!(out.trace, [defaults, defaults].concat());
+        assert_eq!(out.result, Some(Value::Int(9)));
+    }
+
+    #[test]
+    fn resumed_frame_calls_through_the_pool() {
+        // A deopt resume enters its frame from outside the pool; the calls
+        // it makes afterwards take and return pooled frames as usual.
+        let mut m = call_loop_module();
+        m.add_function(
+            parse_function("func entry(v0: ref, v1: int) -> int {\n  locals v2: int v3: int\nbb0:\n  v2 = getfield v0, field0 [site]\n  v3 = call fn1(v1)\n  v2 = call fn0(v1)\n  v3 = call fn0(v2)\n  return v3\n}").unwrap(),
+        );
+        m.add_class("C", &[("x", Type::Int)]);
+        let point = njc_recover::ResumePoint {
+            block: njc_ir::BlockId(0),
+            inst: 1,
+        };
+        let out = Vm::new(&m, win())
+            .resume(
+                "entry",
+                point,
+                vec![Value::Ref(0), Value::Int(3), Value::Int(0), Value::Int(0)],
+            )
+            .unwrap();
+        // `main(3)` observes 0, 2, 4; then 3 → 6 → 12.
+        assert_eq!(out.trace, vec![Value::Int(0), Value::Int(2), Value::Int(4)]);
+        assert_eq!(out.result, Some(Value::Int(12)));
+    }
+
+    #[test]
+    fn swapped_body_with_more_blocks_counts_under_its_own_block_ids() {
+        let m = call_loop_module();
+        let hooks = RuntimeHooks::new(1);
+        // Tier 0's helper has one block; this replacement has three.
+        hooks.install(
+            0,
+            std::sync::Arc::new(
+                parse_function("func helper(v0: int) -> int {\n  locals v1: int\nbb0:\n  goto bb1\nbb1:\n  goto bb2\nbb2:\n  v1 = add.int v0, v0\n  return v1\n}")
+                    .unwrap(),
+            ),
+        );
+        let out = Vm::new(&m, win())
+            .with_hooks(&hooks)
+            .with_config(VmConfig {
+                count_sites: true,
+                ..VmConfig::default()
+            })
+            .run("main", &[Value::Int(4)])
+            .unwrap();
+        let helper: Vec<_> = out
+            .site_counts
+            .blocks
+            .iter()
+            .filter(|((f, _), _)| *f == 0)
+            .map(|(&(_, b), &n)| (b, n))
+            .collect();
+        assert_eq!(helper, vec![(0, 4), (1, 4), (2, 4)]);
+        assert_eq!(
+            hooks.snapshot().counters,
+            out.site_counts,
+            "the final publish exports the same maps"
+        );
     }
 
     #[test]

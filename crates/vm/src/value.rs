@@ -58,40 +58,49 @@ impl Value {
         }
     }
 
-    /// The integer payload, or a description of what was found instead.
-    /// The interpreter uses this for operands of instructions that an
+    /// The integer payload, or the [`Mismatch`] found instead. The
+    /// interpreter uses this for operands of instructions that an
     /// unverified (hostile or fuzzer-generated) module may have ill-typed;
-    /// the error becomes a structured `VmError::IllTyped` rather than a
+    /// the mismatch becomes a structured `VmError::IllTyped` rather than a
     /// process-killing panic.
     ///
     /// # Errors
-    /// A human-readable description of the mismatched value.
-    pub fn try_int(self) -> Result<i64, String> {
+    /// The mismatched value, rendered only when the fault is reported.
+    pub fn try_int(self) -> Result<i64, Mismatch> {
         match self {
             Value::Int(v) => Ok(v),
-            other => Err(format!("expected int, got {other:?}")),
+            found => Err(Mismatch {
+                expected: Type::Int,
+                found,
+            }),
         }
     }
 
-    /// The float payload, or a description of the mismatch.
+    /// The float payload, or the [`Mismatch`] found instead.
     ///
     /// # Errors
     /// See [`Self::try_int`].
-    pub fn try_float(self) -> Result<f64, String> {
+    pub fn try_float(self) -> Result<f64, Mismatch> {
         match self {
             Value::Float(v) => Ok(v),
-            other => Err(format!("expected float, got {other:?}")),
+            found => Err(Mismatch {
+                expected: Type::Float,
+                found,
+            }),
         }
     }
 
-    /// The reference payload, or a description of the mismatch.
+    /// The reference payload, or the [`Mismatch`] found instead.
     ///
     /// # Errors
     /// See [`Self::try_int`].
-    pub fn try_ref_addr(self) -> Result<u64, String> {
+    pub fn try_ref_addr(self) -> Result<u64, Mismatch> {
         match self {
             Value::Ref(a) => Ok(a),
-            other => Err(format!("expected ref, got {other:?}")),
+            found => Err(Mismatch {
+                expected: Type::Ref,
+                found,
+            }),
         }
     }
 
@@ -116,6 +125,24 @@ impl Value {
             Type::Float => Value::Float(f64::from_bits(bits)),
             Type::Ref => Value::Ref(bits),
         }
+    }
+}
+
+/// An operand of the wrong kind: what a `try_*` accessor expected and the
+/// value it found. `Copy` and allocation-free, so the checked operand path
+/// costs a tag compare; [`Display`](std::fmt::Display) renders the
+/// `IllTyped` detail (`expected int, got Float(1.0)`) on the cold path only.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Mismatch {
+    /// The kind the instruction required.
+    pub expected: Type,
+    /// The value actually in the operand.
+    pub found: Value,
+}
+
+impl std::fmt::Display for Mismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "expected {}, got {:?}", self.expected, self.found)
     }
 }
 
@@ -146,6 +173,23 @@ mod tests {
         assert!(Value::Ref(0).is_null());
         assert!(!Value::Ref(8).is_null());
         assert!(!Value::Int(0).is_null());
+    }
+
+    #[test]
+    fn mismatch_renders_the_expected_and_found_kinds() {
+        assert_eq!(
+            Value::Float(1.0).try_int().unwrap_err().to_string(),
+            "expected int, got Float(1.0)"
+        );
+        assert_eq!(
+            Value::Ref(8).try_float().unwrap_err().to_string(),
+            "expected float, got Ref(8)"
+        );
+        assert_eq!(
+            Value::Int(3).try_ref_addr().unwrap_err().to_string(),
+            "expected ref, got Int(3)"
+        );
+        assert_eq!(Value::Int(3).try_int(), Ok(3));
     }
 
     #[test]

@@ -243,6 +243,42 @@ fn ill_typed_convert_of_ref_is_a_structured_fault() {
     );
 }
 
+#[test]
+fn ill_typed_operand_detail_names_expected_kind_and_found_value() {
+    // Entry arguments are not type-checked, so a verified module fed a
+    // value of the wrong kind reaches each operand accessor's mismatch
+    // path. The detail text is part of the structured verdict.
+    let cases: [(&str, Value, &str); 3] = [
+        (
+            "func main(v0: int) -> int {\n  locals v1: int\nbb0:\n  v1 = add.int v0, v0\n  return v1\n}",
+            Value::Float(1.0),
+            "expected int, got Float(1.0)",
+        ),
+        (
+            "func main(v0: float) -> float {\n  locals v1: float\nbb0:\n  v1 = neg.float v0\n  return v1\n}",
+            Value::Int(3),
+            "expected float, got Int(3)",
+        ),
+        (
+            "func main(v0: ref) -> int {\n  locals v1: int\nbb0:\n  v1 = getfield v0, field0 [site]\n  return v1\n}",
+            Value::Int(5),
+            "expected ref, got Int(5)",
+        ),
+    ];
+    for (src, arg, want) in cases {
+        let m = module_with(&[src]);
+        let fault = run_module(&m, win(), "main", &[arg]).unwrap_err();
+        match &fault {
+            njc_vm::Fault::IllTyped { detail, .. } => assert_eq!(detail, want),
+            other => panic!("expected IllTyped, got {other:?}"),
+        }
+        assert_eq!(
+            fault.to_string(),
+            format!("ill-typed instruction in main/bb0: {want}")
+        );
+    }
+}
+
 /// An unmarked array load off a null base whose effective address
 /// mathematically overflows u64 (index 2^61 + 14 → EA 2^64 + 128).
 fn wrap_around_load() -> Module {
