@@ -657,6 +657,7 @@ fn machine_fault_label(f: &MachineFault) -> &'static str {
         MachineFault::StackOverflow => "stack-overflow",
         MachineFault::BadDispatch { .. } => "bad-dispatch",
         MachineFault::NoSuchFunction(_) => "no-such-function",
+        MachineFault::BadCode { .. } => "bad-code",
     }
 }
 

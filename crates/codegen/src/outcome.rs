@@ -59,6 +59,18 @@ pub enum MachineFault {
     },
     /// Unknown entry function.
     NoSuchFunction(String),
+    /// Executed bytes outside the emitted subset: an undecodable
+    /// instruction, padding, a call outside every function, an unemitted
+    /// jump condition, compare predicate, service id or tag, or an `idiv`
+    /// whose guard was skipped.
+    BadCode {
+        /// The function executing when the bad instruction was reached.
+        function: String,
+        /// The instruction's absolute `.text` offset.
+        pc: usize,
+        /// What was wrong with it.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for MachineFault {
@@ -98,6 +110,14 @@ impl std::fmt::Display for MachineFault {
             MachineFault::StackOverflow => write!(f, "machine call depth exceeded"),
             MachineFault::BadDispatch { method } => write!(f, "dispatch of `{method}` failed"),
             MachineFault::NoSuchFunction(n) => write!(f, "no function `{n}`"),
+            MachineFault::BadCode {
+                function,
+                pc,
+                detail,
+            } => write!(
+                f,
+                "bad code at .text offset {pc:#x} in {function}: {detail}"
+            ),
         }
     }
 }

@@ -10,6 +10,12 @@
 //! observation trace, trap/check/missed-NPE counters — must match the IR
 //! interpreter (`njc-vm`) running the same optimized module; the difftest
 //! harness holds it to that.
+//!
+//! Each run decodes an instruction once: the first time execution reaches
+//! a pc, [`decode_one`] fills that pc's entry in a per-run table (with the
+//! callee of a `call` resolved alongside), and every later visit
+//! dispatches from the table. Bytes outside the emitted subset are a
+//! [`MachineFault::BadCode`], never a panic.
 
 use njc_arch::Platform;
 use njc_codegen::{MValue, MachineFault, MachineOutcome, MachineStats};
@@ -72,8 +78,30 @@ struct Frame {
     rbp_restore: u64,
 }
 
+/// One decoded instruction, with the callee's function index resolved
+/// for a `call`.
+#[derive(Clone, Copy)]
+struct Decoded {
+    dec: Dec,
+    callee: u32,
+}
+
+/// Low bits of a decode-table entry holding the instruction's byte
+/// length (every emitted instruction is 1..=10 bytes); the rest index
+/// `decoded`.
+const LEN_BITS: u32 = 4;
+const LEN_MASK: u32 = (1 << LEN_BITS) - 1;
+
 struct Exec<'m> {
     em: &'m EmittedModule,
+    /// The decode table, indexed by absolute `.text` offset: 0 until
+    /// execution first reaches that pc, then the instruction's index in
+    /// `decoded` above its byte length ([`LEN_MASK`]). Filled lazily by
+    /// pc, so a jump to any offset decodes exactly what [`decode_one`]
+    /// decodes there. The length sits in the entry itself so that the
+    /// next pc never waits on the `decoded` load.
+    at: Vec<u32>,
+    decoded: Vec<Decoded>,
     mem: GuardedMemory,
     stats: MachineStats,
     trace: Vec<MValue>,
@@ -175,6 +203,8 @@ impl<'m> ByteMachine<'m> {
         let f = &self.em.functions[fidx];
         let mut exec = Exec {
             em: self.em,
+            at: vec![0; self.em.text.len()],
+            decoded: Vec::new(),
             mem: GuardedMemory::new(self.platform.trap),
             stats: MachineStats::default(),
             trace: Vec::new(),
@@ -262,6 +292,46 @@ impl Exec<'_> {
         }
     }
 
+    /// A [`MachineFault::BadCode`] at the current pc.
+    #[cold]
+    fn bad_code(&self, detail: impl Into<String>) -> MachineFault {
+        MachineFault::BadCode {
+            function: self.func().name.clone(),
+            pc: self.pc,
+            detail: detail.into(),
+        }
+    }
+
+    /// Decodes the instruction at the current pc into the table and
+    /// returns its entry: the miss path of the run loop, taken once per
+    /// executed pc per run.
+    #[cold]
+    fn fill(&mut self) -> Result<u32, MachineFault> {
+        let (dec, len) =
+            decode_one(&self.em.text, self.pc).map_err(|e| self.bad_code(e.to_string()))?;
+        let callee = match dec {
+            Dec::Call { rel } => {
+                let target = (self.pc + len) as i64 + i64::from(rel);
+                let callee = u32::try_from(target)
+                    .ok()
+                    .and_then(|t| self.em.function_at(t))
+                    .ok_or_else(|| {
+                        self.bad_code(format!("call outside every function at {target:#x}"))
+                    })?;
+                callee as u32
+            }
+            _ => 0,
+        };
+        let index = self.decoded.len() as u32;
+        if index >> (32 - LEN_BITS) != 0 {
+            return Err(self.bad_code("more instructions than the decode table indexes"));
+        }
+        let entry = index << LEN_BITS | len as u32;
+        self.decoded.push(Decoded { dec, callee });
+        self.at[self.pc] = entry;
+        Ok(entry)
+    }
+
     fn unexpected_trap(&self, kind: AccessKind, offset: Option<u64>) -> MachineFault {
         let f = self.func();
         let rel = self.pc - f.text_off as usize;
@@ -345,9 +415,12 @@ impl Exec<'_> {
             if self.stats.insts > self.fuel {
                 return Err(MachineFault::OutOfFuel);
             }
-            let (dec, len) = decode_one(&self.em.text, self.pc)
-                .unwrap_or_else(|e| panic!("emitted bytes must decode: {e}"));
-            let next = self.pc + len;
+            let entry = match self.at.get(self.pc) {
+                Some(&e) if e != 0 => e,
+                _ => self.fill()?,
+            };
+            let next = self.pc + (entry & LEN_MASK) as usize;
+            let d = self.decoded[(entry >> LEN_BITS) as usize];
             // Shorthand: raise an exception at the *current* pc, returning
             // whether it escaped.
             macro_rules! raise {
@@ -358,8 +431,8 @@ impl Exec<'_> {
                     continue;
                 }};
             }
-            match dec {
-                Dec::Pad => panic!("execution ran into inter-function padding"),
+            match d.dec {
+                Dec::Pad => return Err(self.bad_code("execution ran into inter-function padding")),
                 Dec::LoadSlot { reg, slot } => {
                     let v = self.read_slot(slot);
                     *self.scratch(reg) = v;
@@ -451,8 +524,11 @@ impl Exec<'_> {
                     // The encoder guards zero and MIN/-1 before `idiv`.
                     let a = self.rax as i64;
                     let b = self.rcx as i64;
-                    self.rax = (a / b) as u64;
-                    self.rdx = (a % b) as u64;
+                    let (Some(q), Some(r)) = (a.checked_div(b), a.checked_rem(b)) else {
+                        return Err(self.bad_code(format!("unguarded idiv {a} / {b}")));
+                    };
+                    self.rax = q as u64;
+                    self.rdx = r as u64;
                 }
                 Dec::MovRaxRdx => self.rax = self.rdx,
                 Dec::TestRax => {
@@ -491,7 +567,7 @@ impl Exec<'_> {
                         1 => x < y,
                         2 => x <= y,
                         4 => x != y,
-                        p => panic!("unemitted cmpsd predicate {p}"),
+                        p => return Err(self.bad_code(format!("unemitted cmpsd predicate {p}"))),
                     };
                     self.xmm0 = if r { u64::MAX } else { 0 };
                 }
@@ -506,7 +582,7 @@ impl Exec<'_> {
                         0x8E => a <= b,
                         0x8F => a > b,
                         0x8D => a >= b,
-                        c => panic!("unemitted jcc {c:#x}"),
+                        c => return Err(self.bad_code(format!("unemitted jcc {c:#x}"))),
                     };
                     if taken {
                         self.pc = (next as i64 + i64::from(rel)) as usize;
@@ -518,7 +594,7 @@ impl Exec<'_> {
                         0x75 => self.cmp.0 != self.cmp.1,
                         0x72 => self.cmp.0 < self.cmp.1,
                         0xEB => true,
-                        c => panic!("unemitted short jump {c:#x}"),
+                        c => return Err(self.bad_code(format!("unemitted short jump {c:#x}"))),
                     };
                     if taken {
                         self.pc = (next as i64 + i64::from(rel)) as usize;
@@ -529,13 +605,8 @@ impl Exec<'_> {
                     self.pc = (next as i64 + i64::from(rel)) as usize;
                     continue;
                 }
-                Dec::Call { rel } => {
-                    let target = (next as i64 + i64::from(rel)) as usize;
-                    let callee = self
-                        .em
-                        .function_at(target as u32)
-                        .unwrap_or_else(|| panic!("call into padding at {target:#x}"));
-                    self.enter(callee, next)?;
+                Dec::Call { .. } => {
+                    self.enter(d.callee as usize, next)?;
                     continue;
                 }
                 Dec::Ret => match self.frames.pop() {
@@ -549,12 +620,15 @@ impl Exec<'_> {
                 },
                 Dec::Syscall => match self.eax {
                     abi::SVC_RAISE => {
-                        let kind = abi::exception_from_tag(self.edi, self.rdx as i64)
-                            .expect("emitted raise tag");
+                        let Some(kind) = abi::exception_from_tag(self.edi, self.rdx as i64) else {
+                            return Err(self.bad_code(format!("unemitted raise tag {}", self.edi)));
+                        };
                         raise!(kind);
                     }
                     abi::SVC_NEWOBJ => {
-                        let class = &self.em.classes[self.edi as usize];
+                        let Some(class) = self.em.classes.get(self.edi as usize) else {
+                            return Err(self.bad_code(format!("unemitted class id {}", self.edi)));
+                        };
                         let addr = self.mem.alloc(class.size.max(8));
                         self.mem
                             .write_u64(addr, u64::from(self.edi) + 1)
@@ -576,12 +650,18 @@ impl Exec<'_> {
                         self.rax = addr;
                     }
                     abi::SVC_OBSERVE => {
-                        let ty = abi::type_from_tag(self.edi).expect("emitted type tag");
+                        let Some(ty) = abi::type_from_tag(self.edi) else {
+                            return Err(self.bad_code(format!("unemitted type tag {}", self.edi)));
+                        };
                         let bits = self.read_slot(self.esi);
                         self.trace.push(MValue::from_bits(bits, ty));
                     }
                     abi::SVC_MATH => {
-                        let op = abi::intrinsic_from_tag(self.edi).expect("emitted intrinsic");
+                        let Some(op) = abi::intrinsic_from_tag(self.edi) else {
+                            return Err(
+                                self.bad_code(format!("unemitted intrinsic tag {}", self.edi))
+                            );
+                        };
                         let x = f64::from_bits(self.read_slot(self.esi));
                         self.rax = op.apply(x).to_bits();
                     }
@@ -595,7 +675,9 @@ impl Exec<'_> {
                         self.rax = (x % y).to_bits();
                     }
                     abi::SVC_CALLV => {
-                        let method = &self.em.method_names[self.edi as usize];
+                        let Some(method) = self.em.method_names.get(self.edi as usize) else {
+                            return Err(self.bad_code(format!("unemitted method id {}", self.edi)));
+                        };
                         let tag = self.rdx;
                         let class = match tag {
                             0 => None,
@@ -619,7 +701,7 @@ impl Exec<'_> {
                             }
                         }
                     }
-                    id => panic!("unemitted service id {id}"),
+                    id => return Err(self.bad_code(format!("unemitted service id {id}"))),
                 },
             }
             self.pc = next;
@@ -637,6 +719,7 @@ mod tests {
     use crate::encode::emit_module;
     use njc_codegen::lower_module;
     use njc_ir::{parse_function, Module};
+    use njc_opt::ConfigKind;
 
     #[test]
     fn byte_machine_matches_vm_on_demo() {
@@ -725,5 +808,46 @@ mod tests {
             .unwrap();
         assert_eq!(out.exception, Some(ExceptionKind::NullPointer));
         assert_eq!(out.stats.traps_taken, 1);
+    }
+
+    #[test]
+    fn decode_table_agrees_with_the_decoder() {
+        // The 17 programs on both perfbench `suite_exec` legs: every entry
+        // a run filled is what `decode_one` decodes at that pc, and every
+        // resolved callee is `function_at` of the call target.
+        let legs = [
+            (Platform::windows_ia32(), ConfigKind::Full),
+            (Platform::aix_ppc(), ConfigKind::AixSpeculation),
+        ];
+        for (platform, kind) in legs {
+            for w in njc_workloads::all() {
+                let mut m = w.module;
+                njc_opt::optimize_module(&mut m, &platform, &kind.to_config(&platform));
+                let em = emit_module(&lower_module(&m), 1);
+                let (exec, _, _) = ByteMachine::new(&em, platform).exec("main", false).unwrap();
+                let mut filled = 0;
+                for (pc, &entry) in exec.at.iter().enumerate().filter(|(_, &e)| e != 0) {
+                    let len = (entry & LEN_MASK) as usize;
+                    let d = exec.decoded[(entry >> LEN_BITS) as usize];
+                    assert_eq!(decode_one(&em.text, pc), Ok((d.dec, len)), "{}", w.name);
+                    if let Dec::Call { rel } = d.dec {
+                        let target = (pc + len) as i64 + i64::from(rel);
+                        assert_eq!(
+                            em.function_at(target as u32),
+                            Some(d.callee as usize),
+                            "{} call at {pc:#x}",
+                            w.name
+                        );
+                    }
+                    filled += 1;
+                }
+                assert_eq!(
+                    filled,
+                    exec.decoded.len(),
+                    "{}: one entry per decode",
+                    w.name
+                );
+            }
+        }
     }
 }

@@ -10,11 +10,18 @@
 //! dispatch through `.njc.exctab`, a stripped table turns the first trap
 //! into an `UnexpectedTrap` carrying reconcilable provenance, and the AIX
 //! negative control silently misses NPEs at the byte level too.
+//!
+//! The robustness tests corrupt a parsed ELF's text and demand a
+//! [`MachineFault::BadCode`], never a panic; the fuel test pins that every
+//! executed instruction counts against the budget.
 
 use njc_arch::Platform;
 use njc_bench::difftest::{byte_mismatch, byte_verdict, ByteVerdict};
 use njc_codegen::{lower_module, MValue, MachineFault, MachineOutcome};
-use njc_emit::{emit_module, parse_elf, verify_module, write_elf, ByteMachine, EmittedModule};
+use njc_emit::decode::Imm32Reg;
+use njc_emit::{
+    decode_one, emit_module, parse_elf, verify_module, write_elf, ByteMachine, Dec, EmittedModule,
+};
 use njc_ir::{FuncBuilder, Inst, Module, Type};
 use njc_jit::compile;
 use njc_opt::ConfigKind;
@@ -292,4 +299,125 @@ fn wrapping_index_is_the_known_vm_binary_gap() {
     }
     let aix = ByteMachine::new(&em, Platform::aix_ppc()).run("main");
     assert_eq!(aix.unwrap().result, Some(MValue::Int(0)));
+}
+
+fn workload(name: &str) -> Workload {
+    njc_workloads::all()
+        .into_iter()
+        .find(|w| w.name == name)
+        .unwrap_or_else(|| panic!("no workload {name}"))
+}
+
+/// Every instruction of `em`'s function `name`, by linear sweep:
+/// `(absolute pc, instruction)`.
+fn sweep(em: &EmittedModule, name: &str) -> Vec<(usize, Dec)> {
+    let f = &em.functions[em.function_by_name(name).expect("known function")];
+    let (mut pc, end) = (f.text_off as usize, (f.text_off + f.text_len) as usize);
+    let mut insts = Vec::new();
+    while pc < end {
+        let (dec, len) = decode_one(&em.text, pc).expect("emitted bytes decode");
+        insts.push((pc, dec));
+        pc += len;
+    }
+    insts
+}
+
+/// `w`'s unoptimized bytes as a reader of the ELF file sees them.
+fn parsed(w: &Workload) -> EmittedModule {
+    parse_elf(&write_elf(&emit(&w.module))).expect("elf parses")
+}
+
+/// Runs `em`'s `main`, which must stop with a [`MachineFault::BadCode`];
+/// returns its detail.
+fn bad_code(em: &EmittedModule) -> String {
+    let fault = ByteMachine::new(em, Platform::windows_ia32())
+        .run("main")
+        .expect_err("corrupted bytes must fault");
+    let MachineFault::BadCode {
+        function, detail, ..
+    } = &fault
+    else {
+        panic!("expected BadCode, got {fault:?}");
+    };
+    assert!(em.function_by_name(function).is_some(), "{fault}");
+    assert!(fault.to_string().starts_with("bad code at"), "{fault}");
+    detail.clone()
+}
+
+#[test]
+fn corrupted_first_byte_is_a_fault_not_a_panic() {
+    let w = workload("Numeric Sort");
+    let clean = parsed(&w);
+    let entry = clean.functions[clean.function_by_name("main").unwrap()].text_off as usize;
+    for (byte, expect) in [(0xCC, "padding"), (0x06, "undecodable byte 0x06")] {
+        let mut em = clean.clone();
+        em.text[entry] = byte;
+        let detail = bad_code(&em);
+        assert!(detail.contains(expect), "{byte:#04x}: {detail}");
+    }
+}
+
+#[test]
+fn corrupted_operands_are_faults_not_panics() {
+    // Each corruption rewrites every instance in `main`, so whichever one
+    // executes first must stop the run with a BadCode fault.
+    let w = workload("mtrt");
+    let clean = parsed(&w);
+    let main = sweep(&clean, "main");
+
+    // A call whose target lies past the end of `.text`.
+    let mut em = clean.clone();
+    let mut calls = 0;
+    for &(pc, dec) in &main {
+        if let Dec::Call { .. } = dec {
+            em.text[pc + 1..pc + 5].copy_from_slice(&i32::MAX.to_le_bytes());
+            calls += 1;
+        }
+    }
+    assert!(calls > 0, "mtrt's main calls");
+    assert!(bad_code(&em).contains("call outside every function"));
+
+    // A service request with an id the encoder never emits.
+    let mut em = clean.clone();
+    for &(pc, dec) in &main {
+        if let Dec::MovImm32 {
+            reg: Imm32Reg::Eax, ..
+        } = dec
+        {
+            em.text[pc + 1..pc + 5].copy_from_slice(&99u32.to_le_bytes());
+        }
+    }
+    assert!(bad_code(&em).contains("unemitted service id 99"));
+
+    // A conditional jump on a condition the encoder never emits (`jbe`).
+    let mut em = clean.clone();
+    for &(pc, dec) in &main {
+        if let Dec::Jcc { .. } = dec {
+            em.text[pc + 1] = 0x86;
+        }
+    }
+    assert!(bad_code(&em).contains("unemitted jcc 0x86"));
+}
+
+#[test]
+fn fuel_counts_every_executed_instruction() {
+    // A looping program and a call-heavy one: a budget of exactly the
+    // instructions a full run retires reproduces that run, one fewer runs
+    // out of fuel.
+    let p = Platform::windows_ia32();
+    for name in ["Numeric Sort", "mtrt"] {
+        let em = emit(&workload(name).module);
+        let full = ByteMachine::new(&em, p).run("main").unwrap();
+        let n = full.stats.insts;
+        assert_eq!(
+            ByteMachine::new(&em, p).with_fuel(n).run("main"),
+            Ok(full),
+            "{name}"
+        );
+        assert_eq!(
+            ByteMachine::new(&em, p).with_fuel(n - 1).run("main"),
+            Err(MachineFault::OutOfFuel),
+            "{name}"
+        );
+    }
 }
