@@ -15,32 +15,31 @@
 //!
 //! Results go to `BENCH_runtime.json`. Cycle counts come from the VM's
 //! deterministic cost model, so everything in the JSON is reproducible
-//! except what lives under the `"volatile"` key — wall-clock times and
-//! adaptive-run scheduling details (when the swap landed, cache traffic),
-//! which CI deletes (`jq -c 'del(.. | .volatile?)'`) before comparing two
-//! runs.
+//! except what lives under the `"volatile"` key — adaptive-run scheduling
+//! details (when the swap landed, cache traffic), which CI deletes
+//! (`jq -c 'del(.. | .volatile?)'`) before comparing two runs. Host time
+//! is perfbench's (`tiered_hot`).
 //!
 //! ```text
-//! cargo run --release -p njc-bench --bin runtime_bench            # full run
-//! cargo run --release -p njc-bench --bin runtime_bench -- --smoke # CI gate
+//! cargo run --release -p njc-bench --bin runtime_bench
+//! cargo run --release -p njc-bench --bin runtime_bench -- --seeds 8 --out /tmp/bench_rt.json
 //! ```
 //!
-//! `--smoke` gates, in both modes before any JSON is written:
-//! convergence (the override set is exactly the trapping slot, witnessed
-//! by override-caused explicit checks in the final tier's provenance),
-//! tiered reconciliation, observational equivalence of all three runs,
-//! the steady state beating both extremes, a mid-run swap actually
-//! landing (retrying with 4× the iterations if the run finished first),
-//! and a clean runtime difftest.
+//! Every run is the adaptive runtime's gate, checked before any JSON is
+//! written: convergence (the override set is exactly the trapping slot,
+//! witnessed by override-caused explicit checks in the final tier's
+//! provenance), tiered reconciliation, observational equivalence of all
+//! three runs, the steady state beating both extremes, a mid-run swap
+//! actually landing (retrying with 4× the iterations if the run finished
+//! first), and a clean runtime difftest.
 //!
 //! [`ExplicitOverride`]: njc_core::ExplicitOverride
 
 use std::path::PathBuf;
-use std::time::Instant;
 
 use njc_arch::Platform;
 use njc_bench::cli::{Spec, UsageError};
-use njc_bench::runtime_diff::{run_runtime_difftest, RuntimeDiffOptions};
+use njc_bench::runtime_diff::run_runtime_difftest;
 use njc_observe::{json_obj, CheckEvent, ExplicitCause, Json};
 use njc_opt::ConfigKind;
 use njc_runtime::{hot_field_workload, RuntimeOutcome, TieredRuntime};
@@ -52,14 +51,13 @@ const DEFAULT_ITERS: i64 = 30_000;
 const SWAP_ATTEMPTS: usize = 4;
 
 const SPEC: Spec = Spec {
-    usage: "usage: runtime_bench [--smoke] [--iters N] [--seeds N] [--out PATH]",
-    switches: &["--smoke"],
+    usage: "usage: runtime_bench [--iters N] [--seeds N] [--out PATH]",
+    switches: &[],
     options: &["--iters", "--seeds", "--out"],
     positionals: 0,
 };
 
 struct Args {
-    smoke: bool,
     iters: i64,
     seeds: u64,
     out: PathBuf,
@@ -68,7 +66,6 @@ struct Args {
 fn parse_args() -> Result<Args, UsageError> {
     let args = SPEC.parse(std::env::args().skip(1))?;
     Ok(Args {
-        smoke: args.flag("--smoke"),
         iters: args.positive("--iters")?.unwrap_or(DEFAULT_ITERS),
         seeds: args.seeds()?.unwrap_or(24),
         out: args.out().unwrap_or_else(|| "BENCH_runtime.json".into()),
@@ -80,13 +77,10 @@ fn workload_args(iters: i64) -> [Value; 2] {
 }
 
 /// One static extreme: whole-module compile at `kind`, then one run.
-fn static_run(kind: ConfigKind, platform: &Platform, iters: i64) -> (Outcome, f64) {
+fn static_run(kind: ConfigKind, platform: &Platform, iters: i64) -> Outcome {
     let mut m = hot_field_workload();
     njc_opt::optimize_module(&mut m, platform, &kind.to_config(platform));
-    let t = Instant::now();
-    let out =
-        run_module(&m, *platform, "main", &workload_args(iters)).expect("workload does not fault");
-    (out, t.elapsed().as_secs_f64() * 1000.0)
+    run_module(&m, *platform, "main", &workload_args(iters)).expect("workload does not fault")
 }
 
 /// Override-caused explicit checks in `name`'s final tier provenance —
@@ -117,19 +111,16 @@ fn main() {
     let platform = Platform::windows_ia32();
     let mut failures: Vec<String> = Vec::new();
 
-    let (implicit, implicit_wall) = static_run(ConfigKind::Full, &platform, args.iters);
-    let (explicit, explicit_wall) = static_run(ConfigKind::NoNullOptNoTrap, &platform, args.iters);
+    let implicit = static_run(ConfigKind::Full, &platform, args.iters);
+    let explicit = static_run(ConfigKind::NoNullOptNoTrap, &platform, args.iters);
 
     // The measured adaptive run at the benchmark's iteration count. The
     // steady state is deterministic regardless of when (or whether) the
     // swap landed mid-run, because the post-run fixpoint pass always
     // compiles the final bodies.
-    let rt = TieredRuntime::new(hot_field_workload(), platform);
-    let t = Instant::now();
-    let out = rt
+    let out = TieredRuntime::new(hot_field_workload(), platform)
         .run("main", &workload_args(args.iters))
         .expect("workload does not fault");
-    let adaptive_wall = t.elapsed().as_secs_f64() * 1000.0;
 
     // Convergence: overrides exactly at the trapping site, each one
     // witnessed by an override-caused explicit check in the provenance.
@@ -212,10 +203,7 @@ fn main() {
     }
 
     // Replay the difftest corpus through the runtime.
-    let diff = run_runtime_difftest(&RuntimeDiffOptions {
-        seeds: args.seeds,
-        smoke: args.smoke,
-    });
+    let diff = run_runtime_difftest(args.seeds);
     if !diff.is_clean() {
         failures.push(format!(
             "runtime difftest diverged:\n  {}",
@@ -259,17 +247,6 @@ fn main() {
         std::process::exit(1);
     }
 
-    if args.smoke {
-        println!(
-            "smoke OK: adaptive {:.2} cyc/iter beats implicit {:.2} and explicit {:.2}; {} difftest programs clean",
-            per_iter(steady.cycles),
-            per_iter(implicit.stats.cycles),
-            per_iter(explicit.stats.cycles),
-            diff.programs
-        );
-        return;
-    }
-
     let config_row = |name: &str, config: &str, o: &Outcome| {
         json_obj! {
             "name": name, "config": config, "cycles": o.stats.cycles,
@@ -292,11 +269,6 @@ fn main() {
     let difftest = json_obj! {
         "programs": diff.programs, "cells": diff.cells, "divergences": diff.divergences.len(),
     };
-    let wall_ms = json_obj! {
-        "always_implicit": Json::Fixed(implicit_wall, 3),
-        "always_explicit": Json::Fixed(explicit_wall, 3),
-        "adaptive": Json::Fixed(adaptive_wall, 3),
-    };
     let json = json_obj! {
         "generated_by": "runtime_bench", "iters": args.iters, "tenants": 1u64,
         "note": "cycles are deterministic cost-model cycles (reproducible); wall-clock and \
@@ -305,7 +277,6 @@ fn main() {
         "configs": configs, "overrides": overrides, "difftest": difftest,
     }
     .volatile(json_obj! {
-        "wall_ms": wall_ms,
         "host_parallelism": std::thread::available_parallelism().map_or(1, |n| n.get()),
         "mid_run_swaps": mid_run_swaps, "swap_proof_iters": swap_iters,
         "adaptive_cycles": out.adaptive.stats.cycles, "recompile_events": out.recompiles.len(),

@@ -83,7 +83,7 @@ fn main() {
     println!(
         "\nSolver cost across the three configurations above: {solver_pops} worklist \
          pops, {solver_iters} convergence iterations\n\
-         (see `compile_bench` / BENCH_compile.json for wall-clock breakdowns)."
+         (see perfbench's `opt.pass.*_ms` metrics for per-pass host time)."
     );
 
     // Interprocedural inference census: Full vs Full+interproc. Kills are

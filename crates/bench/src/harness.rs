@@ -100,34 +100,6 @@ pub fn improvement_down(new: f64, base: f64) -> f64 {
     (base / new - 1.0) * 100.0
 }
 
-/// Times `body` over `iters` iterations after `warmup` discarded ones,
-/// printing mean time per iteration (the `cargo bench` targets' timer).
-pub fn measure<T>(label: &str, warmup: u32, iters: u32, mut body: impl FnMut() -> T) {
-    for _ in 0..warmup {
-        std::hint::black_box(body());
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(body());
-    }
-    let per_iter = start.elapsed() / iters;
-    println!("{label:<44} {per_iter:>12.2?}/iter  ({iters} iters)");
-}
-
-/// Median of `samples` (the upper median for even counts); sorts them in
-/// place so [`p90_ms`] can follow.
-pub fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-/// 90th percentile of already-sorted samples: the `ceil(0.9 n)`-th
-/// smallest.
-pub fn p90_ms(sorted: &[f64]) -> f64 {
-    let idx = ((sorted.len() as f64) * 0.9).ceil() as usize;
-    sorted[idx.saturating_sub(1).min(sorted.len() - 1)]
-}
-
 /// Simple fixed-width text table builder.
 pub struct TextTable {
     header: Vec<String>,
@@ -207,16 +179,6 @@ mod tests {
     fn improvements() {
         assert!((improvement_up(150.0, 100.0) - 50.0).abs() < 1e-9);
         assert!((improvement_down(8.0, 10.0) - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn median_and_p90_of_samples() {
-        let mut s = [5.0, 1.0, 4.0, 2.0, 3.0];
-        assert_eq!(median_ms(&mut s), 3.0);
-        assert_eq!(p90_ms(&s), 5.0);
-        let mut one = [7.0];
-        assert_eq!(median_ms(&mut one), 7.0);
-        assert_eq!(p90_ms(&one), 7.0);
     }
 
     #[test]

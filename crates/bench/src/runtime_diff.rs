@@ -35,24 +35,6 @@ use njc_workloads::micro;
 
 use crate::difftest::fault_label;
 
-/// Corpus knobs for the runtime difftest.
-#[derive(Clone, Debug)]
-pub struct RuntimeDiffOptions {
-    /// Generated fault programs to draw.
-    pub seeds: u64,
-    /// Smoke mode: clamp the seed count for a fast CI gate.
-    pub smoke: bool,
-}
-
-impl Default for RuntimeDiffOptions {
-    fn default() -> Self {
-        RuntimeDiffOptions {
-            seeds: 24,
-            smoke: false,
-        }
-    }
-}
-
 /// Aggregate result of a runtime difftest run.
 #[derive(Clone, Debug, Default)]
 pub struct RuntimeDiffReport {
@@ -75,8 +57,9 @@ impl RuntimeDiffReport {
 }
 
 /// The corpus: every micro, the null-seeded probe (the adaptive runtime's
-/// home turf), and `seeds` generated fault programs.
-fn corpus(opts: &RuntimeDiffOptions) -> Vec<(String, Module)> {
+/// home turf), `seeds` generated fault programs, and half as many
+/// call-heavy ones.
+fn corpus(seeds: u64) -> Vec<(String, Module)> {
     let mut programs: Vec<(String, Module)> = micro::all_micro()
         .into_iter()
         .map(|(name, m)| (name.to_string(), m))
@@ -85,11 +68,6 @@ fn corpus(opts: &RuntimeDiffOptions) -> Vec<(String, Module)> {
         "probe_null_seeded_loop".to_string(),
         build_module(&[Action::NullSeededLoop(4, 2, vec![Action::Observe(0)])]),
     ));
-    let seeds = if opts.smoke {
-        opts.seeds.min(8)
-    } else {
-        opts.seeds
-    };
     for seed in 0..seeds {
         let mut rng = Rng::new(seed);
         let len = rng.range(1, 14);
@@ -99,8 +77,7 @@ fn corpus(opts: &RuntimeDiffOptions) -> Vec<(String, Module)> {
     // Call-heavy programs give the tier compiles real interprocedural
     // facts, so mid-run swaps install bodies optimized under entry
     // assumptions — the case the adaptive/steady diff must not notice.
-    let call_seeds = if opts.smoke { 4 } else { seeds.div_ceil(2) };
-    for seed in 0..call_seeds {
+    for seed in 0..seeds.div_ceil(2) {
         let mut rng = Rng::new(seed ^ 0xca11);
         let len = rng.range(1, 10);
         let actions = gen_call_actions(&mut rng, len, 2);
@@ -364,15 +341,16 @@ fn run_service_cell(
     }
 }
 
-/// Replays the corpus through the tiered runtime and diffs against the
+/// Replays the corpus (`seeds` generated fault programs, plus the fixed
+/// programs) through the tiered runtime and diffs against the
 /// single-shot tier-1 compile: the bare runtime, three fault-injected
 /// variants of the profile/install channel (stale snapshots, a starved
 /// controller, delayed installs), and a two-tenant shared-service run.
 /// None of them may change what any program computes.
-pub fn run_runtime_difftest(opts: &RuntimeDiffOptions) -> RuntimeDiffReport {
+pub fn run_runtime_difftest(seeds: u64) -> RuntimeDiffReport {
     let platform = Platform::windows_ia32();
     let mut report = RuntimeDiffReport::default();
-    for (name, module) in corpus(opts) {
+    for (name, module) in corpus(seeds) {
         report.programs += 1;
         // Facts-vs-dynamics cross-check, independent of the runtime: every
         // inferred fact must survive the program's real run.
@@ -453,10 +431,7 @@ mod tests {
 
     #[test]
     fn smoke_corpus_is_clean() {
-        let report = run_runtime_difftest(&RuntimeDiffOptions {
-            seeds: 4,
-            smoke: true,
-        });
+        let report = run_runtime_difftest(8);
         assert!(report.programs > 10, "micros + probe + seeds");
         assert!(
             report.is_clean(),

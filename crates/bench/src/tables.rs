@@ -592,8 +592,8 @@ pub fn fig15(h: &mut Harness) -> String {
 /// configuration. Not a paper artifact: this tracks *our* optimizer's
 /// compile-time cost (worklist pops, convergence depth, per-pass wall
 /// breakdown) so regressions in the solver or pipeline show up in the
-/// regenerated report. See `compile_bench` / BENCH_compile.json for the
-/// thread-sweep version.
+/// regenerated report. perfbench's `opt.pass.*_ms` metrics time the same
+/// passes on a process-CPU clock with gated bounds.
 pub fn compile_cost(h: &mut Harness) -> String {
     let p = Platform::windows_ia32();
     let mut t = TextTable::new(vec![

@@ -39,10 +39,12 @@ fn bad_arguments_exit_1_before_any_work() {
     let cases: &[(&str, &[&str], &str)] = &[
         (compile, &["--runs", "x", "--out", out_path], "--runs"),
         (compile, &["--bogus"], "--bogus"),
+        (compile, &["--smoke"], "--smoke"),
         (compile, &["--out"], "--out"),
         (runtime, &["--seeds", "x", "--out", out_path], "--seeds"),
         (runtime, &["--iters", "0", "--out", out_path], "--iters"),
         (runtime, &["--bogus"], "--bogus"),
+        (runtime, &["--smoke"], "--smoke"),
         (
             service,
             &["--tenants", "1,a", "--out", out_path],
@@ -50,6 +52,7 @@ fn bad_arguments_exit_1_before_any_work() {
         ),
         (service, &["--tenants", "0"], "--tenants"),
         (service, &["--bogus"], "--bogus"),
+        (service, &["--smoke"], "--smoke"),
         (analyze, &["--bogus"], "--bogus"),
         (analyze, &["mtrt", "jess"], "jess"),
         (report, &["table99"], "table99"),

@@ -304,11 +304,27 @@ impl Exec<'_> {
 
     /// Decodes the instruction at the current pc into the table and
     /// returns its entry: the miss path of the run loop, taken once per
-    /// executed pc per run.
+    /// executed pc per run. A jump must stay inside the current function
+    /// (so every later pc lies in `func()`), and a call must land inside
+    /// some function.
     #[cold]
     fn fill(&mut self) -> Result<u32, MachineFault> {
         let (dec, len) =
             decode_one(&self.em.text, self.pc).map_err(|e| self.bad_code(e.to_string()))?;
+        let jump = match dec {
+            Dec::Jcc { rel, .. } | Dec::Jmp { rel } => Some(i64::from(rel)),
+            Dec::Jmp8 { rel, .. } => Some(i64::from(rel)),
+            _ => None,
+        };
+        if let Some(rel) = jump {
+            let target = (self.pc + len) as i64 + rel;
+            let f = self.func();
+            if !(i64::from(f.text_off)..i64::from(f.text_off + f.text_len)).contains(&target) {
+                return Err(
+                    self.bad_code(format!("jump outside the current function to {target:#x}"))
+                );
+            }
+        }
         let callee = match dec {
             Dec::Call { rel } => {
                 let target = (self.pc + len) as i64 + i64::from(rel);

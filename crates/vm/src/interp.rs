@@ -49,7 +49,7 @@ pub struct VmConfig {
     pub legacy_wrapping_addressing: bool,
     /// Collect per-site counters ([`Outcome::site_counts`]): executions of
     /// each explicit check by id, hardware traps by `(block, instruction)`,
-    /// and block execution counts. Off by default — the benches measure the
+    /// and block execution counts. Off by default — perfbench times the
     /// uninstrumented interpreter.
     pub count_sites: bool,
 }

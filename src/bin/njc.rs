@@ -11,10 +11,8 @@
 //!              [--no-gvn] [--fixtures DIR] [--out PATH]
 //! njc runtime <file.ir> [--platform <name>] [--profile-threshold R]
 //!             [--recover <strategy>] [--json]
-//! njc runtime --smoke
 //! njc service <file.ir> [--platform <name>] [--tenants N] [--recover <strategy>]
 //!             [--json]
-//! njc service --smoke [--tenants N]
 //! njc recover [--seeds N] [--json] [--write-fixtures] [--fixtures DIR]
 //! njc emit <file.ir> [--config <name>] [--platform <name>] [--threads N] [--out PATH]
 //! njc verify-binary <file.ir> [--config <name>] [--platform <name>] [--threads N]
@@ -73,22 +71,18 @@
 //! and the deterministic steady-state outcome, every recompile event, and
 //! the code-cache counters, then verifies tiered reconciliation and
 //! override convergence. `--profile-threshold` overrides the cost-model
-//! break-even traps-per-execution ratio; `--smoke` runs the built-in
-//! null-seeded hot-field workload and gates that the adaptive steady state
-//! beats both static extremes (the CI gate).
+//! break-even traps-per-execution ratio. The runtime's CI gate is
+//! `runtime_bench` (njc-bench), whose every run checks convergence,
+//! reconciliation, and a steady state beating both static extremes.
 //!
 //! The `service` subcommand runs the multi-tenant compilation service
 //! (`njc_runtime::ServiceRuntime`): many VM instances against one sharded
-//! code cache and one batched recompile queue. With a file, `--tenants N`
-//! identical copies of the program run as one fleet and the shared-cache
-//! economics are printed. `--smoke` is the CI gate: a mixed fleet (steady
-//! hot-field, one-shot null burst, distinct-bodies cache contention) on
-//! both trap-model platforms must (a) verify every tenant's reconciliation
-//! and convergence, (b) match a single-tenant reference byte-for-byte in
-//! steady state, (c) record cross-tenant dedup hits, (d) do strictly less
-//! fresh compile work than per-tenant isolation would, and (e) witness
-//! tier-down — the burst tenants settle back to zero override slots while
-//! the hot-field tenants keep theirs.
+//! code cache and one batched recompile queue: `--tenants N` identical
+//! copies of the program run as one fleet and the shared-cache economics
+//! are printed. The service's CI gate is `service_bench` (njc-bench),
+//! whose every run holds a mixed fleet on both trap-model platforms to
+//! single-tenant references, cross-tenant dedup, a compile bill below
+//! isolation's, and tier-down on the burst workload.
 //!
 //! The `recover` subcommand is the trap-recovery gate (`njc_bench::recover`,
 //! DESIGN.md §17): every JOG-style pattern rule instance runs as a
@@ -149,9 +143,7 @@ const USAGE: &str = "usage: njc <file.ir> [--config <name>] [--platform <name>] 
        njc explain --smoke [--threads N]
        njc difftest [--smoke] [--seeds N] [--legacy-addressing] [--no-interproc] [--no-gvn] [--fixtures DIR] [--out PATH]
        njc runtime <file.ir> [--platform <name>] [--profile-threshold R] [--recover <strategy>] [--json]
-       njc runtime --smoke
        njc service <file.ir> [--platform <name>] [--tenants N] [--recover <strategy>] [--json]
-       njc service --smoke [--tenants N]
        njc recover [--seeds N] [--json] [--write-fixtures] [--fixtures DIR]
        njc emit <file.ir> [--config <name>] [--platform <name>] [--threads N] [--out PATH]
        njc verify-binary <file.ir> [--config <name>] [--platform <name>] [--threads N]
@@ -325,59 +317,6 @@ fn report_runtime_outcome(out: &njc_runtime::RuntimeOutcome) -> Vec<String> {
     failures
 }
 
-/// `njc runtime --smoke`: the CI gate. The built-in null-seeded hot-field
-/// workload must converge (exactly the trapping slot overridden), pass
-/// reconciliation, and its steady state must beat both static extremes.
-fn runtime_smoke() -> ExitCode {
-    use njc_vm::Value;
-    let platform = Platform::windows_ia32();
-    let iters = 20_000i64;
-    let args = [Value::Int(iters), Value::Ref(0)];
-    let module = njc_runtime::hot_field_workload();
-    let rt = njc_runtime::TieredRuntime::new(module.clone(), platform);
-    let out = match rt.run("main", &args) {
-        Ok(o) => o,
-        Err(f) => {
-            eprintln!("njc runtime --smoke: VM fault: {f}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut failures = report_runtime_outcome(&out);
-    match out.overrides.get("hot") {
-        Some(ov) if ov.len() == 1 => {}
-        other => failures.push(format!(
-            "hot must carry exactly the one trapping override, got {other:?}"
-        )),
-    }
-    for kind in [ConfigKind::Full, ConfigKind::NoNullOptNoTrap] {
-        let mut m = module.clone();
-        njc_opt::optimize_module(&mut m, &platform, &kind.to_config(&platform));
-        match njc_vm::run_module(&m, platform, "main", &args) {
-            Ok(static_out) => {
-                if let Err(e) = out.steady.assert_equivalent(&static_out) {
-                    failures.push(format!("steady vs {kind:?}: {e}"));
-                }
-                if out.steady.stats.cycles >= static_out.stats.cycles {
-                    failures.push(format!(
-                        "adaptive {} !< {kind:?} {} cycles",
-                        out.steady.stats.cycles, static_out.stats.cycles
-                    ));
-                }
-            }
-            Err(f) => failures.push(format!("{kind:?} faulted: {f}")),
-        }
-    }
-    if failures.is_empty() {
-        println!("runtime --smoke: OK — adaptive steady state beats both static extremes");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("runtime --smoke: FAIL: {f}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
 /// Verifies a tiered-runtime outcome without printing (the `--json` path):
 /// tiered reconciliation — including that every recovered trap maps back to
 /// site provenance — and override convergence.
@@ -426,16 +365,13 @@ fn runtime_json(
 fn runtime_main(argv: &[String]) -> Run {
     let args = parse(
         argv,
-        &["--json", "--smoke"],
+        &["--json"],
         &["--platform", "--profile-threshold", "--recover"],
         1,
     )?;
     let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
     let threshold: Option<f64> = args.get("--profile-threshold")?;
     let recover = args.recover()?.unwrap_or_default();
-    if args.flag("--smoke") {
-        return Ok(runtime_smoke());
-    }
     let module = read_module(input_file(&args)?)?;
     let mut config = njc_runtime::RuntimeConfig::for_platform(&platform);
     if let Some(r) = threshold {
@@ -498,172 +434,6 @@ fn report_service_outcome(out: &njc_runtime::ServiceOutcome) {
     );
 }
 
-/// `njc service --smoke`: the CI gate for the multi-tenant compilation
-/// service. A mixed fleet on each platform must verify per-tenant, match
-/// single-tenant references byte-for-byte, dedup across tenants, beat the
-/// isolated compile bill, and witness tier-down on the burst workload.
-fn service_smoke(tenants: usize) -> ExitCode {
-    use njc_runtime::{
-        hot_field_workload, many_hot_workload, phase_shift_workload, write_hot_workload,
-        RecoveryPolicy, ServiceConfig, ServiceRuntime, TenantSpec, TieredRuntime, PHASE_NULL,
-    };
-    use njc_vm::Value;
-
-    // (name, module, args, expects_override): the burst workload runs one
-    // 16-iteration null phase then clean forever — long enough past the
-    // cumulative break-even (16/12000 < 2/1200) that tier-down must strip
-    // its override back off.
-    let fleet_for = |platform: &Platform| -> Vec<(&'static str, Module, Vec<Value>, bool)> {
-        let burst = (
-            "phase_null_burst",
-            phase_shift_workload(16),
-            vec![Value::Int(12_000), Value::Ref(0), Value::Int(PHASE_NULL)],
-            false,
-        );
-        if platform.trap.traps_on_read {
-            vec![
-                (
-                    "hot_field",
-                    hot_field_workload(),
-                    vec![Value::Int(2_000), Value::Ref(0)],
-                    true,
-                ),
-                burst,
-                (
-                    "many_hot",
-                    many_hot_workload(4),
-                    vec![Value::Int(1_200), Value::Ref(0)],
-                    true,
-                ),
-            ]
-        } else {
-            vec![
-                (
-                    "write_hot",
-                    write_hot_workload(),
-                    vec![Value::Int(4_000), Value::Ref(0)],
-                    true,
-                ),
-                burst,
-            ]
-        }
-    };
-
-    let mut failures: Vec<String> = Vec::new();
-    for platform in [Platform::windows_ia32(), Platform::aix_ppc()] {
-        let fleet = fleet_for(&platform);
-        let specs: Vec<TenantSpec> = (0..tenants)
-            .map(|i| {
-                let (name, module, args, _) = &fleet[i % fleet.len()];
-                TenantSpec {
-                    name: format!("{name}-{i}"),
-                    module: module.clone(),
-                    entry: "main".to_string(),
-                    args: args.clone(),
-                    recovery: RecoveryPolicy::abort(),
-                }
-            })
-            .collect();
-        let service = ServiceRuntime::with_config(platform, ServiceConfig::for_platform(&platform));
-        let out = match service.run(&specs) {
-            Ok(o) => o,
-            Err(f) => {
-                failures.push(format!("{}: service faulted: {f}", platform.name));
-                continue;
-            }
-        };
-        println!("--- {} × {tenants} tenants ---", platform.name);
-        report_service_outcome(&out);
-
-        // (a) Every tenant reconciles and converges.
-        if let Err(errs) = out.verify() {
-            failures.extend(
-                errs.into_iter()
-                    .take(8)
-                    .map(|e| format!("{}: {e}", platform.name)),
-            );
-        }
-        // (b) Each tenant's steady state matches a single-tenant reference
-        // run of the same workload, byte-for-byte.
-        for (wi, (name, module, args, expects_override)) in fleet.iter().enumerate() {
-            let reference = match TieredRuntime::new(module.clone(), platform).run("main", args) {
-                Ok(o) => o,
-                Err(f) => {
-                    failures.push(format!("{}/{name}: reference faulted: {f}", platform.name));
-                    continue;
-                }
-            };
-            let slots: usize = reference.overrides.values().map(|ov| ov.len()).sum();
-            // (e) Tier-down witness: the burst tenants settle back to the
-            // all-implicit form; the steadily-trapping ones keep overrides.
-            if *expects_override && slots == 0 {
-                failures.push(format!(
-                    "{}/{name}: expected a settled override, got none",
-                    platform.name
-                ));
-            }
-            if !*expects_override {
-                if slots != 0 {
-                    failures.push(format!(
-                        "{}/{name}: tier-down failed, {slots} override slot(s) survived quiescence",
-                        platform.name
-                    ));
-                }
-                // On a read-trapping platform the quiesced (implicit) site
-                // pays traps for the burst replay; on AIX the read check is
-                // explicit by trap-model legality and traps never.
-                if platform.trap.traps_on_read && reference.steady.stats.traps_taken == 0 {
-                    failures.push(format!(
-                        "{}/{name}: burst replay should still trap in steady state",
-                        platform.name
-                    ));
-                }
-            }
-            for (i, t) in out.tenants.iter().enumerate() {
-                if i % fleet.len() != wi {
-                    continue;
-                }
-                if t.outcome.steady.stats != reference.steady.stats
-                    || t.outcome.final_module != reference.final_module
-                    || t.outcome.overrides != reference.overrides
-                {
-                    failures.push(format!(
-                        "{}/{}: steady state diverged from the single-tenant reference",
-                        platform.name, t.name
-                    ));
-                    break;
-                }
-            }
-        }
-        // (c) Shared cache deduped across tenants, (d) strictly cheaper
-        // than compiling per-tenant in isolation.
-        if out.dedup_hits == 0 {
-            failures.push(format!(
-                "{}: no dedup hits across {tenants} tenants",
-                platform.name
-            ));
-        }
-        if out.compiles_performed >= out.isolated_compiles {
-            failures.push(format!(
-                "{}: shared cache did not beat isolation: {} fresh !< {} isolated",
-                platform.name, out.compiles_performed, out.isolated_compiles
-            ));
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "service --smoke: OK — dedup across tenants, shared cache beats isolation, \
-             steady states match single-tenant references, tier-down witnessed"
-        );
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("service --smoke: FAIL: {f}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
 /// Deterministic-modulo-volatile JSON for one service run: per-tenant
 /// steady rows are reproducible (each tenant's steady state matches its
 /// single-tenant reference byte-for-byte); fleet-level scheduling data —
@@ -696,19 +466,16 @@ fn service_json(
 }
 
 fn service_main(argv: &[String]) -> Run {
-    use njc_runtime::{RecoveryPolicy, ServiceConfig, ServiceRuntime, TenantSpec};
+    use njc_runtime::{RecoveryPolicy, ServiceRuntime, TenantSpec};
     let args = parse(
         argv,
-        &["--json", "--smoke"],
+        &["--json"],
         &["--platform", "--tenants", "--recover"],
         1,
     )?;
     let platform = args.platform()?.unwrap_or(Platform::windows_ia32());
     let tenants: Option<usize> = args.positive("--tenants")?;
     let recover = args.recover()?.unwrap_or_default();
-    if args.flag("--smoke") {
-        return Ok(service_smoke(tenants.unwrap_or(12)));
-    }
     let module = read_module(input_file(&args)?)?;
     let specs: Vec<TenantSpec> = (0..tenants.unwrap_or(8))
         .map(|i| TenantSpec {
@@ -719,8 +486,9 @@ fn service_main(argv: &[String]) -> Run {
             recovery: RecoveryPolicy::uniform(recover),
         })
         .collect();
-    let service = ServiceRuntime::with_config(platform, ServiceConfig::for_platform(&platform));
-    let out = service.run(&specs).map_err(|f| format!("VM fault: {f}"))?;
+    let out = ServiceRuntime::new(platform)
+        .run(&specs)
+        .map_err(|f| format!("VM fault: {f}"))?;
     let verify = out.verify();
     if args.flag("--json") {
         print!("{}", service_json(&platform, recover, &out, verify.is_ok()));

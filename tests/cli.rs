@@ -57,10 +57,12 @@ fn bad_arguments_exit_1_naming_the_flag() {
             &["runtime", FIXTURE, "--profile-threshold", "hot"],
             "--profile-threshold",
         ),
-        (&["service", "--smoke", "--tenants", "0"], "--tenants"),
+        (&["service", FIXTURE, "--tenants", "0"], "--tenants"),
         (&["difftest", "--seeds", "-1"], "--seeds"),
         (&["recover", "--seeds", "0"], "--seeds"),
         (&["recover", "--smoke"], "--smoke"),
+        (&["runtime", "--smoke"], "--smoke"),
+        (&["service", "--smoke"], "--smoke"),
         (&["explain", FIXTURE, "main", "#x"], "#x"),
     ];
     for (args, flag) in cases {

@@ -397,6 +397,29 @@ fn corrupted_operands_are_faults_not_panics() {
         }
     }
     assert!(bad_code(&em).contains("unemitted jcc 0x86"));
+
+    // Jumps retargeted to the entry of a function laid out before `main`:
+    // running on there would execute another function's code in `main`'s
+    // frame, with pc below `main`'s first byte.
+    let main_off = clean.functions[clean.function_by_name("main").unwrap()].text_off;
+    let target = clean
+        .functions
+        .iter()
+        .map(|f| f.text_off)
+        .filter(|&off| off < main_off)
+        .min()
+        .expect("mtrt lays out a function before main") as i64;
+    let mut em = clean.clone();
+    for &(pc, dec) in &main {
+        let (field, len) = match dec {
+            Dec::Jcc { .. } => (pc + 2, 6),
+            Dec::Jmp { .. } => (pc + 1, 5),
+            _ => continue,
+        };
+        let rel = i32::try_from(target - (pc + len) as i64).unwrap();
+        em.text[field..field + 4].copy_from_slice(&rel.to_le_bytes());
+    }
+    assert!(bad_code(&em).contains("jump outside the current function"));
 }
 
 #[test]
