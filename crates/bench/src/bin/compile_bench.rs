@@ -2,11 +2,13 @@
 //! thread count, and how much work does its dataflow solver do?
 //!
 //! Per workload, compiles once sequentially and once on four threads and
-//! checks the two outputs are byte-identical; then runs the worklist
+//! checks the two outputs are byte-identical, and fingerprints the
+//! optimized IR under `Full` and under `Full` with interprocedural
+//! inference and value-numbered non-nullness on; then runs the worklist
 //! solver and the round-robin oracle once each on the same non-nullness
 //! analyses and compares the blocks they process. Everything recorded in
-//! `BENCH_compile.json` is a count, so a fresh run reproduces the
-//! committed file byte for byte. Host time lives in perfbench (its
+//! `BENCH_compile.json` is a count or a content hash, so a fresh run
+//! reproduces the committed file byte for byte. Host time lives in perfbench (its
 //! `opt.pass.*_ms` metrics break the optimizer down per pass).
 //!
 //! ```text
@@ -117,6 +119,21 @@ fn module_display(m: &Module) -> String {
     s
 }
 
+/// Fingerprint of the optimized IR: [`njc_ir::Function::body_hash`] of
+/// every function, folded in function order with FNV-1a over its
+/// little-endian bytes. An optimizer change that claims to leave its
+/// output alone must leave this unchanged.
+fn ir_hash(m: &Module) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for f in m.functions() {
+        for b in f.body_hash().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    format!("{h:016x}")
+}
+
 /// One compile: the optimized module and its pipeline statistics.
 fn compile_once(
     module: &Module,
@@ -180,6 +197,12 @@ fn main() {
         .collect();
 
     let base = ConfigKind::Full.to_config(&platform);
+    // The configuration perfbench's `jit_compile` compiles with.
+    let analyses = OptConfig {
+        interproc: true,
+        gvn: true,
+        ..base
+    };
     let mut workload_json = Vec::new();
     let mut solver_json = Vec::new();
     let mut failures = 0usize;
@@ -201,6 +224,8 @@ fn main() {
             eprintln!("FAIL: {name}: parallel output differs from sequential");
             failures += 1;
         }
+        let ir_hash_full = ir_hash(&seq_module);
+        let ir_hash_analyses = ir_hash(&compile_once(module, &platform, &analyses).1);
         let pops = seq_stats.null_checks.solver_pops();
         let iterations = seq_stats.null_checks.solver_iterations();
         println!(
@@ -210,6 +235,7 @@ fn main() {
         workload_json.push(json_obj! {
             "name": name, "functions": module.num_functions(), "config": base.name,
             "deterministic": deterministic, "solver_pops": pops, "solver_iterations": iterations,
+            "ir_hash": json_obj! { "full": ir_hash_full, "full_interproc_gvn": ir_hash_analyses },
         });
     }
 
@@ -268,8 +294,10 @@ fn main() {
 
     let json = json_obj! {
         "generated_by": "compile_bench",
-        "note": "every figure is a count, reproducible run to run: 'deterministic' holds a \
-                 sequential and a 4-thread compile to byte-identical output; 'solver' compares \
+        "note": "every figure is a count or a hash, reproducible run to run: 'deterministic' \
+                 holds a sequential and a 4-thread compile to byte-identical output; 'ir_hash' \
+                 folds the body hash of every optimized function under Full and under Full with \
+                 interproc and gvn on; 'solver' compares \
                  the worklist solver to the round-robin oracle — one-sweep CFGs sit at the 2.0 \
                  compute+confirm blocks_speedup floor, the 'irregular chains' entry is where the \
                  schedules diverge; host time is perfbench's",
