@@ -271,9 +271,10 @@ fn main() {
     };
     let json = json_obj! {
         "generated_by": "runtime_bench", "iters": args.iters, "tenants": 1u64,
-        "note": "cycles are deterministic cost-model cycles (reproducible); wall-clock and \
-                 adaptive-scheduling data live under the volatile key, which the CI determinism \
-                 comparison deletes",
+        "note": "cycles are deterministic cost-model cycles (reproducible); adaptive-scheduling \
+                 data (swap and recompile counts, cache traffic) and the host's parallelism live \
+                 under the volatile key, which the CI determinism comparison deletes; host time \
+                 is perfbench's",
         "configs": configs, "overrides": overrides, "difftest": difftest,
     }
     .volatile(json_obj! {

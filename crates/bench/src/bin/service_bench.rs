@@ -366,9 +366,10 @@ fn main() {
 
     let json = json_obj! {
         "generated_by": "service_bench",
-        "note": "rows are deterministic cost-model results (reproducible); wall-clock, \
-                 scheduling, and host data live under each sweep's volatile key, which the CI \
-                 determinism comparison deletes",
+        "note": "rows are deterministic cost-model results (reproducible); scheduling data \
+                 (cache and queue traffic, queue latency) and the host's parallelism live under \
+                 each sweep's volatile key, which the CI determinism comparison deletes; host \
+                 time per layer is perfbench's",
         "sweeps": Json::Array(sweeps),
     }
     .report();

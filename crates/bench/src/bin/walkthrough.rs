@@ -9,7 +9,7 @@
 use njc_arch::TrapModel;
 use njc_core::ctx::AnalysisCtx;
 use njc_core::{phase1, phase2, whaley};
-use njc_ir::{parse_function, Function, Module, Type};
+use njc_ir::{parse_function, CfgCache, Function, Module, Type};
 use njc_opt::scalar::{self, ScalarConfig};
 
 fn module() -> Module {
@@ -99,7 +99,7 @@ bb2:
         ),
         &f,
     );
-    let s = scalar::run(&ctx, &mut f, ScalarConfig::default());
+    let s = scalar::run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
     stage(
         &format!(
             "scalar replacement ({} loads hoisted): the field load followed its check",
@@ -145,7 +145,12 @@ bb2:
 
     let mut f = parse_function(src).unwrap();
     phase1::run(&aix, &mut f);
-    let s = scalar::run(&aix, &mut f, ScalarConfig { speculation: false });
+    let s = scalar::run(
+        &aix,
+        &mut f,
+        &mut CfgCache::new(),
+        ScalarConfig { speculation: false },
+    );
     stage(
         &format!(
             "AIX, no speculation ({} loads hoisted): nullcheck v1 is pinned by the\nputfield barrier, so arraylength v1 stays in the loop",
@@ -156,7 +161,12 @@ bb2:
 
     let mut f = parse_function(src).unwrap();
     phase1::run(&aix, &mut f);
-    let s = scalar::run(&aix, &mut f, ScalarConfig { speculation: true });
+    let s = scalar::run(
+        &aix,
+        &mut f,
+        &mut CfgCache::new(),
+        ScalarConfig { speculation: true },
+    );
     stage(
         &format!(
             "AIX, speculation ({} loads hoisted, {} speculative): the silent read\nmoved above its own null check and out of the loop",

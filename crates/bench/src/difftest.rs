@@ -153,6 +153,7 @@ pub(crate) fn fault_label(f: &Fault) -> &'static str {
         Fault::BadDispatch { .. } => "bad-dispatch",
         Fault::NoSuchFunction(_) => "no-such-function",
         Fault::IllTyped { .. } => "ill-typed",
+        Fault::HeapExhausted { .. } => "heap-exhausted",
     }
 }
 
@@ -658,6 +659,7 @@ fn machine_fault_label(f: &MachineFault) -> &'static str {
         MachineFault::BadDispatch { .. } => "bad-dispatch",
         MachineFault::NoSuchFunction(_) => "no-such-function",
         MachineFault::BadCode { .. } => "bad-code",
+        MachineFault::HeapExhausted { .. } => "heap-exhausted",
     }
 }
 

@@ -59,6 +59,14 @@ pub enum MachineFault {
     },
     /// Unknown entry function.
     NoSuchFunction(String),
+    /// An allocation the heap refused: its byte size overflows 64 bits or
+    /// exceeds the heap ceiling (`njc_trap::HEAP_LIMIT_BYTES`).
+    HeapExhausted {
+        /// The function executing the allocation service call.
+        function: String,
+        /// The bytes asked for; `None` when the size overflowed 64 bits.
+        requested: Option<u64>,
+    },
     /// Executed bytes outside the emitted subset: an undecodable
     /// instruction, padding, a call outside every function, an unemitted
     /// jump condition, compare predicate, service id or tag, or an `idiv`
@@ -110,6 +118,13 @@ impl std::fmt::Display for MachineFault {
             MachineFault::StackOverflow => write!(f, "machine call depth exceeded"),
             MachineFault::BadDispatch { method } => write!(f, "dispatch of `{method}` failed"),
             MachineFault::NoSuchFunction(n) => write!(f, "no function `{n}`"),
+            MachineFault::HeapExhausted {
+                function,
+                requested,
+            } => match requested {
+                Some(n) => write!(f, "heap exhausted in {function}: {n} bytes requested"),
+                None => write!(f, "heap exhausted in {function}: size overflows 64 bits"),
+            },
             MachineFault::BadCode {
                 function,
                 pc,

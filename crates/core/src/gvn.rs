@@ -38,7 +38,8 @@
 //! move copies (a hoisted `w = v` is justified by `w ≅ v`, not by a check
 //! of `w` on every path).
 
-use std::collections::{HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 use njc_dataflow::{BitSet, Direction, Meet, Problem};
 use njc_ir::{BlockId, Function, Inst, Terminator, VarId};
@@ -59,42 +60,127 @@ pub fn default_throw_point(inst: &Inst) -> bool {
     nonnull::is_throw_point(inst)
 }
 
-/// The interned shape of a value number. Structural keys make congruence
-/// syntactic: two expressions get the same number iff their keys collide.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Key {
-    /// Variable `v`'s value on function entry.
-    Entry(u32),
-    /// The opaque value defined by instruction `(block, index)` — consts,
-    /// calls, allocations, array loads, arithmetic.
-    Def(u32, u32),
-    /// Phi: variable `v` merges distinct values at the head of `block`.
-    Merge(u32, u32),
-    /// Phi on the exceptional edge: `v` held distinct values at two throw
-    /// points of `block`.
-    ExcMerge(u32, u32),
-    /// `getfield obj, field` under memory epoch `ep`: congruent re-load.
-    Load(u32, u32, u32),
-    /// The memory epoch on function entry.
-    EntryMem,
-    /// The epoch after the potentially-aliasing write at `(block, index)`
-    /// (putfield / array store / call).
-    Store(u32, u32),
-    /// Phi over memory epochs at the head of `block`.
-    MemMerge(u32),
-    /// Phi over memory epochs on `block`'s exceptional edge.
-    ExcMemMerge(u32),
+/// Where value numbers come from. Every number is handed out the first
+/// time its *key* is asked for, and two expressions get the same number iff
+/// their keys are equal, which makes congruence syntactic. The keys are:
+///
+/// * `Entry(v)`: variable `v`'s value on function entry, and `EntryMem`,
+///   the memory epoch on entry;
+/// * `Def(block, i)`: the opaque value defined by instruction `i` of
+///   `block` (consts, calls, allocations, array loads, arithmetic);
+/// * `Store(block, i)`: the memory epoch after the potentially-aliasing
+///   write at `(block, i)` (putfield / array store / call);
+/// * `Merge(block, v)` / `MemMerge(block)`: a phi at the head of `block`
+///   where `v` (or the epoch) merges distinct values;
+/// * `ExcMerge(block, v)` / `ExcMemMerge(block)`: the same on `block`'s
+///   exceptional edge, where two throw points disagree;
+/// * `Load(obj, field, epoch)`: `getfield obj, field` under a memory
+///   epoch, so a re-load is congruent until a store or call bumps it.
+///
+/// Every key but `Load` is indexed by a variable, a block, a (block,
+/// variable) pair or an instruction, so each shape gets a dense table of
+/// first-sight slots ([`NO_VN`] until asked for). Only `Load`, whose parts
+/// are themselves numbers, needs a map. Since a slot takes the next number
+/// on first sight, the numbers come out in exactly the order one interner
+/// over all shapes would hand them out.
+struct Numbers {
+    next: u32,
+    nv: usize,
+    /// `Merge(block, v)` and `ExcMerge(block, v)`, at `block * nv + v`.
+    merge: Vec<u32>,
+    exc_merge: Vec<u32>,
+    /// `MemMerge(block)` and `ExcMemMerge(block)`.
+    mem_merge: Vec<u32>,
+    exc_mem_merge: Vec<u32>,
+    /// Start of each block's instructions in `def` and `store`.
+    inst_base: Vec<usize>,
+    /// `Def(block, i)` and `Store(block, i)`, at `inst_base[block] + i`.
+    def: Vec<u32>,
+    store: Vec<u32>,
+    load: HashMap<(u32, u32, u32), u32>,
 }
 
-#[derive(Default)]
-struct Interner {
-    map: HashMap<Key, u32>,
+/// Takes the next number into an empty slot; returns the slot's number.
+fn first_sight(slot: &mut u32, next: &mut u32) -> u32 {
+    if *slot == NO_VN {
+        assert!(*next < NO_VN, "value number overflow");
+        *slot = *next;
+        *next += 1;
+    }
+    *slot
 }
 
-impl Interner {
-    fn id(&mut self, k: Key) -> u32 {
-        let next = u32::try_from(self.map.len()).expect("value number overflow");
-        *self.map.entry(k).or_insert(next)
+impl Numbers {
+    fn new(func: &Function) -> Self {
+        let nb = func.num_blocks();
+        let nv = func.num_vars();
+        let mut inst_base = Vec::with_capacity(nb);
+        let mut total = 0;
+        for b in func.blocks() {
+            inst_base.push(total);
+            total += b.insts.len();
+        }
+        Numbers {
+            next: 0,
+            nv,
+            merge: vec![NO_VN; nb * nv],
+            exc_merge: vec![NO_VN; nb * nv],
+            mem_merge: vec![NO_VN; nb],
+            exc_mem_merge: vec![NO_VN; nb],
+            inst_base,
+            def: vec![NO_VN; total],
+            store: vec![NO_VN; total],
+            load: HashMap::new(),
+        }
+    }
+
+    /// A number no key shares (the entry frame's `Entry(v)`/`EntryMem`).
+    fn fresh(&mut self) -> u32 {
+        let mut slot = NO_VN;
+        first_sight(&mut slot, &mut self.next)
+    }
+
+    fn merge(&mut self, bi: usize, v: usize) -> u32 {
+        first_sight(&mut self.merge[bi * self.nv + v], &mut self.next)
+    }
+
+    /// Whether `Merge(bi, v)` was ever handed out: a join that once saw
+    /// disagreement stays a phi.
+    fn is_merged(&self, bi: usize, v: usize) -> bool {
+        self.merge[bi * self.nv + v] != NO_VN
+    }
+
+    fn exc_merge(&mut self, bi: usize, v: usize) -> u32 {
+        first_sight(&mut self.exc_merge[bi * self.nv + v], &mut self.next)
+    }
+
+    fn mem_merge(&mut self, bi: usize) -> u32 {
+        first_sight(&mut self.mem_merge[bi], &mut self.next)
+    }
+
+    /// Whether `MemMerge(bi)` was ever handed out (sticky, like
+    /// [`Numbers::is_merged`]).
+    fn is_mem_merged(&self, bi: usize) -> bool {
+        self.mem_merge[bi] != NO_VN
+    }
+
+    fn exc_mem_merge(&mut self, bi: usize) -> u32 {
+        first_sight(&mut self.exc_mem_merge[bi], &mut self.next)
+    }
+
+    fn def(&mut self, bi: usize, i: usize) -> u32 {
+        first_sight(&mut self.def[self.inst_base[bi] + i], &mut self.next)
+    }
+
+    fn store(&mut self, bi: usize, i: usize) -> u32 {
+        first_sight(&mut self.store[self.inst_base[bi] + i], &mut self.next)
+    }
+
+    fn load(&mut self, obj: u32, field: u32, ep: u32) -> u32 {
+        first_sight(
+            self.load.entry((obj, field, ep)).or_insert(NO_VN),
+            &mut self.next,
+        )
     }
 }
 
@@ -121,32 +207,51 @@ pub struct ValueNumbering {
     pub num_vns: usize,
 }
 
-/// Folds one throw-point snapshot into the exceptional-edge accumulator:
-/// positions that disagree become sticky per-(block, var) phi numbers.
-fn fold_exc(
-    itn: &mut Interner,
-    bi: usize,
-    acc: &mut Option<Vec<u32>>,
-    acc_ep: &mut Option<u32>,
-    state: &[u32],
-    ep: u32,
-) {
-    match acc {
-        None => {
-            *acc = Some(state.to_vec());
-            *acc_ep = Some(ep);
-        }
-        Some(av) => {
-            for (v, a) in av.iter_mut().enumerate() {
-                if *a != state[v] {
-                    *a = itn.id(Key::ExcMerge(bi as u32, v as u32));
-                }
+/// The exceptional-edge binding of one block under construction: empty
+/// until the first throw point, then the state there, with positions that
+/// later throw points disagree on turned into sticky per-(block, var) phi
+/// numbers.
+#[derive(Default)]
+struct ExcFold {
+    vars: Vec<u32>,
+    epoch: Option<u32>,
+}
+
+impl ExcFold {
+    fn reset(&mut self) {
+        self.vars.clear();
+        self.epoch = None;
+    }
+
+    /// Folds one throw-point snapshot in.
+    fn fold(&mut self, num: &mut Numbers, bi: usize, state: &[u32], ep: u32) {
+        match self.epoch {
+            None => {
+                self.vars.extend_from_slice(state);
+                self.epoch = Some(ep);
             }
-            if *acc_ep != Some(ep) {
-                *acc_ep = Some(itn.id(Key::ExcMemMerge(bi as u32)));
+            Some(acc_ep) => {
+                for (v, a) in self.vars.iter_mut().enumerate() {
+                    if *a != state[v] {
+                        *a = num.exc_merge(bi, v);
+                    }
+                }
+                if acc_ep != ep {
+                    self.epoch = Some(num.exc_mem_merge(bi));
+                }
             }
         }
     }
+
+    fn binding(&self) -> Option<&[u32]> {
+        self.epoch.map(|_| self.vars.as_slice())
+    }
+}
+
+/// Overwrites `dst` with `src`, reusing `dst`'s buffer.
+fn assign(dst: &mut Vec<u32>, src: &[u32]) {
+    dst.clear();
+    dst.extend_from_slice(src);
 }
 
 impl ValueNumbering {
@@ -159,14 +264,17 @@ impl ValueNumbering {
     pub fn compute(func: &Function, is_throw_point: &dyn Fn(&Inst) -> bool) -> ValueNumbering {
         let nb = func.num_blocks();
         let nv = func.num_vars();
-        let mut itn = Interner::default();
+        let mut num = Numbers::new(func);
 
         // Predecessor edges, handler edges included and tagged.
         let mut preds: Vec<Vec<(usize, bool)>> = vec![Vec::new(); nb];
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
+        let mut explicit = Vec::with_capacity(2);
         for b in func.blocks() {
             let bi = b.id.index();
-            for s in b.term.successors() {
+            explicit.clear();
+            b.term.successors_into(&mut explicit);
+            for s in &explicit {
                 preds[s.index()].push((bi, false));
                 succs[bi].push(s.index());
             }
@@ -209,6 +317,11 @@ impl ValueNumbering {
             order.push(entry_idx);
         }
 
+        // The entry block leads the order, so its frame takes the first
+        // numbers: `Entry(v)` is `v` and `EntryMem` is `nv`.
+        let entry_frame: Vec<u32> = (0..nv).map(|_| num.fresh()).collect();
+        let entry_mem = num.fresh();
+
         let mut entry_vn: Vec<Vec<u32>> = vec![Vec::new(); nb];
         let mut entry_ep: Vec<u32> = vec![0; nb];
         let mut exit_vn: Vec<Vec<u32>> = vec![Vec::new(); nb];
@@ -218,75 +331,93 @@ impl ValueNumbering {
         let mut exc_ep: Vec<Option<u32>> = vec![None; nb];
         let mut exc_cut: Vec<usize> = vec![usize::MAX; nb];
         let mut computed = vec![false; nb];
-        // Sticky merge decisions: once a join observes disagreement for a
-        // (block, var) — or for a block's epoch — it stays a phi. This is
-        // what makes the fixpoint monotone (each decision flips at most
-        // once), so the pass bound below is generous, not load-bearing.
-        let mut merged_var: HashSet<(usize, usize)> = HashSet::new();
-        let mut merged_mem: HashSet<usize> = HashSet::new();
+        // Whether a predecessor's frame changed since the block's entry
+        // frame was last built. A block whose inputs did not move would
+        // rebuild the same frame and hand out no new number, so skipping it
+        // changes neither the numbering nor its order.
+        let mut stale = vec![true; nb];
 
-        let entry_frame = |itn: &mut Interner| -> (Vec<u32>, u32) {
-            (
-                (0..nv).map(|v| itn.id(Key::Entry(v as u32))).collect(),
-                itn.id(Key::EntryMem),
-            )
-        };
+        // Per-block scratch, reused across blocks and passes.
+        let mut contribs: Vec<(usize, bool)> = Vec::new();
+        let mut ev: Vec<u32> = Vec::with_capacity(nv);
+        let mut state: Vec<u32> = Vec::with_capacity(nv);
+        let mut dvs: Vec<u32> = Vec::new();
+        let mut exc = ExcFold::default();
 
+        // Merge decisions are sticky: once a join observes disagreement for
+        // a (block, var) — or for a block's epoch — it stays a phi (its
+        // `Merge` slot is taken). This is what makes the fixpoint monotone
+        // (each decision flips at most once), so the pass bound below is
+        // generous, not load-bearing.
         let limit = (nb + 2) * (nv + 2) + 16;
         let mut passes = 0;
         loop {
             let mut changed = false;
             for &bi in &order {
-                // Block entry frame: agree → inherit, disagree → phi.
-                let (ev, eep) = if bi == entry_idx {
-                    entry_frame(&mut itn)
-                } else {
-                    let mut contribs: Vec<(Vec<u32>, u32)> = Vec::new();
-                    for &(p, exc) in &preds[bi] {
-                        if !computed[p] {
-                            continue; // optimistic: not yet visited
-                        }
-                        if exc {
-                            if let Some(bind) = &exc_vn[p] {
-                                contribs.push((bind.clone(), exc_ep[p].expect("exc epoch")));
-                            }
-                        } else {
-                            contribs.push((exit_vn[p].clone(), exit_ep[p]));
+                if !stale[bi] {
+                    continue;
+                }
+                stale[bi] = false;
+                // Block entry frame: agree → inherit, disagree → phi. Only
+                // predecessors already visited contribute (optimistic).
+                contribs.clear();
+                if bi != entry_idx {
+                    for &(p, is_exc) in &preds[bi] {
+                        if computed[p] && (!is_exc || exc_vn[p].is_some()) {
+                            contribs.push((p, is_exc));
                         }
                     }
-                    if contribs.is_empty() {
-                        entry_frame(&mut itn)
+                }
+                ev.clear();
+                let eep = if let Some((&first, rest)) = contribs.split_first() {
+                    let frame = |(p, is_exc): (usize, bool)| -> &[u32] {
+                        if is_exc {
+                            exc_vn[p].as_deref().expect("exc binding")
+                        } else {
+                            &exit_vn[p]
+                        }
+                    };
+                    let epoch = |(p, is_exc): (usize, bool)| -> u32 {
+                        if is_exc {
+                            exc_ep[p].expect("exc epoch")
+                        } else {
+                            exit_ep[p]
+                        }
+                    };
+                    let first_frame = frame(first);
+                    for (v, &x) in first_frame.iter().enumerate() {
+                        let agree = rest.iter().all(|&c| frame(c)[v] == x);
+                        ev.push(if !agree || num.is_merged(bi, v) {
+                            num.merge(bi, v)
+                        } else {
+                            x
+                        });
+                    }
+                    let first_ep = epoch(first);
+                    let ep_agree = rest.iter().all(|&c| epoch(c) == first_ep);
+                    if !ep_agree || num.is_mem_merged(bi) {
+                        num.mem_merge(bi)
                     } else {
-                        let mut ev = vec![0u32; nv];
-                        for (v, slot) in ev.iter_mut().enumerate() {
-                            let first = contribs[0].0[v];
-                            let agree = contribs.iter().all(|c| c.0[v] == first);
-                            *slot = if !agree || merged_var.contains(&(bi, v)) {
-                                merged_var.insert((bi, v));
-                                itn.id(Key::Merge(bi as u32, v as u32))
-                            } else {
-                                first
-                            };
-                        }
-                        let first_ep = contribs[0].1;
-                        let ep_agree = contribs.iter().all(|c| c.1 == first_ep);
-                        let eep = if !ep_agree || merged_mem.contains(&bi) {
-                            merged_mem.insert(bi);
-                            itn.id(Key::MemMerge(bi as u32))
-                        } else {
-                            first_ep
-                        };
-                        (ev, eep)
+                        first_ep
                     }
+                } else {
+                    ev.extend_from_slice(&entry_frame);
+                    entry_mem
                 };
+
+                // The walk below is a function of the entry frame alone
+                // (every number it asks for was handed out the first time),
+                // so an unchanged frame means an unchanged block.
+                if computed[bi] && entry_ep[bi] == eep && entry_vn[bi] == ev {
+                    continue;
+                }
 
                 // Straight-line walk of the block.
                 let block = func.block(BlockId::new(bi));
-                let mut state = ev.clone();
+                assign(&mut state, &ev);
                 let mut ep = eep;
-                let mut dvs: Vec<u32> = Vec::with_capacity(block.insts.len());
-                let mut exc_acc: Option<Vec<u32>> = None;
-                let mut exc_e: Option<u32> = None;
+                dvs.clear();
+                exc.reset();
                 let mut cut = usize::MAX;
                 for (i, inst) in block.insts.iter().enumerate() {
                     if is_throw_point(inst) {
@@ -295,7 +426,7 @@ impl ValueNumbering {
                         if cut == usize::MAX {
                             cut = i;
                         }
-                        fold_exc(&mut itn, bi, &mut exc_acc, &mut exc_e, &state, ep);
+                        exc.fold(&mut num, bi, &state, ep);
                     }
                     let dv = match inst {
                         Inst::Move { dst, src } => {
@@ -306,21 +437,21 @@ impl ValueNumbering {
                         Inst::GetField {
                             dst, obj, field, ..
                         } => {
-                            let x = itn.id(Key::Load(state[obj.index()], field.0, ep));
+                            let x = num.load(state[obj.index()], field.0, ep);
                             state[dst.index()] = x;
                             x
                         }
                         _ => {
                             let dv = match inst.def() {
                                 Some(d) => {
-                                    let x = itn.id(Key::Def(bi as u32, i as u32));
+                                    let x = num.def(bi, i);
                                     state[d.index()] = x;
                                     x
                                 }
                                 None => NO_VN,
                             };
                             if inst.writes_memory() {
-                                ep = itn.id(Key::Store(bi as u32, i as u32));
+                                ep = num.store(bi, i);
                             }
                             dv
                         }
@@ -331,30 +462,37 @@ impl ValueNumbering {
                     if cut == usize::MAX {
                         cut = block.insts.len();
                     }
-                    fold_exc(&mut itn, bi, &mut exc_acc, &mut exc_e, &state, ep);
+                    exc.fold(&mut num, bi, &state, ep);
                 }
 
-                if !computed[bi]
-                    || entry_vn[bi] != ev
-                    || entry_ep[bi] != eep
-                    || exit_vn[bi] != state
-                    || exit_ep[bi] != ep
-                    || def_vn[bi] != dvs
-                    || exc_vn[bi] != exc_acc
-                    || exc_ep[bi] != exc_e
-                    || exc_cut[bi] != cut
+                if computed[bi]
+                    && entry_vn[bi] == ev
+                    && entry_ep[bi] == eep
+                    && exit_vn[bi] == state
+                    && exit_ep[bi] == ep
+                    && def_vn[bi] == dvs
+                    && exc_vn[bi].as_deref() == exc.binding()
+                    && exc_ep[bi] == exc.epoch
+                    && exc_cut[bi] == cut
                 {
-                    changed = true;
+                    continue;
                 }
-                entry_vn[bi] = ev;
+                changed = true;
+                assign(&mut entry_vn[bi], &ev);
                 entry_ep[bi] = eep;
-                exit_vn[bi] = state;
+                assign(&mut exit_vn[bi], &state);
                 exit_ep[bi] = ep;
-                def_vn[bi] = dvs;
-                exc_vn[bi] = exc_acc;
-                exc_ep[bi] = exc_e;
+                assign(&mut def_vn[bi], &dvs);
+                match exc.binding() {
+                    Some(bind) => assign(exc_vn[bi].get_or_insert_with(Vec::new), bind),
+                    None => exc_vn[bi] = None,
+                }
+                exc_ep[bi] = exc.epoch;
                 exc_cut[bi] = cut;
                 computed[bi] = true;
+                for &s in &succs[bi] {
+                    stale[s] = true;
+                }
             }
             if !changed {
                 break;
@@ -369,7 +507,7 @@ impl ValueNumbering {
             def_vn,
             exc_vn,
             exc_cut,
-            num_vns: itn.map.len(),
+            num_vns: num.next as usize,
         }
     }
 
@@ -421,9 +559,10 @@ pub fn compute_gvn_sets(
     let nb = func.num_blocks();
     let mut gen = Vec::with_capacity(nb);
     let mut exc_gen = Vec::with_capacity(nb);
+    let mut state = Vec::with_capacity(func.num_vars());
     for b in func.blocks() {
         let bi = b.id.index();
-        let mut state = vn.entry_vn[bi].clone();
+        assign(&mut state, &vn.entry_vn[bi]);
         let mut g = BitSet::new(nf);
         let mut eg = BitSet::new(nf);
         for (i, inst) in b.insts.iter().enumerate() {
@@ -466,6 +605,29 @@ pub struct GvnNonNullProblem<'a> {
     /// Interprocedurally proven non-null parameters (variable-indexed),
     /// seeded onto their entry VNs.
     pub entry: Option<BitSet>,
+    /// The edge transfer's output buffer, swapped with the solver's set
+    /// after each translation so no edge visit allocates.
+    scratch: RefCell<BitSet>,
+}
+
+impl<'a> GvnNonNullProblem<'a> {
+    /// The problem over `func` with numbering `vn` and its transfer `sets`.
+    pub fn new(
+        func: &'a Function,
+        vn: &'a ValueNumbering,
+        sets: GvnNonNullSets,
+        earliest: Option<&'a [BitSet]>,
+        entry: Option<BitSet>,
+    ) -> Self {
+        GvnNonNullProblem {
+            func,
+            vn,
+            sets,
+            earliest,
+            entry,
+            scratch: RefCell::new(BitSet::new(vn.num_vns)),
+        }
+    }
 }
 
 impl Problem for GvnNonNullProblem<'_> {
@@ -500,7 +662,8 @@ impl Problem for GvnNonNullProblem<'_> {
     fn edge_transfer(&self, from: BlockId, to: BlockId, set: &mut BitSet) {
         let fi = from.index();
         let ti = to.index();
-        let mut out = BitSet::new(self.vn.num_vns);
+        let mut out = self.scratch.borrow_mut();
+        out.clear();
         if is_exceptional_edge(self.func, from, to) {
             // `set` holds the block's entry facts (edge_uses_input). The
             // handler observes in-facts plus pre-first-throw-point gens,
@@ -509,9 +672,9 @@ impl Problem for GvnNonNullProblem<'_> {
                 // No throw point: the edge is never taken — ⊤.
                 None => out.set_all(),
                 Some(bind) => {
-                    let mut facts = set.clone();
-                    facts.union_with(&self.sets.exc_gen[fi]);
-                    ValueNumbering::translate(bind, &self.vn.entry_vn[ti], &facts, &mut out);
+                    // `set` is overwritten below, so gen into it in place.
+                    set.union_with(&self.sets.exc_gen[fi]);
+                    ValueNumbering::translate(bind, &self.vn.entry_vn[ti], set, &mut out);
                 }
             }
         } else {
@@ -539,7 +702,7 @@ impl Problem for GvnNonNullProblem<'_> {
                 }
             }
         }
-        *set = out;
+        std::mem::swap(set, &mut *out);
     }
 }
 
@@ -735,13 +898,7 @@ mod tests {
         let lsol = solve(f, &legacy);
         let vn = ValueNumbering::compute(f, &default_throw_point);
         let sets = compute_gvn_sets(None, f, &vn);
-        let gp = GvnNonNullProblem {
-            func: f,
-            vn: &vn,
-            sets,
-            earliest: None,
-            entry: None,
-        };
+        let gp = GvnNonNullProblem::new(f, &vn, sets, None, None);
         let gsol = solve(f, &gp);
         (lsol.ins, vn, gsol.ins)
     }

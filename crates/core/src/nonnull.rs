@@ -141,53 +141,83 @@ fn compute_sets_impl(ctx: Option<&AnalysisCtx<'_>>, func: &Function) -> NonNullS
     let mut exc_mask = Vec::with_capacity(nb);
     let mut exc_copy = Vec::with_capacity(nb);
     let mut exc_always = Vec::with_capacity(nb);
-    let mut state: Vec<VarState> = Vec::with_capacity(nv);
-    let mut exc: Vec<ExcState> = Vec::with_capacity(nv);
+    // The walk is sparse: a variable the block never writes holds its
+    // entry value throughout (no gen, no kill, no copy) and, when the block
+    // throws, reaches the handler as `IfEntry(v)` — a mask bit. Only
+    // written variables get a `state`/`exc` entry, reset at block end.
+    let mut state: Vec<VarState> = (0..nv as u32).map(VarState::Entry).collect();
+    let mut exc: Vec<ExcState> = vec![ExcState::Top; nv];
+    let mut touched: Vec<usize> = Vec::new();
+    let mut is_touched = vec![false; nv];
+    // Variables written since the last throwing point. Folding the same
+    // state twice in a row is a no-op (`fold` is idempotent in its state
+    // argument), so a throwing point folds only these: every other
+    // variable still holds what was folded last time.
+    let mut written: Vec<usize> = Vec::new();
     for b in func.blocks() {
-        state.clear();
-        state.extend((0..nv as u32).map(VarState::Entry));
-        exc.clear();
-        exc.resize(nv, ExcState::Top);
         let mut saw_throw = false;
+        // The handler observes the state *before* a throwing instruction
+        // executes (its own gen has not happened if it throws).
+        let throw_point = |exc: &mut [ExcState], state: &[VarState], written: &mut Vec<usize>| {
+            for &v in written.iter() {
+                exc[v] = exc[v].fold(state[v]);
+            }
+            written.clear();
+        };
         for inst in &b.insts {
             if is_throw_point(inst) {
-                // The handler observes the state *before* this instruction
-                // executes (its own gen has not happened if it throws).
+                throw_point(&mut exc, &state, &mut written);
                 saw_throw = true;
-                for v in 0..nv {
-                    exc[v] = exc[v].fold(state[v]);
-                }
             }
-            if let Some(d) = ctx.and_then(|c| c.assumed_nonnull_def(inst)) {
-                state[d.index()] = VarState::Fact;
-                continue;
-            }
-            match inst {
-                Inst::NullCheck { var, .. } => state[var.index()] = VarState::Fact,
-                Inst::New { dst, .. } | Inst::NewArray { dst, .. } => {
-                    state[dst.index()] = VarState::Fact
-                }
-                Inst::Move { dst, src } => state[dst.index()] = state[src.index()],
-                _ => {
-                    if let Some(d) = inst.def() {
-                        state[d.index()] = VarState::Unknown;
+            let (d, s) = if let Some(d) = ctx.and_then(|c| c.assumed_nonnull_def(inst)) {
+                (d.index(), VarState::Fact)
+            } else {
+                match inst {
+                    Inst::NullCheck { var, .. } => (var.index(), VarState::Fact),
+                    Inst::New { dst, .. } | Inst::NewArray { dst, .. } => {
+                        (dst.index(), VarState::Fact)
                     }
+                    Inst::Move { dst, src } => (dst.index(), state[src.index()]),
+                    _ => match inst.def() {
+                        Some(d) => (d.index(), VarState::Unknown),
+                        None => continue,
+                    },
+                }
+            };
+            if !is_touched[d] {
+                // Every throwing point so far saw the entry value.
+                is_touched[d] = true;
+                touched.push(d);
+                if saw_throw {
+                    exc[d] = ExcState::IfEntry(d as u32);
                 }
             }
+            state[d] = s;
+            written.push(d);
         }
         if matches!(b.term, Terminator::Throw(_)) {
             // The throw happens after every instruction: the handler sees
             // the block's exit state.
+            throw_point(&mut exc, &state, &mut written);
             saw_throw = true;
-            for v in 0..nv {
-                exc[v] = exc[v].fold(state[v]);
-            }
         }
+        written.clear();
+        touched.sort_unstable();
         let mut g = BitSet::new(nv);
         let mut k = BitSet::new(nv);
         let mut cp = Vec::new();
-        for (v, s) in state.iter().enumerate() {
-            match *s {
+        let mut mask = BitSet::new(nv);
+        let mut ecp = Vec::new();
+        let mut always = BitSet::new(nv);
+        if saw_throw {
+            mask.set_all();
+        } else {
+            // No throwing point: the edge can never be taken at run time,
+            // so it may contribute ⊤ (everything) to the handler's meet.
+            always.set_all();
+        }
+        for &v in &touched {
+            match state[v] {
                 VarState::Fact => {
                     g.insert(v);
                 }
@@ -197,13 +227,9 @@ fn compute_sets_impl(ctx: Option<&AnalysisCtx<'_>>, func: &Function) -> NonNullS
                     k.insert(v);
                 }
             }
-        }
-        let mut mask = BitSet::new(nv);
-        let mut ecp = Vec::new();
-        let mut always = BitSet::new(nv);
-        if saw_throw {
-            for (v, e) in exc.iter().enumerate() {
-                match *e {
+            if saw_throw {
+                mask.remove(v);
+                match exc[v] {
                     ExcState::Always => {
                         always.insert(v);
                     }
@@ -214,11 +240,11 @@ fn compute_sets_impl(ctx: Option<&AnalysisCtx<'_>>, func: &Function) -> NonNullS
                     ExcState::Top | ExcState::Never => {}
                 }
             }
-        } else {
-            // No throwing point: the edge can never be taken at run time,
-            // so it may contribute ⊤ (everything) to the handler's meet.
-            always.set_all();
+            state[v] = VarState::Entry(v as u32);
+            exc[v] = ExcState::Top;
+            is_touched[v] = false;
         }
+        touched.clear();
         gen.push(g);
         kill.push(k);
         copy.push(cp);
@@ -241,7 +267,7 @@ fn compute_sets_impl(ctx: Option<&AnalysisCtx<'_>>, func: &Function) -> NonNullS
 pub fn is_exceptional_edge(func: &Function, from: BlockId, to: BlockId) -> bool {
     let b = func.block(from);
     match b.try_region {
-        Some(tr) => func.try_region(tr).handler == to && !b.term.successors().contains(&to),
+        Some(tr) => func.try_region(tr).handler == to && !b.term.has_successor(to),
         None => false,
     }
 }

@@ -164,23 +164,18 @@ fn compute_earliest(func: &Function, preds: &[Vec<BlockId>], outs: &[BitSet]) ->
 
 /// Runs phase 1 on `func`: moves null checks backward to their earliest
 /// points and eliminates redundant ones. Computes the CFG structures on
-/// the spot; the pipeline uses [`run_cached`].
+/// the spot; the pipeline uses [`run_recorded`] with its own cache.
 ///
 /// Returns statistics; the function is rewritten in place.
 pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> Phase1Stats {
-    run_cached(ctx, func, &mut CfgCache::new())
+    run_recorded(ctx, func, &mut CfgCache::new(), &mut Recorder::disabled())
 }
 
-/// [`run`], reusing (and revalidating) the caller's [`CfgCache`]. Phase 1
-/// only rewrites instruction lists, so the cache it fills stays valid for
-/// the caller afterwards.
-pub fn run_cached(ctx: &AnalysisCtx<'_>, func: &mut Function, cfg: &mut CfgCache) -> Phase1Stats {
-    run_recorded(ctx, func, cfg, &mut Recorder::disabled())
-}
-
-/// [`run_cached`] with provenance: eliminations record the justifying
-/// `In_fwd` fact, insertions the earliest block they were hoisted to, and
-/// inserted checks draw fresh ids from the recorder.
+/// [`run`] with provenance, reusing (and revalidating) the caller's
+/// [`CfgCache`]: eliminations record the justifying `In_fwd` fact,
+/// insertions the earliest block they were hoisted to, and inserted checks
+/// draw fresh ids from the recorder. Phase 1 only rewrites instruction
+/// lists, so the cache stays valid for the caller afterwards.
 pub fn run_recorded(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
@@ -319,13 +314,13 @@ pub fn run_recorded_gvn(
     // ... and the value-numbered one, interprocedural facts seeded onto
     // entry VNs and assumed gens onto their classes.
     let vn = ValueNumbering::compute(func, &default_throw_point);
-    let gvn_problem = GvnNonNullProblem {
+    let gvn_problem = GvnNonNullProblem::new(
         func,
-        vn: &vn,
-        sets: compute_gvn_sets(Some(ctx), func, &vn),
-        earliest: Some(&earliest),
-        entry: ctx.entry_facts(func, nv),
-    };
+        &vn,
+        compute_gvn_sets(Some(ctx), func, &vn),
+        Some(&earliest),
+        ctx.entry_facts(func, nv),
+    );
     let sol_gvn = solve_cached(func, cfg, &gvn_problem);
     stats.nonnull_iterations = sol_fwd.iterations + sol_gvn.iterations;
     stats.nonnull_pops = sol_fwd.worklist_pops + sol_gvn.worklist_pops;

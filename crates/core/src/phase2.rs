@@ -555,22 +555,17 @@ fn eliminate_substitutable(
 /// support ([`njc_arch::TrapModel::supports_implicit_checks`] false) the
 /// motion and substitution still run, but no implicit conversions happen.
 pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> Phase2Stats {
-    run_cached(ctx, func, &mut CfgCache::new())
+    run_recorded(ctx, func, &mut CfgCache::new(), &mut Recorder::disabled())
 }
 
-/// [`run`], reusing (and revalidating) the caller's [`CfgCache`]. The
-/// rewrites between the two solves only touch instruction lists, so one
-/// cache serves both the motion and the substitutable analysis — and stays
-/// valid for the caller afterwards.
-pub fn run_cached(ctx: &AnalysisCtx<'_>, func: &mut Function, cfg: &mut CfgCache) -> Phase2Stats {
-    run_recorded(ctx, func, cfg, &mut Recorder::disabled())
-}
-
-/// [`run_cached`] with provenance: absorptions, merges, respawns,
-/// conversions (with the legalizing trap-model rule), explicit
-/// materializations (with their cause), postponements, and substitutions
-/// (with their cover) all become events, and every obligation carries a
-/// stable check id through the rewrite.
+/// [`run`] with provenance, reusing (and revalidating) the caller's
+/// [`CfgCache`]: absorptions, merges, respawns, conversions (with the
+/// legalizing trap-model rule), explicit materializations (with their
+/// cause), postponements, and substitutions (with their cover) all become
+/// events, and every obligation carries a stable check id through the
+/// rewrite. The rewrites between the two solves only touch instruction
+/// lists, so one cache serves both the motion and the substitutable
+/// analysis — and stays valid for the caller afterwards.
 pub fn run_recorded(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,

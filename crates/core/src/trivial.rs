@@ -40,9 +40,10 @@ pub fn run_recorded(
     }
     for bi in 0..func.num_blocks() {
         let block_id = BlockId::new(bi);
-        let block = func.block_mut(block_id);
-        let in_try = block.try_region.is_some();
-        let n = block.insts.len();
+        let in_try = func.block(block_id).try_region.is_some();
+        // insts_mut: instruction-only rewrite, CFG caches stay valid.
+        let insts = func.insts_mut(block_id);
+        let n = insts.len();
         let mut remove = vec![false; n];
         let mut mark = vec![false; n];
         // Ordinal of each instruction among the block's trap-qualifying
@@ -50,8 +51,7 @@ pub fn run_recorded(
         // ordinals survive into the final IR.
         let ordinal: Vec<usize> = if rec.is_enabled() {
             let mut next = 0;
-            block
-                .insts
+            insts
                 .iter()
                 .map(|inst| match ctx.classify_access(inst) {
                     Some((_, AccessClass::TrapGuaranteed)) => {
@@ -70,13 +70,13 @@ pub fn run_recorded(
                 var,
                 kind: NullCheckKind::Explicit,
                 id,
-            } = block.insts[i]
+            } = insts[i]
             else {
                 continue;
             };
             // Scan forward for the covering access.
             for j in i + 1..n {
-                let inst = &block.insts[j];
+                let inst = &insts[j];
                 if let Some((base, class)) = ctx.classify_access(inst) {
                     if base == var {
                         if class == AccessClass::TrapGuaranteed {
@@ -100,13 +100,13 @@ pub fn run_recorded(
                 }
             }
         }
-        for (inst, m) in block.insts.iter_mut().zip(&mark) {
+        for (inst, m) in insts.iter_mut().zip(&mark) {
             if *m {
                 inst.set_exception_site(true);
             }
         }
         let mut it = remove.iter();
-        block.insts.retain(|_| !*it.next().unwrap());
+        insts.retain(|_| !*it.next().unwrap());
         for ev in events {
             rec.record(ev);
         }

@@ -37,16 +37,12 @@ pub struct WhaleyStats {
 
 /// Runs the baseline elimination on `func` in place.
 pub fn run(func: &mut Function) -> WhaleyStats {
-    run_cached(func, &mut CfgCache::new())
+    run_recorded(func, &mut CfgCache::new(), &mut Recorder::disabled())
 }
 
-/// [`run`], reusing (and revalidating) the caller's [`CfgCache`].
-pub fn run_cached(func: &mut Function, cfg: &mut CfgCache) -> WhaleyStats {
-    run_recorded(func, cfg, &mut Recorder::disabled())
-}
-
-/// [`run_cached`] with provenance: every elimination records the `In_fwd`
-/// fact that justified it.
+/// [`run`] with provenance, reusing (and revalidating) the caller's
+/// [`CfgCache`]: every elimination records the `In_fwd` fact that
+/// justified it.
 pub fn run_recorded(func: &mut Function, cfg: &mut CfgCache, rec: &mut Recorder) -> WhaleyStats {
     let nv = func.num_vars();
     if nv == 0 {
@@ -93,13 +89,7 @@ pub fn run_recorded_gvn(
     };
     let lsol = solve_cached(func, cfg, &problem);
     let vn = ValueNumbering::compute(func, &default_throw_point);
-    let gp = GvnNonNullProblem {
-        func,
-        vn: &vn,
-        sets: compute_gvn_sets(None, func, &vn),
-        earliest: None,
-        entry: None,
-    };
+    let gp = GvnNonNullProblem::new(func, &vn, compute_gvn_sets(None, func, &vn), None, None);
     let gsol = solve_cached(func, cfg, &gp);
     let r = eliminate_redundant_gvn(None, func, &vn, &gsol.ins, &lsol.ins, None, rec, false);
     WhaleyStats {

@@ -1,10 +1,80 @@
 //! A dense fixed-capacity bit set over `u64` words.
 //!
 //! Facts in the null check analyses are local variables, so sets are small
-//! and dense — a `Vec<u64>` beats hash sets by a wide margin and makes the
-//! meet operators single-word loops.
+//! and dense — a word array beats hash sets by a wide margin and makes the
+//! meet operators single-word loops. Sets of up to [`INLINE_WORDS`] words
+//! keep them inline, so creating or cloning one does not allocate; the
+//! solver makes two per block per solve, and most functions have a few
+//! dozen facts.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+
+/// Words stored inline before a set moves its words to the heap (256
+/// facts).
+const INLINE_WORDS: usize = 4;
+
+/// The word storage: inline up to [`INLINE_WORDS`], else on the heap.
+/// Which one a set uses depends only on its capacity, and inline words past
+/// `len` stay zero.
+#[derive(Clone)]
+enum Words {
+    Inline {
+        len: usize,
+        buf: [u64; INLINE_WORDS],
+    },
+    Heap(Vec<u64>),
+}
+
+impl Words {
+    #[inline]
+    fn zeroed(len: usize) -> Self {
+        if len <= INLINE_WORDS {
+            Words::Inline {
+                len,
+                buf: [0; INLINE_WORDS],
+            }
+        } else {
+            Words::Heap(vec![0; len])
+        }
+    }
+}
+
+impl Deref for Words {
+    type Target = [u64];
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        match self {
+            Words::Inline { len, buf } => &buf[..*len],
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl DerefMut for Words {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        match self {
+            Words::Inline { len, buf } => &mut buf[..*len],
+            Words::Heap(v) => v,
+        }
+    }
+}
+
+impl PartialEq for Words {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Words {}
+
+impl Hash for Words {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
 
 /// A fixed-capacity set of small integers (dataflow facts).
 ///
@@ -21,21 +91,23 @@ use std::fmt;
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct BitSet {
-    words: Vec<u64>,
+    words: Words,
     capacity: usize,
 }
 
 impl BitSet {
     /// Creates an empty set able to hold facts `0..capacity`.
+    #[inline]
     pub fn new(capacity: usize) -> Self {
         BitSet {
-            words: vec![0; capacity.div_ceil(64)],
+            words: Words::zeroed(capacity.div_ceil(64)),
             capacity,
         }
     }
 
     /// Creates a set containing every fact in `0..capacity` (the ⊤ value of
     /// intersection-meet analyses).
+    #[inline]
     pub fn full(capacity: usize) -> Self {
         let mut s = Self::new(capacity);
         s.set_all();
@@ -43,6 +115,7 @@ impl BitSet {
     }
 
     /// The capacity (number of representable facts).
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -51,6 +124,7 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics if `i >= capacity`.
+    #[inline]
     pub fn insert(&mut self, i: usize) -> bool {
         assert!(
             i < self.capacity,
@@ -65,6 +139,7 @@ impl BitSet {
     }
 
     /// Removes `i`; returns whether the set changed.
+    #[inline]
     pub fn remove(&mut self, i: usize) -> bool {
         if i >= self.capacity {
             return false;
@@ -77,21 +152,25 @@ impl BitSet {
     }
 
     /// Whether `i` is in the set.
+    #[inline]
     pub fn contains(&self, i: usize) -> bool {
         i < self.capacity && self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
     /// Removes every element.
+    #[inline]
     pub fn clear(&mut self) {
         self.words.fill(0);
     }
 
     /// Inserts every element in `0..capacity`.
+    #[inline]
     pub fn set_all(&mut self) {
         self.words.fill(!0);
         self.mask_tail();
     }
 
+    #[inline]
     fn mask_tail(&mut self) {
         let tail = self.capacity % 64;
         if tail != 0 {
@@ -105,10 +184,11 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics on capacity mismatch.
+    #[inline]
     pub fn union_with(&mut self, other: &BitSet) -> bool {
         self.check_capacity(other);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
             let new = *a | b;
             changed |= new != *a;
             *a = new;
@@ -117,10 +197,11 @@ impl BitSet {
     }
 
     /// `self ∩= other`; returns whether `self` changed.
+    #[inline]
     pub fn intersect_with(&mut self, other: &BitSet) -> bool {
         self.check_capacity(other);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
             let new = *a & b;
             changed |= new != *a;
             *a = new;
@@ -129,10 +210,11 @@ impl BitSet {
     }
 
     /// `self -= other`; returns whether `self` changed.
+    #[inline]
     pub fn subtract(&mut self, other: &BitSet) -> bool {
         self.check_capacity(other);
         let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
             let new = *a & !b;
             changed |= new != *a;
             *a = new;
@@ -141,6 +223,7 @@ impl BitSet {
     }
 
     /// Replaces the contents of `self` with those of `other`.
+    #[inline]
     pub fn copy_from(&mut self, other: &BitSet) {
         self.check_capacity(other);
         self.words.copy_from_slice(&other.words);
@@ -168,11 +251,17 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics on capacity mismatch.
+    #[inline]
     pub fn union_from(&mut self, a: &BitSet, b: &BitSet) -> bool {
         self.check_capacity(a);
         self.check_capacity(b);
         let mut changed = false;
-        for ((d, a), b) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
+        for ((d, a), b) in self
+            .words
+            .iter_mut()
+            .zip(a.words.iter())
+            .zip(b.words.iter())
+        {
             let new = a | b;
             changed |= new != *d;
             *d = new;
@@ -196,11 +285,17 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics on capacity mismatch.
+    #[inline]
     pub fn intersect_from(&mut self, a: &BitSet, b: &BitSet) -> bool {
         self.check_capacity(a);
         self.check_capacity(b);
         let mut changed = false;
-        for ((d, a), b) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
+        for ((d, a), b) in self
+            .words
+            .iter_mut()
+            .zip(a.words.iter())
+            .zip(b.words.iter())
+        {
             let new = a & b;
             changed |= new != *d;
             *d = new;
@@ -224,11 +319,17 @@ impl BitSet {
     ///
     /// # Panics
     /// Panics on capacity mismatch.
+    #[inline]
     pub fn subtract_from(&mut self, a: &BitSet, b: &BitSet) -> bool {
         self.check_capacity(a);
         self.check_capacity(b);
         let mut changed = false;
-        for ((d, a), b) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
+        for ((d, a), b) in self
+            .words
+            .iter_mut()
+            .zip(a.words.iter())
+            .zip(b.words.iter())
+        {
             let new = a & !b;
             changed |= new != *d;
             *d = new;
@@ -246,11 +347,13 @@ impl BitSet {
     /// s.insert(0); s.insert(69);
     /// assert_eq!(s.words(), &[1, 1 << 5]);
     /// ```
+    #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
     }
 
     /// Whether the set is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
@@ -265,7 +368,7 @@ impl BitSet {
         self.check_capacity(other);
         self.words
             .iter()
-            .zip(&other.words)
+            .zip(other.words.iter())
             .all(|(a, b)| a & !b == 0)
     }
 
@@ -278,6 +381,7 @@ impl BitSet {
         }
     }
 
+    #[inline]
     fn check_capacity(&self, other: &BitSet) {
         assert_eq!(
             self.capacity, other.capacity,
@@ -329,6 +433,7 @@ pub struct Iter<'a> {
 impl Iterator for Iter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         loop {
             if self.current != 0 {

@@ -20,7 +20,7 @@
 use njc_arch::Platform;
 use njc_codegen::{MValue, MachineFault, MachineOutcome, MachineStats};
 use njc_ir::{AccessKind, CheckId, ExceptionKind, Type};
-use njc_trap::{GuardedMemory, MemoryError};
+use njc_trap::{GuardedMemory, HeapExhausted, MemoryError};
 
 use crate::abi;
 use crate::decode::{decode_one, Dec, Imm32Reg, Scratch};
@@ -299,6 +299,15 @@ impl Exec<'_> {
             function: self.func().name.clone(),
             pc: self.pc,
             detail: detail.into(),
+        }
+    }
+
+    /// The fault for an allocation the heap refused.
+    #[cold]
+    fn heap_exhausted(&self, e: HeapExhausted) -> MachineFault {
+        MachineFault::HeapExhausted {
+            function: self.func().name.clone(),
+            requested: e.requested,
         }
     }
 
@@ -645,7 +654,10 @@ impl Exec<'_> {
                         let Some(class) = self.em.classes.get(self.edi as usize) else {
                             return Err(self.bad_code(format!("unemitted class id {}", self.edi)));
                         };
-                        let addr = self.mem.alloc(class.size.max(8));
+                        let addr = match self.mem.alloc(class.size.max(8)) {
+                            Ok(addr) => addr,
+                            Err(e) => return Err(self.heap_exhausted(e)),
+                        };
                         self.mem
                             .write_u64(addr, u64::from(self.edi) + 1)
                             .expect("fresh allocation");
@@ -656,7 +668,10 @@ impl Exec<'_> {
                         if l < 0 {
                             raise!(ExceptionKind::NegativeArraySize);
                         }
-                        let addr = self.mem.alloc(16 + l as u64 * 8);
+                        let addr = match self.mem.alloc_slots(16, l as u64) {
+                            Ok(addr) => addr,
+                            Err(e) => return Err(self.heap_exhausted(e)),
+                        };
                         self.mem
                             .write_u64(addr, l as u64)
                             .expect("fresh allocation");

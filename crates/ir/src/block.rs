@@ -63,6 +63,24 @@ impl Terminator {
         }
     }
 
+    /// Whether `b` is one of the terminator's explicit successors (not
+    /// counting the exceptional edge). Allocation-free, unlike
+    /// `successors().contains(&b)`.
+    pub fn has_successor(&self, b: BlockId) -> bool {
+        match *self {
+            Terminator::Goto(t) => t == b,
+            Terminator::If {
+                then_bb, else_bb, ..
+            } => then_bb == b || else_bb == b,
+            Terminator::IfNull {
+                on_null,
+                on_nonnull,
+                ..
+            } => on_null == b || on_nonnull == b,
+            Terminator::Return(_) | Terminator::Throw(_) => false,
+        }
+    }
+
     /// Returns the terminator's explicit successors as a fresh vector.
     pub fn successors(&self) -> Vec<BlockId> {
         let mut v = Vec::with_capacity(2);
@@ -95,11 +113,38 @@ impl Terminator {
 
     /// Variables read by the terminator.
     pub fn uses(&self) -> Vec<VarId> {
+        let mut out = Vec::new();
+        self.for_each_use(|v| out.push(v));
+        out
+    }
+
+    /// Calls `f` on every variable the terminator reads, without
+    /// allocating.
+    pub fn for_each_use(&self, mut f: impl FnMut(VarId)) {
         match *self {
-            Terminator::If { lhs, rhs, .. } => vec![lhs, rhs],
-            Terminator::IfNull { var, .. } => vec![var],
-            Terminator::Return(Some(v)) => vec![v],
-            _ => vec![],
+            Terminator::If { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Terminator::IfNull { var, .. } => f(var),
+            Terminator::Return(Some(v)) => f(v),
+            _ => {}
+        }
+    }
+
+    /// Applies `f` to every variable the terminator reads, in place. The
+    /// successors are out of `f`'s reach, so this is the operand rewrite
+    /// [`crate::Function::term_uses_mut`] can offer without bumping the
+    /// CFG generation.
+    pub fn for_each_use_mut(&mut self, mut f: impl FnMut(&mut VarId)) {
+        match self {
+            Terminator::If { lhs, rhs, .. } => {
+                f(lhs);
+                f(rhs);
+            }
+            Terminator::IfNull { var, .. } => f(var),
+            Terminator::Return(Some(v)) => f(v),
+            _ => {}
         }
     }
 

@@ -75,17 +75,31 @@ impl CfgCache {
 
     /// Revalidates the cache: recomputes every eager structure iff the
     /// function's generation moved since the last call.
+    ///
+    /// # Panics
+    /// In debug builds, panics when the cache looks fresh but its successor
+    /// lists no longer match the function: some edit changed an edge
+    /// without bumping the generation (it went around
+    /// [`Function::block_mut`]).
     pub fn ensure(&mut self, func: &Function) {
         if self.is_fresh(func) {
+            debug_assert!(
+                self.succs_match(func),
+                "CfgCache is stale at generation {}: an edge of `{}` changed \
+                 without a generation bump",
+                func.generation(),
+                func.name()
+            );
             return;
         }
         let n = func.num_blocks();
-        self.succs.clear();
-        self.succs.resize(n, Vec::new());
-        self.preds.clear();
-        self.preds.resize(n, Vec::new());
-        for b in func.blocks() {
-            self.succs[b.id.index()] = func.successors(b.id);
+        // Keep the inner vectors' capacity across recomputes.
+        self.succs.resize_with(n, Vec::new);
+        self.preds.resize_with(n, Vec::new);
+        for (bi, (succs, preds)) in self.succs.iter_mut().zip(&mut self.preds).enumerate() {
+            succs.clear();
+            preds.clear();
+            func.successors_into(BlockId::new(bi), succs);
         }
         for (bi, succs) in self.succs.iter().enumerate() {
             for s in succs {
@@ -93,14 +107,29 @@ impl CfgCache {
             }
         }
         self.rpo = func.reverse_postorder();
-        self.postorder = self.rpo.iter().rev().copied().collect();
-        self.rpo_pos = vec![usize::MAX; n];
+        self.postorder.clear();
+        self.postorder.extend(self.rpo.iter().rev());
+        self.rpo_pos.clear();
+        self.rpo_pos.resize(n, usize::MAX);
         for (i, b) in self.rpo.iter().enumerate() {
             self.rpo_pos[b.index()] = i;
         }
         self.dom = None;
         self.loop_headers = None;
         self.generation = Some(func.generation());
+    }
+
+    /// Whether the cached successor lists equal the function's current
+    /// ones (the coherence check behind [`CfgCache::ensure`]'s debug
+    /// assertion).
+    fn succs_match(&self, func: &Function) -> bool {
+        let mut buf = Vec::with_capacity(3);
+        self.succs.len() == func.num_blocks()
+            && self.succs.iter().enumerate().all(|(bi, cached)| {
+                buf.clear();
+                func.successors_into(BlockId::new(bi), &mut buf);
+                *cached == buf
+            })
     }
 
     /// Predecessor lists, arena-indexed. Call [`CfgCache::ensure`] first.
@@ -217,6 +246,66 @@ mod tests {
         assert_eq!(cfg.preds().len(), f.num_blocks());
         assert!(cfg.preds()[dead.index()].is_empty());
         assert_eq!(cfg.rpo_pos()[dead.index()], cfg.rpo().len() - 1);
+    }
+
+    #[test]
+    fn operand_rewrite_keeps_cache_fresh_successor_change_invalidates() {
+        let mut f = looped();
+        let mut cfg = CfgCache::computed(&f);
+        let branch = f
+            .blocks()
+            .iter()
+            .find(|b| matches!(b.term, crate::Terminator::If { .. }))
+            .map(|b| b.id)
+            .expect("the loop has a conditional latch");
+        // Renaming a terminator operand cannot change an edge.
+        let mut renamed = 0;
+        f.term_uses_mut(branch, |v| {
+            renamed += 1;
+            *v = crate::types::VarId::new(0);
+        });
+        assert_eq!(renamed, 2);
+        assert!(cfg.is_fresh(&f), "operand rewrite must not invalidate");
+        cfg.ensure(&f);
+        // Retargeting a successor goes through block_mut and invalidates.
+        let exit = cfg.rpo()[cfg.rpo().len() - 1];
+        f.block_mut(branch).term.map_successors(|_| exit);
+        assert!(!cfg.is_fresh(&f));
+        cfg.ensure(&f);
+        assert_eq!(cfg.succs()[branch.index()], vec![exit, exit]);
+        assert_eq!(cfg.preds(), f.predecessors().as_slice());
+    }
+
+    /// `f` rebuilt from its parts with `edit` applied to its blocks; the
+    /// rebuilt function starts at generation 0 whatever the edit did.
+    fn rebuilt(f: &Function, edit: impl FnOnce(&mut [crate::BasicBlock])) -> Function {
+        let mut blocks = f.blocks().to_vec();
+        edit(&mut blocks);
+        Function::from_parts(
+            f.name().to_string(),
+            f.params().to_vec(),
+            f.return_type(),
+            f.is_instance(),
+            f.var_types().to_vec(),
+            blocks,
+            f.entry(),
+            f.try_regions().to_vec(),
+        )
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "CfgCache is stale")]
+    fn edge_change_without_generation_bump_is_caught() {
+        let f = looped();
+        let mut cfg = CfgCache::computed(&rebuilt(&f, |_| {}));
+        // Same generation, one edge gone: what a pass that rewrote a
+        // terminator behind the generation's back would leave.
+        let g = rebuilt(&f, |blocks| {
+            blocks[0].term = crate::Terminator::Return(None)
+        });
+        assert!(cfg.is_fresh(&g), "the stale cache looks fresh");
+        cfg.ensure(&g);
     }
 
     #[test]

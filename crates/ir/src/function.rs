@@ -218,6 +218,14 @@ impl Function {
         &mut self.blocks[id.index()].insts
     }
 
+    /// Rewrites the variable operands of block `id`'s terminator through
+    /// `f`, *without* bumping the CFG generation: `f` sees only operands,
+    /// never successors, so no edge can change. Copy propagation uses this
+    /// to keep [`crate::CfgCache`] warm.
+    pub fn term_uses_mut(&mut self, id: BlockId, f: impl FnMut(&mut VarId)) {
+        self.blocks[id.index()].term.for_each_use_mut(f);
+    }
+
     /// Appends a new empty block and returns its id (for passes that split
     /// edges or splice inlined bodies). Bumps the CFG generation.
     pub fn add_block(&mut self) -> BlockId {
@@ -253,23 +261,33 @@ impl Function {
     /// get right because `Edge_try` blocks motion across region boundaries
     /// and the handler is always in a different region.
     pub fn successors(&self, id: BlockId) -> Vec<BlockId> {
-        let b = self.block(id);
         let mut out = Vec::with_capacity(3);
-        b.term.successors_into(&mut out);
+        self.successors_into(id, &mut out);
+        out
+    }
+
+    /// Appends [`Function::successors`] of `id` to `out` (no allocation
+    /// once `out` has room).
+    pub fn successors_into(&self, id: BlockId, out: &mut Vec<BlockId>) {
+        let b = self.block(id);
+        let start = out.len();
+        b.term.successors_into(out);
         if let Some(tr) = b.try_region {
             let h = self.try_regions[tr.index()].handler;
-            if !out.contains(&h) {
+            if !out[start..].contains(&h) {
                 out.push(h);
             }
         }
-        out
     }
 
     /// Predecessor lists for every block (indexed by block id).
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
+        let mut succs = Vec::with_capacity(3);
         for b in &self.blocks {
-            for s in self.successors(b.id) {
+            succs.clear();
+            self.successors_into(b.id, &mut succs);
+            for s in &succs {
                 preds[s.index()].push(b.id);
             }
         }
@@ -285,10 +303,12 @@ impl Function {
         let mut post = Vec::with_capacity(n);
         // Iterative DFS with an explicit stack of (block, next-successor).
         let mut stack: Vec<(BlockId, usize)> = Vec::new();
+        let mut succs = Vec::with_capacity(3);
         visited[self.entry.index()] = true;
         stack.push((self.entry, 0));
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = self.successors(b);
+            succs.clear();
+            self.successors_into(b, &mut succs);
             if *next < succs.len() {
                 let s = succs[*next];
                 *next += 1;
@@ -314,9 +334,12 @@ impl Function {
     pub fn reachable(&self) -> Vec<bool> {
         let mut seen = vec![false; self.blocks.len()];
         let mut work = vec![self.entry];
+        let mut succs = Vec::with_capacity(3);
         seen[self.entry.index()] = true;
         while let Some(b) = work.pop() {
-            for s in self.successors(b) {
+            succs.clear();
+            self.successors_into(b, &mut succs);
+            for &s in &succs {
                 if !seen[s.index()] {
                     seen[s.index()] = true;
                     work.push(s);

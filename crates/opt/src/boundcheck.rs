@@ -10,8 +10,8 @@
 
 use std::collections::HashMap;
 
-use njc_dataflow::{solve, BitSet, Direction, Meet, Problem};
-use njc_ir::{BlockId, Function, Inst, VarId};
+use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem};
+use njc_ir::{BlockId, CfgCache, Function, Inst, VarId};
 
 /// Statistics from one bounds check elimination application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -120,20 +120,22 @@ impl Problem for Checked<'_> {
     }
 }
 
-/// Runs redundant bounds check elimination on `func` in place.
-pub fn run(func: &mut Function) -> BoundCheckStats {
+/// Runs redundant bounds check elimination on `func` in place, solving
+/// over `cfg` (revalidated first). Only instruction lists change, so the
+/// cache stays fresh.
+pub fn run(func: &mut Function, cfg: &mut CfgCache) -> BoundCheckStats {
     let pairs = PairTable::build(func);
     let mut stats = BoundCheckStats::default();
     if pairs.len() == 0 {
         return stats;
     }
+    cfg.ensure(func);
     let problem = Checked::new(func, &pairs);
-    let sol = solve(func, &problem);
-    for bi in 0..func.num_blocks() {
-        let mut set = sol.ins[bi].clone();
-        let block = func.block_mut(BlockId::new(bi));
-        let mut kept = Vec::with_capacity(block.insts.len());
-        for inst in block.insts.drain(..) {
+    let sol = solve_cached(func, cfg, &problem);
+    for (bi, mut set) in sol.ins.into_iter().enumerate() {
+        let insts = func.insts_mut(BlockId::new(bi));
+        let mut kept = Vec::with_capacity(insts.len());
+        for inst in insts.drain(..) {
             match &inst {
                 Inst::BoundCheck { index, length } => {
                     let id = pairs.id(*index, *length).expect("pair enumerated");
@@ -154,7 +156,7 @@ pub fn run(func: &mut Function) -> BoundCheckStats {
                 }
             }
         }
-        block.insts = kept;
+        *insts = kept;
     }
     stats
 }
@@ -170,7 +172,7 @@ mod tests {
             "func f(v0: int, v1: int) -> int {\nbb0:\n  boundcheck v0, v1\n  boundcheck v0, v1\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.eliminated, 1);
     }
 
@@ -180,7 +182,7 @@ mod tests {
             "func f(v0: int, v1: int) -> int {\nbb0:\n  boundcheck v0, v1\n  v0 = add.int v0, v0\n  boundcheck v0, v1\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.eliminated, 0);
     }
 
@@ -200,7 +202,7 @@ bb3:
   return v0
 }";
         let mut f = parse_function(src).unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.eliminated, 0, "{f}");
     }
 
@@ -220,14 +222,14 @@ bb3:
   return v0
 }";
         let mut f = parse_function(src).unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.eliminated, 1, "{f}");
     }
 
     #[test]
     fn no_checks_is_a_noop() {
         let mut f = parse_function("func f(v0: int) -> int {\nbb0:\n  return v0\n}").unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.eliminated, 0);
     }
 }

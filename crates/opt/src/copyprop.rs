@@ -4,7 +4,7 @@
 //! same block, as long as neither has been redefined. Inlining and scalar
 //! replacement both introduce move chains; this pass lets DCE delete them.
 
-use njc_ir::{BlockId, Function, Inst, Terminator, VarId};
+use njc_ir::{BlockId, Function, Inst, VarId};
 
 /// Statistics from one copy propagation application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -65,14 +65,16 @@ fn rewrite_inst(inst: &mut Inst, copies: &[Option<VarId>], stats: &mut CopyPropS
     }
 }
 
-/// Runs block-local copy propagation on `func` in place.
+/// Runs block-local copy propagation on `func` in place. Only operands
+/// change (through [`Function::insts_mut`] and
+/// [`Function::term_uses_mut`]), so the CFG generation does not move.
 pub fn run(func: &mut Function) -> CopyPropStats {
     let mut stats = CopyPropStats::default();
-    let nv = func.num_vars();
+    let mut copies: Vec<Option<VarId>> = vec![None; func.num_vars()];
     for bi in 0..func.num_blocks() {
-        let block = func.block_mut(BlockId::new(bi));
-        let mut copies: Vec<Option<VarId>> = vec![None; nv];
-        for inst in &mut block.insts {
+        let block_id = BlockId::new(bi);
+        copies.fill(None);
+        for inst in func.insts_mut(block_id) {
             rewrite_inst(inst, &copies, &mut stats);
             if let Some(d) = inst.def() {
                 // The def invalidates copies of d and copies *to* d.
@@ -90,15 +92,7 @@ pub fn run(func: &mut Function) -> CopyPropStats {
             }
         }
         // Terminator operands.
-        match &mut block.term {
-            Terminator::If { lhs, rhs, .. } => {
-                subst(lhs, &copies, &mut stats);
-                subst(rhs, &copies, &mut stats);
-            }
-            Terminator::IfNull { var, .. } => subst(var, &copies, &mut stats),
-            Terminator::Return(Some(v)) => subst(v, &copies, &mut stats),
-            _ => {}
-        }
+        func.term_uses_mut(block_id, |v| subst(v, &copies, &mut stats));
     }
     stats
 }

@@ -5,8 +5,8 @@
 //! calls, allocations, and anything marked as an exception site are never
 //! removed here — their effects are not value flow.
 
-use njc_dataflow::{solve, BitSet, Direction, Meet, Problem};
-use njc_ir::{BlockId, Function, Inst};
+use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem};
+use njc_ir::{BlockId, CfgCache, Function, Inst};
 
 /// Statistics from one DCE application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -36,11 +36,52 @@ fn is_removable(inst: &Inst) -> bool {
     }
 }
 
-struct Liveness<'a> {
-    func: &'a Function,
+/// Backward liveness over per-block summaries: `live_in = uses ∪
+/// (live_out − defs)`, where `uses` are the block's upward-exposed reads
+/// (terminator included) and `defs` every variable it writes. Built once
+/// per solve, so a transfer is two word-wise set operations instead of a
+/// walk over the block.
+struct Liveness {
+    num_vars: usize,
+    uses: Vec<BitSet>,
+    defs: Vec<BitSet>,
 }
 
-impl Problem for Liveness<'_> {
+impl Liveness {
+    fn new(func: &Function) -> Self {
+        let nv = func.num_vars();
+        let mut uses = Vec::with_capacity(func.num_blocks());
+        let mut defs = Vec::with_capacity(func.num_blocks());
+        let mut reads = Vec::with_capacity(4);
+        for b in func.blocks() {
+            let mut u = BitSet::new(nv);
+            let mut d = BitSet::new(nv);
+            b.term.for_each_use(|v| {
+                u.insert(v.index());
+            });
+            for inst in b.insts.iter().rev() {
+                if let Some(x) = inst.def() {
+                    u.remove(x.index());
+                    d.insert(x.index());
+                }
+                reads.clear();
+                inst.uses_into(&mut reads);
+                for r in &reads {
+                    u.insert(r.index());
+                }
+            }
+            uses.push(u);
+            defs.push(d);
+        }
+        Liveness {
+            num_vars: nv,
+            uses,
+            defs,
+        }
+    }
+}
+
+impl Problem for Liveness {
     fn direction(&self) -> Direction {
         Direction::Backward
     }
@@ -48,46 +89,37 @@ impl Problem for Liveness<'_> {
         Meet::Union
     }
     fn num_facts(&self) -> usize {
-        self.func.num_vars()
+        self.num_vars
     }
     fn transfer(&self, block: BlockId, input: &BitSet, output: &mut BitSet) {
         // input = live-out; output = live-in.
-        output.copy_from(input);
-        let b = self.func.block(block);
-        for v in b.term.uses() {
-            output.insert(v.index());
-        }
-        for inst in b.insts.iter().rev() {
-            if let Some(d) = inst.def() {
-                output.remove(d.index());
-            }
-            for u in inst.uses() {
-                output.insert(u.index());
-            }
-        }
+        output.subtract_from(input, &self.defs[block.index()]);
+        output.union_with(&self.uses[block.index()]);
     }
 }
 
-/// Runs DCE to a fixpoint on `func` in place.
-pub fn run(func: &mut Function) -> DceStats {
+/// Runs DCE to a fixpoint on `func` in place, solving over `cfg`
+/// (revalidated first). Only instruction lists change, so the cache stays
+/// fresh.
+pub fn run(func: &mut Function, cfg: &mut CfgCache) -> DceStats {
     let mut stats = DceStats::default();
+    cfg.ensure(func);
+    let mut reads = Vec::with_capacity(4);
+    let mut keep = Vec::new();
     loop {
-        let sol = solve(func, &Liveness { func });
+        let sol = solve_cached(func, cfg, &Liveness::new(func));
         let mut removed_this_round = 0;
-        for bi in 0..func.num_blocks() {
+        for (bi, mut live) in sol.outs.into_iter().enumerate() {
+            // For a backward problem the solver's `outs` hold the meet of
+            // the successors (live-out). Walk back from it to know what is
+            // live *after* each instruction.
             let block_id = BlockId::new(bi);
-            // Recompute liveness backwards through the block from live-out.
-            let mut live = sol.ins[bi].clone(); // backward: ins = live-out side? no:
-                                                // For backward problems the solver's `outs` hold the meet of
-                                                // successors (live-out) and `ins` the transferred value
-                                                // (live-in). We need live *after* each instruction, so walk
-                                                // from live-out.
-            live.copy_from(&sol.outs[bi]);
             let block = func.block(block_id);
-            for v in block.term.uses() {
+            block.term.for_each_use(|v| {
                 live.insert(v.index());
-            }
-            let mut keep = vec![true; block.insts.len()];
+            });
+            keep.clear();
+            keep.resize(block.insts.len(), true);
             for (i, inst) in block.insts.iter().enumerate().rev() {
                 let dead_def = inst
                     .def()
@@ -101,13 +133,16 @@ pub fn run(func: &mut Function) -> DceStats {
                 if let Some(d) = inst.def() {
                     live.remove(d.index());
                 }
-                for u in inst.uses() {
+                reads.clear();
+                inst.uses_into(&mut reads);
+                for u in &reads {
                     live.insert(u.index());
                 }
             }
-            let block = func.block_mut(block_id);
-            let mut it = keep.iter();
-            block.insts.retain(|_| *it.next().unwrap());
+            if keep.contains(&false) {
+                let mut it = keep.iter();
+                func.insts_mut(block_id).retain(|_| *it.next().unwrap());
+            }
         }
         stats.removed += removed_this_round;
         if removed_this_round == 0 {
@@ -128,7 +163,7 @@ mod tests {
             "func f(v0: int) -> int {\n  locals v1: int\nbb0:\n  v1 = const 42\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.removed, 1);
         assert!(f.block(BlockId(0)).insts.is_empty());
     }
@@ -139,7 +174,7 @@ mod tests {
             "func f(v0: int) -> int {\n  locals v1: int v2: int v3: int\nbb0:\n  v1 = const 1\n  v2 = add.int v1, v0\n  v3 = add.int v2, v2\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.removed, 3);
     }
 
@@ -149,7 +184,7 @@ mod tests {
             "func f(v0: ref) -> int {\n  locals v1: int\nbb0:\n  nullcheck v0\n  v1 = const 0\n  return v1\n}",
         )
         .unwrap();
-        run(&mut f);
+        run(&mut f, &mut CfgCache::new());
         assert!(f
             .block(BlockId(0))
             .insts
@@ -163,7 +198,7 @@ mod tests {
             "func f(v0: ref) -> int {\n  locals v1: int v2: int v3: int\nbb0:\n  v1 = getfield v0, field0\n  v2 = getfield v0, field1 [site]\n  v3 = const 0\n  return v3\n}",
         )
         .unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.removed, 1, "{f}");
         assert!(f
             .block(BlockId(0))
@@ -187,7 +222,7 @@ bb2:
   return v1
 }";
         let mut f = parse_function(src).unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.removed, 0, "{f}");
     }
 
@@ -197,7 +232,7 @@ bb2:
             "func f(v0: ref, v1: int) -> int {\nbb0:\n  putfield v0, field0, v1\n  v2 = call fn0(v1)\n  return v1\n}",
         )
         .unwrap();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.removed, 0, "call result dead but call kept: {f}");
     }
 }

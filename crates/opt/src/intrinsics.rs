@@ -83,7 +83,7 @@ pub fn run(module: &mut Module) -> IntrinsicStats {
         }
         let func = module.function_mut(FunctionId::new(fi));
         for (bi, pos, inst) in plan {
-            func.block_mut(BlockId::new(bi)).insts[pos] = inst;
+            func.insts_mut(BlockId::new(bi))[pos] = inst;
             stats.substituted += 1;
         }
     }

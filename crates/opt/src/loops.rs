@@ -3,10 +3,12 @@
 //! The scalar replacement / loop invariant code motion pass needs to know
 //! where loops are and which blocks execute on every iteration. Both are
 //! classic bit-vector computations, small enough to run per-function on
-//! every pipeline iteration.
+//! every pipeline iteration. Both read predecessors, successors and
+//! reverse postorder from the caller's [`CfgCache`], so the passes that
+//! look for loops share one CFG walk per generation of the function.
 
 use njc_dataflow::BitSet;
-use njc_ir::{BlockId, Function};
+use njc_ir::{BlockId, CfgCache, Function};
 
 /// Dominator sets: `doms[b]` contains every block that dominates `b`
 /// (including `b` itself).
@@ -16,37 +18,38 @@ pub struct Dominators {
 }
 
 impl Dominators {
-    /// Computes dominators by the standard iterative bit-vector algorithm.
-    pub fn compute(func: &Function) -> Self {
+    /// Computes dominators by the standard iterative bit-vector algorithm
+    /// over `cfg`, which must be fresh for `func`.
+    pub fn compute(func: &Function, cfg: &CfgCache) -> Self {
+        assert!(
+            cfg.is_fresh(func),
+            "Dominators::compute needs a fresh CfgCache"
+        );
         let n = func.num_blocks();
-        let preds = func.predecessors();
+        let preds = cfg.preds();
         let entry = func.entry().index();
         let mut sets: Vec<BitSet> = (0..n).map(|_| BitSet::full(n)).collect();
         sets[entry] = BitSet::new(n);
         sets[entry].insert(entry);
 
-        let order = func.reverse_postorder();
+        let mut new = BitSet::new(n);
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in &order {
+            for &b in cfg.rpo() {
                 let bi = b.index();
                 if bi == entry {
                     continue;
                 }
-                let mut new = BitSet::full(n);
-                let mut any_pred = false;
+                // No predecessor (unreachable): dominated by everything
+                // (vacuous), which the full set already says.
+                new.set_all();
                 for &p in &preds[bi] {
                     new.intersect_with(&sets[p.index()]);
-                    any_pred = true;
-                }
-                if !any_pred {
-                    // Unreachable: dominated by everything (vacuous).
-                    new = BitSet::full(n);
                 }
                 new.insert(bi);
                 if new != sets[bi] {
-                    sets[bi] = new;
+                    sets[bi].copy_from(&new);
                     changed = true;
                 }
             }
@@ -84,20 +87,22 @@ impl NaturalLoop {
 
 /// Finds every natural loop in `func`. Loops sharing a header are merged.
 /// Returns loops sorted innermost-first (smaller bodies first) so LICM can
-/// process nests inside-out.
-pub fn find_loops(func: &Function, doms: &Dominators) -> Vec<NaturalLoop> {
+/// process nests inside-out. `cfg` must be fresh for `func`.
+pub fn find_loops(func: &Function, cfg: &CfgCache, doms: &Dominators) -> Vec<NaturalLoop> {
+    assert!(cfg.is_fresh(func), "find_loops needs a fresh CfgCache");
     let n = func.num_blocks();
-    let preds = func.predecessors();
+    let preds = cfg.preds();
     let mut by_header: Vec<Option<NaturalLoop>> = vec![None; n];
 
-    for b in func.blocks() {
-        for s in func.successors(b.id) {
-            if doms.dominates(s, b.id) {
+    for (bi, succs) in cfg.succs().iter().enumerate() {
+        let b = BlockId::new(bi);
+        for &s in succs {
+            if doms.dominates(s, b) {
                 // Back edge b -> s: collect the natural loop body.
                 let header = s;
                 let mut body = BitSet::new(n);
                 body.insert(header.index());
-                let mut stack = vec![b.id];
+                let mut stack = vec![b];
                 while let Some(x) = stack.pop() {
                     if body.insert(x.index()) {
                         for &p in &preds[x.index()] {
@@ -113,7 +118,7 @@ pub fn find_loops(func: &Function, doms: &Dominators) -> Vec<NaturalLoop> {
                 });
                 entry.body.union_with(&body);
                 entry.body.insert(header.index());
-                entry.latches.push(b.id);
+                entry.latches.push(b);
             }
         }
     }
@@ -131,7 +136,7 @@ pub fn find_loops(func: &Function, doms: &Dominators) -> Vec<NaturalLoop> {
                 // The preheader must branch only to the header (otherwise an
                 // insertion there would execute on unrelated paths) and must
                 // not sit inside a different try region.
-                let only_to_header = func.successors(*p) == vec![l.header];
+                let only_to_header = cfg.succs()[p.index()] == [l.header];
                 let same_region = func.block(*p).try_region == func.block(l.header).try_region;
                 (only_to_header && same_region).then_some(*p)
             }
@@ -163,7 +168,8 @@ mod tests {
     #[test]
     fn entry_dominates_everything() {
         let f = loop_func();
-        let d = Dominators::compute(&f);
+        let cfg = CfgCache::computed(&f);
+        let d = Dominators::compute(&f, &cfg);
         for b in f.blocks() {
             assert!(d.dominates(f.entry(), b.id));
             assert!(d.dominates(b.id, b.id));
@@ -173,8 +179,9 @@ mod tests {
     #[test]
     fn single_loop_found_with_preheader() {
         let f = loop_func();
-        let d = Dominators::compute(&f);
-        let loops = find_loops(&f, &d);
+        let cfg = CfgCache::computed(&f);
+        let d = Dominators::compute(&f, &cfg);
+        let loops = find_loops(&f, &cfg, &d);
         assert_eq!(loops.len(), 1);
         let l = &loops[0];
         // Rotated for_loop shape: entry(0) -> preheader(1) -> body(2),
@@ -201,8 +208,9 @@ mod tests {
         });
         b.ret(Some(acc));
         let f = b.finish();
-        let d = Dominators::compute(&f);
-        let loops = find_loops(&f, &d);
+        let cfg = CfgCache::computed(&f);
+        let d = Dominators::compute(&f, &cfg);
+        let loops = find_loops(&f, &cfg, &d);
         assert_eq!(loops.len(), 2);
         assert!(loops[0].body.count() < loops[1].body.count());
         // The inner loop is contained in the outer one.
@@ -220,8 +228,9 @@ mod tests {
         let v = b.iconst(3);
         b.ret(Some(v));
         let f = b.finish();
-        let d = Dominators::compute(&f);
-        assert!(find_loops(&f, &d).is_empty());
+        let cfg = CfgCache::computed(&f);
+        let d = Dominators::compute(&f, &cfg);
+        assert!(find_loops(&f, &cfg, &d).is_empty());
     }
 
     #[test]
@@ -236,8 +245,9 @@ mod tests {
         });
         b.ret(Some(acc));
         let f = b.finish();
-        let d = Dominators::compute(&f);
-        let loops = find_loops(&f, &d);
+        let cfg = CfgCache::computed(&f);
+        let d = Dominators::compute(&f, &cfg);
+        let loops = find_loops(&f, &cfg, &d);
         assert_eq!(loops.len(), 1);
         assert!(loops[0].preheader.is_some());
     }

@@ -882,7 +882,7 @@ fn optimize_function(
         // Array bounds check optimization.
         let t = PassTimer::start();
         let before = checks_before(rec, func);
-        stats.boundchecks_eliminated += boundcheck::run(func).eliminated;
+        stats.boundchecks_eliminated += boundcheck::run(func, &mut cfg).eliminated;
         record_pass_delta(rec, "boundcheck", before, func);
         if config.validate {
             validate_coverage(
@@ -903,6 +903,7 @@ fn optimize_function(
         let s = scalar::run(
             &ctx,
             func,
+            &mut cfg,
             ScalarConfig {
                 speculation: allow_spec,
             },
@@ -915,7 +916,7 @@ fn optimize_function(
         // Store sinking (Figure 4 (5)) — only fires once the loop is
         // check-free, i.e. after phase 1 did its part.
         if config.sinking {
-            stats.fields_promoted += sink::run(&ctx, func).promoted;
+            stats.fields_promoted += sink::run(&ctx, func, &mut cfg).promoted;
         }
         record_pass_delta(rec, "scalar", before, func);
         if config.validate {
@@ -934,7 +935,7 @@ fn optimize_function(
         let t = PassTimer::start();
         let before = checks_before(rec, func);
         stats.copies_propagated += copyprop::run(func).replaced_uses;
-        stats.dead_removed += dce::run(func).removed;
+        stats.dead_removed += dce::run(func, &mut cfg).removed;
         record_pass_delta(rec, "cleanup", before, func);
         if config.validate {
             validate_coverage(
@@ -957,7 +958,7 @@ fn optimize_function(
     let t = PassTimer::start();
     let before = checks_before(rec, func);
     if config.versioning {
-        let s = versioning::run(func);
+        let s = versioning::run(func, &mut cfg);
         stats.loops_versioned += s.loops_versioned;
         stats.boundchecks_eliminated += s.checks_removed;
     }
@@ -965,9 +966,9 @@ fn optimize_function(
     // chance: versioned fast loops just lost their bounds checks and may
     // now be promotable.
     stats.copies_propagated += copyprop::run(func).replaced_uses;
-    stats.dead_removed += dce::run(func).removed;
+    stats.dead_removed += dce::run(func, &mut cfg).removed;
     if config.sinking {
-        stats.fields_promoted += sink::run(&ctx, func).promoted;
+        stats.fields_promoted += sink::run(&ctx, func, &mut cfg).promoted;
     }
     record_pass_delta(rec, "versioning", before, func);
     if config.validate {

@@ -25,8 +25,8 @@
 
 use njc_core::ctx::{AccessClass, AnalysisCtx};
 use njc_core::nonnull::{compute_sets, NonNullProblem};
-use njc_dataflow::{solve, BitSet};
-use njc_ir::{BlockId, FieldId, Function, Inst, Type, VarId};
+use njc_dataflow::{solve_cached, BitSet};
+use njc_ir::{BlockId, CfgCache, FieldId, Function, Inst, Type, VarId};
 
 use crate::loops::{find_loops, Dominators, NaturalLoop};
 
@@ -61,11 +61,19 @@ impl ScalarStats {
     }
 }
 
-/// Runs scalar replacement on `func` in place.
-pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function, config: ScalarConfig) -> ScalarStats {
+/// Runs scalar replacement on `func` in place, reading the CFG from `cfg`
+/// (revalidated first). Loads are only rewritten or moved between blocks,
+/// never edges, so the cache stays fresh.
+pub fn run(
+    ctx: &AnalysisCtx<'_>,
+    func: &mut Function,
+    cfg: &mut CfgCache,
+    config: ScalarConfig,
+) -> ScalarStats {
     let mut stats = ScalarStats::default();
     local_load_reuse(func, &mut stats);
-    licm(ctx, func, config, &mut stats);
+    cfg.ensure(func);
+    licm(ctx, func, cfg, config, &mut stats);
     stats
 }
 
@@ -92,10 +100,10 @@ impl MemKey {
 
 fn local_load_reuse(func: &mut Function, stats: &mut ScalarStats) {
     use std::collections::HashMap;
+    let mut avail: HashMap<MemKey, VarId> = HashMap::new();
     for bi in 0..func.num_blocks() {
-        let block = func.block_mut(BlockId::new(bi));
-        let mut avail: HashMap<MemKey, VarId> = HashMap::new();
-        for inst in &mut block.insts {
+        avail.clear();
+        for inst in func.insts_mut(BlockId::new(bi)) {
             // Never touch a marked exception site: it carries an implicit
             // null check (scalar replacement runs before phase 2 in the
             // pipeline, but be safe under arbitrary pass orders).
@@ -229,8 +237,8 @@ fn loop_info(func: &Function, l: &NaturalLoop) -> LoopInfo {
 /// Blocks of the loop that can execute before `target` within a single
 /// iteration (backward reachability from `target` inside the loop, not
 /// following edges into the header).
-fn blocks_before(func: &Function, l: &NaturalLoop, target: BlockId) -> BitSet {
-    let preds = func.predecessors();
+fn blocks_before(func: &Function, cfg: &CfgCache, l: &NaturalLoop, target: BlockId) -> BitSet {
+    let preds = cfg.preds();
     let mut seen = BitSet::new(func.num_blocks());
     if target == l.header {
         // Nothing in the loop executes before the header within one
@@ -273,10 +281,10 @@ fn blocks_check_hoist(inst: &Inst) -> bool {
 /// the blocks dominating the loop entry — e.g. an outer loop's body —
 /// count too). Facts are invalidated by redefinition of any participating
 /// variable later in the chain.
-fn preheader_bounds(func: &Function, preheader: BlockId) -> Vec<(VarId, VarId)> {
+fn preheader_bounds(func: &Function, cfg: &CfgCache, preheader: BlockId) -> Vec<(VarId, VarId)> {
     use std::collections::HashMap;
     // Collect the dominating single-pred chain, oldest first.
-    let preds = func.predecessors();
+    let preds = cfg.preds();
     let mut chain = vec![preheader];
     let mut cur = preheader;
     for _ in 0..4 {
@@ -317,28 +325,42 @@ fn preheader_bounds(func: &Function, preheader: BlockId) -> Vec<(VarId, VarId)> 
     ok
 }
 
-fn licm(ctx: &AnalysisCtx<'_>, func: &mut Function, config: ScalarConfig, stats: &mut ScalarStats) {
-    let doms = Dominators::compute(func);
-    let loops = find_loops(func, &doms);
+/// `cfg` must be fresh for `func`; hoisting moves instructions only, so it
+/// stays fresh throughout.
+fn licm(
+    ctx: &AnalysisCtx<'_>,
+    func: &mut Function,
+    cfg: &CfgCache,
+    config: ScalarConfig,
+    stats: &mut ScalarStats,
+) {
+    let doms = Dominators::compute(func, cfg);
+    let loops = find_loops(func, cfg, &doms);
     let counts = def_counts(func);
+    let mut nonnull_sol = None;
 
     for l in &loops {
         let Some(preheader) = l.preheader else {
             continue;
         };
         // Non-nullness at the preheader exit: the precondition for hoisting
-        // a load past the loop (phase 1 is what puts checks there).
-        let nonnull = {
-            let p = NonNullProblem {
-                func,
-                sets: compute_sets(func),
-                earliest: None,
-                entry: None,
-                num_facts: func.num_vars(),
-            };
-            let sol = solve(func, &p);
-            sol.outs[preheader.index()].clone()
+        // a load past the loop (phase 1 is what puts checks there). The
+        // solution depends only on the function, so it is re-solved only
+        // after an earlier loop hoisted something.
+        let sol = match &nonnull_sol {
+            Some(sol) => sol,
+            None => {
+                let p = NonNullProblem {
+                    func,
+                    sets: compute_sets(func),
+                    earliest: None,
+                    entry: None,
+                    num_facts: func.num_vars(),
+                };
+                nonnull_sol.insert(solve_cached(func, cfg, &p))
+            }
         };
+        let nonnull = sol.outs[preheader.index()].clone();
         let mut info = loop_info(func, l);
 
         // Fixpoint: hoisting one instruction can enable another (length →
@@ -346,19 +368,19 @@ fn licm(ctx: &AnalysisCtx<'_>, func: &mut Function, config: ScalarConfig, stats:
         loop {
             let mut hoisted_one = false;
             // Re-scan preheader bounds each round (hoists add to it).
-            let bounds = preheader_bounds(func, preheader);
+            let bounds = preheader_bounds(func, cfg, preheader);
 
             'scan: for bi in l.body.iter() {
                 let block_id = BlockId::new(bi);
                 let insts_len = func.block(block_id).insts.len();
                 for pos in 0..insts_len {
-                    let inst = func.block(block_id).insts[pos].clone();
+                    let inst = &func.block(block_id).insts[pos];
                     if inst.is_exception_site() {
                         continue;
                     }
                     let single_def = |d: VarId| counts[d.index()] == 1;
                     let invariant = |v: VarId| !info.defined_in_loop.contains(v.index());
-                    let ok = match &inst {
+                    let ok = match inst {
                         Inst::Const { dst, .. } => single_def(*dst),
                         Inst::Move { dst, src } => single_def(*dst) && invariant(*src),
                         Inst::BinOp {
@@ -386,13 +408,13 @@ fn licm(ctx: &AnalysisCtx<'_>, func: &mut Function, config: ScalarConfig, stats:
                                 && invariant(*obj)
                                 && !info.has_call
                                 && !info.stored_fields.contains(field)
-                                && load_hoist_legal(ctx, &inst, *obj, &nonnull, config)
+                                && load_hoist_legal(ctx, inst, *obj, &nonnull, config)
                         }
                         Inst::ArrayLength { dst, arr, .. } => {
                             single_def(*dst)
                                 && invariant(*arr)
                                 && !info.has_call
-                                && load_hoist_legal(ctx, &inst, *arr, &nonnull, config)
+                                && load_hoist_legal(ctx, inst, *arr, &nonnull, config)
                         }
                         Inst::ArrayLoad {
                             dst,
@@ -416,7 +438,7 @@ fn licm(ctx: &AnalysisCtx<'_>, func: &mut Function, config: ScalarConfig, stats:
                             invariant(*index)
                                 && invariant(*length)
                                 && l.latches.iter().all(|&la| doms.dominates(block_id, la))
-                                && check_hoist_anticipated(func, l, block_id, pos)
+                                && check_hoist_anticipated(func, cfg, l, block_id, pos)
                         }
                         _ => false,
                     };
@@ -426,7 +448,7 @@ fn licm(ctx: &AnalysisCtx<'_>, func: &mut Function, config: ScalarConfig, stats:
                     // Hoist: remove from the loop block, append to the
                     // preheader. The definition leaves the loop, so its
                     // destination becomes invariant for later rounds.
-                    let inst = func.block_mut(block_id).insts.remove(pos);
+                    let inst = func.insts_mut(block_id).remove(pos);
                     if let Some(d) = inst.def() {
                         info.defined_in_loop.remove(d.index());
                     }
@@ -447,7 +469,8 @@ fn licm(ctx: &AnalysisCtx<'_>, func: &mut Function, config: ScalarConfig, stats:
                         Inst::BoundCheck { .. } => stats.hoisted_boundchecks += 1,
                         _ => stats.hoisted_pure += 1,
                     }
-                    func.block_mut(preheader).insts.push(inst);
+                    func.insts_mut(preheader).push(inst);
+                    nonnull_sol = None;
                     hoisted_one = true;
                     // Positions shifted: restart the scan.
                     break 'scan;
@@ -483,7 +506,13 @@ fn load_hoist_legal(
 /// other exception in every iteration — the condition for hoisting it to
 /// the preheader (the AIOOBE may only move earlier past non-observable
 /// work).
-fn check_hoist_anticipated(func: &Function, l: &NaturalLoop, block: BlockId, pos: usize) -> bool {
+fn check_hoist_anticipated(
+    func: &Function,
+    cfg: &CfgCache,
+    l: &NaturalLoop,
+    block: BlockId,
+    pos: usize,
+) -> bool {
     // Instructions before it in its own block.
     for inst in &func.block(block).insts[..pos] {
         if blocks_check_hoist(inst) {
@@ -491,7 +520,7 @@ fn check_hoist_anticipated(func: &Function, l: &NaturalLoop, block: BlockId, pos
         }
     }
     // Whole blocks that can execute before it in the iteration.
-    let before = blocks_before(func, l, block);
+    let before = blocks_before(func, cfg, l, block);
     for bi in before.iter() {
         if bi == block.index() {
             // A cycle within the loop body reaching back — conservative.
@@ -541,7 +570,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(LOOP_SRC).unwrap();
-        let stats = run(&ctx, &mut f, ScalarConfig::default());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
         assert_eq!(stats.hoisted_loads, 0, "{f}");
     }
 
@@ -553,7 +582,7 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(LOOP_SRC).unwrap();
         phase1::run(&ctx, &mut f);
-        let stats = run(&ctx, &mut f, ScalarConfig::default());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
         assert_eq!(stats.hoisted_loads, 1, "{f}");
         verify(&f).unwrap();
         // The load now sits in bb0 next to the hoisted check.
@@ -571,12 +600,22 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::aix_ppc());
         let mut f = parse_function(LOOP_SRC).unwrap();
-        let stats = run(&ctx, &mut f, ScalarConfig { speculation: true });
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            ScalarConfig { speculation: true },
+        );
         assert_eq!(stats.hoisted_loads, 1, "{f}");
         assert_eq!(stats.speculative_loads, 1);
         // Without speculation it must stay.
         let mut f2 = parse_function(LOOP_SRC).unwrap();
-        let stats2 = run(&ctx, &mut f2, ScalarConfig { speculation: false });
+        let stats2 = run(
+            &ctx,
+            &mut f2,
+            &mut CfgCache::new(),
+            ScalarConfig { speculation: false },
+        );
         assert_eq!(stats2.hoisted_loads, 0);
     }
 
@@ -586,7 +625,12 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(LOOP_SRC).unwrap();
         // Even with the flag on, a trapping read cannot be speculated.
-        let stats = run(&ctx, &mut f, ScalarConfig { speculation: true });
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            ScalarConfig { speculation: true },
+        );
         assert_eq!(stats.hoisted_loads, 0, "{f}");
     }
 
@@ -613,7 +657,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, ScalarConfig::default());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
         assert_eq!(stats.hoisted_loads, 0, "aliasing store blocks hoist: {f}");
     }
 
@@ -633,7 +677,7 @@ bb0:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, ScalarConfig::default());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
         assert_eq!(stats.local_loads_reused, 1, "{f}");
         verify(&f).unwrap();
         assert!(f
@@ -658,7 +702,7 @@ bb0:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, ScalarConfig::default());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
         assert_eq!(stats.local_loads_reused, 1, "{f}");
     }
 
@@ -680,7 +724,7 @@ bb0:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, ScalarConfig::default());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
         // v1 may alias v0: the second load must not reuse v2. (The store
         // forwards its own value under key (v1, field0) only.)
         assert_eq!(stats.local_loads_reused, 0, "{f}");
@@ -723,7 +767,7 @@ bb2:
         let mut total = ScalarStats::default();
         for _ in 0..2 {
             phase1::run(&ctx, &mut f);
-            let s = run(&ctx, &mut f, ScalarConfig::default());
+            let s = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
             total.hoisted_loads += s.hoisted_loads;
             total.hoisted_boundchecks += s.hoisted_boundchecks;
         }
@@ -760,7 +804,7 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
         phase1::run(&ctx, &mut f);
-        let stats = run(&ctx, &mut f, ScalarConfig::default());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
         // v3 (index) varies: the element load and bounds check stay.
         assert_eq!(stats.hoisted_boundchecks, 0, "{f}");
         assert!(f

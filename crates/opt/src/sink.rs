@@ -16,8 +16,8 @@
 
 use njc_core::ctx::AnalysisCtx;
 use njc_core::nonnull::{compute_sets, NonNullProblem};
-use njc_dataflow::solve;
-use njc_ir::{BlockId, FieldId, Function, Inst, Terminator, VarId};
+use njc_dataflow::solve_cached;
+use njc_ir::{BlockId, CfgCache, FieldId, Function, Inst, Terminator, VarId};
 
 use crate::loops::{find_loops, Dominators, NaturalLoop};
 
@@ -111,7 +111,7 @@ fn promote(
 
     // Preheader: t = o.f (the base is proven non-null there — the caller
     // checked — so the bare load cannot fault).
-    func.block_mut(preheader).insts.push(Inst::GetField {
+    func.insts_mut(preheader).push(Inst::GetField {
         dst: tmp,
         obj: cand.base,
         field: cand.field,
@@ -120,8 +120,7 @@ fn promote(
 
     // Rewrite in-loop accesses.
     for bi in l.body.iter() {
-        let block = func.block_mut(BlockId::new(bi));
-        for inst in &mut block.insts {
+        for inst in func.insts_mut(BlockId::new(bi)) {
             match inst {
                 Inst::GetField {
                     dst, obj, field, ..
@@ -178,22 +177,16 @@ fn promote(
     stats.promoted += 1;
 }
 
-/// Runs store sinking on `func` in place.
-pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> SinkStats {
+/// Runs store sinking on `func` in place, reading the CFG from `cfg`
+/// (revalidated after every promotion, which splits exit edges).
+pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function, cfg: &mut CfgCache) -> SinkStats {
     let mut stats = SinkStats::default();
     loop {
-        let doms = Dominators::compute(func);
-        let loops = find_loops(func, &doms);
-        let nonnull = {
-            let p = NonNullProblem {
-                func,
-                sets: compute_sets(func),
-                earliest: None,
-                entry: None,
-                num_facts: func.num_vars(),
-            };
-            solve(func, &p)
-        };
+        cfg.ensure(func);
+        let doms = Dominators::compute(func, cfg);
+        let loops = find_loops(func, cfg, &doms);
+        // Solved on the first candidate only: most loops have none.
+        let mut nonnull = None;
         let mut applied = false;
         for l in &loops {
             let Some(preheader) = l.preheader else {
@@ -205,6 +198,16 @@ pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> SinkStats {
             let Some(cand) = find_candidate(func, l) else {
                 continue;
             };
+            let nonnull = nonnull.get_or_insert_with(|| {
+                let p = NonNullProblem {
+                    func,
+                    sets: compute_sets(func),
+                    earliest: None,
+                    entry: None,
+                    num_facts: func.num_vars(),
+                };
+                solve_cached(func, cfg, &p)
+            });
             if !nonnull.outs[preheader.index()].contains(cand.base.index()) {
                 continue; // the preheader load could fault
             }
@@ -255,7 +258,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(FIG4).unwrap();
-        let stats = run(&ctx, &mut f);
+        let stats = run(&ctx, &mut f, &mut CfgCache::new());
         assert_eq!(stats.promoted, 1, "{f}");
         assert_eq!(stats.accesses_rewritten, 2);
         verify(&f).unwrap();
@@ -297,7 +300,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f);
+        let stats = run(&ctx, &mut f, &mut CfgCache::new());
         assert_eq!(stats.promoted, 0, "{f}");
     }
 
@@ -321,7 +324,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f);
+        let stats = run(&ctx, &mut f, &mut CfgCache::new());
         assert_eq!(stats.promoted, 0, "v0 and v1 may alias: {f}");
     }
 
@@ -344,7 +347,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f);
+        let stats = run(&ctx, &mut f, &mut CfgCache::new());
         assert_eq!(stats.promoted, 0);
     }
 
@@ -371,7 +374,7 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
         phase1::run(&ctx, &mut f);
-        let stats = run(&ctx, &mut f);
+        let stats = run(&ctx, &mut f, &mut CfgCache::new());
         assert_eq!(stats.promoted, 1, "{f}");
         verify(&f).unwrap();
     }

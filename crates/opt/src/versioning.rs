@@ -23,7 +23,7 @@
 //! and significantly limit the effectiveness of other optimizations"
 //! (paper §1).
 
-use njc_ir::{BlockId, Cond, ConstValue, Function, Inst, Terminator, Type, VarId};
+use njc_ir::{BlockId, CfgCache, Cond, ConstValue, Function, Inst, Terminator, Type, VarId};
 
 use crate::loops::{find_loops, Dominators, NaturalLoop};
 
@@ -71,7 +71,7 @@ fn def_counts(func: &Function) -> Vec<u32> {
 /// `if lt i, end then header else ...` and contains the loop's only def of
 /// `i`, an `i = i + c` with `c` a locally-defined positive constant,
 /// positioned after every removable check in the latch.
-fn recognize(func: &Function, l: &NaturalLoop, counts: &[u32]) -> Option<Plan> {
+fn recognize(func: &Function, cfg: &CfgCache, l: &NaturalLoop, counts: &[u32]) -> Option<Plan> {
     let preheader = l.preheader?;
     let [latch] = l.latches.as_slice() else {
         return None;
@@ -112,8 +112,7 @@ fn recognize(func: &Function, l: &NaturalLoop, counts: &[u32]) -> Option<Plan> {
     // too. Copy propagation may have rewritten the guard's operand to the
     // counter's initializer, so also accept the source of the counter's
     // last copy in the guard block.
-    let preds = func.predecessors();
-    let [guard_pred] = preds[preheader.index()].as_slice() else {
+    let [guard_pred] = cfg.preds()[preheader.index()].as_slice() else {
         return None;
     };
     let guard_block = func.block(*guard_pred);
@@ -144,7 +143,7 @@ fn recognize(func: &Function, l: &NaturalLoop, counts: &[u32]) -> Option<Plan> {
     }
     // Skip loops already versioned: some predecessor of the preheader's
     // guard chain compares `end` against a length (Gt end, L).
-    for &p in &preds[preheader.index()] {
+    for &p in &cfg.preds()[preheader.index()] {
         if let Terminator::If {
             cond: Cond::Gt,
             lhs,
@@ -290,7 +289,7 @@ fn apply(func: &mut Function, plan: &Plan, stats: &mut VersioningStats) {
     // Guard chain in the preheader: `i < 0 → slow`, then per length
     // `end > L → slow`, else fast.
     let zero = func.new_var(Type::Int);
-    func.block_mut(plan.preheader).insts.push(Inst::Const {
+    func.insts_mut(plan.preheader).push(Inst::Const {
         dst: zero,
         value: ConstValue::Int(0),
     });
@@ -317,17 +316,19 @@ fn apply(func: &mut Function, plan: &Plan, stats: &mut VersioningStats) {
     stats.loops_versioned += 1;
 }
 
-/// Runs loop versioning on `func` in place.
-pub fn run(func: &mut Function) -> VersioningStats {
+/// Runs loop versioning on `func` in place, reading the CFG from `cfg`
+/// (revalidated after every versioned loop, which adds blocks).
+pub fn run(func: &mut Function, cfg: &mut CfgCache) -> VersioningStats {
     let mut stats = VersioningStats::default();
     for _round in 0..4 {
         if func.num_blocks() >= MAX_BLOCKS {
             break;
         }
-        let doms = Dominators::compute(func);
-        let loops = find_loops(func, &doms);
+        cfg.ensure(func);
+        let doms = Dominators::compute(func, cfg);
+        let loops = find_loops(func, cfg, &doms);
         let counts = def_counts(func);
-        let plan = loops.iter().find_map(|l| recognize(func, l, &counts));
+        let plan = loops.iter().find_map(|l| recognize(func, cfg, l, &counts));
         match plan {
             Some(p) => apply(func, &p, &mut stats),
             None => break,
@@ -388,7 +389,7 @@ mod tests {
     fn counter_indexed_check_is_versioned_away() {
         let mut f = hoisted_loop();
         let before_blocks = f.num_blocks();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.loops_versioned, 1, "{f}");
         assert_eq!(stats.checks_removed, 1);
         assert!(f.num_blocks() > before_blocks);
@@ -405,9 +406,9 @@ mod tests {
     #[test]
     fn second_run_is_idempotent() {
         let mut f = hoisted_loop();
-        run(&mut f);
+        run(&mut f, &mut CfgCache::new());
         let blocks = f.num_blocks();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.loops_versioned, 0, "{f}");
         assert_eq!(f.num_blocks(), blocks);
     }
@@ -428,7 +429,7 @@ mod tests {
         });
         b.ret(Some(acc));
         let mut f = b.finish();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.loops_versioned, 0, "{f}");
     }
 
@@ -451,14 +452,14 @@ mod tests {
         });
         b.ret(Some(acc));
         let mut f = b.finish();
-        let stats = run(&mut f);
+        let stats = run(&mut f, &mut CfgCache::new());
         assert_eq!(stats.loops_versioned, 0);
     }
 
     #[test]
     fn versioned_function_verifies_and_keeps_shape() {
         let mut f = hoisted_loop();
-        run(&mut f);
+        run(&mut f, &mut CfgCache::new());
         verify(&f).unwrap();
         // The guard chain exists: some block compares end (v1) with Gt.
         let has_guard = f

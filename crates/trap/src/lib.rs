@@ -100,6 +100,38 @@ impl From<HardwareTrap> for MemoryError {
     }
 }
 
+/// The most memory one [`GuardedMemory`] hands out, guard region included:
+/// 256 MiB. A fixed ceiling, so a hostile allocation size becomes a
+/// structured [`HeapExhausted`] instead of a host out-of-memory abort; the
+/// paper's workloads stay far below it.
+pub const HEAP_LIMIT_BYTES: u64 = 1 << 28;
+
+/// An allocation [`GuardedMemory`] refused: its size does not fit in 64
+/// bits, or it would grow the heap past [`HEAP_LIMIT_BYTES`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct HeapExhausted {
+    /// The bytes asked for; `None` when the size overflowed 64 bits.
+    pub requested: Option<u64>,
+    /// The heap's footprint when the request was refused.
+    pub footprint: u64,
+}
+
+impl fmt::Display for HeapExhausted {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.requested {
+            Some(n) => write!(f, "heap exhausted: {n} bytes requested")?,
+            None => write!(f, "heap exhausted: requested size overflows 64 bits")?,
+        }
+        write!(
+            f,
+            " with {} of {HEAP_LIMIT_BYTES} bytes in use",
+            self.footprint
+        )
+    }
+}
+
+impl std::error::Error for HeapExhausted {}
+
 /// Counters describing trap traffic, exposed for the experiment harness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct TrapStats {
@@ -143,7 +175,7 @@ pub struct ReadOutcome {
 /// use njc_ir::AccessKind;
 ///
 /// let mut mem = GuardedMemory::new(TrapModel::windows_ia32());
-/// let obj = mem.alloc(32);
+/// let obj = mem.alloc(32).unwrap();
 /// mem.write_u64(obj + 8, 42).unwrap();
 /// assert_eq!(mem.read_u64(obj + 8).unwrap().value, 42);
 /// // Null dereference: effective address 8 lies in the guard page.
@@ -190,12 +222,41 @@ impl GuardedMemory {
 
     /// Allocates `size` bytes of zeroed memory, 8-byte aligned, and returns
     /// the base address (always above the guard region, never 0).
-    pub fn alloc(&mut self, size: u64) -> u64 {
+    ///
+    /// # Errors
+    /// [`HeapExhausted`] when the heap would grow past
+    /// [`HEAP_LIMIT_BYTES`]; nothing is allocated then.
+    pub fn alloc(&mut self, size: u64) -> Result<u64, HeapExhausted> {
+        let refused = HeapExhausted {
+            requested: Some(size),
+            footprint: self.brk,
+        };
+        let brk = size
+            .checked_next_multiple_of(8)
+            .and_then(|s| self.brk.checked_add(s.max(8)))
+            .filter(|&brk| brk <= HEAP_LIMIT_BYTES)
+            .ok_or(refused)?;
         let base = self.brk;
-        let size = size.div_ceil(8) * 8;
-        self.brk += size.max(8);
-        self.data.resize(self.brk as usize, 0);
-        base
+        self.brk = brk;
+        self.data.resize(brk as usize, 0);
+        Ok(base)
+    }
+
+    /// Allocates a block of `header` bytes followed by `slots` 8-byte
+    /// slots, zeroed (an array: header, then elements), with the size
+    /// computed in checked arithmetic.
+    ///
+    /// # Errors
+    /// [`HeapExhausted`] when `header + 8 * slots` overflows 64 bits or
+    /// exceeds the ceiling; nothing is allocated then.
+    pub fn alloc_slots(&mut self, header: u64, slots: u64) -> Result<u64, HeapExhausted> {
+        match slots.checked_mul(8).and_then(|b| b.checked_add(header)) {
+            Some(size) => self.alloc(size),
+            None => Err(HeapExhausted {
+                requested: None,
+                footprint: self.brk,
+            }),
+        }
     }
 
     /// Total bytes currently allocated (including the guard region).
@@ -311,17 +372,17 @@ mod tests {
     #[test]
     fn alloc_is_above_guard_and_aligned() {
         let mut m = GuardedMemory::new(TrapModel::windows_ia32());
-        let a = m.alloc(24);
+        let a = m.alloc(24).unwrap();
         assert!(a >= 4096);
         assert_eq!(a % 8, 0);
-        let b = m.alloc(1);
+        let b = m.alloc(1).unwrap();
         assert!(b >= a + 24);
     }
 
     #[test]
     fn write_read_round_trip() {
         let mut m = GuardedMemory::new(TrapModel::windows_ia32());
-        let a = m.alloc(16);
+        let a = m.alloc(16).unwrap();
         m.write_u64(a, u64::MAX).unwrap();
         m.write_u64(a + 8, 7).unwrap();
         assert_eq!(m.read_u64(a).unwrap().value, u64::MAX);
@@ -369,7 +430,7 @@ mod tests {
         // Worse than wild: with a large enough heap, a null-base big-offset
         // access silently reads *another object's* memory.
         let mut m = GuardedMemory::new(TrapModel::windows_ia32());
-        let a = m.alloc(8192);
+        let a = m.alloc(8192).unwrap();
         m.write_u64(a + 8, 0xDEAD).unwrap();
         let offset_from_null = a + 8; // as if `null.field_at(a + 8)`
         let r = m.read_u64(offset_from_null).unwrap();
@@ -392,7 +453,7 @@ mod tests {
     #[test]
     fn no_trap_model_still_reserves_null() {
         let mut m = GuardedMemory::new(TrapModel::no_traps());
-        let a = m.alloc(8);
+        let a = m.alloc(8).unwrap();
         assert!(a >= MIN_HEAP_BASE);
         assert!(GuardedMemory::is_null(0));
         assert!(!GuardedMemory::is_null(a));
@@ -412,7 +473,7 @@ mod tests {
     #[test]
     fn digest_tracks_heap_contents() {
         let mut m = GuardedMemory::new(TrapModel::windows_ia32());
-        let a = m.alloc(16);
+        let a = m.alloc(16).unwrap();
         let d0 = m.digest();
         m.write_u64(a, 7).unwrap();
         let d1 = m.digest();
@@ -425,7 +486,7 @@ mod tests {
             traps_on_read: false,
             traps_on_write: false,
         });
-        let b = aix.alloc(8);
+        let b = aix.alloc(8).unwrap();
         aix.write_u64(b, 3).unwrap();
         let d = aix.digest();
         aix.write_u64(8, 99).unwrap();
@@ -451,5 +512,28 @@ mod tests {
             t.to_string(),
             "hardware trap: write of protected address 0x10"
         );
+    }
+
+    #[test]
+    fn oversized_allocations_are_refused_before_allocating() {
+        let mut m = GuardedMemory::new(TrapModel::windows_ia32());
+        let before = m.footprint();
+        // 16 + 8 * 2^60 fits in 64 bits but not under the ceiling;
+        // 16 + 8 * 2^61 wraps to 16 in unchecked arithmetic. Both are
+        // refused, not truncated.
+        let err = m.alloc_slots(16, 1 << 60).unwrap_err();
+        assert_eq!(err.requested, Some((1 << 63) + 16));
+        assert_eq!(err.footprint, before);
+        let err = m.alloc_slots(16, 1 << 61).unwrap_err();
+        assert_eq!(err.requested, None);
+        assert_eq!(err.footprint, before);
+        // Representable but past the ceiling.
+        let err = m.alloc(HEAP_LIMIT_BYTES).unwrap_err();
+        assert_eq!(err.requested, Some(HEAP_LIMIT_BYTES));
+        assert_eq!(m.alloc(u64::MAX).unwrap_err().requested, Some(u64::MAX));
+        assert_eq!(m.footprint(), before, "a refused request allocates nothing");
+        // Ordinary requests still succeed afterwards.
+        let a = m.alloc_slots(16, 4).unwrap();
+        assert_eq!(m.footprint(), a + 48);
     }
 }

@@ -17,7 +17,7 @@
 use njc_arch::TrapModel;
 use njc_ir::module::ARRAY_ELEMENTS_OFFSET;
 use njc_ir::{AccessKind, ClassId, Module, Type};
-use njc_trap::{GuardedMemory, HardwareTrap, MemoryError};
+use njc_trap::{GuardedMemory, HardwareTrap, HeapExhausted, MemoryError};
 
 /// Element type tags stored in the array header's second word.
 fn type_tag(ty: Type) -> u64 {
@@ -52,20 +52,26 @@ impl Heap {
 
     /// Allocates an object of `class`, zero-initialized, header tagged with
     /// the class id. Returns its address.
-    pub fn alloc_object(&mut self, module: &Module, class: ClassId) -> u64 {
+    ///
+    /// # Errors
+    /// [`HeapExhausted`] past the memory's ceiling.
+    pub fn alloc_object(&mut self, module: &Module, class: ClassId) -> Result<u64, HeapExhausted> {
         let size = module.class(class).size.max(8);
-        let addr = self.mem.alloc(size);
+        let addr = self.mem.alloc(size)?;
         self.mem
             .write_u64(addr, class.index() as u64 + 1)
             .expect("fresh allocation is writable");
         self.objects_allocated += 1;
-        addr
+        Ok(addr)
     }
 
     /// Allocates an array of `len` elements, zero-initialized.
-    pub fn alloc_array(&mut self, elem: Type, len: u64) -> u64 {
-        let size = ARRAY_ELEMENTS_OFFSET + len * 8;
-        let addr = self.mem.alloc(size);
+    ///
+    /// # Errors
+    /// [`HeapExhausted`] when the array's byte size overflows 64 bits or
+    /// exceeds the memory's ceiling.
+    pub fn alloc_array(&mut self, elem: Type, len: u64) -> Result<u64, HeapExhausted> {
+        let addr = self.mem.alloc_slots(ARRAY_ELEMENTS_OFFSET, len)?;
         self.mem
             .write_u64(addr, len)
             .expect("fresh allocation is writable");
@@ -73,7 +79,7 @@ impl Heap {
             .write_u64(addr + 8, type_tag(elem))
             .expect("fresh allocation is writable");
         self.arrays_allocated += 1;
-        addr
+        Ok(addr)
     }
 
     /// Reads an object's class id from its header.
@@ -174,7 +180,7 @@ mod tests {
     fn object_header_carries_class() {
         let (m, mut h) = setup();
         let c = m.class_by_name("C").unwrap();
-        let addr = h.alloc_object(&m, c);
+        let addr = h.alloc_object(&m, c).unwrap();
         assert_eq!(h.class_of(addr).unwrap(), Some(c));
         assert_eq!(h.objects_allocated, 1);
     }
@@ -182,7 +188,7 @@ mod tests {
     #[test]
     fn array_header_carries_length() {
         let (_m, mut h) = setup();
-        let addr = h.alloc_array(Type::Int, 5);
+        let addr = h.alloc_array(Type::Int, 5).unwrap();
         assert_eq!(h.mem.read_u64(addr).unwrap().value, 5);
         // Elements zero-initialized.
         for i in 0..5 {

@@ -29,7 +29,7 @@ use njc_ir::{
     NullCheckKind, Op, Terminator, Type,
 };
 use njc_recover::{RecoveryCounts, RecoveryPolicy, RecoveryStrategy, ResumePoint};
-use njc_trap::{GuardedMemory, MemoryError};
+use njc_trap::{GuardedMemory, HeapExhausted, MemoryError};
 
 use crate::heap::Heap;
 use crate::value::Value;
@@ -376,6 +376,15 @@ pub enum Fault {
     },
     /// Entry function not found.
     NoSuchFunction(String),
+    /// An allocation the heap refused: its byte size overflows 64 bits or
+    /// exceeds the heap ceiling ([`njc_trap::HEAP_LIMIT_BYTES`]). A
+    /// resource limit, reported instead of exhausting host memory.
+    HeapExhausted {
+        /// Function where the allocation executed.
+        function: String,
+        /// The bytes asked for; `None` when the size overflowed 64 bits.
+        requested: Option<u64>,
+    },
     /// An instruction's operands do not match its declared type — an
     /// ill-typed (unverified) module. Structured, not a panic, so a hostile
     /// or fuzzer-generated program yields a per-program verdict instead of
@@ -407,6 +416,13 @@ impl std::fmt::Display for Fault {
             Fault::StackOverflow => write!(f, "call depth exceeded"),
             Fault::BadDispatch { method } => write!(f, "virtual dispatch of `{method}` failed"),
             Fault::NoSuchFunction(n) => write!(f, "no function named `{n}`"),
+            Fault::HeapExhausted {
+                function,
+                requested,
+            } => match requested {
+                Some(n) => write!(f, "heap exhausted in {function}: {n} bytes requested"),
+                None => write!(f, "heap exhausted in {function}: size overflows 64 bits"),
+            },
             Fault::IllTyped {
                 function,
                 block,
@@ -782,6 +798,15 @@ impl<'m> Vm<'m> {
             function: func.name().to_string(),
             block,
             detail: detail.to_string(),
+        }
+    }
+
+    /// Structured verdict for an allocation the heap refused.
+    #[cold]
+    fn heap_exhausted(func: &Function, e: HeapExhausted) -> Fault {
+        Fault::HeapExhausted {
+            function: func.name().to_string(),
+            requested: e.requested,
         }
     }
 
@@ -1384,7 +1409,10 @@ impl<'m> Vm<'m> {
                 let slots = Heap::object_slots(self.module, *class);
                 self.charge(cost.alloc_base + cost.alloc_per_slot * slots);
                 self.stats.allocations += 1;
-                let addr = self.heap.alloc_object(self.module, *class);
+                let addr = match self.heap.alloc_object(self.module, *class) {
+                    Ok(addr) => addr,
+                    Err(e) => return Err(Self::heap_exhausted(func, e)),
+                };
                 locals[dst.index()] = Value::Ref(addr);
             }
             Inst::NewArray { dst, elem, len } => {
@@ -1399,9 +1427,14 @@ impl<'m> Vm<'m> {
                         block_id,
                     )));
                 }
+                // Allocate before charging: a refused size is never priced
+                // (the charge could overflow).
+                let addr = match self.heap.alloc_array(*elem, l as u64) {
+                    Ok(addr) => addr,
+                    Err(e) => return Err(Self::heap_exhausted(func, e)),
+                };
                 self.charge(cost.alloc_base + cost.alloc_per_slot * l as u64);
                 self.stats.allocations += 1;
-                let addr = self.heap.alloc_array(*elem, l as u64);
                 locals[dst.index()] = Value::Ref(addr);
             }
             Inst::Call {

@@ -30,6 +30,10 @@
 //!   --help        print this usage and exit 0
 //! ```
 //!
+//! `njc difftest` writes its report to `--out`, or to `DIFF_report.json`
+//! for a full run; a `--smoke` run writes one only when `--out` is given,
+//! so it never replaces the committed full report.
+//!
 //! Every subcommand reads its command line through `njc_bench::cli`: an
 //! unknown flag, a missing value, or an unparsable value prints a message
 //! naming the flag plus the usage text and exits 1.
@@ -219,7 +223,13 @@ fn difftest_main(argv: &[String]) -> Run {
         gvn: args.last_of(&["--gvn", "--no-gvn"]) != Some("--no-gvn"),
         fixtures_dir: args.path("--fixtures"),
     };
-    let out_path = args.out().unwrap_or_else(|| "DIFF_report.json".into());
+    // A smoke run covers a fraction of the corpus, so it writes a report
+    // only where asked: the default path holds the full run's report.
+    let out_path = match args.out() {
+        Some(path) => Some(path),
+        None if opts.smoke => None,
+        None => Some("DIFF_report.json".into()),
+    };
     let report = run_difftest(&opts);
     println!(
         "difftest: {} programs, {} cells ({} byte-level, {} known wrap gaps), {} divergences, \
@@ -234,9 +244,11 @@ fn difftest_main(argv: &[String]) -> Run {
         report.ill_typed_cells,
         report.panicked_cells
     );
-    write_report(&report, &out_path)
-        .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
-    println!("report written to {}", out_path.display());
+    if let Some(out_path) = out_path {
+        write_report(&report, &out_path)
+            .map_err(|e| format!("cannot write {}: {e}", out_path.display()))?;
+        println!("report written to {}", out_path.display());
+    }
     if report.is_clean() {
         println!("difftest: CLEAN");
         return Ok(ExitCode::SUCCESS);

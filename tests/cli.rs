@@ -96,3 +96,27 @@ fn every_preset_runs_by_name() {
         assert!(stdout.contains(&expected), "{kind:?}: {stdout}");
     }
 }
+
+#[test]
+fn smoke_difftest_writes_no_report_without_out() {
+    // The default report path holds the committed full report; a smoke
+    // run covers a fraction of the corpus and must not replace it.
+    let dir = std::env::temp_dir().join(format!("njc-cli-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_njc"))
+        .args(["difftest", "--smoke", "--seeds", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("njc starts");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        !dir.join("DIFF_report.json").exists(),
+        "a smoke run wrote DIFF_report.json"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -176,3 +176,61 @@ fn committed_fixtures_replay_with_uniform_fault_on_every_platform() {
         }
     }
 }
+
+#[test]
+fn hostile_array_sizes_are_a_structured_fault_on_both_executors() {
+    // `newarray int` of length 2^60 (a byte size no heap can hold) and
+    // 2^61 (a byte size that wraps to 16 in unchecked arithmetic): the VM
+    // and the byte machine must both refuse the allocation with a
+    // heap-exhausted fault, and the difftest `+bytes` oracle must see them
+    // agree, on every platform and under every optimization level.
+    use njc::bench::difftest::{byte_verdict, ByteVerdict};
+    use njc_codegen::MachineFault;
+    use njc_emit::ByteMachine;
+    for (fixture, requested) in [
+        (
+            "tests/fixtures/newarray_len_2p60.njc",
+            Some((1u64 << 63) + 16),
+        ),
+        ("tests/fixtures/newarray_len_2p61.njc", None),
+    ] {
+        let m = load_fixture(fixture);
+        for platform in [
+            Platform::windows_ia32(),
+            Platform::aix_ppc(),
+            Platform::linux_s390(),
+        ] {
+            for kind in [ConfigKind::NoNullOptNoTrap, ConfigKind::Full] {
+                let mut opt = m.clone();
+                optimize_module(&mut opt, &platform, &kind.to_config(&platform));
+                let fault = run_module(&opt, platform, "main", &[]).unwrap_err();
+                assert_eq!(
+                    fault,
+                    Fault::HeapExhausted {
+                        function: "main".into(),
+                        requested
+                    },
+                    "{fixture} {kind:?} on {}",
+                    platform.name
+                );
+                let em = njc_emit::emit_module(&njc_codegen::lower_module(&opt), 1);
+                let bytes = ByteMachine::new(&em, platform).run("main").unwrap_err();
+                assert_eq!(
+                    bytes,
+                    MachineFault::HeapExhausted {
+                        function: "main".into(),
+                        requested
+                    },
+                    "{fixture} {kind:?} on {}",
+                    platform.name
+                );
+                assert_eq!(
+                    byte_verdict(&opt, &em, &platform),
+                    ByteVerdict::Agree,
+                    "{fixture} {kind:?} on {}",
+                    platform.name
+                );
+            }
+        }
+    }
+}
