@@ -202,12 +202,14 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// One sweep cell: `n` tenants stamped round-robin from the platform's
 /// workload set, one shared service, checked against the workloads'
 /// `references`. Returns the sweep's JSON (`None` when the service
-/// faulted) and pushes gate violations.
+/// faulted), with the host's parallelism under its volatile key, and
+/// pushes gate violations.
 fn run_sweep(
     platform: Platform,
     workloads: &[WorkloadSpec],
     references: &[Option<RuntimeOutcome>],
     n: usize,
+    host_parallelism: usize,
     failures: &mut Vec<String>,
 ) -> Option<Json> {
     let ctx = format!("{}/{n}-tenants", platform.name);
@@ -335,7 +337,7 @@ fn run_sweep(
         "cache_hit_rate": Json::Fixed(hit_rate, 4),
         "cache": &out.cache, "dedup_hits": out.dedup_hits,
         "compiles_performed": out.compiles_performed, "isolated_compiles": out.isolated_compiles,
-        "queue": queue, "shard_occupancy": occupancy, "host_parallelism": out.host_parallelism,
+        "queue": queue, "shard_occupancy": occupancy, "host_parallelism": host_parallelism,
     }))
 }
 
@@ -343,6 +345,7 @@ fn main() {
     let args = parse_args().unwrap_or_else(|e| e.exit());
     let mut failures = Vec::new();
     let mut sweeps = Vec::new();
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     for platform in [Platform::windows_ia32(), Platform::aix_ppc()] {
         let workloads = workload_set(&platform);
         let references = reference_runs(platform, &workloads, &mut failures);
@@ -352,6 +355,7 @@ fn main() {
                 &workloads,
                 &references,
                 n,
+                host_parallelism,
                 &mut failures,
             ));
         }

@@ -107,6 +107,11 @@ struct Exec<'m> {
     trace: Vec<MValue>,
     fuel: u64,
     stack: Vec<u64>,
+    /// Slot indices at or past this are a [`MachineFault::BadCode`]: no
+    /// call chain within [`MAX_DEPTH`] reaches them (see
+    /// [`slot_ceiling`]), so only a corrupted `lea rbp` or slot
+    /// displacement can, and the stack never grows to them.
+    slot_ceiling: usize,
     frames: Vec<Frame>,
     rax: u64,
     rcx: u64,
@@ -210,6 +215,7 @@ impl<'m> ByteMachine<'m> {
             trace: Vec::new(),
             fuel: self.fuel,
             stack: Vec::new(),
+            slot_ceiling: slot_ceiling(self.em),
             frames: Vec::new(),
             rax: 0,
             rcx: 0,
@@ -233,6 +239,22 @@ impl<'m> ByteMachine<'m> {
     }
 }
 
+/// The frame-slot stack's ceiling for `em`: each of at most
+/// [`MAX_DEPTH`] activations sits `num_regs` slots above its caller's, and
+/// the innermost one touches its own registers plus the outgoing
+/// arguments of a call, which fit in the callee's registers. So every
+/// slot a well-formed run writes lies below `MAX_DEPTH + 2` of the
+/// largest frame.
+fn slot_ceiling(em: &EmittedModule) -> usize {
+    let largest = em
+        .functions
+        .iter()
+        .map(|f| f.num_regs as usize)
+        .max()
+        .unwrap_or(0);
+    (MAX_DEPTH + 2) * largest.max(1)
+}
+
 impl Exec<'_> {
     fn func(&self) -> &EmittedFunction {
         &self.em.functions[self.fidx]
@@ -247,12 +269,19 @@ impl Exec<'_> {
         self.stack.get(i).copied().unwrap_or(0)
     }
 
-    fn write_slot(&mut self, slot: u32, value: u64) {
+    fn write_slot(&mut self, slot: u32, value: u64) -> Result<(), MachineFault> {
         let i = self.slot_index(slot);
         if self.stack.len() <= i {
+            if i >= self.slot_ceiling {
+                return Err(self.bad_code(format!(
+                    "frame slot {i} past the frame-stack ceiling {}",
+                    self.slot_ceiling
+                )));
+            }
             self.stack.resize(i + 1, 0);
         }
         self.stack[i] = value;
+        Ok(())
     }
 
     fn scratch(&mut self, reg: Scratch) -> &mut u64 {
@@ -390,7 +419,7 @@ impl Exec<'_> {
 
     /// Unwinds `kind` from the current pc. Returns the kind if it escapes
     /// the entry frame; otherwise control is at the handler.
-    fn unwind(&mut self, kind: ExceptionKind) -> Option<ExceptionKind> {
+    fn unwind(&mut self, kind: ExceptionKind) -> Result<Option<ExceptionKind>, MachineFault> {
         loop {
             let f = &self.em.functions[self.fidx];
             let rel = (self.pc - f.text_off as usize) as u32;
@@ -400,11 +429,12 @@ impl Exec<'_> {
                 .find(|h| h.start <= rel && rel < h.end && h.catch.catches(kind));
             if let Some(h) = hit {
                 let (handler, code_slot) = (h.handler, h.code_slot);
+                let handler = f.text_off as usize + handler as usize;
                 if let Some(slot) = code_slot {
-                    self.write_slot(slot, kind.code() as u64);
+                    self.write_slot(slot, kind.code() as u64)?;
                 }
-                self.pc = f.text_off as usize + handler as usize;
-                return None;
+                self.pc = handler;
+                return Ok(None);
             }
             match self.frames.pop() {
                 Some(frame) => {
@@ -412,7 +442,7 @@ impl Exec<'_> {
                     self.fidx = frame.caller;
                     self.rbp = frame.rbp_restore;
                 }
-                None => return Some(kind),
+                None => return Ok(Some(kind)),
             }
         }
     }
@@ -450,7 +480,7 @@ impl Exec<'_> {
             // whether it escaped.
             macro_rules! raise {
                 ($kind:expr) => {{
-                    if let Some(k) = self.unwind($kind) {
+                    if let Some(k) = self.unwind($kind)? {
                         return Ok(Some(k));
                     }
                     continue;
@@ -464,7 +494,7 @@ impl Exec<'_> {
                 }
                 Dec::StoreSlot { slot, reg } => {
                     let v = *self.scratch(reg);
-                    self.write_slot(slot, v);
+                    self.write_slot(slot, v)?;
                 }
                 Dec::LoadMem { disp, indexed } => {
                     match self.mem.read_u64(self.address(disp, indexed)) {
@@ -578,7 +608,7 @@ impl Exec<'_> {
                 }
                 Dec::MovsdStore { slot } => {
                     let v = self.xmm0;
-                    self.write_slot(slot, v);
+                    self.write_slot(slot, v)?;
                 }
                 Dec::Addsd => self.fop(|x, y| x + y),
                 Dec::Subsd => self.fop(|x, y| x - y),

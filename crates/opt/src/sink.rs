@@ -14,6 +14,8 @@
 //! result of (5) also cannot be achieved without the scalar replacement in
 //! (4)"* and vice versa (paper §3.2).
 
+use std::collections::BTreeMap;
+
 use njc_core::ctx::AnalysisCtx;
 use njc_core::nonnull::{compute_sets, NonNullProblem};
 use njc_dataflow::solve_cached;
@@ -46,10 +48,11 @@ struct Candidate {
 
 /// Finds a promotable (base, field) in the loop: all accesses of `field`
 /// use the same invariant base variable, at least one is a store, and the
-/// loop is free of promotion blockers.
+/// loop is free of promotion blockers. Of several, the lowest field id.
 fn find_candidate(func: &Function, l: &NaturalLoop) -> Option<Candidate> {
-    use std::collections::HashMap;
-    let mut by_field: HashMap<FieldId, (Option<VarId>, bool, bool)> = HashMap::new();
+    // Ordered by field id, so the field promoted first does not depend on
+    // the process's hash seed.
+    let mut by_field: BTreeMap<FieldId, (Option<VarId>, bool, bool)> = BTreeMap::new();
     for bi in l.body.iter() {
         let block = func.block(BlockId::new(bi));
         if block.try_region.is_some() {

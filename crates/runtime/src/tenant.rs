@@ -169,9 +169,6 @@ pub struct ServiceOutcome {
     /// coalescing fan-outs plus shared-cache hits, adaptive and fixpoint
     /// phases both. Counted as recompile events with `cache_hit` set.
     pub dedup_hits: u64,
-    /// `std::thread::available_parallelism()` of the host, for context
-    /// next to throughput numbers.
-    pub host_parallelism: usize,
     /// Compile jobs that panicked mid-compile and were survived —
     /// service workers and per-tenant fixpoint passes combined, each job
     /// counted once (a panicked worker job also counts in the
@@ -533,9 +530,6 @@ impl ServiceRuntime {
             compiles_performed,
             isolated_compiles,
             dedup_hits,
-            host_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
             compile_panics: svc.compile_panics.load(Ordering::Relaxed),
             recoveries,
             tenants,
@@ -935,7 +929,6 @@ mod tests {
             occupied,
             out.cache.inserts as usize - out.cache.evictions as usize
         );
-        assert!(out.host_parallelism >= 1);
         assert!(
             out.dedup_hits > 0,
             "six identical tenants must share artifacts: {:?}",

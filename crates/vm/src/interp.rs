@@ -25,12 +25,12 @@ use std::sync::{Arc, Mutex};
 
 use njc_arch::Platform;
 use njc_ir::{
-    AccessKind, BlockId, CallTarget, ExceptionKind, Function, FunctionId, Inst, Module,
-    NullCheckKind, Op, Terminator, Type,
+    AccessKind, BlockId, ClassId, Cond, ExceptionKind, Function, FunctionId, Module, Type, VarId,
 };
 use njc_recover::{RecoveryCounts, RecoveryPolicy, RecoveryStrategy, ResumePoint};
 use njc_trap::{GuardedMemory, HeapExhausted, MemoryError};
 
+use crate::code::{Body, Code, Op, NONE};
 use crate::heap::Heap;
 use crate::value::Value;
 
@@ -219,11 +219,11 @@ pub struct ProfileSnapshot {
 /// [`install`]s recompiled bodies. With no hooks attached the interpreter
 /// behaves exactly as before, cycle accounting included.
 ///
-/// Both directions are cheap for the VM. It reads the swap table through
-/// a VM-local cache that it refreshes only when the install version moves,
-/// and it publishes by copying its dense counters into a buffer here that
-/// keeps its allocations; [`snapshot`] builds the [`SiteCounters`] maps on
-/// the controller's side.
+/// Both directions are cheap for the VM. It reads the swap table only
+/// when the install version moves, decoding each newly installed body
+/// once, and it publishes by copying its dense counters into a buffer here
+/// that keeps its allocations; [`snapshot`] builds the [`SiteCounters`]
+/// maps on the controller's side.
 ///
 /// [`snapshot`]: RuntimeHooks::snapshot
 /// [`install`]: RuntimeHooks::install
@@ -238,7 +238,8 @@ pub struct RuntimeHooks {
     profile: Mutex<(Counters, u64)>,
     /// Safe points between profile publications.
     snapshot_interval: u64,
-    /// Calls that entered a swapped body (mid-run tier switches observed).
+    /// Calls that entered a swapped body (mid-run tier switches observed),
+    /// as of the latest publication.
     swapped_calls: AtomicU64,
     /// Set when the attached VM's run ends (even on a fault), so poll
     /// loops terminate.
@@ -273,7 +274,11 @@ impl RuntimeHooks {
     }
 
     /// Calls that entered a swapped body — proof that a tier switch took
-    /// effect *mid-run*, with heap and observation trace carried over.
+    /// effect *mid-run*, with heap and observation trace carried over. The
+    /// VM counts them locally and adds them here with every profile
+    /// publication, so the count is final once [`is_finished`] holds.
+    ///
+    /// [`is_finished`]: Self::is_finished
     pub fn swapped_calls(&self) -> u64 {
         self.swapped_calls.load(Ordering::Acquire)
     }
@@ -293,10 +298,12 @@ impl RuntimeHooks {
         self.finished.load(Ordering::Acquire)
     }
 
-    fn publish(&self, counters: &Counters, calls: u64) {
+    fn publish(&self, counters: &Counters, calls: u64, swapped_calls: u64) {
         let mut p = self.profile.lock().unwrap();
         p.0.copy_from(counters);
         p.1 = calls;
+        self.swapped_calls
+            .fetch_add(swapped_calls, Ordering::Release);
     }
 
     fn set_finished(&self) {
@@ -451,7 +458,9 @@ pub struct ExceptionEvent {
     pub at_trace: usize,
     /// Function where the exception originated (diagnostic only: inlining
     /// legitimately changes this, so equivalence checks must not compare it).
-    pub function: String,
+    /// One name per decoded body, shared by every event raised in it, so
+    /// raising allocates nothing.
+    pub function: Arc<str>,
     /// Block where it originated (diagnostic only, see
     /// [`ExceptionEvent::function`]).
     pub block: BlockId,
@@ -534,12 +543,6 @@ impl Outcome {
     }
 }
 
-enum BlockExit {
-    Jump(BlockId),
-    Return(Option<Value>),
-    Threw(ExceptionKind),
-}
-
 /// Result of a guarded memory operation, after trap classification and
 /// recovery dispatch.
 enum MemAccess<T> {
@@ -556,39 +559,179 @@ enum MemAccess<T> {
     Skip,
 }
 
+#[derive(Debug)]
 enum CallOutcome {
     Return(Option<Value>),
     Threw(ExceptionKind),
 }
 
-/// The interpreter.
+/// How an op leaves the straight-line path of its frame.
+enum Flow {
+    /// It raised an exception (or a callee's exception reached it).
+    Throw(ExceptionKind),
+    /// It calls function `callee` with the `argc` actual slots at `args`
+    /// in its body's [`Code::args`]; the result goes to slot `dst`.
+    Call {
+        callee: u32,
+        dst: u32,
+        args: u32,
+        argc: u32,
+    },
+    /// Its frame returns.
+    Return(Option<Value>),
+}
+
+/// One activation on the frame stack.
+#[derive(Clone, Copy, Debug)]
+struct Frame {
+    /// The running body, an index into [`Codes::list`].
+    code: u32,
+    /// Where the activation continues once it is innermost again: saved at
+    /// a call, it is the op after the call.
+    pc: u32,
+    /// Start of the activation's locals in [`Vm::locals`].
+    base: u32,
+    /// The caller's slot for the return value ([`NONE`]: dropped).
+    dst: u32,
+}
+
+/// The bodies a run has decoded. Append-only for the run, so an index
+/// names the same body for as long as any frame runs it.
 #[derive(Debug)]
-pub struct Vm<'m> {
+struct Codes<'m> {
+    list: Vec<Code<'m>>,
+    /// Each module function's decoded body, by function index ([`NONE`]
+    /// until its first call).
+    module_code: Vec<u32>,
+    /// Each swapped function's decoded replacement body, by function index
+    /// ([`NONE`]: not swapped), as of `swap_version`.
+    swap_code: Vec<u32>,
+    /// The hooks' install version `swap_code` reflects.
+    swap_version: u64,
+}
+
+impl<'m> Codes<'m> {
+    fn new(module: &Module) -> Self {
+        Codes {
+            list: Vec::new(),
+            module_code: vec![NONE; module.num_functions()],
+            swap_code: Vec::new(),
+            swap_version: 0,
+        }
+    }
+
+    /// The decoded body of module function `id`, decoding it on first use.
+    fn module_body(&mut self, module: &'m Module, platform: &Platform, id: u32) -> usize {
+        let i = id as usize;
+        if self.module_code[i] == NONE {
+            let body = Body::Module(module.function(FunctionId(id)));
+            self.list.push(Code::decode(module, platform, id, body));
+            self.module_code[i] = (self.list.len() - 1) as u32;
+        }
+        self.module_code[i] as usize
+    }
+
+    /// The body a call of `id` enters: the replacement the controller
+    /// installed, if any (counted in `swapped`), else the module's. The
+    /// swap table is read only when the hooks' install version has moved,
+    /// and each installed body is decoded once.
+    fn callee(
+        &mut self,
+        module: &'m Module,
+        platform: &Platform,
+        hooks: Option<&RuntimeHooks>,
+        id: u32,
+        swapped: &mut u64,
+    ) -> usize {
+        if let Some(h) = hooks {
+            let version = h.version.load(Ordering::Acquire);
+            if version != self.swap_version {
+                self.swap_version = version;
+                for (&index, body) in h.swap.lock().unwrap().iter() {
+                    let i = index as usize;
+                    if self.swap_code.len() <= i {
+                        self.swap_code.resize(i + 1, NONE);
+                    }
+                    let decoded = self.swap_code[i];
+                    let same = decoded != NONE
+                        && matches!(&self.list[decoded as usize].body,
+                                    Body::Swapped(b) if Arc::ptr_eq(b, body));
+                    if !same {
+                        let body = Body::Swapped(Arc::clone(body));
+                        self.list.push(Code::decode(module, platform, index, body));
+                        self.swap_code[i] = (self.list.len() - 1) as u32;
+                    }
+                }
+            }
+            match self.swap_code.get(id as usize) {
+                Some(&ci) if ci != NONE => {
+                    *swapped += 1;
+                    return ci as usize;
+                }
+                _ => {}
+            }
+        }
+        self.module_body(module, platform, id)
+    }
+}
+
+/// Everything a run mutates besides its frames: heap, statistics, output
+/// and counters, with the settings the ops consult.
+#[derive(Debug)]
+struct State<'m> {
     module: &'m Module,
     platform: Platform,
-    heap: Heap,
     config: VmConfig,
+    /// Adaptive-runtime control surface (swap table + profile channel).
+    hooks: Option<&'m RuntimeHooks>,
+    /// Trap-recovery policy; `None` (or an inactive policy) means every
+    /// trap aborts, exactly as before the subsystem existed.
+    recovery: Option<&'m RecoveryPolicy>,
+    heap: Heap,
     stats: RunStats,
     trace: Vec<Value>,
     events: Vec<ExceptionEvent>,
     counters: Counters,
-    /// Call frames returned by finished calls, reused by the next ones.
-    frames: Vec<Vec<Value>>,
-    /// Replacement bodies by function index, as of `swap_version`.
-    swap_cache: Vec<Option<Arc<Function>>>,
-    /// The hooks' install version `swap_cache` reflects.
-    swap_version: u64,
-    /// Function currently executing (for site-counter keys).
-    cur_func: u32,
-    /// Index of the instruction currently executing within its block.
-    cur_inst: u32,
-    /// Adaptive-runtime control surface (swap table + profile channel).
-    hooks: Option<&'m RuntimeHooks>,
     /// Safe points since the last profile publication to `hooks`.
     ticks_since_publish: u64,
-    /// Trap-recovery policy; `None` (or an inactive policy) means every
-    /// trap aborts, exactly as before the subsystem existed.
-    recovery: Option<&'m RecoveryPolicy>,
+    /// Calls into swapped bodies not yet added to the hooks' count.
+    swapped_calls: u64,
+}
+
+/// The interpreter.
+///
+/// Each function body is decoded once per run ([`Code`]); the run loop
+/// steps through the decoded ops on the caller's thread. Calls push a
+/// [`Frame`] record and the callee's locals onto two flat stacks instead of
+/// recursing natively, so the host stack a run needs does not depend on
+/// its call depth.
+#[derive(Debug)]
+pub struct Vm<'m> {
+    codes: Codes<'m>,
+    /// Every activation's locals, innermost last.
+    locals: Vec<Value>,
+    /// One record per activation, innermost last.
+    frames: Vec<Frame>,
+    st: State<'m>,
+}
+
+/// Structured verdict for an ill-typed operand in an unverified module.
+#[cold]
+fn ill_typed(code: &Code, pc: usize, detail: impl std::fmt::Display) -> Fault {
+    Fault::IllTyped {
+        function: code.name.to_string(),
+        block: code.locate(pc).0,
+        detail: detail.to_string(),
+    }
+}
+
+/// Structured verdict for an allocation the heap refused.
+#[cold]
+fn heap_exhausted(code: &Code, e: HeapExhausted) -> Fault {
+    Fault::HeapExhausted {
+        function: code.name.to_string(),
+        requested: e.requested,
+    }
 }
 
 impl<'m> Vm<'m> {
@@ -596,28 +739,29 @@ impl<'m> Vm<'m> {
     /// governs the guarded memory).
     pub fn new(module: &'m Module, platform: Platform) -> Self {
         Vm {
-            module,
-            platform,
-            heap: Heap::new(GuardedMemory::new(platform.trap)),
-            config: VmConfig::default(),
-            stats: RunStats::default(),
-            trace: Vec::new(),
-            events: Vec::new(),
-            counters: Counters::default(),
+            codes: Codes::new(module),
+            locals: Vec::new(),
             frames: Vec::new(),
-            swap_cache: Vec::new(),
-            swap_version: 0,
-            cur_func: 0,
-            cur_inst: 0,
-            hooks: None,
-            ticks_since_publish: 0,
-            recovery: None,
+            st: State {
+                module,
+                platform,
+                config: VmConfig::default(),
+                hooks: None,
+                recovery: None,
+                heap: Heap::new(GuardedMemory::new(platform.trap)),
+                stats: RunStats::default(),
+                trace: Vec::new(),
+                events: Vec::new(),
+                counters: Counters::default(),
+                ticks_since_publish: 0,
+                swapped_calls: 0,
+            },
         }
     }
 
     /// Overrides the default limits.
     pub fn with_config(mut self, config: VmConfig) -> Self {
-        self.config = config;
+        self.st.config = config;
         self
     }
 
@@ -625,7 +769,7 @@ impl<'m> Vm<'m> {
     /// effect at call entries and the dynamic profile is published through
     /// `hooks` at safe points.
     pub fn with_hooks(mut self, hooks: &'m RuntimeHooks) -> Self {
-        self.hooks = Some(hooks);
+        self.st.hooks = Some(hooks);
         self
     }
 
@@ -634,7 +778,7 @@ impl<'m> Vm<'m> {
     /// unconditionally raising the NPE. Explicit checks, unexpected traps,
     /// and AIX's silent guard-page reads never consult the policy.
     pub fn with_recovery(mut self, policy: &'m RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
+        self.st.recovery = Some(policy);
         self
     }
 
@@ -644,11 +788,12 @@ impl<'m> Vm<'m> {
     /// Returns a [`Fault`] for non-Java failures (compiler bugs, fuel,
     /// stack overflow). Java exceptions escaping the entry function are a
     /// *normal* outcome, recorded in [`Outcome::exception`].
-    pub fn run(self, entry: &str, args: &[Value]) -> Result<Outcome, Fault> {
-        self.on_interp_thread(move |mut vm| {
-            let out = vm.run_to_completion(entry, args);
-            vm.finish(out)
-        })
+    pub fn run(mut self, entry: &str, args: &[Value]) -> Result<Outcome, Fault> {
+        let out = match self.st.module.function_by_name(entry) {
+            Some(id) => self.invoke(id.0, args),
+            None => Err(Fault::NoSuchFunction(entry.to_string())),
+        };
+        self.finish(out)
     }
 
     /// Resumes a deoptimized frame of `function`: executes from
@@ -664,152 +809,656 @@ impl<'m> Vm<'m> {
     /// [`Fault::NoSuchFunction`] when `function` is unknown; otherwise as
     /// [`Vm::run`].
     pub fn resume(
-        self,
+        mut self,
         function: &str,
         point: ResumePoint,
-        mut locals: Vec<Value>,
+        locals: Vec<Value>,
     ) -> Result<Outcome, Fault> {
-        self.on_interp_thread(move |mut vm| {
-            let id = vm
-                .module
-                .function_by_name(function)
-                .ok_or_else(|| Fault::NoSuchFunction(function.to_string()))?;
-            let func = vm.module.function(id);
-            if locals.len() != func.var_types().len() {
-                return Err(Self::ill_typed(
-                    func,
-                    point.block,
-                    format!(
-                        "resumed frame carries {} locals, `{function}` has {}",
-                        locals.len(),
-                        func.var_types().len()
-                    ),
-                ));
-            }
-            vm.cur_func = id.index() as u32;
-            let out = vm.run_frame(func, &mut locals, 0, Some(point));
-            vm.finish(out)
-        })
+        let module = self.st.module;
+        let id = module
+            .function_by_name(function)
+            .ok_or_else(|| Fault::NoSuchFunction(function.to_string()))?;
+        let func = module.function(id);
+        if locals.len() != func.var_types().len() {
+            return Err(Fault::IllTyped {
+                function: func.name().to_string(),
+                block: point.block,
+                detail: format!(
+                    "resumed frame carries {} locals, `{function}` has {}",
+                    locals.len(),
+                    func.var_types().len()
+                ),
+            });
+        }
+        let out = self.invoke_resumed(id.0, point, locals);
+        self.finish(out)
     }
 
-    /// Runs `body` on the dedicated interpreter thread. One native frame
-    /// per simulated call frame means the stack scales with `max_depth`,
-    /// so the thread reserves its own stack instead of inheriting the
-    /// caller's (test threads default to 2 MiB, too small for a
-    /// `max_depth`-deep recursion of these large frames).
-    fn on_interp_thread<F>(self, body: F) -> Result<Outcome, Fault>
-    where
-        F: FnOnce(Self) -> Result<Outcome, Fault> + Send,
-    {
-        const INTERP_STACK_BYTES: usize = 32 * 1024 * 1024;
-        std::thread::scope(|scope| {
-            std::thread::Builder::new()
-                .name("njc-vm-interp".to_string())
-                .stack_size(INTERP_STACK_BYTES)
-                .spawn_scoped(scope, move || body(self))
-                .expect("spawn interpreter thread")
-                .join()
-                .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-        })
-    }
-
-    fn finish(self, out: Result<CallOutcome, Fault>) -> Result<Outcome, Fault> {
-        if let Some(h) = self.hooks {
+    fn finish(mut self, out: Result<CallOutcome, Fault>) -> Result<Outcome, Fault> {
+        if let Some(h) = self.st.hooks {
             // Final (and on a fault, last-known) profile, then release any
             // controller polling for the end of the run.
-            h.publish(&self.counters, self.stats.calls);
+            self.st.publish(h);
             h.set_finished();
         }
         let (result, exception) = match out? {
             CallOutcome::Return(v) => (v, None),
             CallOutcome::Threw(e) => (None, Some(e)),
         };
+        let st = self.st;
         Ok(Outcome {
             result,
             exception,
-            trace: self.trace,
-            events: self.events,
-            heap_digest: self.heap.mem.digest(),
-            stats: self.stats,
-            site_counts: self.counters.export(),
+            trace: st.trace,
+            events: st.events,
+            heap_digest: st.heap.mem.digest(),
+            stats: st.stats,
+            site_counts: st.counters.export(),
         })
     }
 
-    fn run_to_completion(&mut self, entry: &str, args: &[Value]) -> Result<CallOutcome, Fault> {
-        let id = self
-            .module
-            .function_by_name(entry)
-            .ok_or_else(|| Fault::NoSuchFunction(entry.to_string()))?;
-        self.call(id, args.len(), args.iter().copied(), 0)
+    /// Runs function `id` with `args` from an empty frame stack.
+    fn invoke(&mut self, id: u32, args: &[Value]) -> Result<CallOutcome, Fault> {
+        self.frames.clear();
+        self.locals.clear();
+        self.locals.extend_from_slice(args);
+        self.push_frame(id, args.len(), NONE)?;
+        self.exec()
     }
 
-    /// A swap/publish safe point: bumps the tick counter and publishes the
-    /// profile every `snapshot_interval` ticks. No-op without hooks.
-    fn safe_point(&mut self) {
-        let Some(h) = self.hooks else { return };
-        self.ticks_since_publish += 1;
-        if self.ticks_since_publish >= h.snapshot_interval {
-            self.ticks_since_publish = 0;
-            h.publish(&self.counters, self.stats.calls);
+    /// Runs module function `id` from `point` with `locals` as its frame.
+    /// The resumed block's entry op runs, then the instruction at `point`
+    /// with its access base re-checked explicitly — the deopt resume
+    /// contract: the access trapped in compiled code, and the recovery
+    /// path re-executes it under an explicit check.
+    fn invoke_resumed(
+        &mut self,
+        id: u32,
+        point: ResumePoint,
+        locals: Vec<Value>,
+    ) -> Result<CallOutcome, Fault> {
+        let ci = self
+            .codes
+            .module_body(self.st.module, &self.st.platform, id);
+        let code = &self.codes.list[ci];
+        let insts = &code.body().block(point.block).insts;
+        let inst = point.inst.min(insts.len());
+        let pc = code.block_pc[point.block.index()] as usize + 1 + inst;
+        self.locals = locals;
+        self.frames.clear();
+        self.frames.push(Frame {
+            code: ci as u32,
+            pc: pc as u32,
+            base: 0,
+            dst: NONE,
+        });
+        self.st.safe_point();
+        if self.st.config.count_sites {
+            self.st
+                .counters
+                .count(Dense::Blocks, code.func, point.block.0);
         }
+        if let Some(resumed) = insts.get(inst) {
+            self.st.fuel()?;
+            let module = self.st.module;
+            if let Some(access) = resumed.slot_access(|f| module.field_offset(f)) {
+                self.st.charge(self.st.platform.cost.explicit_null_check);
+                self.st.stats.explicit_null_checks += 1;
+                if self.locals[access.base.index()].is_null() {
+                    self.st.charge(self.st.platform.cost.throw_dispatch);
+                    let kind = self.st.raise(ExceptionKind::NullPointer, code, pc);
+                    self.frames[0].pc = pc as u32 + 1;
+                    return match self.unwind(kind) {
+                        Some(kind) => Ok(CallOutcome::Threw(kind)),
+                        None => self.exec(),
+                    };
+                }
+            }
+            // The run loop charges the resumed instruction's fuel again.
+            self.st.stats.insts -= 1;
+        }
+        self.exec()
     }
 
-    /// The replacement body for `id` if the controller installed one. Reads
-    /// the VM-local cache, refilled from the swap table only when the
-    /// hooks' install version has moved since the last fill.
-    fn swapped_body(&mut self, id: FunctionId) -> Option<Arc<Function>> {
-        let h = self.hooks?;
-        let version = h.version.load(Ordering::Acquire);
-        if version != self.swap_version {
-            self.swap_version = version;
-            for (&index, body) in h.swap.lock().unwrap().iter() {
-                let index = index as usize;
-                if self.swap_cache.len() <= index {
-                    self.swap_cache.resize(index + 1, None);
+    /// Opens an activation of function `id` whose `argc` actuals are the
+    /// last `argc` locals: the depth check, the call-entry safe point, the
+    /// swap check, the arity check, then the typed defaults of the
+    /// remaining locals. The callee's result goes to caller slot `dst`.
+    fn push_frame(&mut self, id: u32, argc: usize, dst: u32) -> Result<(), Fault> {
+        if self.frames.len() > self.st.config.max_depth {
+            return Err(Fault::StackOverflow);
+        }
+        self.st.safe_point();
+        let st = &mut self.st;
+        let ci = self
+            .codes
+            .callee(st.module, &st.platform, st.hooks, id, &mut st.swapped_calls);
+        let code = &self.codes.list[ci];
+        // Entry arguments come from outside the program and call sites
+        // from unverified modules, so a wrong count is a structured
+        // verdict rather than a panic in frame setup.
+        if argc != code.params {
+            return Err(Fault::IllTyped {
+                function: code.name.to_string(),
+                block: code.body().entry(),
+                detail: format!(
+                    "arity: `{}` takes {} argument(s), got {argc}",
+                    code.name, code.params
+                ),
+            });
+        }
+        let base = self.locals.len() - argc;
+        self.locals
+            .extend_from_slice(code.defaults.get(argc..).unwrap_or_default());
+        self.frames.push(Frame {
+            code: ci as u32,
+            pc: code.entry,
+            base: base as u32,
+            dst,
+        });
+        Ok(())
+    }
+
+    /// Unwinds an exception raised by the op before the innermost
+    /// activation's saved pc. Every activation it reaches counts it once
+    /// in `exceptions_thrown` — the raising one, and each caller at its
+    /// call — and the first enclosing try region that catches it takes it.
+    /// Returns the exception if it escapes the outermost activation.
+    fn unwind(&mut self, kind: ExceptionKind) -> Option<ExceptionKind> {
+        loop {
+            self.st.stats.exceptions_thrown += 1;
+            let top = self.frames.last_mut().expect("an activation to unwind");
+            let code = &self.codes.list[top.code as usize];
+            if let Some((handler, dst)) = code.handler(top.pc as usize - 1, kind) {
+                self.st.charge(self.st.platform.cost.throw_dispatch);
+                if let Some(dst) = dst {
+                    self.locals[top.base as usize + dst.index()] = Value::Int(kind.code());
                 }
-                self.swap_cache[index] = Some(Arc::clone(body));
+                top.pc = handler as u32;
+                return None;
+            }
+            let done = self.frames.pop().expect("the unwound activation");
+            self.locals.truncate(done.base as usize);
+            if self.frames.is_empty() {
+                return Some(kind);
             }
         }
-        let body = self.swap_cache.get(id.index()).cloned().flatten()?;
-        h.swapped_calls.fetch_add(1, Ordering::Relaxed);
-        Some(body)
     }
 
-    fn charge(&mut self, cycles: u64) {
-        self.stats.cycles += cycles;
-    }
-
-    /// Records an exception *origin* (never the unwinding of one already
-    /// recorded — the `Call` propagation path does not call this).
-    fn raise(&mut self, kind: ExceptionKind, func: &Function, block: BlockId) -> ExceptionKind {
-        self.events.push(ExceptionEvent {
-            kind,
-            at_trace: self.trace.len(),
-            function: func.name().to_string(),
-            block,
-        });
-        kind
-    }
-
-    /// Structured verdict for an ill-typed operand in an unverified module.
-    #[cold]
-    fn ill_typed(func: &Function, block: BlockId, detail: impl std::fmt::Display) -> Fault {
-        Fault::IllTyped {
-            function: func.name().to_string(),
-            block,
-            detail: detail.to_string(),
+    /// The run loop: executes the innermost activation's ops until the
+    /// outermost activation returns or an exception escapes it.
+    fn exec(&mut self) -> Result<CallOutcome, Fault> {
+        use njc_ir::Op as O;
+        let mut code: &Code;
+        let mut pc: usize;
+        let mut base: usize;
+        let mut frame: &mut [Value];
+        // Switches to the innermost activation: at the start, and after a
+        // call, return or unwind changed the stack.
+        macro_rules! reload {
+            () => {{
+                let top = *self.frames.last().expect("an activation to run");
+                code = &self.codes.list[top.code as usize];
+                pc = top.pc as usize;
+                base = top.base as usize;
+                frame = &mut self.locals[base..];
+            }};
+        }
+        reload!();
+        'run: loop {
+            let at = pc;
+            let op = code.ops[at];
+            pc += 1;
+            if let Op::Enter { block } = op {
+                self.st.safe_point();
+                if self.st.config.count_sites {
+                    self.st.counters.count(Dense::Blocks, code.func, block);
+                }
+                continue;
+            }
+            self.st.fuel()?;
+            let st = &mut self.st;
+            let int = move |v: Value| v.try_int().map_err(|e| ill_typed(code, at, e));
+            let float = move |v: Value| v.try_float().map_err(|e| ill_typed(code, at, e));
+            let addr = move |v: Value| v.try_ref_addr().map_err(|e| ill_typed(code, at, e));
+            let flow = 'op: {
+                match op {
+                    Op::Enter { .. } => unreachable!("block entries run above"),
+                    Op::Nop => {}
+                    Op::Const {
+                        ty,
+                        dst,
+                        cost,
+                        bits,
+                    } => {
+                        st.charge(cost.into());
+                        frame[dst as usize] = Value::from_bits(bits, ty);
+                    }
+                    Op::Move { dst, src, cost } => {
+                        st.charge(cost.into());
+                        frame[dst as usize] = frame[src as usize];
+                    }
+                    Op::IntBin {
+                        op,
+                        dst,
+                        lhs,
+                        rhs,
+                        cost,
+                    } => {
+                        let l = int(frame[lhs as usize])?;
+                        let r = int(frame[rhs as usize])?;
+                        st.charge(cost.into());
+                        let v = match op {
+                            O::Add => l.wrapping_add(r),
+                            O::Sub => l.wrapping_sub(r),
+                            O::Mul => l.wrapping_mul(r),
+                            O::Div | O::Rem if r == 0 => {
+                                break 'op st.throw(ExceptionKind::Arithmetic, code, at)
+                            }
+                            O::Div if l == i64::MIN && r == -1 => l,
+                            O::Rem if l == i64::MIN && r == -1 => 0,
+                            O::Div => l / r,
+                            O::Rem => l % r,
+                            O::And => l & r,
+                            O::Or => l | r,
+                            O::Xor => l ^ r,
+                            O::Shl => l.wrapping_shl(r as u32 & 63),
+                            O::Shr => l.wrapping_shr(r as u32 & 63),
+                            O::Ushr => ((l as u64).wrapping_shr(r as u32 & 63)) as i64,
+                        };
+                        frame[dst as usize] = Value::Int(v);
+                    }
+                    Op::FloatBin {
+                        op,
+                        dst,
+                        lhs,
+                        rhs,
+                        cost,
+                    } => {
+                        let l = float(frame[lhs as usize])?;
+                        let r = float(frame[rhs as usize])?;
+                        let v = match op {
+                            O::Add => l + r,
+                            O::Sub => l - r,
+                            O::Mul => l * r,
+                            O::Div => l / r,
+                            O::Rem => l % r,
+                            other => {
+                                return Err(ill_typed(
+                                    code,
+                                    at,
+                                    format_args!("operator {other:?} not defined on floats"),
+                                ))
+                            }
+                        };
+                        st.charge(cost.into());
+                        frame[dst as usize] = Value::Float(v);
+                    }
+                    Op::NegInt { dst, src, cost } => {
+                        st.charge(cost.into());
+                        frame[dst as usize] = Value::Int(int(frame[src as usize])?.wrapping_neg());
+                    }
+                    Op::NegFloat { dst, src, cost } => {
+                        st.charge(cost.into());
+                        frame[dst as usize] = Value::Float(-float(frame[src as usize])?);
+                    }
+                    Op::Convert { to, dst, src, cost } => {
+                        st.charge(cost.into());
+                        frame[dst as usize] = match (frame[src as usize], to) {
+                            (Value::Int(v), Type::Float) => Value::Float(v as f64),
+                            (Value::Float(v), Type::Int) => Value::Int(v as i64),
+                            (Value::Int(v), Type::Int) => Value::Int(v),
+                            (Value::Float(v), Type::Float) => Value::Float(v),
+                            (v, _) => {
+                                return Err(ill_typed(
+                                    code,
+                                    at,
+                                    format_args!("convert of {v:?} to {to}"),
+                                ))
+                            }
+                        };
+                    }
+                    Op::FCmp {
+                        cond,
+                        dst,
+                        lhs,
+                        rhs,
+                        cost,
+                    } => {
+                        st.charge(cost.into());
+                        let l = float(frame[lhs as usize])?;
+                        let r = float(frame[rhs as usize])?;
+                        let b = match cond {
+                            Cond::Eq => l == r,
+                            Cond::Ne => l != r,
+                            Cond::Lt => l < r,
+                            Cond::Le => l <= r,
+                            Cond::Gt => l > r,
+                            Cond::Ge => l >= r,
+                        };
+                        frame[dst as usize] = Value::Int(b as i64);
+                    }
+                    Op::NullCheck { var, id, cost } => {
+                        st.charge(cost.into());
+                        st.stats.explicit_null_checks += 1;
+                        if st.config.count_sites {
+                            st.counters.count(Dense::ExplicitChecks, code.func, id);
+                        }
+                        if frame[var as usize].is_null() {
+                            if st.config.count_sites {
+                                st.counters.count(Dense::CheckNulls, code.func, id);
+                            }
+                            break 'op st.throw(ExceptionKind::NullPointer, code, at);
+                        }
+                    }
+                    Op::BoundCheck {
+                        index,
+                        length,
+                        cost,
+                    } => {
+                        st.charge(cost.into());
+                        st.stats.bound_checks += 1;
+                        let i = int(frame[index as usize])?;
+                        let l = int(frame[length as usize])?;
+                        if i < 0 || i >= l {
+                            break 'op st.throw(ExceptionKind::ArrayIndex, code, at);
+                        }
+                    }
+                    Op::GetField {
+                        ty,
+                        site,
+                        dst,
+                        obj,
+                        cost,
+                        offset,
+                    } => {
+                        st.access(cost, site, false);
+                        let base = addr(frame[obj as usize])?;
+                        match st.mem_read(code, at, base.wrapping_add(offset), site)? {
+                            MemAccess::Val(bits) => {
+                                frame[dst as usize] = Value::from_bits(bits, ty)
+                            }
+                            MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
+                            MemAccess::Substitute => frame[dst as usize] = Value::default_of(ty),
+                            MemAccess::Skip => {}
+                        }
+                    }
+                    Op::PutField {
+                        site,
+                        obj,
+                        value,
+                        cost,
+                        offset,
+                    } => {
+                        st.access(cost, site, true);
+                        let base = addr(frame[obj as usize])?;
+                        let bits = frame[value as usize].to_bits();
+                        match st.mem_write(code, at, base.wrapping_add(offset), bits, site)? {
+                            // Substitute and Skip agree for a store: the
+                            // faulting effect is dropped and execution
+                            // continues.
+                            MemAccess::Val(()) | MemAccess::Substitute | MemAccess::Skip => {}
+                            MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
+                        }
+                    }
+                    Op::ArrayLength {
+                        site,
+                        dst,
+                        arr,
+                        cost,
+                    } => {
+                        st.access(cost, site, false);
+                        let base = addr(frame[arr as usize])?;
+                        match st.mem_read(code, at, base, site)? {
+                            MemAccess::Val(bits) => frame[dst as usize] = Value::Int(bits as i64),
+                            MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
+                            // The null object's length is zero.
+                            MemAccess::Substitute => frame[dst as usize] = Value::Int(0),
+                            MemAccess::Skip => {}
+                        }
+                    }
+                    Op::ArrayLoad {
+                        ty,
+                        site,
+                        dst,
+                        arr,
+                        index,
+                        cost,
+                    } => {
+                        st.access(cost, site, false);
+                        let base = addr(frame[arr as usize])?;
+                        let i = int(frame[index as usize])?;
+                        let read =
+                            match st.element_addr(code, at, base, i, AccessKind::Read, site)? {
+                                MemAccess::Val(a) => st.mem_read(code, at, a, site)?,
+                                other => other,
+                            };
+                        match read {
+                            MemAccess::Val(bits) => {
+                                frame[dst as usize] = Value::from_bits(bits, ty)
+                            }
+                            MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
+                            MemAccess::Substitute => frame[dst as usize] = Value::default_of(ty),
+                            MemAccess::Skip => {}
+                        }
+                    }
+                    Op::ArrayStore {
+                        site,
+                        arr,
+                        index,
+                        value,
+                        cost,
+                    } => {
+                        st.access(cost, site, true);
+                        let base = addr(frame[arr as usize])?;
+                        let i = int(frame[index as usize])?;
+                        match st.element_addr(code, at, base, i, AccessKind::Write, site)? {
+                            MemAccess::Val(a) => {
+                                let bits = frame[value as usize].to_bits();
+                                if let MemAccess::Threw(kind) =
+                                    st.mem_write(code, at, a, bits, site)?
+                                {
+                                    break 'op Flow::Throw(kind);
+                                }
+                            }
+                            MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
+                            // Both non-abort verdicts drop the store.
+                            MemAccess::Substitute | MemAccess::Skip => {}
+                        }
+                    }
+                    Op::New { dst, class, cost } => {
+                        st.charge(cost);
+                        st.stats.allocations += 1;
+                        let addr = st
+                            .heap
+                            .alloc_object(st.module, ClassId(class))
+                            .map_err(|e| heap_exhausted(code, e))?;
+                        frame[dst as usize] = Value::Ref(addr);
+                    }
+                    Op::NewArray { elem, dst, len } => {
+                        let l = int(frame[len as usize])?;
+                        if l < 0 {
+                            break 'op st.throw(ExceptionKind::NegativeArraySize, code, at);
+                        }
+                        // Allocate before charging: a refused size is never
+                        // priced (the charge could overflow).
+                        let addr = st
+                            .heap
+                            .alloc_array(elem, l as u64)
+                            .map_err(|e| heap_exhausted(code, e))?;
+                        let cost = &st.platform.cost;
+                        st.charge(cost.alloc_base + cost.alloc_per_slot * l as u64);
+                        st.stats.allocations += 1;
+                        frame[dst as usize] = Value::Ref(addr);
+                    }
+                    Op::Call {
+                        dst,
+                        callee,
+                        args,
+                        argc,
+                        cost,
+                    } => {
+                        st.stats.calls += 1;
+                        st.charge(cost.into());
+                        break 'op Flow::Call {
+                            callee,
+                            dst,
+                            args,
+                            argc,
+                        };
+                    }
+                    Op::CallVirtual {
+                        site,
+                        recv,
+                        dst,
+                        method,
+                        args,
+                        argc,
+                        cost,
+                    } => {
+                        st.stats.calls += 1;
+                        st.charge(cost.into());
+                        if site {
+                            st.stats.implicit_site_hits += 1;
+                        }
+                        // Dispatch reads the object header at offset 0.
+                        st.stats.loads += 1;
+                        let method = &code.methods[method as usize];
+                        if !recv {
+                            return Err(ill_typed(
+                                code,
+                                at,
+                                format_args!(
+                                    "call arity: virtual call of `{method}` has no receiver"
+                                ),
+                            ));
+                        }
+                        let receiver = addr(frame[code.args[args as usize] as usize])?;
+                        let bits = match st.mem_read(code, at, receiver, site)? {
+                            MemAccess::Val(bits) => bits,
+                            MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
+                            MemAccess::Substitute => {
+                                // The null object's method returns its
+                                // result type's default value.
+                                if dst != NONE {
+                                    let ty = code.body().var_type(VarId(dst));
+                                    frame[dst as usize] = Value::default_of(ty);
+                                }
+                                continue 'run;
+                            }
+                            // The call never happens; dst keeps its value.
+                            MemAccess::Skip => continue 'run,
+                        };
+                        let bad = || Fault::BadDispatch {
+                            method: method.clone(),
+                        };
+                        if bits == 0 {
+                            // A silently-read null method table: the jump
+                            // goes into the weeds.
+                            return Err(bad());
+                        }
+                        let class = ClassId::new((bits - 1) as usize);
+                        let callee = st.module.resolve_virtual(class, method).ok_or_else(bad)?;
+                        break 'op Flow::Call {
+                            callee: callee.0,
+                            dst,
+                            args,
+                            argc,
+                        };
+                    }
+                    Op::Intrinsic { f, dst, src, cost } => {
+                        st.charge(cost.into());
+                        frame[dst as usize] = Value::Float(f.apply(float(frame[src as usize])?));
+                    }
+                    Op::Observe { var, cost } => {
+                        st.charge(cost.into());
+                        st.trace.push(frame[var as usize]);
+                    }
+                    Op::Unverifiable { detail } => return Err(ill_typed(code, at, detail)),
+                    Op::Goto { target, cost } => {
+                        st.charge(cost.into());
+                        st.stats.branches += 1;
+                        pc = target as usize;
+                    }
+                    Op::If {
+                        cond,
+                        lhs,
+                        rhs,
+                        then_pc,
+                        else_pc,
+                        cost,
+                    } => {
+                        st.charge(cost.into());
+                        st.stats.branches += 1;
+                        let l = int(frame[lhs as usize])?;
+                        let r = int(frame[rhs as usize])?;
+                        pc = if cond.eval(l, r) { then_pc } else { else_pc } as usize;
+                    }
+                    Op::IfNull {
+                        var,
+                        on_null,
+                        on_nonnull,
+                        cost,
+                    } => {
+                        st.charge(cost.into());
+                        st.stats.branches += 1;
+                        pc = if frame[var as usize].is_null() {
+                            on_null
+                        } else {
+                            on_nonnull
+                        } as usize;
+                    }
+                    Op::Return { var, cost } => {
+                        st.charge(cost.into());
+                        break 'op Flow::Return((var != NONE).then(|| frame[var as usize]));
+                    }
+                    Op::Throw { kind, cost } => {
+                        st.charge(cost.into());
+                        break 'op Flow::Throw(st.raise(kind, code, at));
+                    }
+                }
+                continue 'run;
+            };
+            match flow {
+                Flow::Call {
+                    callee,
+                    dst,
+                    args,
+                    argc,
+                } => {
+                    let actuals = &code.args[args as usize..(args + argc) as usize];
+                    for &a in actuals {
+                        let v = self.locals[base + a as usize];
+                        self.locals.push(v);
+                    }
+                    self.frames.last_mut().expect("the caller").pc = pc as u32;
+                    self.push_frame(callee, argc as usize, dst)?;
+                    reload!();
+                }
+                Flow::Return(v) => {
+                    let done = self.frames.pop().expect("the returning activation");
+                    self.locals.truncate(done.base as usize);
+                    if self.frames.is_empty() {
+                        return Ok(CallOutcome::Return(v));
+                    }
+                    reload!();
+                    if let (true, Some(v)) = (done.dst != NONE, v) {
+                        frame[done.dst as usize] = v;
+                    }
+                }
+                Flow::Throw(kind) => {
+                    self.frames.last_mut().expect("the raising activation").pc = pc as u32;
+                    if let Some(kind) = self.unwind(kind) {
+                        return Ok(CallOutcome::Threw(kind));
+                    }
+                    reload!();
+                }
+            }
         }
     }
+}
 
-    /// Structured verdict for an allocation the heap refused.
-    #[cold]
-    fn heap_exhausted(func: &Function, e: HeapExhausted) -> Fault {
-        Fault::HeapExhausted {
-            function: func.name().to_string(),
-            requested: e.requested,
-        }
-    }
-
+impl State<'_> {
     fn fuel(&mut self) -> Result<(), Fault> {
         self.stats.insts += 1;
         if self.stats.insts > self.config.max_insts {
@@ -819,807 +1468,139 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// Calls `id` with `count` actuals, which are written straight into a
-    /// pooled callee frame.
-    fn call(
-        &mut self,
-        id: FunctionId,
-        count: usize,
-        actuals: impl Iterator<Item = Value>,
-        depth: usize,
-    ) -> Result<CallOutcome, Fault> {
-        let saved = self.cur_func;
-        self.cur_func = id.index() as u32;
-        let out = self.call_inner(id, count, actuals, depth);
-        self.cur_func = saved;
-        out
+    fn charge(&mut self, cycles: u64) {
+        self.stats.cycles += cycles;
     }
 
-    fn call_inner(
-        &mut self,
-        id: FunctionId,
-        count: usize,
-        actuals: impl Iterator<Item = Value>,
-        depth: usize,
-    ) -> Result<CallOutcome, Fault> {
-        if depth > self.config.max_depth {
-            return Err(Fault::StackOverflow);
+    /// The charge and counters every slot access pays before it touches
+    /// memory.
+    fn access(&mut self, cost: u32, site: bool, store: bool) {
+        self.charge(cost.into());
+        if store {
+            self.stats.stores += 1;
+        } else {
+            self.stats.loads += 1;
         }
-        self.safe_point();
-        let swapped = self.swapped_body(id);
-        let module = self.module;
-        let func: &Function = swapped.as_deref().unwrap_or_else(|| module.function(id));
-        // Entry arguments come from outside the program and call sites
-        // from unverified modules, so a wrong count is a structured
-        // verdict rather than a panic in frame setup.
-        if count != func.params().len() {
-            return Err(Self::ill_typed(
-                func,
-                func.entry(),
-                format_args!(
-                    "arity: `{}` takes {} argument(s), got {count}",
-                    func.name(),
-                    func.params().len()
-                ),
-            ));
-        }
-        let mut frame = self.frames.pop().unwrap_or_default();
-        frame.clear();
-        frame.extend(actuals);
-        let defaults = func.var_types().iter().skip(count);
-        frame.extend(defaults.map(|&t| Value::default_of(t)));
-        let out = self.run_frame(func, &mut frame, depth, None);
-        self.frames.push(frame);
-        out
-    }
-
-    /// The frame loop: executes `func` block by block with try-region
-    /// dispatch, from its entry — or, for a deoptimized frame, from
-    /// `resume`, whose access base is re-checked explicitly before the
-    /// access executes.
-    fn run_frame(
-        &mut self,
-        func: &Function,
-        locals: &mut [Value],
-        depth: usize,
-        resume: Option<ResumePoint>,
-    ) -> Result<CallOutcome, Fault> {
-        let mut block_id = resume.map_or_else(|| func.entry(), |p| p.block);
-        let mut resume_at = resume.map(|p| p.inst);
-        loop {
-            let exit = self.exec_block(func, block_id, locals, depth, resume_at.take())?;
-            match exit {
-                BlockExit::Jump(next) => block_id = next,
-                BlockExit::Return(v) => return Ok(CallOutcome::Return(v)),
-                BlockExit::Threw(kind) => {
-                    // Try-region dispatch.
-                    let region = func.block(block_id).try_region;
-                    if let Some(tr) = region {
-                        let r = func.try_region(tr);
-                        if r.catch.catches(kind) {
-                            self.charge(self.platform.cost.throw_dispatch);
-                            if let Some(dst) = r.exception_code_dst {
-                                locals[dst.index()] = Value::Int(kind.code());
-                            }
-                            block_id = r.handler;
-                            continue;
-                        }
-                    }
-                    return Ok(CallOutcome::Threw(kind));
-                }
-            }
+        if site {
+            self.stats.implicit_site_hits += 1;
         }
     }
 
-    /// Executes `block_id`, from its first instruction or from
-    /// `resume_at`. A resumed instruction has its access base re-checked
-    /// with explicit-check semantics before it executes — the deopt resume
-    /// contract (the access trapped in compiled code; the recovery path
-    /// re-executes it under an explicit check).
-    fn exec_block(
-        &mut self,
-        func: &Function,
-        block_id: BlockId,
-        locals: &mut [Value],
-        depth: usize,
-        resume_at: Option<usize>,
-    ) -> Result<BlockExit, Fault> {
-        let block = func.block(block_id);
-        self.safe_point();
-        if self.config.count_sites {
-            self.counters
-                .count(Dense::Blocks, self.cur_func, block_id.index() as u32);
-        }
-        for (i, inst) in block.insts.iter().enumerate().skip(resume_at.unwrap_or(0)) {
-            self.fuel()?;
-            self.cur_inst = i as u32;
-            if resume_at == Some(i) {
-                let base = inst
-                    .slot_access(|f| self.module.field_offset(f))
-                    .map(|s| s.base);
-                if let Some(base) = base {
-                    self.charge(self.platform.cost.explicit_null_check);
-                    self.stats.explicit_null_checks += 1;
-                    if locals[base.index()].is_null() {
-                        self.charge(self.platform.cost.throw_dispatch);
-                        self.stats.exceptions_thrown += 1;
-                        let kind = self.raise(ExceptionKind::NullPointer, func, block_id);
-                        return Ok(BlockExit::Threw(kind));
-                    }
-                }
-            }
-            if let Some(kind) = self.exec_inst(func, block_id, inst, locals, depth)? {
-                self.stats.exceptions_thrown += 1;
-                return Ok(BlockExit::Threw(kind));
-            }
-        }
-        self.fuel()?;
-        self.exec_terminator(func, block_id, locals)
-    }
-
-    fn exec_terminator(
-        &mut self,
-        func: &Function,
-        block_id: BlockId,
-        locals: &mut [Value],
-    ) -> Result<BlockExit, Fault> {
-        let cost = self.platform.cost;
-        match &func.block(block_id).term {
-            Terminator::Goto(t) => {
-                self.charge(cost.branch);
-                self.stats.branches += 1;
-                Ok(BlockExit::Jump(*t))
-            }
-            Terminator::If {
-                cond,
-                lhs,
-                rhs,
-                then_bb,
-                else_bb,
-            } => {
-                self.charge(cost.branch);
-                self.stats.branches += 1;
-                let l = locals[lhs.index()]
-                    .try_int()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let r = locals[rhs.index()]
-                    .try_int()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                Ok(BlockExit::Jump(if cond.eval(l, r) {
-                    *then_bb
-                } else {
-                    *else_bb
-                }))
-            }
-            Terminator::IfNull {
-                var,
-                on_null,
-                on_nonnull,
-            } => {
-                self.charge(cost.branch);
-                self.stats.branches += 1;
-                Ok(BlockExit::Jump(if locals[var.index()].is_null() {
-                    *on_null
-                } else {
-                    *on_nonnull
-                }))
-            }
-            Terminator::Return(v) => {
-                self.charge(cost.branch);
-                Ok(BlockExit::Return(v.map(|v| locals[v.index()])))
-            }
-            Terminator::Throw(kind) => {
-                self.charge(cost.throw_dispatch);
-                self.stats.exceptions_thrown += 1;
-                let kind = self.raise(*kind, func, block_id);
-                Ok(BlockExit::Threw(kind))
-            }
+    /// A swap/publish safe point: bumps the tick counter and publishes the
+    /// profile every `snapshot_interval` ticks. No-op without hooks.
+    fn safe_point(&mut self) {
+        let Some(h) = self.hooks else { return };
+        self.ticks_since_publish += 1;
+        if self.ticks_since_publish >= h.snapshot_interval {
+            self.ticks_since_publish = 0;
+            self.publish(h);
         }
     }
 
-    /// Executes one instruction; `Ok(Some(kind))` means it threw.
-    fn exec_inst(
-        &mut self,
-        func: &Function,
-        block_id: BlockId,
-        inst: &Inst,
-        locals: &mut [Value],
-        depth: usize,
-    ) -> Result<Option<ExceptionKind>, Fault> {
-        let cost = self.platform.cost;
-        match inst {
-            Inst::Const { dst, value } => {
-                self.charge(cost.int_alu);
-                locals[dst.index()] = match value {
-                    njc_ir::ConstValue::Int(v) => Value::Int(*v),
-                    njc_ir::ConstValue::Float(v) => Value::Float(*v),
-                    njc_ir::ConstValue::Null => Value::Ref(0),
-                };
-            }
-            Inst::Move { dst, src } => {
-                self.charge(cost.int_alu);
-                locals[dst.index()] = locals[src.index()];
-            }
-            Inst::BinOp {
-                dst,
-                op,
-                lhs,
-                rhs,
-                ty,
-            } => match ty {
-                Type::Int => {
-                    let l = locals[lhs.index()]
-                        .try_int()
-                        .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                    let r = locals[rhs.index()]
-                        .try_int()
-                        .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                    let v = match op {
-                        Op::Add => {
-                            self.charge(cost.int_alu);
-                            l.wrapping_add(r)
-                        }
-                        Op::Sub => {
-                            self.charge(cost.int_alu);
-                            l.wrapping_sub(r)
-                        }
-                        Op::Mul => {
-                            self.charge(cost.int_mul);
-                            l.wrapping_mul(r)
-                        }
-                        Op::Div | Op::Rem => {
-                            self.charge(cost.int_div);
-                            if r == 0 {
-                                self.charge(cost.throw_dispatch);
-                                return Ok(Some(self.raise(
-                                    ExceptionKind::Arithmetic,
-                                    func,
-                                    block_id,
-                                )));
-                            }
-                            if l == i64::MIN && r == -1 {
-                                if *op == Op::Div {
-                                    l
-                                } else {
-                                    0
-                                }
-                            } else if *op == Op::Div {
-                                l / r
-                            } else {
-                                l % r
-                            }
-                        }
-                        Op::And => {
-                            self.charge(cost.int_alu);
-                            l & r
-                        }
-                        Op::Or => {
-                            self.charge(cost.int_alu);
-                            l | r
-                        }
-                        Op::Xor => {
-                            self.charge(cost.int_alu);
-                            l ^ r
-                        }
-                        Op::Shl => {
-                            self.charge(cost.int_alu);
-                            l.wrapping_shl(r as u32 & 63)
-                        }
-                        Op::Shr => {
-                            self.charge(cost.int_alu);
-                            l.wrapping_shr(r as u32 & 63)
-                        }
-                        Op::Ushr => {
-                            self.charge(cost.int_alu);
-                            ((l as u64).wrapping_shr(r as u32 & 63)) as i64
-                        }
-                    };
-                    locals[dst.index()] = Value::Int(v);
-                }
-                Type::Float => {
-                    let l = locals[lhs.index()]
-                        .try_float()
-                        .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                    let r = locals[rhs.index()]
-                        .try_float()
-                        .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                    let v = match op {
-                        Op::Add => {
-                            self.charge(cost.float_alu);
-                            l + r
-                        }
-                        Op::Sub => {
-                            self.charge(cost.float_alu);
-                            l - r
-                        }
-                        Op::Mul => {
-                            self.charge(cost.float_alu);
-                            l * r
-                        }
-                        Op::Div => {
-                            self.charge(cost.float_div);
-                            l / r
-                        }
-                        Op::Rem => {
-                            self.charge(cost.float_div);
-                            l % r
-                        }
-                        other => {
-                            return Err(Self::ill_typed(
-                                func,
-                                block_id,
-                                format!("operator {other:?} not defined on floats"),
-                            ))
-                        }
-                    };
-                    locals[dst.index()] = Value::Float(v);
-                }
-                Type::Ref => {
-                    return Err(Self::ill_typed(
-                        func,
-                        block_id,
-                        "binop over refs is unverifiable".to_string(),
-                    ))
-                }
-            },
-            Inst::Neg { dst, src, ty } => {
-                self.charge(cost.int_alu);
-                locals[dst.index()] = match ty {
-                    Type::Int => Value::Int(
-                        locals[src.index()]
-                            .try_int()
-                            .map_err(|e| Self::ill_typed(func, block_id, e))?
-                            .wrapping_neg(),
-                    ),
-                    Type::Float => Value::Float(
-                        -locals[src.index()]
-                            .try_float()
-                            .map_err(|e| Self::ill_typed(func, block_id, e))?,
-                    ),
-                    Type::Ref => {
-                        return Err(Self::ill_typed(func, block_id, "neg over ref".to_string()))
-                    }
-                };
-            }
-            Inst::Convert { dst, src, to } => {
-                self.charge(cost.float_alu);
-                locals[dst.index()] = match (locals[src.index()], to) {
-                    (Value::Int(v), Type::Float) => Value::Float(v as f64),
-                    (Value::Float(v), Type::Int) => Value::Int(v as i64),
-                    (Value::Int(v), Type::Int) => Value::Int(v),
-                    (Value::Float(v), Type::Float) => Value::Float(v),
-                    (v, _) => {
-                        return Err(Self::ill_typed(
-                            func,
-                            block_id,
-                            format!("convert of {v:?} to {to}"),
-                        ))
-                    }
-                };
-            }
-            Inst::FCmp {
-                dst,
-                cond,
-                lhs,
-                rhs,
-            } => {
-                self.charge(cost.float_alu);
-                let l = locals[lhs.index()]
-                    .try_float()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let r = locals[rhs.index()]
-                    .try_float()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let b = match cond {
-                    njc_ir::Cond::Eq => l == r,
-                    njc_ir::Cond::Ne => l != r,
-                    njc_ir::Cond::Lt => l < r,
-                    njc_ir::Cond::Le => l <= r,
-                    njc_ir::Cond::Gt => l > r,
-                    njc_ir::Cond::Ge => l >= r,
-                };
-                locals[dst.index()] = Value::Int(b as i64);
-            }
-            Inst::NullCheck { var, kind, id } => match kind {
-                NullCheckKind::Explicit => {
-                    self.charge(cost.explicit_null_check);
-                    self.stats.explicit_null_checks += 1;
-                    if self.config.count_sites {
-                        self.counters
-                            .count(Dense::ExplicitChecks, self.cur_func, id.0);
-                    }
-                    if locals[var.index()].is_null() {
-                        if self.config.count_sites {
-                            self.counters.count(Dense::CheckNulls, self.cur_func, id.0);
-                        }
-                        self.charge(cost.throw_dispatch);
-                        return Ok(Some(self.raise(ExceptionKind::NullPointer, func, block_id)));
-                    }
-                }
-                NullCheckKind::Implicit => {
-                    // Documentation-only: the following marked site is the
-                    // real check. No code, no cost.
-                }
-            },
-            Inst::BoundCheck { index, length } => {
-                self.charge(cost.bound_check);
-                self.stats.bound_checks += 1;
-                let i = locals[index.index()]
-                    .try_int()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let l = locals[length.index()]
-                    .try_int()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                if i < 0 || i >= l {
-                    self.charge(cost.throw_dispatch);
-                    return Ok(Some(self.raise(ExceptionKind::ArrayIndex, func, block_id)));
-                }
-            }
-            Inst::GetField {
-                dst,
-                obj,
-                field,
-                exception_site,
-            } => {
-                self.charge(cost.load);
-                self.stats.loads += 1;
-                if *exception_site {
-                    self.stats.implicit_site_hits += 1;
-                }
-                let base = locals[obj.index()]
-                    .try_ref_addr()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let fd = self.module.field_decl(*field);
-                let addr = base.wrapping_add(fd.offset);
-                match self.mem_read(func, block_id, addr, *exception_site)? {
-                    MemAccess::Val(bits) => locals[dst.index()] = Value::from_bits(bits, fd.ty),
-                    MemAccess::Threw(kind) => return Ok(Some(kind)),
-                    MemAccess::Substitute => locals[dst.index()] = Value::default_of(fd.ty),
-                    MemAccess::Skip => {}
-                }
-            }
-            Inst::PutField {
-                obj,
-                field,
-                value,
-                exception_site,
-            } => {
-                self.charge(cost.store);
-                self.stats.stores += 1;
-                if *exception_site {
-                    self.stats.implicit_site_hits += 1;
-                }
-                let base = locals[obj.index()]
-                    .try_ref_addr()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let fd = self.module.field_decl(*field);
-                let addr = base.wrapping_add(fd.offset);
-                let bits = locals[value.index()].to_bits();
-                match self.mem_write(func, block_id, addr, bits, *exception_site)? {
-                    // Substitute and Skip agree for a store: the faulting
-                    // effect is dropped and execution continues.
-                    MemAccess::Val(()) | MemAccess::Substitute | MemAccess::Skip => {}
-                    MemAccess::Threw(kind) => return Ok(Some(kind)),
-                }
-            }
-            Inst::ArrayLength {
-                dst,
-                arr,
-                exception_site,
-            } => {
-                self.charge(cost.load);
-                self.stats.loads += 1;
-                if *exception_site {
-                    self.stats.implicit_site_hits += 1;
-                }
-                let base = locals[arr.index()]
-                    .try_ref_addr()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                match self.mem_read(func, block_id, base, *exception_site)? {
-                    MemAccess::Val(bits) => locals[dst.index()] = Value::Int(bits as i64),
-                    MemAccess::Threw(kind) => return Ok(Some(kind)),
-                    // The null object's length is zero.
-                    MemAccess::Substitute => locals[dst.index()] = Value::Int(0),
-                    MemAccess::Skip => {}
-                }
-            }
-            Inst::ArrayLoad {
-                dst,
-                arr,
-                index,
-                ty,
-                exception_site,
-            } => {
-                self.charge(cost.load);
-                self.stats.loads += 1;
-                if *exception_site {
-                    self.stats.implicit_site_hits += 1;
-                }
-                let base = locals[arr.index()]
-                    .try_ref_addr()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let i = locals[index.index()]
-                    .try_int()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let addr = match self.element_addr(
-                    func,
-                    block_id,
-                    base,
-                    i,
-                    AccessKind::Read,
-                    *exception_site,
-                )? {
-                    MemAccess::Val(addr) => Some(addr),
-                    MemAccess::Threw(kind) => return Ok(Some(kind)),
-                    MemAccess::Substitute => {
-                        locals[dst.index()] = Value::default_of(*ty);
-                        None
-                    }
-                    MemAccess::Skip => None,
-                };
-                if let Some(addr) = addr {
-                    match self.mem_read(func, block_id, addr, *exception_site)? {
-                        MemAccess::Val(bits) => locals[dst.index()] = Value::from_bits(bits, *ty),
-                        MemAccess::Threw(kind) => return Ok(Some(kind)),
-                        MemAccess::Substitute => locals[dst.index()] = Value::default_of(*ty),
-                        MemAccess::Skip => {}
-                    }
-                }
-            }
-            Inst::ArrayStore {
-                arr,
-                index,
-                value,
-                exception_site,
-                ..
-            } => {
-                self.charge(cost.store);
-                self.stats.stores += 1;
-                if *exception_site {
-                    self.stats.implicit_site_hits += 1;
-                }
-                let base = locals[arr.index()]
-                    .try_ref_addr()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let i = locals[index.index()]
-                    .try_int()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                let addr = match self.element_addr(
-                    func,
-                    block_id,
-                    base,
-                    i,
-                    AccessKind::Write,
-                    *exception_site,
-                )? {
-                    MemAccess::Val(addr) => Some(addr),
-                    MemAccess::Threw(kind) => return Ok(Some(kind)),
-                    // Both non-abort verdicts drop the store.
-                    MemAccess::Substitute | MemAccess::Skip => None,
-                };
-                if let Some(addr) = addr {
-                    let bits = locals[value.index()].to_bits();
-                    match self.mem_write(func, block_id, addr, bits, *exception_site)? {
-                        MemAccess::Val(()) | MemAccess::Substitute | MemAccess::Skip => {}
-                        MemAccess::Threw(kind) => return Ok(Some(kind)),
-                    }
-                }
-            }
-            Inst::New { dst, class } => {
-                let slots = Heap::object_slots(self.module, *class);
-                self.charge(cost.alloc_base + cost.alloc_per_slot * slots);
-                self.stats.allocations += 1;
-                let addr = match self.heap.alloc_object(self.module, *class) {
-                    Ok(addr) => addr,
-                    Err(e) => return Err(Self::heap_exhausted(func, e)),
-                };
-                locals[dst.index()] = Value::Ref(addr);
-            }
-            Inst::NewArray { dst, elem, len } => {
-                let l = locals[len.index()]
-                    .try_int()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                if l < 0 {
-                    self.charge(cost.throw_dispatch);
-                    return Ok(Some(self.raise(
-                        ExceptionKind::NegativeArraySize,
-                        func,
-                        block_id,
-                    )));
-                }
-                // Allocate before charging: a refused size is never priced
-                // (the charge could overflow).
-                let addr = match self.heap.alloc_array(*elem, l as u64) {
-                    Ok(addr) => addr,
-                    Err(e) => return Err(Self::heap_exhausted(func, e)),
-                };
-                self.charge(cost.alloc_base + cost.alloc_per_slot * l as u64);
-                self.stats.allocations += 1;
-                locals[dst.index()] = Value::Ref(addr);
-            }
-            Inst::Call {
-                dst,
-                target,
-                receiver,
-                args,
-                exception_site,
-            } => {
-                self.stats.calls += 1;
-                let callee = match target {
-                    CallTarget::Static(f) | CallTarget::Direct(f) => {
-                        self.charge(cost.call_overhead);
-                        *f
-                    }
-                    CallTarget::Virtual { method, .. } => {
-                        self.charge(cost.call_overhead + cost.virtual_dispatch);
-                        if *exception_site {
-                            self.stats.implicit_site_hits += 1;
-                        }
-                        // Dispatch reads the object header at offset 0.
-                        self.stats.loads += 1;
-                        let Some(receiver) = receiver else {
-                            return Err(Self::ill_typed(
-                                func,
-                                block_id,
-                                format_args!(
-                                    "call arity: virtual call of `{method}` has no receiver"
-                                ),
-                            ));
-                        };
-                        let base = locals[receiver.index()]
-                            .try_ref_addr()
-                            .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                        match self.mem_read(func, block_id, base, *exception_site)? {
-                            MemAccess::Threw(kind) => return Ok(Some(kind)),
-                            MemAccess::Substitute => {
-                                // The null object's method returns its
-                                // result type's default value.
-                                if let Some(d) = dst {
-                                    locals[d.index()] = Value::default_of(func.var_type(*d));
-                                }
-                                return Ok(None);
-                            }
-                            // The call never happens; dst keeps its value.
-                            MemAccess::Skip => return Ok(None),
-                            MemAccess::Val(bits) => {
-                                if bits == 0 {
-                                    // A silently-read null method table: the
-                                    // jump goes into the weeds.
-                                    return Err(Fault::BadDispatch {
-                                        method: method.clone(),
-                                    });
-                                }
-                                let class = njc_ir::ClassId::new((bits - 1) as usize);
-                                self.module.resolve_virtual(class, method).ok_or_else(|| {
-                                    Fault::BadDispatch {
-                                        method: method.clone(),
-                                    }
-                                })?
-                            }
-                        }
-                    }
-                };
-                let count = usize::from(receiver.is_some()) + args.len();
-                let actuals = receiver.iter().chain(args).map(|a| locals[a.index()]);
-                match self.call(callee, count, actuals, depth + 1)? {
-                    CallOutcome::Return(v) => {
-                        if let (Some(d), Some(v)) = (dst, v) {
-                            locals[d.index()] = v;
-                        }
-                    }
-                    CallOutcome::Threw(kind) => return Ok(Some(kind)),
-                }
-            }
-            Inst::IntrinsicOp {
-                dst,
-                intrinsic,
-                src,
-            } => {
-                // §5.4: a hardware instruction on platforms that have it,
-                // an out-of-line library routine otherwise.
-                self.charge(if self.platform.has_fp_intrinsics {
-                    cost.intrinsic
-                } else {
-                    cost.math_library_call
-                });
-                let x = locals[src.index()]
-                    .try_float()
-                    .map_err(|e| Self::ill_typed(func, block_id, e))?;
-                locals[dst.index()] = Value::Float(intrinsic.apply(x));
-            }
-            Inst::Observe { var } => {
-                self.charge(cost.observe);
-                self.trace.push(locals[var.index()]);
-            }
-        }
-        Ok(None)
+    fn publish(&mut self, h: &RuntimeHooks) {
+        let swapped = std::mem::take(&mut self.swapped_calls);
+        h.publish(&self.counters, self.stats.calls, swapped);
     }
 
-    /// Classifies a [`MemoryError`]: a hardware trap at a *marked* site is
-    /// the `NullPointerException` the program owed — or, with an active
-    /// [`RecoveryPolicy`], the site's recovery verdict; anywhere else it is
-    /// a compiler/program bug (`Err(fault)`).
+    /// Records an exception *origin* raised by the op at `pc` (never the
+    /// unwinding of one already recorded).
+    fn raise(&mut self, kind: ExceptionKind, code: &Code, pc: usize) -> ExceptionKind {
+        self.events.push(ExceptionEvent {
+            kind,
+            at_trace: self.trace.len(),
+            function: Arc::clone(&code.name),
+            block: code.locate(pc).0,
+        });
+        kind
+    }
+
+    /// A software check's throw: the dispatch charge, then the origin.
+    fn throw(&mut self, kind: ExceptionKind, code: &Code, pc: usize) -> Flow {
+        self.charge(self.platform.cost.throw_dispatch);
+        Flow::Throw(self.raise(kind, code, pc))
+    }
+
+    /// Classifies a [`MemoryError`] of the op at `pc`: a hardware trap at
+    /// a *marked* site is the `NullPointerException` the program owed —
+    /// or, with an active [`RecoveryPolicy`], the site's recovery verdict;
+    /// anywhere else it is a compiler/program bug (`Err(fault)`).
     fn mem_fault<T>(
         &mut self,
-        func: &Function,
-        block_id: BlockId,
+        code: &Code,
+        pc: usize,
         err: MemoryError,
         site: bool,
     ) -> Result<MemAccess<T>, Fault> {
+        let (block, inst) = code.locate(pc);
         match err {
             MemoryError::Trap(_) => {
                 self.stats.traps_taken += 1;
-                if site {
-                    self.charge(self.platform.cost.trap_taken);
-                    // Slot provenance of the trapping instruction: counter
-                    // key (stable across recompiled tiers) and recovery
-                    // policy key alike.
-                    let slot = func
-                        .block(block_id)
-                        .insts
-                        .get(self.cur_inst as usize)
-                        .and_then(|inst| inst.slot_access(|f| self.module.field_offset(f)));
-                    if self.config.count_sites {
-                        let sparse = &mut self.counters.sparse;
-                        *sparse
-                            .traps
-                            .entry((self.cur_func, block_id.index() as u32, self.cur_inst))
-                            .or_insert(0) += 1;
-                        if let Some(sa) = slot {
-                            if let Some(off) = sa.offset {
-                                *sparse
-                                    .trap_slots
-                                    .entry((self.cur_func, off, sa.kind))
-                                    .or_insert(0) += 1;
-                            }
+                if !site {
+                    return Err(Fault::UnexpectedTrap {
+                        function: code.name.to_string(),
+                        block,
+                    });
+                }
+                self.charge(self.platform.cost.trap_taken);
+                // Slot provenance of the trapping instruction: counter key
+                // (stable across recompiled tiers) and recovery policy key
+                // alike.
+                let module = self.module;
+                let slot = code
+                    .body()
+                    .block(block)
+                    .insts
+                    .get(inst)
+                    .and_then(|i| i.slot_access(|f| module.field_offset(f)));
+                let coords = (code.func, block.0, inst as u32);
+                if self.config.count_sites {
+                    let sparse = &mut self.counters.sparse;
+                    *sparse.traps.entry(coords).or_insert(0) += 1;
+                    if let Some(sa) = slot {
+                        if let Some(off) = sa.offset {
+                            *sparse
+                                .trap_slots
+                                .entry((code.func, off, sa.kind))
+                                .or_insert(0) += 1;
                         }
                     }
-                    let strategy = match self.recovery.filter(|p| p.is_active()) {
-                        Some(p) => match slot {
-                            Some(sa) => p.strategy_for(self.cur_func, sa.offset, sa.kind),
-                            None => p.default_strategy(),
-                        },
-                        None => RecoveryStrategy::Abort,
-                    };
-                    Ok(self.recover_trap(strategy, func, block_id))
-                } else {
-                    Err(Fault::UnexpectedTrap {
-                        function: func.name().to_string(),
-                        block: block_id,
-                    })
                 }
+                let strategy = match self.recovery.filter(|p| p.is_active()) {
+                    Some(p) => match slot {
+                        Some(sa) => p.strategy_for(code.func, sa.offset, sa.kind),
+                        None => p.default_strategy(),
+                    },
+                    None => RecoveryStrategy::Abort,
+                };
+                Ok(self.recover_trap(strategy, code, pc, coords))
             }
             MemoryError::WildAccess { address, .. } => Err(Fault::WildAccess {
-                function: func.name().to_string(),
+                function: code.name.to_string(),
                 address,
             }),
         }
     }
 
     /// Applies `strategy` to a trap already attributed to the marked site
-    /// at the current instruction. `Abort` raises the NPE exactly as
-    /// before recovery existed; the others count a recovery and turn the
-    /// trap into the strategy's verdict.
+    /// of the op at `pc`, at counter coordinates `coords`. `Abort` raises
+    /// the NPE exactly as before recovery existed; the others count a
+    /// recovery and turn the trap into the strategy's verdict.
     fn recover_trap<T>(
         &mut self,
         strategy: RecoveryStrategy,
-        func: &Function,
-        block_id: BlockId,
+        code: &Code,
+        pc: usize,
+        coords: (u32, u32, u32),
     ) -> MemAccess<T> {
         if strategy != RecoveryStrategy::Abort {
             self.stats.recoveries.record(strategy);
             if self.config.count_sites {
-                *self
-                    .counters
-                    .sparse
-                    .recoveries
-                    .entry((self.cur_func, block_id.index() as u32, self.cur_inst))
-                    .or_insert(0) += 1;
+                *self.counters.sparse.recoveries.entry(coords).or_insert(0) += 1;
             }
         }
         match strategy {
             RecoveryStrategy::Abort => {
-                MemAccess::Threw(self.raise(ExceptionKind::NullPointer, func, block_id))
+                MemAccess::Threw(self.raise(ExceptionKind::NullPointer, code, pc))
             }
             RecoveryStrategy::Strict => {
                 // Deoptimize and re-execute under an explicit check: the
@@ -1628,7 +1609,7 @@ impl<'m> Vm<'m> {
                 // extra explicit check on the recovery path.
                 self.charge(self.platform.cost.explicit_null_check);
                 self.stats.explicit_null_checks += 1;
-                MemAccess::Threw(self.raise(ExceptionKind::NullPointer, func, block_id))
+                MemAccess::Threw(self.raise(ExceptionKind::NullPointer, code, pc))
             }
             RecoveryStrategy::NullObject => {
                 // Materializing the typed default costs one ALU move.
@@ -1646,8 +1627,8 @@ impl<'m> Vm<'m> {
     #[allow(clippy::too_many_arguments)]
     fn element_addr(
         &mut self,
-        func: &Function,
-        block_id: BlockId,
+        code: &Code,
+        pc: usize,
         base: u64,
         index: i64,
         kind: AccessKind,
@@ -1658,7 +1639,7 @@ impl<'m> Vm<'m> {
         }
         match Heap::element_addr_checked(base, index, kind, &self.platform.trap) {
             Ok(addr) => Ok(MemAccess::Val(addr)),
-            Err(err) => self.mem_fault(func, block_id, err, site),
+            Err(err) => self.mem_fault(code, pc, err, site),
         }
     }
 
@@ -1666,8 +1647,8 @@ impl<'m> Vm<'m> {
     /// `Err(fault)` a broken program.
     fn mem_read(
         &mut self,
-        func: &Function,
-        block_id: BlockId,
+        code: &Code,
+        pc: usize,
         addr: u64,
         site: bool,
     ) -> Result<MemAccess<u64>, Fault> {
@@ -1687,25 +1668,23 @@ impl<'m> Vm<'m> {
                     Ok(MemAccess::Val(out.value))
                 }
             }
-            Err(err) => self.mem_fault(func, block_id, err, site),
+            Err(err) => self.mem_fault(code, pc, err, site),
         }
     }
 
     fn mem_write(
         &mut self,
-        func: &Function,
-        block_id: BlockId,
+        code: &Code,
+        pc: usize,
         addr: u64,
         bits: u64,
         site: bool,
     ) -> Result<MemAccess<()>, Fault> {
         match self.heap.mem.write_u64(addr, bits) {
-            Ok(()) => {
-                // A discarded guard write only happens on models that trap
-                // neither reads nor writes; treat like the silent read.
-                Ok(MemAccess::Val(()))
-            }
-            Err(err) => self.mem_fault(func, block_id, err, site),
+            // A discarded guard write only happens on models that trap
+            // neither reads nor writes; treat like the silent read.
+            Ok(()) => Ok(MemAccess::Val(())),
+            Err(err) => self.mem_fault(code, pc, err, site),
         }
     }
 }
@@ -1729,7 +1708,7 @@ mod tests {
     use njc_ir::parse_function;
 
     #[test]
-    fn stack_overflow_unwind_returns_every_frame_to_the_pool() {
+    fn stack_overflow_leaves_a_reusable_frame_stack() {
         let mut m = Module::new("t");
         m.add_function(
             parse_function("func r(v0: int) -> int {\n  locals v1: int\nbb0:\n  v1 = call fn0(v0)\n  return v1\n}").unwrap(),
@@ -1739,17 +1718,30 @@ mod tests {
             max_depth: 8,
             ..VmConfig::default()
         });
-        let err = vm
-            .call(FunctionId::new(0), 1, [Value::Int(0)].into_iter(), 0)
-            .err();
+        let err = vm.invoke(0, &[Value::Int(0)]).err();
         assert_eq!(err, Some(Fault::StackOverflow));
         assert_eq!(
             vm.frames.len(),
             9,
-            "depths 0..=8 each gave their frame back"
+            "depths 0..=8 were open when the tenth call faulted"
         );
-        let out = vm.call(FunctionId::new(1), 1, [Value::Int(7)].into_iter(), 0);
+        assert_eq!(
+            vm.locals.len(),
+            9 * 2 + 1,
+            "each frame's two locals, and the refused call's actual"
+        );
+        let capacity = (vm.frames.capacity(), vm.locals.capacity());
+        let out = vm.invoke(1, &[Value::Int(7)]);
         assert!(matches!(out, Ok(CallOutcome::Return(Some(Value::Int(7))))));
-        assert_eq!(vm.frames.len(), 9, "the next call reused a pooled frame");
+        assert!(
+            vm.frames.is_empty() && vm.locals.is_empty(),
+            "the return popped the only activation"
+        );
+        assert_eq!(
+            (vm.frames.capacity(), vm.locals.capacity()),
+            capacity,
+            "the next call reused the stacks' allocations"
+        );
+        assert_eq!(vm.codes.list.len(), 2, "each body was decoded once");
     }
 }

@@ -22,6 +22,7 @@
 //! assert_eq!(out.result, Some(Value::Int(82)));
 //! ```
 
+mod code;
 pub mod heap;
 pub mod interp;
 pub mod value;
@@ -293,6 +294,41 @@ mod tests {
         );
         let err = run_module(&m, win(), "r", &[Value::Int(0)]).unwrap_err();
         assert_eq!(err, Fault::StackOverflow);
+    }
+
+    /// `r(n)` recurses `n` calls deep.
+    fn recursion_module() -> Module {
+        let mut m = Module::new("t");
+        m.add_function(
+            parse_function("func r(v0: int) -> int {\n  locals v1: int v2: int\nbb0:\n  v1 = const 0\n  if le v0, v1 then bb1 else bb2\nbb1:\n  return v1\nbb2:\n  v2 = const 1\n  v1 = sub.int v0, v2\n  v1 = call fn0(v1)\n  v1 = add.int v1, v2\n  return v1\n}").unwrap(),
+        );
+        m
+    }
+
+    #[test]
+    fn deep_recursion_runs_on_a_small_host_stack() {
+        // Calls push frame records instead of recursing natively, so the
+        // host stack a run needs does not grow with the call depth.
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let m = recursion_module();
+                let out = run_module(&m, win(), "r", &[Value::Int(200)]).unwrap();
+                assert_eq!(out.result, Some(Value::Int(200)));
+                assert_eq!(out.stats.calls, 200);
+                let max_depth = VmConfig::default().max_depth as i64;
+                let out = run_module(&m, win(), "r", &[Value::Int(max_depth)]).unwrap();
+                assert_eq!(
+                    out.result,
+                    Some(Value::Int(max_depth)),
+                    "depth max_depth runs"
+                );
+                let err = run_module(&m, win(), "r", &[Value::Int(max_depth + 1)]).unwrap_err();
+                assert_eq!(err, Fault::StackOverflow, "one past max_depth faults");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]
@@ -710,10 +746,10 @@ mod tests {
     }
 
     #[test]
-    fn pooled_frames_start_callee_locals_at_typed_defaults() {
+    fn reused_stack_slots_start_callee_locals_at_typed_defaults() {
         // `fill` leaves non-null refs in locals 1-4 of its frame; `read`,
-        // entered next through the same pooled buffer, must still see its
-        // int, float and ref locals there at their typed defaults.
+        // entered next on the same stretch of the locals stack, must still
+        // see its int, float and ref locals there at their typed defaults.
         let mut m = Module::new("t");
         m.add_class("C", &[("x", Type::Int)]);
         m.add_function(
@@ -738,9 +774,10 @@ mod tests {
     }
 
     #[test]
-    fn resumed_frame_calls_through_the_pool() {
-        // A deopt resume enters its frame from outside the pool; the calls
-        // it makes afterwards take and return pooled frames as usual.
+    fn resumed_frame_calls_through_the_frame_stack() {
+        // A deopt resume installs its supplied locals as the bottom frame;
+        // the calls it makes afterwards push and pop frames above it as
+        // usual.
         let mut m = call_loop_module();
         m.add_function(
             parse_function("func entry(v0: ref, v1: int) -> int {\n  locals v2: int v3: int\nbb0:\n  v2 = getfield v0, field0 [site]\n  v3 = call fn1(v1)\n  v2 = call fn0(v1)\n  v3 = call fn0(v2)\n  return v3\n}").unwrap(),

@@ -107,6 +107,31 @@ fn load_fixture(path: &str) -> Module {
 }
 
 #[test]
+fn sink_two_fields_fixture_compiles_identically_every_time() {
+    // Two fields of one object are promotable in the same loop. Store
+    // sinking must take them in the same order on every compile: a
+    // hash-map order would differ between hash maps even within one
+    // process.
+    let m = load_fixture("tests/fixtures/sink_two_fields.njc");
+    let platform = Platform::windows_ia32();
+    let config = ConfigKind::Full.to_config(&platform);
+    let outputs: std::collections::BTreeSet<String> = (0..16)
+        .map(|_| {
+            let mut om = m.clone();
+            optimize_module(&mut om, &platform, &config);
+            om.functions().iter().map(|f| format!("{f}\n")).collect()
+        })
+        .collect();
+    assert_eq!(outputs.len(), 1, "distinct outputs: {outputs:#?}");
+    let out = outputs.first().unwrap();
+    assert_eq!(
+        out.matches("putfield v0, field").count(),
+        2,
+        "both fields promoted, each written back once after the loop: {out}"
+    );
+}
+
+#[test]
 fn handler_entry_copy_fixture_is_config_invariant() {
     // The handler-entry fact fixture: a copy checked before the try
     // region's first throw point is re-checked inside the handler. Every

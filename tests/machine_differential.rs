@@ -423,6 +423,24 @@ fn corrupted_operands_are_faults_not_panics() {
 }
 
 #[test]
+fn corrupted_frame_displacement_is_a_fault_not_unbounded_growth() {
+    // The first `lea rbp, [rbp + frame]` before a call in `main` gets a
+    // 16 MiB displacement: the callee's frame, and every call's after it
+    // (the matching `lea` still pops only `frame`), would sit far past any
+    // frame a run within the call-depth limit reaches. The first slot
+    // written there must fault instead of growing the slot stack.
+    let clean = parsed(&workload("mtrt"));
+    let (pc, _) = *sweep(&clean, "main")
+        .iter()
+        .find(|(_, dec)| matches!(dec, Dec::LeaRbp { disp } if *disp > 0))
+        .expect("mtrt's main calls");
+    let mut em = clean.clone();
+    em.text[pc + 3..pc + 7].copy_from_slice(&0x0100_0000u32.to_le_bytes());
+    let detail = bad_code(&em);
+    assert!(detail.contains("past the frame-stack ceiling"), "{detail}");
+}
+
+#[test]
 fn fuel_counts_every_executed_instruction() {
     // A looping program and a call-heavy one: a budget of exactly the
     // instructions a full run retires reproduces that run, one fewer runs
