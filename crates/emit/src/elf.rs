@@ -237,36 +237,39 @@ impl<'a> Reader<'a> {
     }
     fn str(&mut self) -> Result<String, String> {
         let len = self.u32()? as usize;
-        let s = self
-            .bytes
-            .get(self.at..self.at + len)
-            .ok_or("truncated string")?;
-        self.at += len;
+        let end = self.at.checked_add(len).ok_or("truncated string")?;
+        let s = self.bytes.get(self.at..end).ok_or("truncated string")?;
+        self.at = end;
         String::from_utf8(s.to_vec()).map_err(|_| "non-utf8 name".to_string())
+    }
+    /// A capacity for `count` records read from the file: no more than
+    /// the bytes left can hold at `min_len` bytes each, so a hostile count
+    /// fails as a truncated section instead of as one huge allocation.
+    fn capacity(&self, count: usize, min_len: usize) -> usize {
+        count.min((self.bytes.len() - self.at) / min_len)
     }
 }
 
+/// The little-endian `u64` at `at`, as a `usize`.
+fn word(elf: &[u8], at: usize) -> Option<usize> {
+    let bytes = elf.get(at..at.checked_add(8)?)?;
+    usize::try_from(u64::from_le_bytes(bytes.try_into().unwrap())).ok()
+}
+
 fn section(elf: &[u8], index: usize) -> Result<&[u8], String> {
-    let shoff = u64::from_le_bytes(
-        elf.get(0x28..0x30)
-            .ok_or("truncated header")?
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    let hdr = shoff + index * 64;
-    let off = u64::from_le_bytes(
-        elf.get(hdr + 24..hdr + 32)
-            .ok_or("truncated section header")?
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    let size = u64::from_le_bytes(
-        elf.get(hdr + 32..hdr + 40)
-            .ok_or("truncated section header")?
-            .try_into()
-            .unwrap(),
-    ) as usize;
-    elf.get(off..off + size)
+    let shoff = word(elf, 0x28).ok_or("truncated header")?;
+    let hdr = index
+        .checked_mul(64)
+        .and_then(|rel| shoff.checked_add(rel))
+        .ok_or("section header out of bounds")?;
+    let field = |at: usize| {
+        hdr.checked_add(at)
+            .and_then(|at| word(elf, at))
+            .ok_or("truncated section header")
+    };
+    let (off, size) = (field(24)?, field(32)?);
+    off.checked_add(size)
+        .and_then(|end| elf.get(off..end))
         .ok_or_else(|| "section out of bounds".to_string())
 }
 
@@ -289,7 +292,9 @@ pub fn parse_elf(elf: &[u8]) -> Result<EmittedModule, String> {
         at: 0,
     };
     let nfuncs = r.u32()? as usize;
-    let mut functions = Vec::with_capacity(nfuncs);
+    // A function record is at least a length-prefixed name, four `u32`s
+    // and the return tag.
+    let mut functions = Vec::with_capacity(r.capacity(nfuncs, 21));
     for _ in 0..nfuncs {
         let name = r.str()?;
         let text_off = r.u32()?;
@@ -388,16 +393,16 @@ pub fn parse_elf(elf: &[u8]) -> Result<EmittedModule, String> {
         at: 0,
     };
     let nnames = r.u32()? as usize;
-    let mut method_names = Vec::with_capacity(nnames);
+    let mut method_names = Vec::with_capacity(r.capacity(nnames, 4));
     for _ in 0..nnames {
         method_names.push(r.str()?);
     }
     let nclasses = r.u32()? as usize;
-    let mut classes = Vec::with_capacity(nclasses);
+    let mut classes = Vec::with_capacity(r.capacity(nclasses, 12));
     for _ in 0..nclasses {
         let size = r.u64()?;
         let nmethods = r.u32()? as usize;
-        let mut methods = Vec::with_capacity(nmethods);
+        let mut methods = Vec::with_capacity(r.capacity(nmethods, 8));
         for _ in 0..nmethods {
             let mid = r.u32()?;
             let fidx = r.u32()?;
@@ -456,5 +461,34 @@ mod tests {
         let mut elf = write_elf(&demo());
         elf[4] = 1; // claim ELF32
         assert!(parse_elf(&elf).is_err());
+    }
+
+    /// The file offset of section `index`'s payload.
+    fn payload(elf: &[u8], index: usize) -> usize {
+        word(elf, word(elf, 0x28).unwrap() + index * 64 + 24).unwrap()
+    }
+
+    #[test]
+    fn hostile_counts_and_offsets_are_errors_not_aborts() {
+        let em = demo();
+        // `.njc.classes` is the method-name count, then the class count,
+        // then per class its size and method count.
+        assert!(em.method_names.is_empty() && em.classes.len() == 1);
+        let elf = write_elf(&em);
+        let patches = [
+            ("function count", payload(&elf, 2), 4),
+            ("method-name count", payload(&elf, 5), 4),
+            ("class count", payload(&elf, 5) + 4, 4),
+            ("method count", payload(&elf, 5) + 16, 4),
+            ("section header offset", 0x28, 8),
+        ];
+        for (what, at, width) in patches {
+            let mut bad = elf.clone();
+            bad[at..at + width].fill(0xFF);
+            if width == 8 {
+                bad[at] = 0xF0; // u64::MAX - 15: `shoff + index * 64` overflows
+            }
+            assert!(parse_elf(&bad).is_err(), "{what}");
+        }
     }
 }

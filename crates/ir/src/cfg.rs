@@ -278,6 +278,7 @@ mod tests {
 
     /// `f` rebuilt from its parts with `edit` applied to its blocks; the
     /// rebuilt function starts at generation 0 whatever the edit did.
+    #[cfg(debug_assertions)]
     fn rebuilt(f: &Function, edit: impl FnOnce(&mut [crate::BasicBlock])) -> Function {
         let mut blocks = f.blocks().to_vec();
         edit(&mut blocks);

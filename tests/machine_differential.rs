@@ -12,8 +12,11 @@
 //! negative control silently misses NPEs at the byte level too.
 //!
 //! The robustness tests corrupt a parsed ELF's text and demand a
-//! [`MachineFault::BadCode`], never a panic; the fuel test pins that every
-//! executed instruction counts against the budget.
+//! [`MachineFault::BadCode`], never a panic, and only once execution
+//! reaches the corrupted instruction; the fuel tests pin that every
+//! executed instruction counts against the budget, and every
+//! `MachineStats` counter of the 17 programs on both perfbench
+//! `suite_exec` legs is pinned.
 
 use njc_arch::Platform;
 use njc_bench::difftest::{byte_mismatch, byte_verdict, ByteVerdict};
@@ -440,25 +443,148 @@ fn corrupted_frame_displacement_is_a_fault_not_unbounded_growth() {
     assert!(detail.contains("past the frame-stack ceiling"), "{detail}");
 }
 
+/// The 17 programs on the two perfbench `suite_exec` legs, in
+/// [`SUITE_LEG_STATS`] order: `(program, platform, bytes)`.
+fn suite_legs() -> Vec<(&'static str, Platform, EmittedModule)> {
+    let legs = [
+        (Platform::windows_ia32(), ConfigKind::Full),
+        (Platform::aix_ppc(), ConfigKind::AixSpeculation),
+    ];
+    let mut out = Vec::new();
+    for w in njc_workloads::all() {
+        for (platform, kind) in legs {
+            out.push((w.name, platform, emit(&compile(&w, &platform, kind).module)));
+        }
+    }
+    out
+}
+
 #[test]
 fn fuel_counts_every_executed_instruction() {
-    // A looping program and a call-heavy one: a budget of exactly the
+    // A looping program and a call-heavy one unoptimized, and the 17
+    // programs on both `suite_exec` legs: a budget of exactly the
     // instructions a full run retires reproduces that run, one fewer runs
     // out of fuel.
     let p = Platform::windows_ia32();
-    for name in ["Numeric Sort", "mtrt"] {
-        let em = emit(&workload(name).module);
+    let unoptimized = ["Numeric Sort", "mtrt"].map(|name| (name, p, emit(&workload(name).module)));
+    for (name, p, em) in unoptimized.into_iter().chain(suite_legs()) {
+        let what = format!("{name} on {}", p.name);
         let full = ByteMachine::new(&em, p).run("main").unwrap();
         let n = full.stats.insts;
         assert_eq!(
             ByteMachine::new(&em, p).with_fuel(n).run("main"),
             Ok(full),
-            "{name}"
+            "{what}"
         );
         assert_eq!(
             ByteMachine::new(&em, p).with_fuel(n - 1).run("main"),
             Err(MachineFault::OutOfFuel),
-            "{name}"
+            "{what}"
         );
     }
+}
+
+/// `MachineStats` of each of the 17 programs on the two perfbench
+/// `suite_exec` legs, as `[insts, explicit_null_checks, traps_taken,
+/// missed_npes]`: IA32 under `Full`, then AIX under `Speculation`.
+const SUITE_LEG_STATS: [(&str, [[u64; 4]; 2]); 17] = [
+    ("Numeric Sort", [[1_158_250, 0, 0, 0], [1_158_253, 1, 0, 0]]),
+    ("String Sort", [[400_493, 0, 0, 0], [443_696, 14_401, 0, 0]]),
+    ("Bitfield", [[304_379, 0, 0, 0], [304_382, 1, 0, 0]]),
+    (
+        "FP Emulation",
+        [[331_590, 4_500, 0, 0], [331_590, 4_500, 0, 0]],
+    ),
+    ("Fourier", [[46_570, 0, 0, 0], [61_698, 0, 0, 0]]),
+    ("Assignment", [[206_392, 0, 0, 0], [217_285, 3_631, 0, 0]]),
+    (
+        "IDEA encryption",
+        [[469_240, 0, 0, 0], [469_232, 6_408, 0, 0]],
+    ),
+    (
+        "Huffman Compression",
+        [[266_982, 0, 0, 0], [266_737, 65, 0, 0]],
+    ),
+    ("Neural Net", [[196_875, 0, 0, 0], [195_675, 3_000, 0, 0]]),
+    (
+        "LU Decomposition",
+        [[65_196, 0, 0, 0], [63_527, 1_737, 0, 0]],
+    ),
+    ("mtrt", [[896_755, 1, 0, 0], [929_158, 11_701, 0, 0]]),
+    ("jess", [[108_915, 0, 0, 0], [115_995, 2_360, 0, 0]]),
+    ("compress", [[390_903, 0, 0, 0], [385_931, 5_662, 0, 0]]),
+    ("db", [[946_626, 0, 0, 0], [1_083_881, 46_055, 0, 0]]),
+    ("mpegaudio", [[150_498, 0, 0, 0], [150_698, 1_980, 0, 0]]),
+    ("jack", [[140_862, 0, 0, 0], [145_407, 1_515, 0, 0]]),
+    ("javac", [[208_669, 0, 0, 0], [218_386, 3_239, 0, 0]]),
+];
+
+#[test]
+fn suite_legs_pin_every_machine_counter() {
+    let expected = SUITE_LEG_STATS
+        .iter()
+        .flat_map(|(name, legs)| legs.map(|stats| (*name, stats)));
+    let runs = suite_legs();
+    assert_eq!(runs.len(), 2 * SUITE_LEG_STATS.len());
+    for ((name, p, em), (expected_name, stats)) in runs.into_iter().zip(expected) {
+        assert_eq!(name, expected_name);
+        let s = ByteMachine::new(&em, p).run("main").unwrap().stats;
+        assert_eq!(
+            [
+                s.insts,
+                s.explicit_null_checks,
+                s.traps_taken,
+                s.missed_npes
+            ],
+            stats,
+            "{name} on {}",
+            p.name
+        );
+    }
+}
+
+#[test]
+fn corrupted_bytes_fault_only_when_reached() {
+    // `bb1` is unreachable: its code sits after `bb0`'s unconditional
+    // jump and never runs.
+    let mut m = Module::new("dead_code");
+    m.add_function(
+        njc_ir::parse_function(
+            "func main() -> int {\n  locals v0: int v1: int\nbb0:\n  v0 = const 1\n  v1 = const 2\n  v0 = add.int v0, v1\n  goto bb2\nbb1:\n  v0 = const 3\n  goto bb2\nbb2:\n  return v0\n}",
+        )
+        .unwrap(),
+    );
+    let clean = emit(&m);
+    let p = Platform::windows_ia32();
+    let expected = ByteMachine::new(&clean, p).run("main").unwrap();
+    assert_eq!(expected.result, Some(MValue::Int(3)));
+    let main = sweep(&clean, "main");
+    let jmp = main
+        .iter()
+        .position(|(_, dec)| matches!(dec, Dec::Jmp { .. } | Dec::Jmp8 { opcode: 0xEB, .. }))
+        .expect("bb0 jumps over bb1");
+    let mut em = clean.clone();
+    em.text[main[jmp + 1].0] = 0x06;
+    assert_eq!(ByteMachine::new(&em, p).run("main"), Ok(expected.clone()));
+
+    // A corrupted instruction in the middle of `bb0`'s straight line
+    // faults at its own pc once the instructions before it have run, and
+    // not before: with fuel for just those, the run runs out of fuel.
+    let (pc, _) = main[jmp - 1];
+    let mut em = clean.clone();
+    em.text[pc] = 0x06;
+    assert_eq!(
+        ByteMachine::new(&em, p).run("main"),
+        Err(MachineFault::BadCode {
+            function: "main".to_string(),
+            pc,
+            detail: format!("undecodable byte 0x06 at offset {pc:#x}"),
+        })
+    );
+    assert_eq!(
+        ByteMachine::new(&em, p)
+            .with_fuel(jmp as u64 - 1)
+            .run("main"),
+        Err(MachineFault::OutOfFuel)
+    );
 }
