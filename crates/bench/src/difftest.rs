@@ -2,9 +2,12 @@
 //!
 //! Runs every workload and a corpus of generated programs through all
 //! optimizer configurations × all platform trap models in the costed VM
-//! and diffs the *full observable behavior*: return value, exact exception
-//! trace (kind and observation-trace position), observation trace, and a
-//! heap effect digest. Two comparison axes:
+//! and diffs the *full observable behavior* ([`Observation`]): return
+//! value, exact exception trace (kind and observation-trace position),
+//! observation trace, a heap effect digest, and missed NPEs. Every oracle
+//! of the crate compares observations, by `==` or, where it reports what
+//! moved, through [`Observation::diff`], which agrees with `==`. Two
+//! comparison axes:
 //!
 //! * **same platform** — every sound configuration against the unoptimized
 //!   baseline, including the heap digest (dead-code elimination never
@@ -35,9 +38,9 @@ use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
 use njc_arch::Platform;
-use njc_codegen::{lower_module, MValue, MachineFault, MachineOutcome};
+use njc_codegen::{lower_module, MachineFault, MachineOutcome};
 use njc_emit::{emit_module, ByteMachine, EmittedModule};
-use njc_ir::{ExceptionKind, FuncBuilder, Module, Op, Type};
+use njc_ir::{FuncBuilder, Module, Observation, Op, Type};
 use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig};
 use njc_recover::{RecoveryPolicy, RecoveryStrategy};
@@ -92,50 +95,11 @@ impl Default for DiffOptions {
     }
 }
 
-/// A reference or float collapsed to its cross-config-stable shape:
-/// addresses depend only on allocation order (stable per platform) but are
-/// still normalized so cross-platform rows compare; floats compare by bits
-/// so NaNs diff deterministically.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum NormValue {
-    /// An integer.
-    Int(i64),
-    /// A float, by raw bits.
-    Float(u64),
-    /// The null reference.
-    Null,
-    /// Any non-null reference.
-    NonNull,
-}
-
-fn norm(v: Value) -> NormValue {
-    match v {
-        Value::Int(i) => NormValue::Int(i),
-        Value::Float(f) => NormValue::Float(f.to_bits()),
-        Value::Ref(0) => NormValue::Null,
-        Value::Ref(_) => NormValue::NonNull,
-    }
-}
-
 /// The observable behavior of one (program, config, platform) cell.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Verdict {
     /// The VM completed (possibly with an escaping Java exception).
-    Ok {
-        /// Normalized return value.
-        result: Option<NormValue>,
-        /// Escaping exception kind, if any.
-        exception: Option<ExceptionKind>,
-        /// Normalized observation trace.
-        trace: Vec<NormValue>,
-        /// Exception origins as (kind, observation-trace position) — the
-        /// optimization-stable notion of "program point".
-        events: Vec<(ExceptionKind, usize)>,
-        /// FNV-1a digest of the final heap (valid same-platform only).
-        heap_digest: u64,
-        /// NPEs the platform silently swallowed at marked sites.
-        missed_npes: u64,
-    },
+    Ok(Observation<'static>),
     /// The VM rejected the execution with a structured fault; compared by
     /// static label only (diagnostic payloads carry function names and
     /// block ids, which legally differ under inlining and versioning).
@@ -144,6 +108,9 @@ pub enum Verdict {
     Panicked,
 }
 
+/// A structured fault's static label: the one vocabulary both executors'
+/// faults map to, so runs compare by fault kind. The two enums share all
+/// but one variant each (`IllTyped` for the VM, `BadCode` for the bytes).
 pub(crate) fn fault_label(f: &Fault) -> &'static str {
     match f {
         Fault::UnexpectedTrap { .. } => "unexpected-trap",
@@ -157,44 +124,57 @@ pub(crate) fn fault_label(f: &Fault) -> &'static str {
     }
 }
 
+/// [`fault_label`] for a byte-machine fault.
+fn machine_fault_label(f: &MachineFault) -> &'static str {
+    match f {
+        MachineFault::UnexpectedTrap { .. } => "unexpected-trap",
+        MachineFault::WildAccess { .. } => "wild-access",
+        MachineFault::OutOfFuel => "out-of-fuel",
+        MachineFault::StackOverflow => "stack-overflow",
+        MachineFault::BadDispatch { .. } => "bad-dispatch",
+        MachineFault::NoSuchFunction(_) => "no-such-function",
+        MachineFault::BadCode { .. } => "bad-code",
+        MachineFault::HeapExhausted { .. } => "heap-exhausted",
+    }
+}
+
 impl Verdict {
-    /// Drops the platform-specific fields (heap digest, missed-NPE count)
-    /// for cross-platform comparison.
+    /// The cross-platform form: every non-null reference collapsed to one
+    /// stand-in address (heap bases differ between trap models, so
+    /// addresses do too), and the platform-specific fields (heap digest,
+    /// missed-NPE count) dropped.
     fn normalized(&self) -> Verdict {
+        /// The stand-in for "some non-null reference": no allocation can
+        /// sit at address 1.
+        fn collapse(v: Value) -> Value {
+            match v {
+                Value::Ref(a) if a != 0 => Value::Ref(1),
+                v => v,
+            }
+        }
         match self {
-            Verdict::Ok {
-                result,
-                exception,
-                trace,
-                events,
-                ..
-            } => Verdict::Ok {
-                result: *result,
-                exception: *exception,
-                trace: trace.clone(),
-                events: events.clone(),
+            Verdict::Ok(o) => Verdict::Ok(Observation {
+                result: o.result.map(collapse),
+                trace: o.trace.iter().copied().map(collapse).collect(),
                 heap_digest: 0,
                 missed_npes: 0,
-            },
+                ..o.clone()
+            }),
             other => other.clone(),
         }
     }
 
-    fn summary(&self) -> String {
-        match self {
-            Verdict::Ok {
-                result,
-                exception,
-                trace,
-                events,
-                missed_npes,
-                ..
-            } => format!(
-                "ok result={result:?} exception={exception:?} trace_len={} events={events:?} missed={missed_npes}",
-                trace.len()
-            ),
+    /// The first difference from `other`: the first channel
+    /// [`Observation::diff`] finds, or the two verdicts' shapes.
+    fn mismatch(&self, other: &Verdict) -> Option<String> {
+        let shape = |v: &Verdict| match v {
+            Verdict::Ok(_) => "ok".to_string(),
             Verdict::Fault(label) => format!("fault:{label}"),
             Verdict::Panicked => "PANICKED".into(),
+        };
+        match (self, other) {
+            (Verdict::Ok(a), Verdict::Ok(b)) => a.mismatch(b),
+            (a, b) => (a != b).then(|| format!("{} vs {}", shape(a), shape(b))),
         }
     }
 }
@@ -563,14 +543,7 @@ fn run_cell(
     match outcome {
         Err(_) => Verdict::Panicked,
         Ok(Err(fault)) => Verdict::Fault(fault_label(&fault)),
-        Ok(Ok(out)) => Verdict::Ok {
-            result: out.result.map(norm),
-            exception: out.exception,
-            trace: out.trace.iter().copied().map(norm).collect(),
-            events: out.events.iter().map(|e| (e.kind, e.at_trace)).collect(),
-            heap_digest: out.heap_digest,
-            missed_npes: out.stats.missed_npes,
-        },
+        Ok(Ok(out)) => Verdict::Ok(Observation::from(&out).into_owned()),
     }
 }
 
@@ -598,87 +571,32 @@ struct RawObservation {
 }
 
 /// Classifies which observables a recovery-policy run moved relative to
-/// the policy-free cell, `+`-joined in a fixed order.
+/// the policy-free cell, `+`-joined in [`Observation::diff`]'s order; an
+/// exception the policy swallowed reads `exception-suppressed`.
 fn verdict_delta(base: &Verdict, v: &Verdict) -> String {
     match (base, v) {
-        (
-            Verdict::Ok {
-                result: br,
-                exception: be,
-                trace: bt,
-                events: bev,
-                heap_digest: bh,
-                missed_npes: bm,
-            },
-            Verdict::Ok {
-                result: vr,
-                exception: ve,
-                trace: vt,
-                events: vev,
-                heap_digest: vh,
-                missed_npes: vm,
-            },
-        ) => {
-            let mut parts = Vec::new();
-            if be != ve {
-                parts.push(if ve.is_none() {
-                    "exception-suppressed"
-                } else {
-                    "exception"
-                });
-            }
-            if br != vr {
-                parts.push("result");
-            }
-            if bt != vt {
-                parts.push("trace");
-            }
-            if bev != vev {
-                parts.push("events");
-            }
-            if bh != vh {
-                parts.push("heap-digest");
-            }
-            if bm != vm {
-                parts.push("missed-npes");
-            }
-            parts.join("+")
+        (Verdict::Ok(b), Verdict::Ok(o)) => {
+            let names: Vec<&str> = b
+                .diff(o)
+                .into_iter()
+                .map(|(channel, _)| match channel {
+                    "exception" if o.exception.is_none() => "exception-suppressed",
+                    other => other,
+                })
+                .collect();
+            names.join("+")
         }
         _ => "fault-shape".into(),
     }
 }
 
-/// [`fault_label`] for a byte-machine fault: the same vocabulary, so a
-/// byte run and a VM run compare by fault kind.
-fn machine_fault_label(f: &MachineFault) -> &'static str {
-    match f {
-        MachineFault::UnexpectedTrap { .. } => "unexpected-trap",
-        MachineFault::WildAccess { .. } => "wild-access",
-        MachineFault::OutOfFuel => "out-of-fuel",
-        MachineFault::StackOverflow => "stack-overflow",
-        MachineFault::BadDispatch { .. } => "bad-dispatch",
-        MachineFault::NoSuchFunction(_) => "no-such-function",
-        MachineFault::BadCode { .. } => "bad-code",
-        MachineFault::HeapExhausted { .. } => "heap-exhausted",
-    }
-}
-
-/// Bit-exact value equality across the two executors.
-fn same_value(v: &Value, m: &MValue) -> bool {
-    match (v, m) {
-        (Value::Int(a), MValue::Int(b)) => a == b,
-        (Value::Float(a), MValue::Float(b)) => a.to_bits() == b.to_bits(),
-        (Value::Ref(a), MValue::Ref(b)) => a == b,
-        _ => false,
-    }
-}
-
 /// The first observable difference between a VM run and a byte-machine
-/// run of the same optimized module: result, escaped exception,
-/// observation trace, explicit checks, traps taken, or missed NPEs; faults
-/// compare by [`fault_label`]. This is the comparison behind the `+bytes`
-/// column ([`byte_verdict`]): it catches encoder bugs (wrong
-/// displacement, dropped site entry, mis-dispatched trap) that the
+/// run of the same optimized module: any channel of their
+/// [`Observation`]s (result, escaped exception, observation trace,
+/// exception events, heap digest, missed NPEs), then explicit checks and
+/// traps taken; faults compare by [`fault_label`]. This is the comparison
+/// behind the `+bytes` column ([`byte_verdict`]): it catches encoder bugs
+/// (wrong displacement, dropped site entry, mis-dispatched trap) that the
 /// IR-level axes cannot see. `None` when the two agree.
 pub fn byte_mismatch(
     vm: &Result<Outcome, Fault>,
@@ -693,21 +611,8 @@ pub fn byte_mismatch(
         (Ok(_), Err(bf)) => return Some(format!("VM completed, bytes faulted: {bf}")),
         (Err(vf), Ok(_)) => return Some(format!("VM faulted ({vf}), bytes completed")),
     };
-    let same_result = match (&v.result, &b.result) {
-        (None, None) => true,
-        (Some(x), Some(y)) => same_value(x, y),
-        _ => false,
-    };
-    if !same_result {
-        return Some(format!("result {:?} vs {:?}", v.result, b.result));
-    }
-    if v.exception != b.exception {
-        return Some(format!("exception {:?} vs {:?}", v.exception, b.exception));
-    }
-    let same_trace = v.trace.len() == b.trace.len()
-        && v.trace.iter().zip(&b.trace).all(|(x, y)| same_value(x, y));
-    if !same_trace {
-        return Some(format!("trace {:?} vs {:?}", v.trace, b.trace));
+    if let Some(d) = Observation::from(v).mismatch(&Observation::from(b)) {
+        return Some(d);
     }
     let counters = [
         (
@@ -716,7 +621,6 @@ pub fn byte_mismatch(
             b.stats.explicit_null_checks,
         ),
         ("traps", v.stats.traps_taken, b.stats.traps_taken),
-        ("missed NPEs", v.stats.missed_npes, b.stats.missed_npes),
     ];
     counters
         .iter()
@@ -870,14 +774,14 @@ fn diff_program(
             if matches!(v, Verdict::Panicked) || matches!(base, Verdict::Panicked) {
                 continue; // already reported above
             }
-            if v != base {
+            if let Some(d) = base.mismatch(v) {
                 out.divergences.push((
                     config_label(c),
                     format!("{}/baseline", plats[p].name),
                     format!("{}/{}", plats[p].name, config_label(c)),
-                    format!("baseline {} vs optimized {}", base.summary(), v.summary()),
+                    format!("baseline vs optimized: {d}"),
                 ));
-            } else if let Verdict::Ok { missed_npes, .. } = v {
+            } else if let Verdict::Ok(Observation { missed_npes, .. }) = v {
                 if *missed_npes != 0 {
                     out.divergences.push((
                         config_label(c),
@@ -898,12 +802,12 @@ fn diff_program(
             if matches!(v, Verdict::Panicked) || matches!(lead, Verdict::Panicked) {
                 continue;
             }
-            if v != lead {
+            if let Some(d) = lead.mismatch(&v) {
                 out.divergences.push((
                     config_label(c),
                     format!("{}/{}", plats[0].name, config_label(c)),
                     format!("{}/{}", plats[p].name, config_label(c)),
-                    format!("{} vs {}", lead.summary(), v.summary()),
+                    d,
                 ));
             }
         }
@@ -1003,17 +907,12 @@ fn diff_program(
                         continue;
                     }
                     if strategy == RecoveryStrategy::Strict {
-                        if v != base {
+                        if let Some(d) = base.mismatch(&v) {
                             out.divergences.push((
                                 label.clone(),
                                 format!("{}/{kind:?}", plats[p].name),
                                 format!("{}/{label}", plats[p].name),
-                                format!(
-                                    "strict recovery must be observationally invisible: \
-                                     {} vs {}",
-                                    base.summary(),
-                                    v.summary()
-                                ),
+                                format!("strict recovery must be observationally invisible: {d}"),
                             ));
                         }
                     } else if v != base {
@@ -1054,7 +953,7 @@ fn diff_program(
                     "VM panicked (hardening regression)".into(),
                 ));
             }
-            Verdict::Ok { missed_npes, .. } => {
+            Verdict::Ok(Observation { missed_npes, .. }) => {
                 let base = &verdicts[1][0];
                 if v != *base || *missed_npes > 0 {
                     out.claim9 += 1;
@@ -1090,16 +989,16 @@ fn diff_program(
                         String::new(),
                         "VM panicked running the fact-assertion module".into(),
                     ));
-                } else if !matches!(base, Verdict::Panicked) && v != *base {
+                } else if matches!(base, Verdict::Panicked) {
+                    continue; // already reported above
+                } else if let Some(d) = base.mismatch(&v) {
                     out.divergences.push((
                         "interproc-oracle".into(),
                         format!("{}/baseline", platform.name),
                         format!("{}/interproc-oracle", platform.name),
                         format!(
                             "inferred non-nullness fact falsified dynamically: \
-                             baseline {} vs fact-asserting run {}",
-                            base.summary(),
-                            v.summary()
+                             baseline vs fact-asserting run: {d}"
                         ),
                     ));
                 }

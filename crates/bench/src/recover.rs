@@ -8,7 +8,7 @@
 //! ```
 //!
 //! compared over result, escaping exception, observation trace,
-//! exception events, and heap digest — the same observable surface the
+//! exception events, and heap digest — the same [`Observation`] the
 //! difftest harness diffs (stats are deliberately excluded: recovery
 //! *is* allowed to change cycle and check counts, that is its cost).
 //! Cells pin the IA32 model and the Full configuration with inlining
@@ -38,7 +38,7 @@ use std::path::Path;
 use njc_arch::Platform;
 use njc_codegen::lower_module;
 use njc_emit::{emit_module, ByteMachine, TrapOutcome};
-use njc_ir::{ExceptionKind, Module, Type};
+use njc_ir::{Module, Observation, Type};
 use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig};
 use njc_recover::{find_resume_point, frame_locals, rules, PatternRule, RecoveryPolicy};
@@ -84,55 +84,14 @@ pub fn load_pattern_module(name: &str, source: &str) -> Module {
     module
 }
 
-/// A value collapsed to its allocation-order-stable shape, mirroring the
-/// difftest normalization: refs compare null/non-null, floats by bits.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Nv {
-    Int(i64),
-    Float(u64),
-    Null,
-    NonNull,
-}
-
-fn norm(v: Value) -> Nv {
-    match v {
-        Value::Int(i) => Nv::Int(i),
-        Value::Float(f) => Nv::Float(f.to_bits()),
-        Value::Ref(0) => Nv::Null,
-        Value::Ref(_) => Nv::NonNull,
-    }
-}
-
-/// Compares two outcomes over the recovery-observable surface — result,
-/// exception, trace, exception events, heap digest — and reports the
-/// first differing component. Stats are excluded by design.
+/// Compares two outcomes over the recovery-observable surface — the
+/// [`Observation`] channels: result, exception, trace, exception
+/// events, heap digest, and missed NPEs (always zero on the IA32 model
+/// the cells pin) — and reports the first differing one. Stats are
+/// excluded by design.
 #[must_use]
 pub fn observable_mismatch(a: &Outcome, b: &Outcome) -> Option<String> {
-    if a.result.map(norm) != b.result.map(norm) {
-        return Some(format!("result {:?} vs {:?}", a.result, b.result));
-    }
-    if a.exception != b.exception {
-        return Some(format!("exception {:?} vs {:?}", a.exception, b.exception));
-    }
-    let (ta, tb): (Vec<Nv>, Vec<Nv>) = (
-        a.trace.iter().copied().map(norm).collect(),
-        b.trace.iter().copied().map(norm).collect(),
-    );
-    if ta != tb {
-        return Some(format!("trace {ta:?} vs {tb:?}"));
-    }
-    let ea: Vec<(ExceptionKind, usize)> = a.events.iter().map(|e| (e.kind, e.at_trace)).collect();
-    let eb: Vec<(ExceptionKind, usize)> = b.events.iter().map(|e| (e.kind, e.at_trace)).collect();
-    if ea != eb {
-        return Some(format!("events {ea:?} vs {eb:?}"));
-    }
-    if a.heap_digest != b.heap_digest {
-        return Some(format!(
-            "heap digest {:#x} vs {:#x}",
-            a.heap_digest, b.heap_digest
-        ));
-    }
-    None
+    Observation::from(a).mismatch(&Observation::from(b))
 }
 
 /// The cell configuration: Full on IA32 (reads and writes both trap) with

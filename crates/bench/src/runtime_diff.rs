@@ -4,8 +4,9 @@
 //! invisible*: for any program, the adaptive run (tier-0 bodies, counters
 //! on, recompiled bodies swapping in mid-flight) and the steady-state run
 //! (final bodies, no adaptation) must agree with a single-shot tier-1
-//! compile on result, escaped exception, observation trace, exception
-//! events, and heap digest. This module replays a corpus in the style of
+//! compile on every channel of an [`Observation`]: result, escaped
+//! exception, observation trace, exception events, heap digest, and
+//! missed NPEs. This module replays a corpus in the style of
 //! [`crate::difftest`] — micros, deterministic probes, and generated
 //! fault programs — through the runtime and diffs every run against the
 //! single-shot reference. It also runs the runtime's own invariants per
@@ -19,12 +20,12 @@
 //! A call-heavy corpus feeds the inference, and each program's facts are
 //! also asserted directly: the fact-assertion module
 //! ([`njc_interproc::assertion_module`]) must match the raw run on every
-//! channel *and* on the trap/silent-read counters.
+//! channel *and* on the silent-read counter.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use njc_arch::Platform;
-use njc_ir::Module;
+use njc_ir::{Module, Observation};
 use njc_opt::ConfigKind;
 use njc_runtime::{RuntimeConfig, ServiceRuntime, TenantSpec, TieredRuntime};
 use njc_vm::{run_module, Fault, Outcome};
@@ -89,86 +90,64 @@ fn corpus(seeds: u64) -> Vec<(String, Module)> {
 /// Cross-checks the inferred facts of one program against its dynamic
 /// behavior: the fact-assertion module must agree with the raw module on
 /// every observable channel, and the added checks must not surface any
-/// trap or silent null read the raw run did not have. One line per
-/// violated fact.
+/// silent null read the raw run did not have. One line per violated
+/// fact.
 fn oracle_check(name: &str, module: &Module, platform: Platform, out: &mut Vec<String>) {
     let asm = njc_interproc::infer(module);
     if asm.is_empty() {
         return;
     }
     let checked = njc_interproc::assertion_module(module, &asm);
-    match (
-        run_module(module, platform, "main", &[]),
-        run_module(&checked, platform, "main", &[]),
-    ) {
-        (Ok(raw), Ok(assert_run)) => {
-            if let Err(e) = raw.assert_equivalent(&assert_run) {
-                out.push(format!("{name}/interproc-oracle: fact falsified: {e}"));
-            }
-            if raw.stats.missed_npes != assert_run.stats.missed_npes
-                || raw.stats.silent_null_reads != assert_run.stats.silent_null_reads
-            {
-                out.push(format!(
-                    "{name}/interproc-oracle: trap counters moved: missed {} -> {}, \
-                     silent reads {} -> {}",
-                    raw.stats.missed_npes,
-                    assert_run.stats.missed_npes,
-                    raw.stats.silent_null_reads,
-                    assert_run.stats.silent_null_reads
-                ));
-            }
-        }
-        // A faulting program is fine (the fault corpus faults by design) —
-        // but both runs must fault identically.
-        (Err(raw), Err(assert_run)) => {
-            if fault_label(&raw) != fault_label(&assert_run) {
-                out.push(format!(
-                    "{name}/interproc-oracle: fault {} vs fact-assertion fault {}",
-                    fault_label(&raw),
-                    fault_label(&assert_run)
-                ));
-            }
-        }
-        (Err(f), Ok(_)) => out.push(format!(
-            "{name}/interproc-oracle: raw run faults ({}) but fact-assertion run completes",
-            fault_label(&f)
-        )),
-        (Ok(_), Err(f)) => out.push(format!(
-            "{name}/interproc-oracle: fact-assertion run faults ({})",
-            fault_label(&f)
-        )),
+    let cell = format!("{name}/interproc-oracle");
+    let raw = run_module(module, platform, "main", &[]);
+    let assert_run = run_module(&checked, platform, "main", &[]);
+    // A faulting program is fine (the fault corpus faults by design) —
+    // but both runs must fault identically.
+    let Some((raw, assert_run)) = both_completed(&cell, &raw, &assert_run, out) else {
+        return;
+    };
+    diff_outcomes(&cell, raw, assert_run, out);
+    if raw.stats.silent_null_reads != assert_run.stats.silent_null_reads {
+        out.push(format!(
+            "{cell}: silent null reads moved: {} -> {}",
+            raw.stats.silent_null_reads, assert_run.stats.silent_null_reads
+        ));
     }
 }
 
-/// Compares `got` against the single-shot reference on every observable
-/// channel, pushing one line per difference.
-fn diff_outcomes(
-    program: &str,
-    run: &str,
-    reference: &Outcome,
-    got: &Outcome,
+/// The two outcomes when both runs completed. Otherwise pushes one line
+/// unless both faulted with the same [`fault_label`].
+fn both_completed<'a, A, B>(
+    cell: &str,
+    reference: &'a Result<A, Fault>,
+    got: &'a Result<B, Fault>,
     out: &mut Vec<String>,
-) {
-    if let Err(e) = reference.assert_equivalent(got) {
-        out.push(format!("{program}/{run}: {e}"));
+) -> Option<(&'a A, &'a B)> {
+    match (reference, got) {
+        (Ok(r), Ok(g)) => return Some((r, g)),
+        (Err(r), Err(g)) if fault_label(r) == fault_label(g) => {}
+        (Err(r), Err(g)) => out.push(format!(
+            "{cell}: fault {} vs fault {}",
+            fault_label(r),
+            fault_label(g)
+        )),
+        (Err(r), Ok(_)) => out.push(format!(
+            "{cell}: reference faults ({}) but the run completes",
+            fault_label(r)
+        )),
+        (Ok(_), Err(g)) => out.push(format!(
+            "{cell}: reference completes but the run faults ({})",
+            fault_label(g)
+        )),
     }
-    let ref_events: Vec<_> = reference
-        .events
-        .iter()
-        .map(|e| (e.kind, e.at_trace))
-        .collect();
-    let got_events: Vec<_> = got.events.iter().map(|e| (e.kind, e.at_trace)).collect();
-    if ref_events != got_events {
-        out.push(format!(
-            "{program}/{run}: exception events {ref_events:?} vs {got_events:?}"
-        ));
-    }
-    if reference.heap_digest != got.heap_digest {
-        out.push(format!(
-            "{program}/{run}: heap digest {:#x} vs {:#x}",
-            reference.heap_digest, got.heap_digest
-        ));
-    }
+    None
+}
+
+/// Compares `got` against `reference` on every [`Observation`] channel,
+/// pushing one line per channel that differs.
+fn diff_outcomes(cell: &str, reference: &Outcome, got: &Outcome, out: &mut Vec<String>) {
+    let (r, g) = (Observation::from(reference), Observation::from(got));
+    out.extend(r.diff(&g).into_iter().map(|(_, d)| format!("{cell}: {d}")));
 }
 
 /// Runs one program through the tiered runtime under `config` and diffs
@@ -196,62 +175,34 @@ fn run_tiered_cell(
             return;
         }
     };
-    match (reference, &tiered) {
-        (Err(ref_fault), Err(rt_fault)) => {
-            report.cells += 1;
-            if fault_label(ref_fault) != fault_label(rt_fault) {
-                report.divergences.push(format!(
-                    "{name}/{label}: fault {} vs tiered fault {}",
-                    fault_label(ref_fault),
-                    fault_label(rt_fault)
-                ));
-            }
-        }
-        (Err(ref_fault), Ok(_)) => {
-            report.cells += 1;
-            report.divergences.push(format!(
-                "{name}/{label}: reference faults ({}) but tiered runtime completes",
-                fault_label(ref_fault)
-            ));
-        }
-        (Ok(_), Err(rt_fault)) => {
-            report.cells += 1;
-            report.divergences.push(format!(
-                "{name}/{label}: reference completes but tiered runtime faults ({})",
-                fault_label(rt_fault)
-            ));
-        }
-        (Ok(reference), Ok(out)) => {
-            report.cells += 2;
-            diff_outcomes(
-                name,
-                &format!("{label}-adaptive"),
-                reference,
-                &out.adaptive,
-                &mut report.divergences,
-            );
-            diff_outcomes(
-                name,
-                &format!("{label}-steady"),
-                reference,
-                &out.steady,
-                &mut report.divergences,
-            );
-            if let Err(mut fails) = out.reconcile() {
-                report.divergences.extend(
-                    fails
-                        .drain(..)
-                        .map(|f| format!("{name}/{label}-reconcile: {f}")),
-                );
-            }
-            if let Err(mut fails) = out.verify_convergence() {
-                report.divergences.extend(
-                    fails
-                        .drain(..)
-                        .map(|f| format!("{name}/{label}-convergence: {f}")),
-                );
-            }
-        }
+    let cell = format!("{name}/{label}");
+    let Some((reference, out)) = both_completed(&cell, reference, &tiered, &mut report.divergences)
+    else {
+        report.cells += 1;
+        return;
+    };
+    report.cells += 2;
+    diff_outcomes(
+        &format!("{cell}-adaptive"),
+        reference,
+        &out.adaptive,
+        &mut report.divergences,
+    );
+    diff_outcomes(
+        &format!("{cell}-steady"),
+        reference,
+        &out.steady,
+        &mut report.divergences,
+    );
+    if let Err(mut fails) = out.reconcile() {
+        report
+            .divergences
+            .extend(fails.drain(..).map(|f| format!("{cell}-reconcile: {f}")));
+    }
+    if let Err(mut fails) = out.verify_convergence() {
+        report
+            .divergences
+            .extend(fails.drain(..).map(|f| format!("{cell}-convergence: {f}")));
     }
 }
 
@@ -289,55 +240,31 @@ fn run_service_cell(
             return;
         }
     };
-    match (reference, &service) {
-        (Err(ref_fault), Err(svc_fault)) => {
-            report.cells += 1;
-            if fault_label(ref_fault) != fault_label(svc_fault) {
-                report.divergences.push(format!(
-                    "{name}/service: fault {} vs service fault {}",
-                    fault_label(ref_fault),
-                    fault_label(svc_fault)
-                ));
-            }
+    let cell = format!("{name}/service");
+    let Some((reference, out)) =
+        both_completed(&cell, reference, &service, &mut report.divergences)
+    else {
+        report.cells += 1;
+        return;
+    };
+    for t in &out.tenants {
+        report.cells += 2;
+        for (run, got) in [
+            ("service-adaptive", &t.outcome.adaptive),
+            ("service-steady", &t.outcome.steady),
+        ] {
+            diff_outcomes(
+                &format!("{}/{run}", t.name),
+                reference,
+                got,
+                &mut report.divergences,
+            );
         }
-        (Err(ref_fault), Ok(_)) => {
-            report.cells += 1;
-            report.divergences.push(format!(
-                "{name}/service: reference faults ({}) but service completes",
-                fault_label(ref_fault)
-            ));
-        }
-        (Ok(_), Err(svc_fault)) => {
-            report.cells += 1;
-            report.divergences.push(format!(
-                "{name}/service: reference completes but service faults ({})",
-                fault_label(svc_fault)
-            ));
-        }
-        (Ok(reference), Ok(out)) => {
-            for t in &out.tenants {
-                report.cells += 2;
-                diff_outcomes(
-                    &t.name,
-                    "service-adaptive",
-                    reference,
-                    &t.outcome.adaptive,
-                    &mut report.divergences,
-                );
-                diff_outcomes(
-                    &t.name,
-                    "service-steady",
-                    reference,
-                    &t.outcome.steady,
-                    &mut report.divergences,
-                );
-            }
-            if let Err(fails) = out.verify() {
-                report
-                    .divergences
-                    .extend(fails.into_iter().map(|f| format!("{name}/service: {f}")));
-            }
-        }
+    }
+    if let Err(fails) = out.verify() {
+        report
+            .divergences
+            .extend(fails.into_iter().map(|f| format!("{cell}: {f}")));
     }
 }
 

@@ -18,7 +18,8 @@
 //! [`outcome::MachineFault`] (the crash a real JIT would suffer from an
 //! unsoundly removed check). The [`outcome`] types are what that executor
 //! reports, held observable-for-observable to the IR interpreter
-//! (`njc-vm`).
+//! (`njc-vm`): results and observations are the IR's [`njc_ir::Value`],
+//! the one value type both executors report in.
 //!
 //! ## Example
 //!
@@ -48,7 +49,12 @@ pub mod table;
 
 pub use isa::{AluOp, FaluOp, MInst, Reg};
 pub use lower::{lower_function, lower_module};
-pub use outcome::{MValue, MachineFault, MachineOutcome, MachineStats};
+pub use outcome::{MachineFault, MachineOutcome, MachineStats};
+
+/// The former name of [`njc_ir::Value`] in this crate, kept only for the
+/// benchmark harness (`perfbench/src/workload.rs`), which names it; the
+/// next change under `perfbench/` switches that to `Value` and drops this.
+pub use njc_ir::Value as MValue;
 pub use table::{
     ExceptionSiteTable, HandlerTable, MachineClass, MachineFunction, MachineModule, SiteInfo,
 };

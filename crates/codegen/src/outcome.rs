@@ -6,7 +6,7 @@
 //! through the handler ranges, a miss is a JIT bug
 //! ([`MachineFault::UnexpectedTrap`]).
 
-use njc_ir::{AccessKind, CheckId, ExceptionKind, Type};
+use njc_ir::{AccessKind, CheckId, ExceptionKind, Observation, Value};
 
 /// Machine execution statistics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -139,38 +139,34 @@ impl std::fmt::Display for MachineFault {
 
 impl std::error::Error for MachineFault {}
 
-/// A typed observable value, compatible with `njc_vm::Value` semantics
-/// (compared bit-exactly for floats).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum MValue {
-    /// Integer.
-    Int(i64),
-    /// Float.
-    Float(f64),
-    /// Reference address.
-    Ref(u64),
-}
-
-impl MValue {
-    /// Reinterprets a raw 64-bit register or slot as a value of `ty`.
-    pub fn from_bits(bits: u64, ty: Type) -> MValue {
-        match ty {
-            Type::Int => MValue::Int(bits as i64),
-            Type::Float => MValue::Float(f64::from_bits(bits)),
-            Type::Ref => MValue::Ref(bits),
-        }
-    }
-}
-
-/// The observable outcome of a machine run.
+/// The observable outcome of a machine run: the channels the IR
+/// interpreter's `Outcome` reports, in the same form.
 #[derive(Clone, PartialEq, Debug)]
 pub struct MachineOutcome {
     /// Return value of the entry function.
-    pub result: Option<MValue>,
+    pub result: Option<Value>,
     /// Escaped exception, if any.
     pub exception: Option<ExceptionKind>,
     /// Observed values, in order.
-    pub trace: Vec<MValue>,
+    pub trace: Vec<Value>,
+    /// Every exception raised (caught or not), in order of origin, as
+    /// (kind, number of values observed before the raise).
+    pub events: Vec<(ExceptionKind, usize)>,
+    /// Digest of the final heap (`GuardedMemory::digest`).
+    pub heap_digest: u64,
     /// Statistics.
     pub stats: MachineStats,
+}
+
+impl<'a> From<&'a MachineOutcome> for Observation<'a> {
+    fn from(out: &'a MachineOutcome) -> Self {
+        Observation {
+            result: out.result,
+            exception: out.exception,
+            trace: (&out.trace[..]).into(),
+            events: (&out.events[..]).into(),
+            heap_digest: out.heap_digest,
+            missed_npes: out.stats.missed_npes,
+        }
+    }
 }

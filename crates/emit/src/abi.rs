@@ -16,7 +16,7 @@
 //!   exception raising, math library calls) is a `syscall` with the
 //!   service id in `eax` and operands in `edi`/`esi`/`rdx`.
 
-use njc_ir::{ExceptionKind, Intrinsic, Type};
+use njc_ir::{ExceptionKind, Intrinsic};
 
 /// Service id (`eax` at `syscall`): raise the exception whose tag is in
 /// `edi` (and, for [`EXC_TAG_USER`], whose code is in `rdx`).
@@ -74,24 +74,9 @@ pub fn exception_from_tag(tag: u32, code: i64) -> Option<ExceptionKind> {
     })
 }
 
-/// The numeric tag for a type (array element headers, observe calls).
-pub fn type_tag(ty: Type) -> u32 {
-    match ty {
-        Type::Int => 1,
-        Type::Float => 2,
-        Type::Ref => 3,
-    }
-}
-
-/// Inverse of [`type_tag`].
-pub fn type_from_tag(tag: u32) -> Option<Type> {
-    Some(match tag {
-        1 => Type::Int,
-        2 => Type::Float,
-        3 => Type::Ref,
-        _ => return None,
-    })
-}
+/// The numeric tag for a type (array element headers, observe calls) and
+/// its inverse: the heap layout's mapping, shared with the IR interpreter.
+pub use njc_trap::{type_from_tag, type_tag};
 
 /// The numeric tag for a math intrinsic.
 pub fn intrinsic_tag(op: Intrinsic) -> u32 {
@@ -136,9 +121,6 @@ mod tests {
                 Some(kind)
             );
         }
-        for ty in [Type::Int, Type::Float, Type::Ref] {
-            assert_eq!(type_from_tag(type_tag(ty)), Some(ty));
-        }
         for op in [
             Intrinsic::Exp,
             Intrinsic::Sqrt,
@@ -150,7 +132,6 @@ mod tests {
             assert_eq!(intrinsic_from_tag(intrinsic_tag(op)), Some(op));
         }
         assert_eq!(exception_from_tag(99, 0), None);
-        assert_eq!(type_from_tag(0), None);
         assert_eq!(intrinsic_from_tag(6), None);
     }
 }

@@ -7,9 +7,12 @@
 //! resolves hardware traps by **binary** exception-site lookup (the
 //! function-relative byte offset of the faulting instruction against
 //! `.njc.exctab`). Observable behaviour — result, escaped exception,
-//! observation trace, trap/check/missed-NPE counters — must match the IR
-//! interpreter (`njc-vm`) running the same optimized module; the difftest
-//! harness holds it to that.
+//! observation trace, exception events, final heap digest,
+//! trap/check/missed-NPE counters — must match the IR interpreter
+//! (`njc-vm`) running the same optimized module; the difftest harness
+//! holds it to that. Objects and arrays are allocated through the same
+//! `njc-trap` layout functions the IR interpreter uses, so the two heaps
+//! agree word for word.
 //!
 //! Each run decodes a straight line of code once. The first time
 //! execution reaches a pc, [`decode_one`] decodes from there up to and
@@ -35,8 +38,8 @@
 //! site lookup, trap capture, unwinding and faults.
 
 use njc_arch::Platform;
-use njc_codegen::{MValue, MachineFault, MachineOutcome, MachineStats};
-use njc_ir::{AccessKind, CheckId, ExceptionKind, Type};
+use njc_codegen::{MachineFault, MachineOutcome, MachineStats};
+use njc_ir::{AccessKind, CheckId, ClassId, ExceptionKind, Type, Value};
 use njc_trap::{GuardedMemory, HeapExhausted, MemoryError};
 
 use crate::abi;
@@ -299,7 +302,9 @@ struct Exec<'m> {
     code: Code,
     mem: GuardedMemory,
     stats: MachineStats,
-    trace: Vec<MValue>,
+    trace: Vec<Value>,
+    /// Every exception raised, as (kind, trace length at the raise).
+    events: Vec<(ExceptionKind, usize)>,
     fuel: u64,
     stack: Vec<u64>,
     /// Slot indices at or past this are a [`MachineFault::BadCode`]: no
@@ -412,13 +417,15 @@ impl<'m> ByteMachine<'m> {
         ret_ty: Option<Type>,
     ) -> MachineOutcome {
         let (result, exception) = match outcome {
-            None => (ret_ty.map(|t| MValue::from_bits(exec.regs.rax, t)), None),
+            None => (ret_ty.map(|t| Value::from_bits(exec.regs.rax, t)), None),
             Some(kind) => (None, Some(kind)),
         };
         MachineOutcome {
             result,
             exception,
             trace: exec.trace,
+            events: exec.events,
+            heap_digest: exec.mem.digest(),
             stats: exec.stats,
         }
     }
@@ -442,6 +449,7 @@ impl<'m> ByteMachine<'m> {
             mem: GuardedMemory::new(self.platform.trap),
             stats: MachineStats::default(),
             trace: Vec::new(),
+            events: Vec::new(),
             fuel: self.fuel,
             stack: Vec::new(),
             slot_ceiling: slot_ceiling(self.em),
@@ -834,10 +842,11 @@ impl Exec<'_> {
         }
     }
 
-    /// Unwinds `kind` raised at `pc`: to the handler that catches it, or
-    /// out of the entry frame.
+    /// Records the raise of `kind` at `pc` and unwinds it: to the handler
+    /// that catches it, or out of the entry frame.
     #[cold]
     fn unwind(&mut self, kind: ExceptionKind, mut pc: usize) -> Result<Resume, MachineFault> {
+        self.events.push((kind, self.trace.len()));
         loop {
             let f = &self.em.functions[self.fidx];
             let rel = (pc - f.text_off as usize) as u32;
@@ -894,38 +903,30 @@ impl Exec<'_> {
                 let Some(class) = self.em.classes.get(self.edi as usize) else {
                     return Err(self.bad_code(pc, format!("unemitted class id {}", self.edi)));
                 };
-                let addr = self
+                self.regs.rax = self
                     .mem
-                    .alloc(class.size.max(8))
+                    .alloc_object(ClassId(self.edi), class.size)
                     .map_err(|e| self.heap_exhausted(e))?;
-                self.mem
-                    .write_u64(addr, u64::from(self.edi) + 1)
-                    .expect("fresh allocation");
-                self.regs.rax = addr;
             }
             abi::SVC_NEWARR => {
+                let Some(elem) = abi::type_from_tag(self.edi) else {
+                    return Err(self.bad_code(pc, format!("unemitted type tag {}", self.edi)));
+                };
                 let l = self.read_slot(self.esi) as i64;
                 if l < 0 {
                     return self.unwind(ExceptionKind::NegativeArraySize, pc);
                 }
-                let addr = self
+                self.regs.rax = self
                     .mem
-                    .alloc_slots(16, l as u64)
+                    .alloc_array(elem, l as u64)
                     .map_err(|e| self.heap_exhausted(e))?;
-                self.mem
-                    .write_u64(addr, l as u64)
-                    .expect("fresh allocation");
-                self.mem
-                    .write_u64(addr + 8, u64::from(self.edi))
-                    .expect("fresh allocation");
-                self.regs.rax = addr;
             }
             abi::SVC_OBSERVE => {
                 let Some(ty) = abi::type_from_tag(self.edi) else {
                     return Err(self.bad_code(pc, format!("unemitted type tag {}", self.edi)));
                 };
                 let bits = self.read_slot(self.esi);
-                self.trace.push(MValue::from_bits(bits, ty));
+                self.trace.push(Value::from_bits(bits, ty));
             }
             abi::SVC_MATH => {
                 let Some(op) = abi::intrinsic_from_tag(self.edi) else {
@@ -947,10 +948,8 @@ impl Exec<'_> {
                 let Some(method) = self.em.method_names.get(self.edi as usize) else {
                     return Err(self.bad_code(pc, format!("unemitted method id {}", self.edi)));
                 };
-                let class = match self.regs.rdx {
-                    0 => None,
-                    t => self.em.classes.get((t - 1) as usize),
-                };
+                let class = njc_trap::class_from_header(self.regs.rdx)
+                    .and_then(|c| self.em.classes.get(c.index()));
                 let callee = class.and_then(|c| {
                     c.methods
                         .binary_search_by_key(&self.edi, |(mid, _)| *mid)
@@ -1198,10 +1197,11 @@ mod tests {
         let vm = njc_vm::run_module(&m, platform, "main", &[]).unwrap();
         let em = emit_module(&lower_module(&m), 1);
         let out = ByteMachine::new(&em, platform).run("main").unwrap();
-        assert_eq!(out.result, Some(MValue::Int(42)));
-        assert_eq!(vm.result, Some(njc_vm::Value::Int(42)));
+        assert_eq!(out.result, Some(Value::Int(42)));
+        assert_eq!(vm.result, out.result);
         assert_eq!(out.exception, vm.exception);
         assert!(out.trace.is_empty() && vm.trace.is_empty());
+        assert_eq!(out.heap_digest, vm.heap_digest, "one heap layout");
         assert_eq!(out.stats.traps_taken, vm.stats.traps_taken);
         assert_eq!(
             out.stats.explicit_null_checks,

@@ -43,8 +43,10 @@ pub mod dom;
 pub mod function;
 pub mod inst;
 pub mod module;
+pub mod observation;
 pub mod parse;
 pub mod types;
+pub mod value;
 pub mod verify;
 
 pub use block::{BasicBlock, Terminator};
@@ -56,6 +58,8 @@ pub use inst::{
     AccessKind, CallTarget, Cond, ExceptionKind, Inst, Intrinsic, NullCheckKind, Op, SlotAccess,
 };
 pub use module::{Class, ClassId, Field, FieldId, FunctionId, Module};
+pub use observation::Observation;
 pub use parse::{parse_function, ParseError};
 pub use types::{BlockId, CheckId, ConstValue, TryRegionId, Type, VarId};
+pub use value::{Mismatch, Value};
 pub use verify::{verify, verify_module, VerifyError};

@@ -284,9 +284,14 @@ impl Module {
         self.function_names.get(name).copied()
     }
 
-    /// Resolves a virtual `method` on dynamic class `class`.
+    /// Resolves a virtual `method` on dynamic class `class` (`None` also
+    /// for a class the module does not have).
     pub fn resolve_virtual(&self, class: ClassId, method: &str) -> Option<FunctionId> {
-        self.classes[class.index()].methods.get(method).copied()
+        self.classes
+            .get(class.index())?
+            .methods
+            .get(method)
+            .copied()
     }
 
     /// Returns every implementation of `method` across all classes — used by

@@ -1,10 +1,20 @@
-//! Runtime values.
+//! Runtime values: what every executor computes in and reports.
+//!
+//! The IR interpreter (`njc-vm`) keeps its operands as [`Value`]s and the
+//! byte machine (`njc-emit`) reinterprets raw register and slot bits as
+//! one ([`Value::from_bits`]), so a run's result and observation trace
+//! compare across executors with plain `==`.
 
-use njc_ir::Type;
+use crate::Type;
 
 /// A runtime value: 64-bit integer, 64-bit float, or reference (an address
 /// in the guarded memory; `Ref(0)` is `null`).
-#[derive(Clone, Copy, PartialEq, Debug)]
+///
+/// Equality is bit-exact: floats compare by their bits, so `NaN` equals
+/// the same `NaN` and `0.0` differs from `-0.0`. Equality exists to
+/// compare what runs observed; program float comparisons go through
+/// `f64` operators, never through it.
+#[derive(Clone, Copy, Debug)]
 pub enum Value {
     /// Integer.
     Int(i64),
@@ -14,8 +24,23 @@ pub enum Value {
     Ref(u64),
 }
 
+impl PartialEq for Value {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Ref(a), Value::Ref(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Value {}
+
 impl Value {
     /// The zero/default value of a type (Java default initialization).
+    #[inline]
     pub fn default_of(ty: Type) -> Value {
         match ty {
             Type::Int => Value::Int(0),
@@ -29,6 +54,7 @@ impl Value {
     /// # Panics
     /// Panics when the value is not an [`Value::Int`] — the verifier makes
     /// this unreachable for verified functions.
+    #[inline]
     pub fn as_int(self) -> i64 {
         match self {
             Value::Int(v) => v,
@@ -40,6 +66,7 @@ impl Value {
     ///
     /// # Panics
     /// Panics when the value is not a [`Value::Float`].
+    #[inline]
     pub fn as_float(self) -> f64 {
         match self {
             Value::Float(v) => v,
@@ -51,6 +78,7 @@ impl Value {
     ///
     /// # Panics
     /// Panics when the value is not a [`Value::Ref`].
+    #[inline]
     pub fn as_ref_addr(self) -> u64 {
         match self {
             Value::Ref(a) => a,
@@ -66,6 +94,7 @@ impl Value {
     ///
     /// # Errors
     /// The mismatched value, rendered only when the fault is reported.
+    #[inline]
     pub fn try_int(self) -> Result<i64, Mismatch> {
         match self {
             Value::Int(v) => Ok(v),
@@ -80,6 +109,7 @@ impl Value {
     ///
     /// # Errors
     /// See [`Self::try_int`].
+    #[inline]
     pub fn try_float(self) -> Result<f64, Mismatch> {
         match self {
             Value::Float(v) => Ok(v),
@@ -94,6 +124,7 @@ impl Value {
     ///
     /// # Errors
     /// See [`Self::try_int`].
+    #[inline]
     pub fn try_ref_addr(self) -> Result<u64, Mismatch> {
         match self {
             Value::Ref(a) => Ok(a),
@@ -105,11 +136,13 @@ impl Value {
     }
 
     /// Whether this is the null reference.
+    #[inline]
     pub fn is_null(self) -> bool {
         matches!(self, Value::Ref(0))
     }
 
     /// Encodes to a raw memory word.
+    #[inline]
     pub fn to_bits(self) -> u64 {
         match self {
             Value::Int(v) => v as u64,
@@ -119,6 +152,7 @@ impl Value {
     }
 
     /// Decodes from a raw memory word, given the static slot type.
+    #[inline]
     pub fn from_bits(bits: u64, ty: Type) -> Value {
         match ty {
             Type::Int => Value::Int(bits as i64),
@@ -132,7 +166,7 @@ impl Value {
 /// value it found. `Copy` and allocation-free, so the checked operand path
 /// costs a tag compare; [`Display`](std::fmt::Display) renders the
 /// `IllTyped` detail (`expected int, got Float(1.0)`) on the cold path only.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Mismatch {
     /// The kind the instruction required.
     pub expected: Type,
@@ -166,6 +200,14 @@ mod tests {
         ] {
             assert_eq!(Value::from_bits(v.to_bits(), ty), v);
         }
+    }
+
+    #[test]
+    fn equality_is_bit_exact() {
+        assert_eq!(Value::Float(f64::NAN), Value::Float(f64::NAN));
+        assert_ne!(Value::Float(0.0), Value::Float(-0.0));
+        assert_ne!(Value::Int(0), Value::Ref(0));
+        assert_ne!(Value::Int(1), Value::Float(f64::from_bits(1)));
     }
 
     #[test]

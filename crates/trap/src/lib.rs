@@ -24,6 +24,16 @@
 //!   [`MemoryError::WildAccess`] so tests can detect the corruption a real
 //!   system would suffer.
 //!
+//! The heap's object and array layout lives here too
+//! ([`GuardedMemory::alloc_object`], [`GuardedMemory::alloc_array`]), so
+//! the IR interpreter (`njc-vm`) and the byte machine (`njc-emit`) write
+//! every header through the same two functions:
+//!
+//! ```text
+//! object:  [class id + 1][field at offset 8][field at 16]...
+//! array:   [length      ][elem type tag    ][elem 0 at 16][elem 1]...
+//! ```
+//!
 //! **Substitution note** (see DESIGN.md §5): a production JIT would install
 //! a real `SIGSEGV` handler. Signal handlers are process-global and
 //! interfere with test harnesses, so this simulated MMU exercises the same
@@ -33,7 +43,8 @@
 use std::fmt;
 
 use njc_arch::TrapModel;
-use njc_ir::AccessKind;
+use njc_ir::module::ARRAY_ELEMENTS_OFFSET;
+use njc_ir::{AccessKind, ClassId, Type};
 
 /// A hardware trap raised by a guarded access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -131,6 +142,38 @@ impl fmt::Display for HeapExhausted {
 }
 
 impl std::error::Error for HeapExhausted {}
+
+/// The numeric tag of a type: the array header's element tag, and the
+/// type operand the emitted code passes to the runtime services.
+#[inline]
+pub fn type_tag(ty: Type) -> u32 {
+    match ty {
+        Type::Int => 1,
+        Type::Float => 2,
+        Type::Ref => 3,
+    }
+}
+
+/// Inverse of [`type_tag`].
+#[inline]
+pub fn type_from_tag(tag: u32) -> Option<Type> {
+    Some(match tag {
+        1 => Type::Int,
+        2 => Type::Float,
+        3 => Type::Ref,
+        _ => return None,
+    })
+}
+
+/// The class an object header word names: the header holds the class id
+/// plus one, so a zero word (a silent read of the guard page) names none,
+/// and neither does a word no class id fits (a header read of something
+/// that is not an object).
+#[inline]
+pub fn class_from_header(word: u64) -> Option<ClassId> {
+    let id = u32::try_from(word.checked_sub(1)?).ok()?;
+    Some(ClassId(id))
+}
 
 /// Counters describing trap traffic, exposed for the experiment harness.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -259,6 +302,43 @@ impl GuardedMemory {
         }
     }
 
+    /// Allocates a zeroed object of `size` bytes (at least one slot) whose
+    /// header word holds `class`'s id plus one — the word a virtual call
+    /// reads to dispatch. Returns its address.
+    ///
+    /// # Errors
+    /// [`HeapExhausted`] past the ceiling.
+    #[inline]
+    pub fn alloc_object(&mut self, class: ClassId, size: u64) -> Result<u64, HeapExhausted> {
+        let addr = self.alloc(size.max(8))?;
+        self.put(addr, class.index() as u64 + 1);
+        Ok(addr)
+    }
+
+    /// Allocates a zeroed array of `len` elements of type `elem`: the
+    /// length at offset 0 (where bounds checks read it), the element
+    /// [`type_tag`] at 8, elements from `ARRAY_ELEMENTS_OFFSET`. Returns
+    /// its address.
+    ///
+    /// # Errors
+    /// [`HeapExhausted`] when the array's byte size overflows 64 bits or
+    /// exceeds the ceiling.
+    #[inline]
+    pub fn alloc_array(&mut self, elem: Type, len: u64) -> Result<u64, HeapExhausted> {
+        let addr = self.alloc_slots(ARRAY_ELEMENTS_OFFSET, len)?;
+        self.put(addr, len);
+        self.put(addr + 8, u64::from(type_tag(elem)));
+        Ok(addr)
+    }
+
+    /// Writes a header word of a fresh allocation, which lies above the
+    /// guard region and so needs no trap classification.
+    #[inline]
+    fn put(&mut self, addr: u64, value: u64) {
+        let i = addr as usize;
+        self.data[i..i + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
     /// Total bytes currently allocated (including the guard region).
     pub fn footprint(&self) -> u64 {
         self.brk
@@ -270,22 +350,31 @@ impl GuardedMemory {
         self.model.trap_area_bytes.max(MIN_HEAP_BASE)
     }
 
-    /// FNV-1a digest of the allocated heap contents (from [`Self::heap_base`]
-    /// to the break), folding in the break itself so that runs differing only
+    /// Digest of the allocated heap contents (from [`Self::heap_base`] to
+    /// the break), folding in the break itself so that runs differing only
     /// in footprint also differ in digest. The guard region is excluded: it
     /// is zero by construction (silent writes are discarded), so including it
     /// would only dilute the digest.
+    ///
+    /// The heap is hashed a word at a time: rotate, xor the word, multiply
+    /// by an odd constant. Each step is a bijection of the running hash, so
+    /// two heaps that differ in a single word always digest differently;
+    /// the rotation carries high-bit differences (a float's sign) down, so
+    /// they do not cancel pairwise.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        for &b in &self.data[self.heap_base() as usize..self.brk as usize] {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+        const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+        let step = |h: u64, w: u64| (h.rotate_left(23) ^ w).wrapping_mul(MUL);
+        let heap = &self.data[self.heap_base() as usize..self.brk as usize];
+        let mut words = heap.chunks_exact(8);
+        let mut h = SEED;
+        for w in &mut words {
+            h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
         }
-        for b in self.brk.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        for &b in words.remainder() {
+            h = step(h, u64::from(b));
         }
-        h
+        step(h, self.brk)
     }
 
     fn classify(&mut self, addr: u64, kind: AccessKind) -> Result<bool, MemoryError> {
@@ -354,8 +443,7 @@ impl GuardedMemory {
             // behave like a zero page.
             return Ok(());
         }
-        let i = addr as usize;
-        self.data[i..i + 8].copy_from_slice(&value.to_le_bytes());
+        self.put(addr, value);
         Ok(())
     }
 
@@ -491,6 +579,38 @@ mod tests {
         let d = aix.digest();
         aix.write_u64(8, 99).unwrap();
         assert_eq!(aix.digest(), d);
+    }
+
+    #[test]
+    fn digest_sees_paired_sign_flips() {
+        let mut m = GuardedMemory::new(TrapModel::windows_ia32());
+        let a = m.alloc(16).unwrap();
+        m.write_u64(a, 1.5f64.to_bits()).unwrap();
+        m.write_u64(a + 8, 2.5f64.to_bits()).unwrap();
+        let d = m.digest();
+        m.write_u64(a, (-1.5f64).to_bits()).unwrap();
+        m.write_u64(a + 8, (-2.5f64).to_bits()).unwrap();
+        assert_ne!(m.digest(), d, "two high-bit differences do not cancel");
+    }
+
+    #[test]
+    fn headers_follow_the_layout() {
+        let mut m = GuardedMemory::new(TrapModel::windows_ia32());
+        let obj = m.alloc_object(ClassId::new(2), 4).unwrap();
+        assert_eq!(m.read_u64(obj).unwrap().value, 3, "class id + 1");
+        assert_eq!(class_from_header(3), Some(ClassId::new(2)));
+        let arr = m.alloc_array(Type::Float, 5).unwrap();
+        assert_eq!(arr, obj + 8, "an object takes at least one slot");
+        assert_eq!(m.read_u64(arr).unwrap().value, 5);
+        assert_eq!(m.read_u64(arr + 8).unwrap().value, 2);
+        assert_eq!(m.footprint(), arr + ARRAY_ELEMENTS_OFFSET + 5 * 8);
+        for ty in [Type::Int, Type::Float, Type::Ref] {
+            assert_eq!(type_from_tag(type_tag(ty)), Some(ty));
+        }
+        assert_eq!(type_from_tag(0), None);
+        assert_eq!(class_from_header(0), None, "a guard-page read");
+        assert_eq!(class_from_header(u64::MAX), None, "no class id fits");
+        assert_eq!(m.stats(), TrapStats::default(), "headers never trap");
     }
 
     #[test]

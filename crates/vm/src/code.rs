@@ -16,10 +16,8 @@ use std::sync::Arc;
 use njc_arch::Platform;
 use njc_ir::{
     BlockId, CallTarget, Cond, ConstValue, ExceptionKind, Function, Inst, Intrinsic, Module,
-    NullCheckKind, Terminator, Type, VarId,
+    NullCheckKind, Terminator, Type, Value, VarId,
 };
-
-use crate::value::Value;
 
 /// The "no variable" slot: a void return, or a call whose result is
 /// dropped. Also the pc of a branch to a block the function does not have,

@@ -1,11 +1,11 @@
-//! Object and array layout over the guarded memory.
+//! Object and array allocation over the guarded memory.
 //!
-//! Layout (all slots 8 bytes):
-//!
-//! ```text
-//! object:  [class id][field at offset 8][field at 16]...
-//! array:   [length  ][elem type tag    ][elem 0 at 16][elem 1]...
-//! ```
+//! The layout itself — which header word holds what, where array
+//! elements start, the element type tags — lives in `njc-trap`
+//! ([`GuardedMemory::alloc_object`], [`GuardedMemory::alloc_array`],
+//! [`njc_trap::class_from_header`]), which the byte machine allocates
+//! through too. This module adds the VM's allocation counters, its
+//! element addressing and its header read ([`Heap::class_of`]).
 //!
 //! The header word at offset 0 doubles as the "method table pointer": a
 //! virtual call reads it to dispatch, which is why a virtual call is a
@@ -18,15 +18,6 @@ use njc_arch::TrapModel;
 use njc_ir::module::ARRAY_ELEMENTS_OFFSET;
 use njc_ir::{AccessKind, ClassId, Module, Type};
 use njc_trap::{GuardedMemory, HardwareTrap, HeapExhausted, MemoryError};
-
-/// Element type tags stored in the array header's second word.
-fn type_tag(ty: Type) -> u64 {
-    match ty {
-        Type::Int => 1,
-        Type::Float => 2,
-        Type::Ref => 3,
-    }
-}
 
 /// Heap helpers over a [`GuardedMemory`].
 #[derive(Debug)]
@@ -55,12 +46,9 @@ impl Heap {
     ///
     /// # Errors
     /// [`HeapExhausted`] past the memory's ceiling.
+    #[inline]
     pub fn alloc_object(&mut self, module: &Module, class: ClassId) -> Result<u64, HeapExhausted> {
-        let size = module.class(class).size.max(8);
-        let addr = self.mem.alloc(size)?;
-        self.mem
-            .write_u64(addr, class.index() as u64 + 1)
-            .expect("fresh allocation is writable");
+        let addr = self.mem.alloc_object(class, module.class(class).size)?;
         self.objects_allocated += 1;
         Ok(addr)
     }
@@ -70,14 +58,9 @@ impl Heap {
     /// # Errors
     /// [`HeapExhausted`] when the array's byte size overflows 64 bits or
     /// exceeds the memory's ceiling.
+    #[inline]
     pub fn alloc_array(&mut self, elem: Type, len: u64) -> Result<u64, HeapExhausted> {
-        let addr = self.mem.alloc_slots(ARRAY_ELEMENTS_OFFSET, len)?;
-        self.mem
-            .write_u64(addr, len)
-            .expect("fresh allocation is writable");
-        self.mem
-            .write_u64(addr + 8, type_tag(elem))
-            .expect("fresh allocation is writable");
+        let addr = self.mem.alloc_array(elem, len)?;
         self.arrays_allocated += 1;
         Ok(addr)
     }
@@ -89,10 +72,10 @@ impl Heap {
     /// whether a trap is a legal implicit null check).
     pub fn class_of(&mut self, addr: u64) -> Result<Option<ClassId>, MemoryError> {
         let word = self.mem.read_u64(addr)?;
-        if word.from_guard || word.value == 0 {
+        if word.from_guard {
             return Ok(None);
         }
-        Ok(Some(ClassId::new((word.value - 1) as usize)))
+        Ok(njc_trap::class_from_header(word.value))
     }
 
     /// Element slot address, computed with wrapping arithmetic.

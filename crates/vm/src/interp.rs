@@ -25,14 +25,14 @@ use std::sync::{Arc, Mutex};
 
 use njc_arch::Platform;
 use njc_ir::{
-    AccessKind, BlockId, ClassId, Cond, ExceptionKind, Function, FunctionId, Module, Type, VarId,
+    AccessKind, BlockId, ClassId, Cond, ExceptionKind, Function, FunctionId, Module, Observation,
+    Type, Value, VarId,
 };
 use njc_recover::{RecoveryCounts, RecoveryPolicy, RecoveryStrategy, ResumePoint};
 use njc_trap::{GuardedMemory, HeapExhausted, MemoryError};
 
 use crate::code::{Body, Code, Op, NONE};
 use crate::heap::Heap;
-use crate::value::Value;
 
 /// Interpreter limits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -504,42 +504,36 @@ impl PartialEq for Outcome {
     }
 }
 
+impl<'a> From<&'a Outcome> for Observation<'a> {
+    fn from(out: &'a Outcome) -> Self {
+        Observation {
+            result: out.result,
+            exception: out.exception,
+            trace: (&out.trace[..]).into(),
+            events: out.events.iter().map(|e| (e.kind, e.at_trace)).collect(),
+            heap_digest: out.heap_digest,
+            missed_npes: out.stats.missed_npes,
+        }
+    }
+}
+
 impl Outcome {
-    /// Checks observational equivalence with another outcome (result,
-    /// escaped exception, and observation trace — statistics are expected
-    /// to differ).
+    /// Checks observational equivalence with another outcome on three
+    /// [`Observation`] channels: result, escaped exception, and
+    /// observation trace (statistics are expected to differ).
     ///
     /// # Errors
-    /// Returns a description of the first difference.
+    /// The first difference, as [`Observation::mismatch`] renders it.
     pub fn assert_equivalent(&self, other: &Outcome) -> Result<(), String> {
-        if self.exception != other.exception {
-            return Err(format!(
-                "exception mismatch: {:?} vs {:?}",
-                self.exception, other.exception
-            ));
+        fn visible(o: &Outcome) -> Observation<'_> {
+            Observation {
+                result: o.result,
+                exception: o.exception,
+                trace: (&o.trace[..]).into(),
+                ..Observation::default()
+            }
         }
-        if self.result != other.result {
-            return Err(format!(
-                "result mismatch: {:?} vs {:?}",
-                self.result, other.result
-            ));
-        }
-        if self.trace != other.trace {
-            let i = self
-                .trace
-                .iter()
-                .zip(&other.trace)
-                .position(|(a, b)| a != b)
-                .unwrap_or(self.trace.len().min(other.trace.len()));
-            return Err(format!(
-                "trace mismatch at index {i}: {:?} vs {:?} (lengths {} vs {})",
-                self.trace.get(i),
-                other.trace.get(i),
-                self.trace.len(),
-                other.trace.len()
-            ));
-        }
-        Ok(())
+        visible(self).mismatch(&visible(other)).map_or(Ok(()), Err)
     }
 }
 
@@ -1352,12 +1346,9 @@ impl<'m> Vm<'m> {
                         let bad = || Fault::BadDispatch {
                             method: method.clone(),
                         };
-                        if bits == 0 {
-                            // A silently-read null method table: the jump
-                            // goes into the weeds.
-                            return Err(bad());
-                        }
-                        let class = ClassId::new((bits - 1) as usize);
+                        // A silently-read null method table names no
+                        // class: the jump goes into the weeds.
+                        let class = njc_trap::class_from_header(bits).ok_or_else(bad)?;
                         let callee = st.module.resolve_virtual(class, method).ok_or_else(bad)?;
                         break 'op Flow::Call {
                             callee: callee.0,

@@ -25,14 +25,13 @@
 mod code;
 pub mod heap;
 pub mod interp;
-pub mod value;
 
 pub use heap::Heap;
 pub use interp::{
     run_module, ExceptionEvent, Fault, Outcome, ProfileSnapshot, RunStats, RuntimeHooks,
     SiteCounters, Vm, VmConfig, VmError,
 };
-pub use value::{Mismatch, Value};
+pub use njc_ir::{Mismatch, Value};
 
 #[cfg(test)]
 mod tests {
@@ -253,6 +252,27 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_through_a_non_object_is_a_fault_not_a_panic() {
+        // An array's header word is its length, 5: as a receiver's header
+        // it names class 4, which the module does not have.
+        let mut m = Module::new("t");
+        let a = m.add_class("A", &[]);
+        m.add_method(
+            a,
+            "get",
+            parse_function("func A_get(v0: ref) -> int instance {\n  locals v1: int\nbb0:\n  v1 = const 1\n  return v1\n}").unwrap(),
+        );
+        m.add_function(
+            parse_function(
+                "func main() -> int {\n  locals v0: int v1: ref v2: int\nbb0:\n  v0 = const 5\n  v1 = newarray int, v0\n  nullcheck v1\n  v2 = vcall class0.get(v1;)\n  return v2\n}",
+            )
+            .unwrap(),
+        );
+        let run = std::panic::catch_unwind(|| run_module(&m, win(), "main", &[]));
+        assert!(matches!(run, Ok(Err(Fault::BadDispatch { .. }))), "{run:?}");
+    }
+
+    #[test]
     fn virtual_call_on_null_with_site_throws() {
         let mut m = Module::new("t");
         let a = m.add_class("A", &[]);
@@ -372,7 +392,10 @@ mod tests {
         assert!(a.assert_equivalent(&b).is_ok());
         b.trace[1] = Value::Int(3);
         let err = a.assert_equivalent(&b).unwrap_err();
-        assert!(err.contains("trace mismatch at index 1"), "{err}");
+        assert!(
+            err.starts_with("trace[1] Some(Int(2)) vs Some(Int(3))"),
+            "{err}"
+        );
     }
 
     /// `helper` (fn0) doubles its argument; `main` calls it `v0` times,

@@ -1,10 +1,12 @@
 //! Differential testing of the machine-code path: every workload is
 //! lowered, emitted to real x86-64 bytes, and executed by the byte
 //! machine, which must agree with the IR interpreter — the semantic
-//! reference — on every observable (result, exception, trace, explicit
-//! checks, traps, missed NPEs) for every platform trap model and
-//! optimization configuration. The comparison is the difftest harness's
-//! own `+bytes` oracle ([`byte_mismatch`]).
+//! reference — on every observable (result, exception, trace, exception
+//! events, final heap digest, explicit checks, traps, missed NPEs) for
+//! every platform trap model and optimization configuration. The
+//! comparison is the difftest harness's own `+bytes` oracle
+//! ([`byte_mismatch`]); a patched class id pins that it sees the final
+//! heap.
 //!
 //! The site-table tests pin the binary exception-site lookup itself: traps
 //! dispatch through `.njc.exctab`, a stripped table turns the first trap
@@ -20,12 +22,12 @@
 
 use njc_arch::Platform;
 use njc_bench::difftest::{byte_mismatch, byte_verdict, ByteVerdict};
-use njc_codegen::{lower_module, MValue, MachineFault, MachineOutcome};
+use njc_codegen::{lower_module, MachineFault, MachineOutcome};
 use njc_emit::decode::Imm32Reg;
 use njc_emit::{
     decode_one, emit_module, parse_elf, verify_module, write_elf, ByteMachine, Dec, EmittedModule,
 };
-use njc_ir::{FuncBuilder, Inst, Module, Type};
+use njc_ir::{FuncBuilder, Inst, Module, Type, Value};
 use njc_jit::compile;
 use njc_opt::ConfigKind;
 use njc_vm::Vm;
@@ -154,6 +156,12 @@ fn machine_traps_dispatch_through_the_site_table() {
         "NPEs must arrive via hardware traps: {:?}",
         out.stats
     );
+    // The handlers catch them, and the bytes record each as the VM does.
+    let vm = Vm::new(&module, p).run("main", &[]).unwrap();
+    let events: Vec<_> = vm.events.iter().map(|e| (e.kind, e.at_trace)).collect();
+    assert_eq!(out.exception, None);
+    assert!(!out.events.is_empty());
+    assert_eq!(out.events, events);
 }
 
 #[test]
@@ -301,7 +309,7 @@ fn wrapping_index_is_the_known_vm_binary_gap() {
         );
     }
     let aix = ByteMachine::new(&em, Platform::aix_ppc()).run("main");
-    assert_eq!(aix.unwrap().result, Some(MValue::Int(0)));
+    assert_eq!(aix.unwrap().result, Some(Value::Int(0)));
 }
 
 fn workload(name: &str) -> Workload {
@@ -557,7 +565,7 @@ fn corrupted_bytes_fault_only_when_reached() {
     let clean = emit(&m);
     let p = Platform::windows_ia32();
     let expected = ByteMachine::new(&clean, p).run("main").unwrap();
-    assert_eq!(expected.result, Some(MValue::Int(3)));
+    assert_eq!(expected.result, Some(Value::Int(3)));
     let main = sweep(&clean, "main");
     let jmp = main
         .iter()
@@ -587,4 +595,63 @@ fn corrupted_bytes_fault_only_when_reached() {
             .run("main"),
         Err(MachineFault::OutOfFuel)
     );
+}
+
+/// `main` allocates a `C` and a float array and reads nothing back; `D`
+/// has `C`'s size.
+fn two_equal_classes() -> Module {
+    let mut m = Module::new("two_classes");
+    let c = m.add_class("C", &[("x", Type::Int)]);
+    m.add_class("D", &[("y", Type::Int)]);
+    let mut b = FuncBuilder::new("main", &[], Type::Int);
+    let _ = b.new_object(c);
+    let k = b.iconst(5);
+    let _ = b.new_array(Type::Float, k);
+    b.observe(k);
+    b.ret(Some(k));
+    m.add_function(b.finish());
+    m
+}
+
+#[test]
+fn byte_oracle_compares_the_final_heap() {
+    // Patch the class-id immediate of `new C` to `D`'s: the object's
+    // header word is the only thing that changes, so only the heap
+    // digest can tell the patched bytes from the VM.
+    let m = two_equal_classes();
+    let clean = emit(&m);
+    let p = Platform::windows_ia32();
+    assert_agree("two_classes", &m, &clean, &p);
+    let main = sweep(&clean, "main");
+    let edi = |imm| Dec::MovImm32 {
+        reg: Imm32Reg::Edi,
+        imm,
+    };
+    let svc = Dec::MovImm32 {
+        reg: Imm32Reg::Eax,
+        imm: njc_emit::abi::SVC_NEWOBJ,
+    };
+    let i = main
+        .iter()
+        .position(|&(_, d)| d == svc)
+        .expect("main allocates");
+    assert_eq!(main[i - 1].1, edi(0), "the class id of `C`");
+    let pc = main[i - 1].0;
+    let mut patched = clean.clone();
+    patched.text[pc + 1..pc + 5].copy_from_slice(&1u32.to_le_bytes());
+    let vm = Vm::new(&m, p).run("main", &[]);
+    let bytes = ByteMachine::new(&patched, p).run("main");
+    let (v, b) = (vm.as_ref().unwrap(), bytes.as_ref().unwrap());
+    assert_eq!((v.result, &v.trace), (b.result, &b.trace));
+    let detail = byte_mismatch(&vm, &bytes).expect("a different heap is a mismatch");
+    assert!(detail.starts_with("heap digest"), "{detail}");
+
+    // An element type tag outside the layout's mapping is bad code.
+    let (pc, _) = *main
+        .iter()
+        .find(|&&(_, d)| d == edi(2))
+        .expect("a float array");
+    let mut patched = clean.clone();
+    patched.text[pc + 1..pc + 5].copy_from_slice(&9u32.to_le_bytes());
+    assert!(bad_code(&patched).contains("unemitted type tag 9"));
 }

@@ -106,6 +106,21 @@ fn runs_are_deterministic() {
 }
 
 #[test]
+fn a_nan_returning_run_equals_itself() {
+    // Outcomes compare values bit-exactly: the same NaN is the same
+    // observation, and the two zeros are different ones.
+    let m = module_with(&[
+        "func main() -> float {\n  locals v0: float v1: float\nbb0:\n  v0 = const 0.0\n  v1 = div.float v0, v0\n  observe v1\n  return v1\n}",
+    ]);
+    let first = run_module(&m, win(), "main", &[]).unwrap();
+    let second = run_module(&m, win(), "main", &[]).unwrap();
+    assert!(matches!(first.result, Some(Value::Float(f)) if f.is_nan()));
+    assert_eq!(first.assert_equivalent(&second), Ok(()));
+    assert_eq!(first, second);
+    assert_ne!(Value::Float(0.0), Value::Float(-0.0));
+}
+
+#[test]
 fn ppc_run_costs_more_wall_cycles_at_lower_clock() {
     // Same workload, same explicit-check counts under the no-opt config:
     // the PPC's cheaper explicit check must show up in the cycle totals.
