@@ -92,6 +92,7 @@ impl TrapModel {
     /// Whether an access at a *runtime* effective offset would actually
     /// fault on this platform — the VM's ground truth, as opposed to the
     /// compiler-facing guarantee of [`Self::access_traps`].
+    #[inline]
     pub fn runtime_faults(&self, kind: AccessKind, effective_offset: u64) -> bool {
         if effective_offset >= self.trap_area_bytes {
             return false;
@@ -105,6 +106,7 @@ impl TrapModel {
     /// Whether `addr` lies inside the protected area at address zero — the
     /// region where a null-base access produces a guard-page fault rather
     /// than touching mapped memory.
+    #[inline]
     pub fn protects(&self, addr: u64) -> bool {
         addr < self.trap_area_bytes
     }

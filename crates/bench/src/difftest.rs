@@ -691,9 +691,13 @@ fn diff_program(
     // column per interproc-enabled configuration, then one per
     // gvn-enabled configuration.
     let mut verdicts: Vec<Vec<Verdict>> = Vec::new();
+    // compiled[p][k]: `module` optimized for platform `p` under `kinds[k]`,
+    // shared by the row cell, the `+bytes` column and the recovery columns.
+    let mut compiled: Vec<Vec<Module>> = Vec::new();
     for platform in &plats {
         let mut row = Vec::new();
         row.push(run_cell(module, platform, cfg, None));
+        let mut modules = Vec::new();
         if !vm_only {
             for kind in kinds {
                 let w = Workload {
@@ -703,8 +707,9 @@ fn diff_program(
                     entry: "main",
                     work_units: 1,
                 };
-                let compiled = njc_jit::compile(&w, platform, *kind);
-                row.push(run_cell(&compiled.module, platform, cfg, None));
+                let m = njc_jit::compile(&w, platform, *kind).module;
+                row.push(run_cell(&m, platform, cfg, None));
+                modules.push(m);
             }
             for kind in &ikinds {
                 let w = Workload {
@@ -738,6 +743,7 @@ fn diff_program(
             }
         }
         verdicts.push(row);
+        compiled.push(modules);
     }
     let config_label = |c: usize| -> String {
         if c == 0 {
@@ -820,19 +826,11 @@ fn diff_program(
     // `--legacy-addressing` says for the other columns; the known
     // wrapping-address gap is counted, not gated.
     if !vm_only {
-        for platform in &plats {
-            for kind in kinds {
-                let w = Workload {
-                    name: "difftest",
-                    suite: Suite::Micro,
-                    module: module.clone(),
-                    entry: "main",
-                    work_units: 1,
-                };
-                let compiled = njc_jit::compile(&w, platform, *kind);
+        for (platform, modules) in plats.iter().zip(&compiled) {
+            for (kind, m) in kinds.iter().zip(modules) {
                 let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    let em = emit_module(&lower_module(&compiled.module), 1);
-                    byte_verdict(&compiled.module, &em, platform)
+                    let em = emit_module(&lower_module(m), 1);
+                    byte_verdict(m, &em, platform)
                 }));
                 out.cells += 1;
                 out.byte_cells += 1;
@@ -878,21 +876,13 @@ fn diff_program(
                 if matches!(base, Verdict::Panicked) {
                     continue; // already reported above
                 }
-                let w = Workload {
-                    name: "difftest",
-                    suite: Suite::Micro,
-                    module: module.clone(),
-                    entry: "main",
-                    work_units: 1,
-                };
-                let compiled = njc_jit::compile(&w, platform, *kind);
                 for strategy in [
                     RecoveryStrategy::Strict,
                     RecoveryStrategy::NullObject,
                     RecoveryStrategy::SkipEffect,
                 ] {
                     let policy = RecoveryPolicy::uniform(strategy);
-                    let v = run_cell(&compiled.module, platform, cfg, Some(&policy));
+                    let v = run_cell(&compiled[p][k], platform, cfg, Some(&policy));
                     out.cells += 1;
                     out.recovery_cells += 1;
                     let label = format!("{kind:?}+recover:{strategy}");

@@ -54,7 +54,7 @@ use std::time::Duration;
 
 use njc_arch::Platform;
 use njc_core::ExplicitOverride;
-use njc_ir::{Function, FunctionId, Module};
+use njc_ir::{BlockId, Function, FunctionId, Module};
 use njc_observe::{FunctionTrace, ModuleTrace, RecompileEvent};
 use njc_opt::{
     optimize_function_overridden, optimize_module_traced, prepare_module, ConfigKind, OptConfig,
@@ -305,6 +305,25 @@ impl Shared<'_> {
     }
 }
 
+/// Admission check of a tenant module: the verifier's first error, as
+/// the structured fault of an unverified module.
+fn admit(module: &Module) -> Result<(), Fault> {
+    let Err(errors) = njc_ir::verify_module(module) else {
+        return Ok(());
+    };
+    let e = &errors[0];
+    let block = e.block.unwrap_or_else(|| {
+        module
+            .function_by_name(&e.function)
+            .map_or(BlockId(0), |id| module.function(id).entry())
+    });
+    Err(Fault::IllTyped {
+        function: e.function.clone(),
+        block,
+        detail: format!("the module does not verify: {}", e.message),
+    })
+}
+
 /// The multi-tenant compilation service. One shared sharded cache and one
 /// recompile queue serve every tenant; each tenant's observable behavior
 /// matches a private [`TieredRuntime`](crate::TieredRuntime).
@@ -353,11 +372,17 @@ impl ServiceRuntime {
     /// pipeline, then fixpoints and steady-measures each one.
     ///
     /// # Errors
-    /// The first VM [`Fault`] any tenant hit (adaptive or steady run).
+    /// [`Fault::IllTyped`] naming the verifier's first error when a
+    /// tenant's module does not verify (checked for every tenant before
+    /// any compile: the optimizer assumes verified IR); otherwise the
+    /// first VM [`Fault`] any tenant hit (adaptive or steady run).
     ///
     /// # Panics
     /// Resumes the panic of a tenant VM that panicked.
     pub fn run(&self, specs: &[TenantSpec]) -> Result<ServiceOutcome, Fault> {
+        for spec in specs {
+            admit(&spec.module)?;
+        }
         let platform = self.platform;
         let rt = self.config.runtime;
         let cfg0 = self.tier_config(rt.tier0);

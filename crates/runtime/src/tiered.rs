@@ -356,8 +356,9 @@ impl TieredRuntime {
     /// then once more (steady state) on the final bodies.
     ///
     /// # Errors
-    /// Propagates VM [`Fault`]s from either run, including a wrong entry
-    /// arity.
+    /// [`Fault::IllTyped`] naming the verifier's first error when the
+    /// module does not verify (nothing is compiled then); otherwise VM
+    /// [`Fault`]s from either run, including a wrong entry arity.
     pub fn run(&self, entry: &str, args: &[Value]) -> Result<RuntimeOutcome, Fault> {
         let spec = TenantSpec {
             name: entry.to_string(),

@@ -377,6 +377,7 @@ impl GuardedMemory {
         step(h, self.brk)
     }
 
+    #[inline]
     fn classify(&mut self, addr: u64, kind: AccessKind) -> Result<bool, MemoryError> {
         // Returns Ok(true) when the access is a silent guard-region access.
         if self.model.protects(addr) {
@@ -413,6 +414,7 @@ impl GuardedMemory {
     /// # Errors
     /// [`MemoryError::Trap`] when the access faults in the guard region;
     /// [`MemoryError::WildAccess`] when it falls outside every allocation.
+    #[inline]
     pub fn read_u64(&mut self, addr: u64) -> Result<ReadOutcome, MemoryError> {
         let from_guard = self.classify(addr, AccessKind::Read)?;
         if from_guard {
@@ -435,6 +437,7 @@ impl GuardedMemory {
     /// # Errors
     /// Same conditions as [`Self::read_u64`]. A silent guard-region write
     /// (trap-less models) is discarded.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), MemoryError> {
         let to_guard = self.classify(addr, AccessKind::Write)?;
         if to_guard {

@@ -31,7 +31,7 @@ use njc_ir::{
 use njc_recover::{RecoveryCounts, RecoveryPolicy, RecoveryStrategy, ResumePoint};
 use njc_trap::{GuardedMemory, HeapExhausted, MemoryError};
 
-use crate::code::{Body, Code, Op, NONE};
+use crate::code::{Body, Code, Op, Tally, NONE};
 use crate::heap::Heap;
 
 /// Interpreter limits.
@@ -104,7 +104,7 @@ pub struct SiteCounters {
 /// Indices at or past this count go to the [`SiteCounters`]-shaped map
 /// instead of a dense row: parsed IR may carry any check id, the
 /// `CheckId::NONE` sentinel (`u32::MAX`) included.
-const DENSE_LIMIT: u32 = 1 << 12;
+pub(crate) const DENSE_LIMIT: u32 = 1 << 12;
 
 /// Makes `dst` equal to `src` in place. A VM's counter maps only ever gain
 /// keys, so once `dst` has caught up with a key set this allocates nothing.
@@ -127,54 +127,81 @@ enum Dense {
 
 /// The VM's live per-site counters. The three bumped on every block or
 /// explicit check are dense rows per function, indexed by block or check
-/// id and grown on demand (a body swapped in mid-run may have more blocks
-/// than tier 0). The trap-path maps, and any index at or past [`DENSE_LIMIT`],
-/// stay in `sparse` in their [`SiteCounters`] shape. [`Counters::export`]
-/// folds the rows into that shape, omitting zeros, so it builds exactly
-/// the maps that bumping them directly would have built.
+/// id and sized when a body of the function is decoded ([`Counters::fit`];
+/// a body swapped in mid-run may have more blocks than tier 0). The
+/// trap-path maps, and any index at or past [`DENSE_LIMIT`], stay in
+/// `sparse` in their [`SiteCounters`] shape. [`Counters::export`] folds
+/// the rows into that shape, omitting zeros, so it builds exactly the maps
+/// that bumping them directly would have built.
 #[derive(Clone, Debug, Default)]
 struct Counters {
     blocks: Vec<Vec<u64>>,
     explicit_checks: Vec<Vec<u64>>,
     check_nulls: Vec<Vec<u64>>,
     sparse: SiteCounters,
+    /// Whether `sparse` changed since the last [`copy_from`] of these
+    /// counters.
+    ///
+    /// [`copy_from`]: Counters::copy_from
+    sparse_changed: bool,
 }
 
 impl Counters {
+    /// Sizes function `code.func`'s dense rows for the blocks and check
+    /// ids of `code`.
+    fn fit(&mut self, code: &Code) {
+        let f = code.func as usize;
+        for (rows, len) in [
+            (&mut self.blocks, code.block_rows),
+            (&mut self.explicit_checks, code.check_rows),
+            (&mut self.check_nulls, code.check_rows),
+        ] {
+            if rows.len() <= f {
+                rows.resize_with(f + 1, Vec::new);
+            }
+            if rows[f].len() < len as usize {
+                rows[f].resize(len as usize, 0);
+            }
+        }
+    }
+
     fn count(&mut self, which: Dense, func: u32, index: u32) {
         let (rows, map) = match which {
             Dense::Blocks => (&mut self.blocks, &mut self.sparse.blocks),
             Dense::ExplicitChecks => (&mut self.explicit_checks, &mut self.sparse.explicit_checks),
             Dense::CheckNulls => (&mut self.check_nulls, &mut self.sparse.check_nulls),
         };
-        if index >= DENSE_LIMIT {
+        if index < DENSE_LIMIT {
+            rows[func as usize][index as usize] += 1;
+        } else {
             *map.entry((func, index)).or_insert(0) += 1;
-            return;
+            self.sparse_changed = true;
         }
-        let (f, i) = (func as usize, index as usize);
-        if rows.len() <= f {
-            rows.resize_with(f + 1, Vec::new);
-        }
-        let row = &mut rows[f];
-        if row.len() <= i {
-            row.resize(i + 1, 0);
-        }
-        row[i] += 1;
+    }
+
+    /// The trap-path maps, for a bump.
+    fn sparse_mut(&mut self) -> &mut SiteCounters {
+        self.sparse_changed = true;
+        &mut self.sparse
     }
 
     /// Makes `self` equal to `src`, reusing `self`'s allocations: rows are
-    /// copied in place, and map entries are overwritten rather than rebuilt.
+    /// copied in place, and map entries are overwritten rather than
+    /// rebuilt — only when `src`'s maps changed since it was last copied,
+    /// so `self` must hold that copy.
     fn copy_from(&mut self, src: &Counters) {
         self.blocks.clone_from(&src.blocks);
         self.explicit_checks.clone_from(&src.explicit_checks);
         self.check_nulls.clone_from(&src.check_nulls);
-        let (dst, src) = (&mut self.sparse, &src.sparse);
-        sync_map(&mut dst.explicit_checks, &src.explicit_checks);
-        sync_map(&mut dst.traps, &src.traps);
-        sync_map(&mut dst.blocks, &src.blocks);
-        sync_map(&mut dst.check_nulls, &src.check_nulls);
-        sync_map(&mut dst.trap_slots, &src.trap_slots);
-        sync_map(&mut dst.recoveries, &src.recoveries);
+        if src.sparse_changed {
+            let (dst, src) = (&mut self.sparse, &src.sparse);
+            sync_map(&mut dst.explicit_checks, &src.explicit_checks);
+            sync_map(&mut dst.traps, &src.traps);
+            sync_map(&mut dst.blocks, &src.blocks);
+            sync_map(&mut dst.check_nulls, &src.check_nulls);
+            sync_map(&mut dst.trap_slots, &src.trap_slots);
+            sync_map(&mut dst.recoveries, &src.recoveries);
+        }
     }
 
     /// The counters in their public [`SiteCounters`] shape.
@@ -302,8 +329,10 @@ impl RuntimeHooks {
         let mut p = self.profile.lock().unwrap();
         p.0.copy_from(counters);
         p.1 = calls;
-        self.swapped_calls
-            .fetch_add(swapped_calls, Ordering::Release);
+        if swapped_calls != 0 {
+            self.swapped_calls
+                .fetch_add(swapped_calls, Ordering::Release);
+        }
     }
 
     fn set_finished(&self) {
@@ -553,6 +582,35 @@ enum MemAccess<T> {
     Skip,
 }
 
+/// The memory slot an access op touches, as trap attribution and the
+/// recovery policy key it: whether the op is a marked exception site, its
+/// static offset from the base (`None` for array elements), and read or
+/// write.
+#[derive(Clone, Copy)]
+struct Slot {
+    site: bool,
+    offset: Option<u64>,
+    kind: AccessKind,
+}
+
+impl Slot {
+    fn read(site: bool, offset: Option<u64>) -> Slot {
+        Slot {
+            site,
+            offset,
+            kind: AccessKind::Read,
+        }
+    }
+
+    fn write(site: bool, offset: Option<u64>) -> Slot {
+        Slot {
+            site,
+            offset,
+            kind: AccessKind::Write,
+        }
+    }
+}
+
 #[derive(Debug)]
 enum CallOutcome {
     Return(Option<Value>),
@@ -581,7 +639,7 @@ struct Frame {
     /// The running body, an index into [`Codes::list`].
     code: u32,
     /// Where the activation continues once it is innermost again: saved at
-    /// a call, it is the op after the call.
+    /// a call, it is the segment header after the call.
     pc: u32,
     /// Start of the activation's locals in [`Vm::locals`].
     base: u32,
@@ -614,30 +672,38 @@ impl<'m> Codes<'m> {
         }
     }
 
-    /// The decoded body of module function `id`, decoding it on first use.
-    fn module_body(&mut self, module: &'m Module, platform: &Platform, id: u32) -> usize {
-        let i = id as usize;
-        if self.module_code[i] == NONE {
-            let body = Body::Module(module.function(FunctionId(id)));
-            self.list.push(Code::decode(module, platform, id, body));
-            self.module_code[i] = (self.list.len() - 1) as u32;
+    /// Decodes `body` of function `func` for the run of `st`, sizing the
+    /// function's counter rows for it, and returns its index.
+    fn decode(&mut self, st: &mut State<'m>, func: u32, body: Body<'m>) -> u32 {
+        let code = Code::decode(st.module, &st.platform, func, body);
+        if st.config.count_sites {
+            st.counters.fit(&code);
         }
-        self.module_code[i] as usize
+        self.list.push(code);
+        (self.list.len() - 1) as u32
+    }
+
+    /// The decoded body of module function `id`, decoding it on first use.
+    fn module_body(&mut self, st: &mut State<'m>, id: u32) -> usize {
+        match self.module_code[id as usize] {
+            NONE => self.decode_module_body(st, id),
+            ci => ci as usize,
+        }
+    }
+
+    #[cold]
+    fn decode_module_body(&mut self, st: &mut State<'m>, id: u32) -> usize {
+        let body = Body::Module(st.module.function(FunctionId(id)));
+        self.module_code[id as usize] = self.decode(st, id, body);
+        self.module_code[id as usize] as usize
     }
 
     /// The body a call of `id` enters: the replacement the controller
-    /// installed, if any (counted in `swapped`), else the module's. The
-    /// swap table is read only when the hooks' install version has moved,
-    /// and each installed body is decoded once.
-    fn callee(
-        &mut self,
-        module: &'m Module,
-        platform: &Platform,
-        hooks: Option<&RuntimeHooks>,
-        id: u32,
-        swapped: &mut u64,
-    ) -> usize {
-        if let Some(h) = hooks {
+    /// installed, if any (counted in `st.swapped_calls`), else the
+    /// module's. The swap table is read only when the hooks' install
+    /// version has moved, and each installed body is decoded once.
+    fn callee(&mut self, st: &mut State<'m>, id: u32) -> usize {
+        if let Some(h) = st.hooks {
             let version = h.version.load(Ordering::Acquire);
             if version != self.swap_version {
                 self.swap_version = version;
@@ -651,21 +717,19 @@ impl<'m> Codes<'m> {
                         && matches!(&self.list[decoded as usize].body,
                                     Body::Swapped(b) if Arc::ptr_eq(b, body));
                     if !same {
-                        let body = Body::Swapped(Arc::clone(body));
-                        self.list.push(Code::decode(module, platform, index, body));
-                        self.swap_code[i] = (self.list.len() - 1) as u32;
+                        self.swap_code[i] = self.decode(st, index, Body::Swapped(Arc::clone(body)));
                     }
                 }
             }
             match self.swap_code.get(id as usize) {
                 Some(&ci) if ci != NONE => {
-                    *swapped += 1;
+                    st.swapped_calls += 1;
                     return ci as usize;
                 }
                 _ => {}
             }
         }
-        self.module_body(module, platform, id)
+        self.module_body(st, id)
     }
 }
 
@@ -682,7 +746,13 @@ struct State<'m> {
     /// trap aborts, exactly as before the subsystem existed.
     recovery: Option<&'m RecoveryPolicy>,
     heap: Heap,
+    /// The statistics that depend on operands and paths: calls,
+    /// allocations, traps, exceptions, and every charge the ops' static
+    /// tallies do not cover.
     stats: RunStats,
+    /// The ops' static tallies, paid a segment at a time (see
+    /// [`crate::code`]); [`Vm::finish`] adds them to `stats`.
+    paid: Tally,
     trace: Vec<Value>,
     events: Vec<ExceptionEvent>,
     counters: Counters,
@@ -714,7 +784,7 @@ pub struct Vm<'m> {
 fn ill_typed(code: &Code, pc: usize, detail: impl std::fmt::Display) -> Fault {
     Fault::IllTyped {
         function: code.name.to_string(),
-        block: code.locate(pc).0,
+        block: code.block(pc),
         detail: detail.to_string(),
     }
 }
@@ -744,9 +814,15 @@ impl<'m> Vm<'m> {
                 recovery: None,
                 heap: Heap::new(GuardedMemory::new(platform.trap)),
                 stats: RunStats::default(),
+                paid: Tally::default(),
                 trace: Vec::new(),
                 events: Vec::new(),
-                counters: Counters::default(),
+                counters: Counters {
+                    // The first publication copies the maps whatever the
+                    // hooks held before.
+                    sparse_changed: true,
+                    ..Counters::default()
+                },
                 ticks_since_publish: 0,
                 swapped_calls: 0,
             },
@@ -840,13 +916,22 @@ impl<'m> Vm<'m> {
             CallOutcome::Threw(e) => (None, Some(e)),
         };
         let st = self.st;
+        let (mut stats, paid) = (st.stats, st.paid);
+        stats.insts += paid.insts;
+        stats.cycles += paid.cycles;
+        stats.loads += paid.loads;
+        stats.stores += paid.stores;
+        stats.implicit_site_hits += paid.implicit_site_hits;
+        stats.explicit_null_checks += paid.explicit_null_checks;
+        stats.bound_checks += paid.bound_checks;
+        stats.branches += paid.branches;
         Ok(Outcome {
             result,
             exception,
             trace: st.trace,
             events: st.events,
             heap_digest: st.heap.mem.digest(),
-            stats: st.stats,
+            stats,
             site_counts: st.counters.export(),
         })
     }
@@ -861,23 +946,23 @@ impl<'m> Vm<'m> {
     }
 
     /// Runs module function `id` from `point` with `locals` as its frame.
-    /// The resumed block's entry op runs, then the instruction at `point`
-    /// with its access base re-checked explicitly — the deopt resume
-    /// contract: the access trapped in compiled code, and the recovery
-    /// path re-executes it under an explicit check.
+    /// The resumed block's entry runs (its safe point and counter), then
+    /// the instruction at `point` with its access base re-checked
+    /// explicitly — the deopt resume contract: the access trapped in
+    /// compiled code, and the recovery path re-executes it under an
+    /// explicit check. The run then pays the rest of the segment it
+    /// entered and goes on from the instruction.
     fn invoke_resumed(
         &mut self,
         id: u32,
         point: ResumePoint,
         locals: Vec<Value>,
     ) -> Result<CallOutcome, Fault> {
-        let ci = self
-            .codes
-            .module_body(self.st.module, &self.st.platform, id);
+        let ci = self.codes.module_body(&mut self.st, id);
         let code = &self.codes.list[ci];
         let insts = &code.body().block(point.block).insts;
         let inst = point.inst.min(insts.len());
-        let pc = code.block_pc[point.block.index()] as usize + 1 + inst;
+        let pc = code.pc_of(point.block, inst);
         self.locals = locals;
         self.frames.clear();
         self.frames.push(Frame {
@@ -893,12 +978,17 @@ impl<'m> Vm<'m> {
                 .count(Dense::Blocks, code.func, point.block.0);
         }
         if let Some(resumed) = insts.get(inst) {
-            self.st.fuel()?;
             let module = self.st.module;
             if let Some(access) = resumed.slot_access(|f| module.field_offset(f)) {
+                // The recheck is part of the resumed instruction, so it
+                // needs that instruction's fuel.
+                if self.st.paid.insts >= self.st.config.max_insts {
+                    return Err(Fault::OutOfFuel);
+                }
                 self.st.charge(self.st.platform.cost.explicit_null_check);
                 self.st.stats.explicit_null_checks += 1;
                 if self.locals[access.base.index()].is_null() {
+                    self.st.paid.insts += 1;
                     self.st.charge(self.st.platform.cost.throw_dispatch);
                     let kind = self.st.raise(ExceptionKind::NullPointer, code, pc);
                     self.frames[0].pc = pc as u32 + 1;
@@ -908,10 +998,15 @@ impl<'m> Vm<'m> {
                     };
                 }
             }
-            // The run loop charges the resumed instruction's fuel again.
-            self.st.stats.insts -= 1;
         }
-        self.exec()
+        // `pc - 1` is in the segment: the block's entry or the op before.
+        let segment = code.rest[pc - 1];
+        if self.st.covers(&segment) {
+            self.st.paid += segment;
+            self.exec()
+        } else {
+            self.step()
+        }
     }
 
     /// Opens an activation of function `id` whose `argc` actuals are the
@@ -923,10 +1018,7 @@ impl<'m> Vm<'m> {
             return Err(Fault::StackOverflow);
         }
         self.st.safe_point();
-        let st = &mut self.st;
-        let ci = self
-            .codes
-            .callee(st.module, &st.platform, st.hooks, id, &mut st.swapped_calls);
+        let ci = self.codes.callee(&mut self.st, id);
         let code = &self.codes.list[ci];
         // Entry arguments come from outside the program and call sites
         // from unverified modules, so a wrong count is a structured
@@ -965,8 +1057,8 @@ impl<'m> Vm<'m> {
             let code = &self.codes.list[top.code as usize];
             if let Some((handler, dst)) = code.handler(top.pc as usize - 1, kind) {
                 self.st.charge(self.st.platform.cost.throw_dispatch);
-                if let Some(dst) = dst {
-                    self.locals[top.base as usize + dst.index()] = Value::Int(kind.code());
+                if dst != NONE {
+                    self.locals[top.base as usize + dst as usize] = Value::Int(kind.code());
                 }
                 top.pc = handler as u32;
                 return None;
@@ -979,10 +1071,29 @@ impl<'m> Vm<'m> {
         }
     }
 
-    /// The run loop: executes the innermost activation's ops until the
-    /// outermost activation returns or an exception escapes it.
+    /// Runs the innermost activation's ops until the outermost activation
+    /// returns or an exception escapes it, paying a segment at a time
+    /// until the fuel left does not cover one, then op by op.
     fn exec(&mut self) -> Result<CallOutcome, Fault> {
-        use njc_ir::Op as O;
+        match self.run_ops::<false>()? {
+            Some(out) => Ok(out),
+            None => self.step(),
+        }
+    }
+
+    /// [`Vm::exec`] op by op, from the innermost activation's saved pc.
+    fn step(&mut self) -> Result<CallOutcome, Fault> {
+        Ok(self
+            .run_ops::<true>()?
+            .expect("the op-by-op loop runs to the end"))
+    }
+
+    /// The run loop. Without `STEP`, a segment header pays its segment, or
+    /// saves its successor's pc and returns `None` when the fuel left does
+    /// not cover the segment. With `STEP`, headers pay nothing and each op
+    /// pays its own tally before it runs, so [`Fault::OutOfFuel`] fires on
+    /// exactly the instruction that exceeds the budget.
+    fn run_ops<const STEP: bool>(&mut self) -> Result<Option<CallOutcome>, Fault> {
         let mut code: &Code;
         let mut pc: usize;
         let mut base: usize;
@@ -1003,101 +1114,110 @@ impl<'m> Vm<'m> {
             let at = pc;
             let op = code.ops[at];
             pc += 1;
-            if let Op::Enter { block } = op {
-                self.st.safe_point();
-                if self.st.config.count_sites {
-                    self.st.counters.count(Dense::Blocks, code.func, block);
-                }
-                continue;
-            }
-            self.st.fuel()?;
             let st = &mut self.st;
+            if STEP && !op.is_header() {
+                st.paid += code.rest[at - 1] - code.rest[at];
+                if st.paid.insts > st.config.max_insts {
+                    return Err(Fault::OutOfFuel);
+                }
+            }
             let int = move |v: Value| v.try_int().map_err(|e| ill_typed(code, at, e));
             let float = move |v: Value| v.try_float().map_err(|e| ill_typed(code, at, e));
             let addr = move |v: Value| v.try_ref_addr().map_err(|e| ill_typed(code, at, e));
+            // The segment header at `at` pays its segment, or hands the
+            // rest of the run to the op-by-op loop.
+            macro_rules! pay_segment {
+                () => {
+                    if !STEP {
+                        let segment = &code.rest[at];
+                        if !st.covers(segment) {
+                            self.frames.last_mut().expect("the running activation").pc = pc as u32;
+                            return Ok(None);
+                        }
+                        st.paid += *segment;
+                    }
+                };
+            }
+            // One arm per operator: the operands, then the result.
+            macro_rules! int_bin {
+                ($b:ident, |$l:ident, $r:ident| $v:expr) => {{
+                    let $l = int(frame[$b.lhs as usize])?;
+                    let $r = int(frame[$b.rhs as usize])?;
+                    frame[$b.dst as usize] = Value::Int($v);
+                }};
+            }
+            macro_rules! float_bin {
+                ($b:ident, |$l:ident, $r:ident| $v:expr) => {{
+                    let $l = float(frame[$b.lhs as usize])?;
+                    let $r = float(frame[$b.rhs as usize])?;
+                    frame[$b.dst as usize] = Value::Float($v);
+                }};
+            }
+            macro_rules! branch_if {
+                ($b:ident, |$l:ident, $r:ident| $c:expr) => {{
+                    let $l = int(frame[$b.lhs as usize])?;
+                    let $r = int(frame[$b.rhs as usize])?;
+                    pc = if $c { $b.then_pc } else { $b.else_pc } as usize;
+                }};
+            }
             let flow = 'op: {
                 match op {
-                    Op::Enter { .. } => unreachable!("block entries run above"),
+                    Op::Enter { block } => {
+                        st.safe_point();
+                        if st.config.count_sites {
+                            st.counters.count(Dense::Blocks, code.func, block);
+                        }
+                        pay_segment!();
+                    }
+                    Op::Seg => pay_segment!(),
                     Op::Nop => {}
-                    Op::Const {
-                        ty,
-                        dst,
-                        cost,
-                        bits,
-                    } => {
-                        st.charge(cost.into());
-                        frame[dst as usize] = Value::from_bits(bits, ty);
+                    Op::Const { ty, dst, bits } => frame[dst as usize] = Value::from_bits(bits, ty),
+                    Op::Move { dst, src } => frame[dst as usize] = frame[src as usize],
+                    Op::AddInt(b) => int_bin!(b, |l, r| l.wrapping_add(r)),
+                    Op::SubInt(b) => int_bin!(b, |l, r| l.wrapping_sub(r)),
+                    Op::MulInt(b) => int_bin!(b, |l, r| l.wrapping_mul(r)),
+                    Op::DivInt(b) | Op::RemInt(b) => {
+                        let l = int(frame[b.lhs as usize])?;
+                        let r = int(frame[b.rhs as usize])?;
+                        if r == 0 {
+                            break 'op st.throw(ExceptionKind::Arithmetic, code, at);
+                        }
+                        // `i64::MIN / -1` wraps to `i64::MIN`, remainder 0.
+                        frame[b.dst as usize] = Value::Int(if matches!(op, Op::DivInt(_)) {
+                            l.wrapping_div(r)
+                        } else {
+                            l.wrapping_rem(r)
+                        });
                     }
-                    Op::Move { dst, src, cost } => {
-                        st.charge(cost.into());
-                        frame[dst as usize] = frame[src as usize];
+                    Op::AndInt(b) => int_bin!(b, |l, r| l & r),
+                    Op::OrInt(b) => int_bin!(b, |l, r| l | r),
+                    Op::XorInt(b) => int_bin!(b, |l, r| l ^ r),
+                    Op::ShlInt(b) => int_bin!(b, |l, r| l.wrapping_shl(r as u32 & 63)),
+                    Op::ShrInt(b) => int_bin!(b, |l, r| l.wrapping_shr(r as u32 & 63)),
+                    Op::UshrInt(b) => {
+                        int_bin!(b, |l, r| (l as u64).wrapping_shr(r as u32 & 63) as i64)
                     }
-                    Op::IntBin {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        cost,
-                    } => {
-                        let l = int(frame[lhs as usize])?;
-                        let r = int(frame[rhs as usize])?;
-                        st.charge(cost.into());
-                        let v = match op {
-                            O::Add => l.wrapping_add(r),
-                            O::Sub => l.wrapping_sub(r),
-                            O::Mul => l.wrapping_mul(r),
-                            O::Div | O::Rem if r == 0 => {
-                                break 'op st.throw(ExceptionKind::Arithmetic, code, at)
-                            }
-                            O::Div if l == i64::MIN && r == -1 => l,
-                            O::Rem if l == i64::MIN && r == -1 => 0,
-                            O::Div => l / r,
-                            O::Rem => l % r,
-                            O::And => l & r,
-                            O::Or => l | r,
-                            O::Xor => l ^ r,
-                            O::Shl => l.wrapping_shl(r as u32 & 63),
-                            O::Shr => l.wrapping_shr(r as u32 & 63),
-                            O::Ushr => ((l as u64).wrapping_shr(r as u32 & 63)) as i64,
-                        };
-                        frame[dst as usize] = Value::Int(v);
+                    Op::AddFloat(b) => float_bin!(b, |l, r| l + r),
+                    Op::SubFloat(b) => float_bin!(b, |l, r| l - r),
+                    Op::MulFloat(b) => float_bin!(b, |l, r| l * r),
+                    Op::DivFloat(b) => float_bin!(b, |l, r| l / r),
+                    Op::RemFloat(b) => float_bin!(b, |l, r| l % r),
+                    Op::BadFloatBin { op, lhs, rhs } => {
+                        float(frame[lhs as usize])?;
+                        float(frame[rhs as usize])?;
+                        return Err(ill_typed(
+                            code,
+                            at,
+                            format_args!("operator {op:?} not defined on floats"),
+                        ));
                     }
-                    Op::FloatBin {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        cost,
-                    } => {
-                        let l = float(frame[lhs as usize])?;
-                        let r = float(frame[rhs as usize])?;
-                        let v = match op {
-                            O::Add => l + r,
-                            O::Sub => l - r,
-                            O::Mul => l * r,
-                            O::Div => l / r,
-                            O::Rem => l % r,
-                            other => {
-                                return Err(ill_typed(
-                                    code,
-                                    at,
-                                    format_args!("operator {other:?} not defined on floats"),
-                                ))
-                            }
-                        };
-                        st.charge(cost.into());
-                        frame[dst as usize] = Value::Float(v);
-                    }
-                    Op::NegInt { dst, src, cost } => {
-                        st.charge(cost.into());
+                    Op::NegInt { dst, src } => {
                         frame[dst as usize] = Value::Int(int(frame[src as usize])?.wrapping_neg());
                     }
-                    Op::NegFloat { dst, src, cost } => {
-                        st.charge(cost.into());
+                    Op::NegFloat { dst, src } => {
                         frame[dst as usize] = Value::Float(-float(frame[src as usize])?);
                     }
-                    Op::Convert { to, dst, src, cost } => {
-                        st.charge(cost.into());
+                    Op::Convert { to, dst, src } => {
                         frame[dst as usize] = match (frame[src as usize], to) {
                             (Value::Int(v), Type::Float) => Value::Float(v as f64),
                             (Value::Float(v), Type::Int) => Value::Int(v as i64),
@@ -1117,9 +1237,7 @@ impl<'m> Vm<'m> {
                         dst,
                         lhs,
                         rhs,
-                        cost,
                     } => {
-                        st.charge(cost.into());
                         let l = float(frame[lhs as usize])?;
                         let r = float(frame[rhs as usize])?;
                         let b = match cond {
@@ -1132,9 +1250,7 @@ impl<'m> Vm<'m> {
                         };
                         frame[dst as usize] = Value::Int(b as i64);
                     }
-                    Op::NullCheck { var, id, cost } => {
-                        st.charge(cost.into());
-                        st.stats.explicit_null_checks += 1;
+                    Op::NullCheck { var, id } => {
                         if st.config.count_sites {
                             st.counters.count(Dense::ExplicitChecks, code.func, id);
                         }
@@ -1145,13 +1261,7 @@ impl<'m> Vm<'m> {
                             break 'op st.throw(ExceptionKind::NullPointer, code, at);
                         }
                     }
-                    Op::BoundCheck {
-                        index,
-                        length,
-                        cost,
-                    } => {
-                        st.charge(cost.into());
-                        st.stats.bound_checks += 1;
+                    Op::BoundCheck { index, length } => {
                         let i = int(frame[index as usize])?;
                         let l = int(frame[length as usize])?;
                         if i < 0 || i >= l {
@@ -1163,12 +1273,11 @@ impl<'m> Vm<'m> {
                         site,
                         dst,
                         obj,
-                        cost,
                         offset,
                     } => {
-                        st.access(cost, site, false);
                         let base = addr(frame[obj as usize])?;
-                        match st.mem_read(code, at, base.wrapping_add(offset), site)? {
+                        let slot = Slot::read(site, Some(offset));
+                        match st.mem_read(code, at, base.wrapping_add(offset), slot)? {
                             MemAccess::Val(bits) => {
                                 frame[dst as usize] = Value::from_bits(bits, ty)
                             }
@@ -1181,13 +1290,12 @@ impl<'m> Vm<'m> {
                         site,
                         obj,
                         value,
-                        cost,
                         offset,
                     } => {
-                        st.access(cost, site, true);
                         let base = addr(frame[obj as usize])?;
                         let bits = frame[value as usize].to_bits();
-                        match st.mem_write(code, at, base.wrapping_add(offset), bits, site)? {
+                        let slot = Slot::write(site, Some(offset));
+                        match st.mem_write(code, at, base.wrapping_add(offset), bits, slot)? {
                             // Substitute and Skip agree for a store: the
                             // faulting effect is dropped and execution
                             // continues.
@@ -1195,15 +1303,9 @@ impl<'m> Vm<'m> {
                             MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
                         }
                     }
-                    Op::ArrayLength {
-                        site,
-                        dst,
-                        arr,
-                        cost,
-                    } => {
-                        st.access(cost, site, false);
+                    Op::ArrayLength { site, dst, arr } => {
                         let base = addr(frame[arr as usize])?;
-                        match st.mem_read(code, at, base, site)? {
+                        match st.mem_read(code, at, base, Slot::read(site, Some(0)))? {
                             MemAccess::Val(bits) => frame[dst as usize] = Value::Int(bits as i64),
                             MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
                             // The null object's length is zero.
@@ -1217,16 +1319,14 @@ impl<'m> Vm<'m> {
                         dst,
                         arr,
                         index,
-                        cost,
                     } => {
-                        st.access(cost, site, false);
                         let base = addr(frame[arr as usize])?;
                         let i = int(frame[index as usize])?;
-                        let read =
-                            match st.element_addr(code, at, base, i, AccessKind::Read, site)? {
-                                MemAccess::Val(a) => st.mem_read(code, at, a, site)?,
-                                other => other,
-                            };
+                        let slot = Slot::read(site, None);
+                        let read = match st.element_addr(code, at, base, i, slot)? {
+                            MemAccess::Val(a) => st.mem_read(code, at, a, slot)?,
+                            other => other,
+                        };
                         match read {
                             MemAccess::Val(bits) => {
                                 frame[dst as usize] = Value::from_bits(bits, ty)
@@ -1241,16 +1341,15 @@ impl<'m> Vm<'m> {
                         arr,
                         index,
                         value,
-                        cost,
                     } => {
-                        st.access(cost, site, true);
                         let base = addr(frame[arr as usize])?;
                         let i = int(frame[index as usize])?;
-                        match st.element_addr(code, at, base, i, AccessKind::Write, site)? {
+                        let slot = Slot::write(site, None);
+                        match st.element_addr(code, at, base, i, slot)? {
                             MemAccess::Val(a) => {
                                 let bits = frame[value as usize].to_bits();
                                 if let MemAccess::Threw(kind) =
-                                    st.mem_write(code, at, a, bits, site)?
+                                    st.mem_write(code, at, a, bits, slot)?
                                 {
                                     break 'op Flow::Throw(kind);
                                 }
@@ -1260,8 +1359,7 @@ impl<'m> Vm<'m> {
                             MemAccess::Substitute | MemAccess::Skip => {}
                         }
                     }
-                    Op::New { dst, class, cost } => {
-                        st.charge(cost);
+                    Op::New { dst, class } => {
                         st.stats.allocations += 1;
                         let addr = st
                             .heap
@@ -1290,10 +1388,8 @@ impl<'m> Vm<'m> {
                         callee,
                         args,
                         argc,
-                        cost,
                     } => {
                         st.stats.calls += 1;
-                        st.charge(cost.into());
                         break 'op Flow::Call {
                             callee,
                             dst,
@@ -1308,15 +1404,8 @@ impl<'m> Vm<'m> {
                         method,
                         args,
                         argc,
-                        cost,
                     } => {
                         st.stats.calls += 1;
-                        st.charge(cost.into());
-                        if site {
-                            st.stats.implicit_site_hits += 1;
-                        }
-                        // Dispatch reads the object header at offset 0.
-                        st.stats.loads += 1;
                         let method = &code.methods[method as usize];
                         if !recv {
                             return Err(ill_typed(
@@ -1328,21 +1417,22 @@ impl<'m> Vm<'m> {
                             ));
                         }
                         let receiver = addr(frame[code.args[args as usize] as usize])?;
-                        let bits = match st.mem_read(code, at, receiver, site)? {
-                            MemAccess::Val(bits) => bits,
-                            MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
-                            MemAccess::Substitute => {
-                                // The null object's method returns its
-                                // result type's default value.
-                                if dst != NONE {
-                                    let ty = code.body().var_type(VarId(dst));
-                                    frame[dst as usize] = Value::default_of(ty);
+                        let bits =
+                            match st.mem_read(code, at, receiver, Slot::read(site, Some(0)))? {
+                                MemAccess::Val(bits) => bits,
+                                MemAccess::Threw(kind) => break 'op Flow::Throw(kind),
+                                MemAccess::Substitute => {
+                                    // The null object's method returns its
+                                    // result type's default value.
+                                    if dst != NONE {
+                                        let ty = code.body().var_type(VarId(dst));
+                                        frame[dst as usize] = Value::default_of(ty);
+                                    }
+                                    continue 'run;
                                 }
-                                continue 'run;
-                            }
-                            // The call never happens; dst keeps its value.
-                            MemAccess::Skip => continue 'run,
-                        };
+                                // The call never happens; dst keeps its value.
+                                MemAccess::Skip => continue 'run,
+                            };
                         let bad = || Fault::BadDispatch {
                             method: method.clone(),
                         };
@@ -1357,56 +1447,33 @@ impl<'m> Vm<'m> {
                             argc,
                         };
                     }
-                    Op::Intrinsic { f, dst, src, cost } => {
-                        st.charge(cost.into());
+                    Op::Intrinsic { f, dst, src } => {
                         frame[dst as usize] = Value::Float(f.apply(float(frame[src as usize])?));
                     }
-                    Op::Observe { var, cost } => {
-                        st.charge(cost.into());
-                        st.trace.push(frame[var as usize]);
-                    }
+                    Op::Observe { var } => st.trace.push(frame[var as usize]),
                     Op::Unverifiable { detail } => return Err(ill_typed(code, at, detail)),
-                    Op::Goto { target, cost } => {
-                        st.charge(cost.into());
-                        st.stats.branches += 1;
-                        pc = target as usize;
-                    }
-                    Op::If {
-                        cond,
-                        lhs,
-                        rhs,
-                        then_pc,
-                        else_pc,
-                        cost,
-                    } => {
-                        st.charge(cost.into());
-                        st.stats.branches += 1;
-                        let l = int(frame[lhs as usize])?;
-                        let r = int(frame[rhs as usize])?;
-                        pc = if cond.eval(l, r) { then_pc } else { else_pc } as usize;
-                    }
+                    Op::Goto { target } => pc = target as usize,
+                    Op::IfEq(b) => branch_if!(b, |l, r| l == r),
+                    Op::IfNe(b) => branch_if!(b, |l, r| l != r),
+                    Op::IfLt(b) => branch_if!(b, |l, r| l < r),
+                    Op::IfLe(b) => branch_if!(b, |l, r| l <= r),
+                    Op::IfGt(b) => branch_if!(b, |l, r| l > r),
+                    Op::IfGe(b) => branch_if!(b, |l, r| l >= r),
                     Op::IfNull {
                         var,
                         on_null,
                         on_nonnull,
-                        cost,
                     } => {
-                        st.charge(cost.into());
-                        st.stats.branches += 1;
                         pc = if frame[var as usize].is_null() {
                             on_null
                         } else {
                             on_nonnull
                         } as usize;
                     }
-                    Op::Return { var, cost } => {
-                        st.charge(cost.into());
+                    Op::Return { var } => {
                         break 'op Flow::Return((var != NONE).then(|| frame[var as usize]));
                     }
-                    Op::Throw { kind, cost } => {
-                        st.charge(cost.into());
-                        break 'op Flow::Throw(st.raise(kind, code, at));
-                    }
+                    Op::Throw { kind } => break 'op Flow::Throw(st.raise(kind, code, at)),
                 }
                 continue 'run;
             };
@@ -1430,7 +1497,7 @@ impl<'m> Vm<'m> {
                     let done = self.frames.pop().expect("the returning activation");
                     self.locals.truncate(done.base as usize);
                     if self.frames.is_empty() {
-                        return Ok(CallOutcome::Return(v));
+                        return Ok(Some(CallOutcome::Return(v)));
                     }
                     reload!();
                     if let (true, Some(v)) = (done.dst != NONE, v) {
@@ -1438,9 +1505,15 @@ impl<'m> Vm<'m> {
                     }
                 }
                 Flow::Throw(kind) => {
+                    // The op leaves its segment early: the ops after it
+                    // never run. (A call ends its segment, so a callee's
+                    // exception reaching a caller refunds nothing.)
+                    if !STEP {
+                        self.st.paid -= code.rest[at];
+                    }
                     self.frames.last_mut().expect("the raising activation").pc = pc as u32;
                     if let Some(kind) = self.unwind(kind) {
-                        return Ok(CallOutcome::Threw(kind));
+                        return Ok(Some(CallOutcome::Threw(kind)));
                     }
                     reload!();
                 }
@@ -1450,31 +1523,13 @@ impl<'m> Vm<'m> {
 }
 
 impl State<'_> {
-    fn fuel(&mut self) -> Result<(), Fault> {
-        self.stats.insts += 1;
-        if self.stats.insts > self.config.max_insts {
-            Err(Fault::OutOfFuel)
-        } else {
-            Ok(())
-        }
+    /// Whether the fuel left covers `segment`.
+    fn covers(&self, segment: &Tally) -> bool {
+        self.paid.insts + segment.insts <= self.config.max_insts
     }
 
     fn charge(&mut self, cycles: u64) {
         self.stats.cycles += cycles;
-    }
-
-    /// The charge and counters every slot access pays before it touches
-    /// memory.
-    fn access(&mut self, cost: u32, site: bool, store: bool) {
-        self.charge(cost.into());
-        if store {
-            self.stats.stores += 1;
-        } else {
-            self.stats.loads += 1;
-        }
-        if site {
-            self.stats.implicit_site_hits += 1;
-        }
     }
 
     /// A swap/publish safe point: bumps the tick counter and publishes the
@@ -1491,6 +1546,7 @@ impl State<'_> {
     fn publish(&mut self, h: &RuntimeHooks) {
         let swapped = std::mem::take(&mut self.swapped_calls);
         h.publish(&self.counters, self.stats.calls, swapped);
+        self.counters.sparse_changed = false;
     }
 
     /// Records an exception *origin* raised by the op at `pc` (never the
@@ -1500,7 +1556,7 @@ impl State<'_> {
             kind,
             at_trace: self.trace.len(),
             function: Arc::clone(&code.name),
-            block: code.locate(pc).0,
+            block: code.block(pc),
         });
         kind
     }
@@ -1511,56 +1567,44 @@ impl State<'_> {
         Flow::Throw(self.raise(kind, code, pc))
     }
 
-    /// Classifies a [`MemoryError`] of the op at `pc`: a hardware trap at
-    /// a *marked* site is the `NullPointerException` the program owed —
-    /// or, with an active [`RecoveryPolicy`], the site's recovery verdict;
-    /// anywhere else it is a compiler/program bug (`Err(fault)`).
+    /// Classifies a [`MemoryError`] of the access op at `pc`: a hardware
+    /// trap at a *marked* site is the `NullPointerException` the program
+    /// owed — or, with an active [`RecoveryPolicy`], the verdict of the
+    /// op's `slot`; anywhere else it is a compiler/program bug
+    /// (`Err(fault)`).
     fn mem_fault<T>(
         &mut self,
         code: &Code,
         pc: usize,
         err: MemoryError,
-        site: bool,
+        slot: Slot,
     ) -> Result<MemAccess<T>, Fault> {
-        let (block, inst) = code.locate(pc);
+        let (block, inst) = code.coords[pc];
         match err {
             MemoryError::Trap(_) => {
                 self.stats.traps_taken += 1;
-                if !site {
+                if !slot.site {
                     return Err(Fault::UnexpectedTrap {
                         function: code.name.to_string(),
                         block,
                     });
                 }
                 self.charge(self.platform.cost.trap_taken);
-                // Slot provenance of the trapping instruction: counter key
-                // (stable across recompiled tiers) and recovery policy key
-                // alike.
-                let module = self.module;
-                let slot = code
-                    .body()
-                    .block(block)
-                    .insts
-                    .get(inst)
-                    .and_then(|i| i.slot_access(|f| module.field_offset(f)));
-                let coords = (code.func, block.0, inst as u32);
+                // Counter keys: body coordinates, and the slot (stable
+                // across recompiled tiers), which also keys the policy.
+                let coords = (code.func, block.0, inst);
                 if self.config.count_sites {
-                    let sparse = &mut self.counters.sparse;
+                    let sparse = self.counters.sparse_mut();
                     *sparse.traps.entry(coords).or_insert(0) += 1;
-                    if let Some(sa) = slot {
-                        if let Some(off) = sa.offset {
-                            *sparse
-                                .trap_slots
-                                .entry((code.func, off, sa.kind))
-                                .or_insert(0) += 1;
-                        }
+                    if let Some(off) = slot.offset {
+                        *sparse
+                            .trap_slots
+                            .entry((code.func, off, slot.kind))
+                            .or_insert(0) += 1;
                     }
                 }
                 let strategy = match self.recovery.filter(|p| p.is_active()) {
-                    Some(p) => match slot {
-                        Some(sa) => p.strategy_for(code.func, sa.offset, sa.kind),
-                        None => p.default_strategy(),
-                    },
+                    Some(p) => p.strategy_for(code.func, slot.offset, slot.kind),
                     None => RecoveryStrategy::Abort,
                 };
                 Ok(self.recover_trap(strategy, code, pc, coords))
@@ -1586,7 +1630,12 @@ impl State<'_> {
         if strategy != RecoveryStrategy::Abort {
             self.stats.recoveries.record(strategy);
             if self.config.count_sites {
-                *self.counters.sparse.recoveries.entry(coords).or_insert(0) += 1;
+                *self
+                    .counters
+                    .sparse_mut()
+                    .recoveries
+                    .entry(coords)
+                    .or_insert(0) += 1;
             }
         }
         match strategy {
@@ -1615,22 +1664,20 @@ impl State<'_> {
     /// arithmetic by default, the legacy wrapping form under the harness's
     /// fault-injection flag. A [`MemAccess::Threw`] is a Java exception (a
     /// null base whose wrapped address the guard page owes a trap).
-    #[allow(clippy::too_many_arguments)]
     fn element_addr(
         &mut self,
         code: &Code,
         pc: usize,
         base: u64,
         index: i64,
-        kind: AccessKind,
-        site: bool,
+        slot: Slot,
     ) -> Result<MemAccess<u64>, Fault> {
         if self.config.legacy_wrapping_addressing {
             return Ok(MemAccess::Val(Heap::element_addr(base, index)));
         }
-        match Heap::element_addr_checked(base, index, kind, &self.platform.trap) {
+        match Heap::element_addr_checked(base, index, slot.kind, &self.platform.trap) {
             Ok(addr) => Ok(MemAccess::Val(addr)),
-            Err(err) => self.mem_fault(code, pc, err, site),
+            Err(err) => self.mem_fault(code, pc, err, slot),
         }
     }
 
@@ -1641,13 +1688,13 @@ impl State<'_> {
         code: &Code,
         pc: usize,
         addr: u64,
-        site: bool,
+        slot: Slot,
     ) -> Result<MemAccess<u64>, Fault> {
         match self.heap.mem.read_u64(addr) {
             Ok(out) => {
                 if out.from_guard {
                     self.stats.silent_null_reads += 1;
-                    if site {
+                    if slot.site {
                         // The hardware was supposed to trap here but this
                         // platform does not trap reads: the NPE is missed.
                         // No trap means no recovery dispatch either — a
@@ -1659,7 +1706,7 @@ impl State<'_> {
                     Ok(MemAccess::Val(out.value))
                 }
             }
-            Err(err) => self.mem_fault(code, pc, err, site),
+            Err(err) => self.mem_fault(code, pc, err, slot),
         }
     }
 
@@ -1669,13 +1716,13 @@ impl State<'_> {
         pc: usize,
         addr: u64,
         bits: u64,
-        site: bool,
+        slot: Slot,
     ) -> Result<MemAccess<()>, Fault> {
         match self.heap.mem.write_u64(addr, bits) {
             // A discarded guard write only happens on models that trap
             // neither reads nor writes; treat like the silent read.
             Ok(()) => Ok(MemAccess::Val(())),
-            Err(err) => self.mem_fault(code, pc, err, site),
+            Err(err) => self.mem_fault(code, pc, err, slot),
         }
     }
 }

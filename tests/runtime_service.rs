@@ -300,3 +300,47 @@ fn worker_compile_panics_count_in_the_waiting_tenant() {
     );
     assert_eq!(tenant, out.compile_panics);
 }
+
+/// Modules the verifier rejects, each with the function and block its
+/// first error names: a branch to a missing block (it panicked the
+/// optimizer's CFG cache), a `getfield` of an undeclared field (it
+/// panicked the optimizer's field lookup), a call of a missing function
+/// and a conditional branch to a missing block (both panicked the VM).
+fn unverified_modules() -> Vec<(njc_ir::Module, &'static str)> {
+    [
+        "func main(v0: int, v1: ref) -> int {\nbb0:\n  goto bb7\n}",
+        "func main(v0: int, v1: ref) -> int {\n  locals v2: int\nbb0:\n  v2 = getfield v1, field3\n  return v2\n}",
+        "func main(v0: int, v1: ref) -> int {\n  locals v2: int\nbb0:\n  v2 = call fn4()\n  return v2\n}",
+        "func main(v0: int, v1: ref) -> int {\nbb0:\n  if lt v0, v0 then bb0 else bb9\n}",
+    ]
+    .into_iter()
+    .map(|src| {
+        let mut m = njc_ir::Module::new("hostile");
+        m.add_function(njc_ir::parse_function(src).unwrap());
+        let first = njc_ir::verify_module(&m).unwrap_err().remove(0);
+        assert_eq!(first.block, Some(njc_ir::BlockId(0)), "{first}");
+        (m, src)
+    })
+    .collect()
+}
+
+#[test]
+fn admission_refuses_an_unverified_module_before_compiling_it() {
+    let args = [Value::Int(3), Value::Ref(0)];
+    for (m, src) in unverified_modules() {
+        let message = njc_ir::verify_module(&m).unwrap_err().remove(0).message;
+        let expected = Fault::IllTyped {
+            function: "main".into(),
+            block: njc_ir::BlockId(0),
+            detail: format!("the module does not verify: {message}"),
+        };
+        let p = Platform::windows_ia32();
+        let tiered = TieredRuntime::new(m.clone(), p).run("main", &args);
+        assert_eq!(tiered.err(), Some(expected.clone()), "{src}");
+        // One bad tenant refuses the whole fleet, good tenants included.
+        let mut specs = fleet("good", &hot_field_workload(), &args, 1);
+        specs.extend(fleet("bad", &m, &args, 1));
+        let service = ServiceRuntime::new(p).run(&specs);
+        assert_eq!(service.err(), Some(expected), "{src}");
+    }
+}

@@ -360,3 +360,53 @@ fn legacy_wrapping_flag_reproduces_the_platform_split() {
     assert_eq!(out.result, Some(Value::Int(0)), "AIX silently reads zero");
     assert_eq!(out.stats.silent_null_reads, 1);
 }
+
+/// A one-function module of `src`, parsed but never verified.
+fn parsed_unverified(src: &str) -> Module {
+    let mut m = Module::new("hostile");
+    m.add_function(parse_function(src).unwrap());
+    assert!(
+        njc_ir::verify_module(&m).is_err(),
+        "the verifier rejects it"
+    );
+    m
+}
+
+#[test]
+fn call_of_a_function_the_module_lacks_is_ill_typed_when_executed() {
+    // Regression: the VM indexed its body table with the callee id and
+    // panicked ("the len is 1 but the index is 4").
+    let m = parsed_unverified(
+        "func main() -> int {\n  locals v0: int\nbb0:\n  v0 = call fn4()\n  return v0\n}",
+    );
+    assert_eq!(
+        run_module(&m, win(), "main", &[]),
+        Err(njc_vm::Fault::IllTyped {
+            function: "main".into(),
+            block: njc_ir::BlockId(0),
+            detail: "call of a function the module does not have".into(),
+        })
+    );
+}
+
+#[test]
+fn branch_to_a_block_the_function_lacks_is_ill_typed_when_taken() {
+    // Regression: the missing block's pc was `u32::MAX`, and taking the
+    // branch indexed the op table with it and panicked.
+    let m =
+        parsed_unverified("func main(v0: int) -> int {\nbb0:\n  if lt v0, v0 then bb0 else bb9\n}");
+    assert_eq!(
+        run_module(&m, win(), "main", &[Value::Int(1)]),
+        Err(njc_vm::Fault::IllTyped {
+            function: "main".into(),
+            block: njc_ir::BlockId(0),
+            detail: "branch to a block the function does not have".into(),
+        })
+    );
+    // The edge faults only when taken: the other one runs normally.
+    let m = parsed_unverified(
+        "func main(v0: int) -> int {\nbb0:\n  if eq v0, v0 then bb1 else bb9\nbb1:\n  return v0\n}",
+    );
+    let out = run_module(&m, win(), "main", &[Value::Int(1)]).unwrap();
+    assert_eq!(out.result, Some(Value::Int(1)));
+}
