@@ -62,7 +62,7 @@ fn inst_gens(
             ..
         } => fact = Some(state[var.index()]),
         Inst::NullCheck { .. } => {}
-        Inst::New { .. } | Inst::NewArray { .. } => fact = Some(vn.def_vn[bi][i]),
+        Inst::New { .. } | Inst::NewArray { .. } => fact = Some(vn.def_vn(bi)[i]),
         Inst::Move { .. } => {}
         _ => {
             if inst.is_exception_site() {
@@ -71,7 +71,7 @@ fn inst_gens(
                 }
             }
             if ctx.assumed_nonnull_def(inst).is_some() {
-                fact = Some(vn.def_vn[bi][i]);
+                fact = Some(vn.def_vn(bi)[i]);
             }
         }
     }
@@ -119,7 +119,7 @@ impl<'a> CoverageProblem<'a> {
         let mut exc_gen = Vec::with_capacity(func.num_blocks());
         for block in func.blocks() {
             let bi = block.id.index();
-            let mut state = vn.entry_vn[bi].clone();
+            let mut state = vn.entry_vn(bi).to_vec();
             let mut g = BitSet::new(nf);
             let mut eg = BitSet::new(nf);
             for (i, inst) in block.insts.iter().enumerate() {
@@ -160,8 +160,8 @@ impl<'a> CoverageProblem<'a> {
     /// facts survive through the variables that carry them, plus the
     /// `ifnull` fall-through gen.
     fn normal_edge(&self, from: BlockId, to: BlockId, facts: &BitSet, out: &mut BitSet) {
-        let ent = &self.vn.entry_vn[to.index()];
-        ValueNumbering::translate(&self.vn.exit_vn[from.index()], ent, facts, out);
+        let ent = self.vn.entry_vn(to.index());
+        ValueNumbering::translate(self.vn.exit_vn(from.index()), ent, facts, out);
         if let Terminator::IfNull {
             var,
             on_null,
@@ -191,7 +191,7 @@ impl Problem for CoverageProblem<'_> {
 
     fn boundary(&self) -> BitSet {
         let mut b = BitSet::new(self.vn.num_vns);
-        let frame = &self.vn.entry_vn[self.func.entry().index()];
+        let frame = self.vn.entry_vn(self.func.entry().index());
         // An instance method's receiver (`this`) is never null.
         if self.func.is_instance() && self.func.num_vars() > 0 {
             b.insert(frame[0] as usize);
@@ -221,19 +221,14 @@ impl Problem for CoverageProblem<'_> {
             // `set` holds the block's *input* facts here. The handler
             // observes in-facts plus pre-first-throw-point gens, through
             // the bindings folded over the throw points.
-            match &self.vn.exc_vn[fi] {
+            match self.vn.exc_vn(fi) {
                 // No throwing point: the edge is never taken, ⊤ under the
                 // intersection meet.
                 None => out.set_all(),
                 Some(bind) => {
                     let mut facts = set.clone();
                     facts.union_with(&self.exc_gen[fi]);
-                    ValueNumbering::translate(
-                        bind,
-                        &self.vn.entry_vn[to.index()],
-                        &facts,
-                        &mut out,
-                    );
+                    ValueNumbering::translate(bind, self.vn.entry_vn(to.index()), &facts, &mut out);
                 }
             }
             // If the terminator also targets the handler block (a normal
@@ -284,7 +279,7 @@ pub fn validate_function_assumed(
         }
         let bi = block.id.index();
         let mut cov = sol.input(block.id).clone();
-        let mut state = vn.entry_vn[bi].clone();
+        let mut state = vn.entry_vn(bi).to_vec();
         for (idx, inst) in block.insts.iter().enumerate() {
             if let Some(v) = inst.requires_null_check() {
                 if !cov.contains(state[v.index()] as usize) {

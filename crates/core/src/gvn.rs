@@ -92,7 +92,8 @@ struct Numbers {
     /// `MemMerge(block)` and `ExcMemMerge(block)`.
     mem_merge: Vec<u32>,
     exc_mem_merge: Vec<u32>,
-    /// Start of each block's instructions in `def` and `store`.
+    /// Start of each block's instructions in `def` and `store`, plus the
+    /// total instruction count as the last entry.
     inst_base: Vec<usize>,
     /// `Def(block, i)` and `Store(block, i)`, at `inst_base[block] + i`.
     def: Vec<u32>,
@@ -114,12 +115,13 @@ impl Numbers {
     fn new(func: &Function) -> Self {
         let nb = func.num_blocks();
         let nv = func.num_vars();
-        let mut inst_base = Vec::with_capacity(nb);
+        let mut inst_base = Vec::with_capacity(nb + 1);
         let mut total = 0;
         for b in func.blocks() {
             inst_base.push(total);
             total += b.insts.len();
         }
+        inst_base.push(total);
         Numbers {
             next: 0,
             nv,
@@ -187,18 +189,25 @@ impl Numbers {
 /// A per-function value numbering: the variable→VN binding at every block
 /// boundary, the VN defined by every instruction, and the folded bindings
 /// on each block's exceptional edge.
+///
+/// Each table is one flat vector of rows, read through the row accessors
+/// ([`ValueNumbering::entry_vn`] and its siblings): the variable-indexed
+/// tables have stride `num_vars`, the instruction-indexed one a per-block
+/// offset.
 pub struct ValueNumbering {
-    /// Per block: variable → VN at block entry.
-    pub entry_vn: Vec<Vec<u32>>,
-    /// Per block: variable → VN at block exit (after every instruction).
-    pub exit_vn: Vec<Vec<u32>>,
-    /// Per block, per instruction: the VN the instruction's destination is
-    /// bound to afterwards ([`NO_VN`] for instructions without a def).
-    pub def_vn: Vec<Vec<u32>>,
-    /// Per block: variable → VN folded over every throw point (the binding
-    /// the handler observes). `None` when the block has no throw point —
-    /// its exceptional edge is never taken, a ⊤ contribution.
-    pub exc_vn: Vec<Option<Vec<u32>>>,
+    /// Variables per row of the variable-indexed tables.
+    nv: usize,
+    /// Block `b`'s variable → VN at block entry, at `b * nv`.
+    entry: Vec<u32>,
+    /// Block `b`'s variable → VN at block exit (after every instruction).
+    exit: Vec<u32>,
+    /// Block `b`'s variable → VN folded over every throw point, meaningful
+    /// only when the block has one (see [`ValueNumbering::exc_vn`]).
+    exc: Vec<u32>,
+    /// Start of each block's row in `def`, plus the total as the last entry.
+    inst_base: Vec<usize>,
+    /// Per instruction: the VN its destination is bound to afterwards.
+    def: Vec<u32>,
     /// Per block: instruction index of the first throw point
     /// (`insts.len()` when only the terminator throws, `usize::MAX` when
     /// nothing does). Gens strictly before this index reach the handler.
@@ -252,6 +261,15 @@ impl ExcFold {
 fn assign(dst: &mut Vec<u32>, src: &[u32]) {
     dst.clear();
     dst.extend_from_slice(src);
+}
+
+/// Row `b` of a flat table with stride `nv`.
+fn row(table: &[u32], nv: usize, b: usize) -> &[u32] {
+    &table[b * nv..(b + 1) * nv]
+}
+
+fn row_mut(table: &mut [u32], nv: usize, b: usize) -> &mut [u32] {
+    &mut table[b * nv..(b + 1) * nv]
 }
 
 impl ValueNumbering {
@@ -322,12 +340,17 @@ impl ValueNumbering {
         let entry_frame: Vec<u32> = (0..nv).map(|_| num.fresh()).collect();
         let entry_mem = num.fresh();
 
-        let mut entry_vn: Vec<Vec<u32>> = vec![Vec::new(); nb];
+        // The tables, flat; a block's rows are meaningful once `computed`.
+        let mut entry_vn: Vec<u32> = vec![NO_VN; nb * nv];
         let mut entry_ep: Vec<u32> = vec![0; nb];
-        let mut exit_vn: Vec<Vec<u32>> = vec![Vec::new(); nb];
+        let mut exit_vn: Vec<u32> = vec![NO_VN; nb * nv];
         let mut exit_ep: Vec<u32> = vec![0; nb];
-        let mut def_vn: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        let mut exc_vn: Vec<Option<Vec<u32>>> = vec![None; nb];
+        let mut def_vn: Vec<u32> = vec![NO_VN; num.def.len()];
+        let inst_base = num.inst_base.clone();
+        let def_row = |bi: usize| inst_base[bi]..inst_base[bi + 1];
+        // A block's exceptional row is its binding iff the block has a
+        // throw point (`exc_cut` is set), i.e. iff `exc_ep` is `Some`.
+        let mut exc_vn: Vec<u32> = vec![NO_VN; nb * nv];
         let mut exc_ep: Vec<Option<u32>> = vec![None; nb];
         let mut exc_cut: Vec<usize> = vec![usize::MAX; nb];
         let mut computed = vec![false; nb];
@@ -363,7 +386,7 @@ impl ValueNumbering {
                 contribs.clear();
                 if bi != entry_idx {
                     for &(p, is_exc) in &preds[bi] {
-                        if computed[p] && (!is_exc || exc_vn[p].is_some()) {
+                        if computed[p] && (!is_exc || exc_ep[p].is_some()) {
                             contribs.push((p, is_exc));
                         }
                     }
@@ -372,9 +395,9 @@ impl ValueNumbering {
                 let eep = if let Some((&first, rest)) = contribs.split_first() {
                     let frame = |(p, is_exc): (usize, bool)| -> &[u32] {
                         if is_exc {
-                            exc_vn[p].as_deref().expect("exc binding")
+                            row(&exc_vn, nv, p)
                         } else {
-                            &exit_vn[p]
+                            row(&exit_vn, nv, p)
                         }
                     };
                     let epoch = |(p, is_exc): (usize, bool)| -> u32 {
@@ -408,7 +431,7 @@ impl ValueNumbering {
                 // The walk below is a function of the entry frame alone
                 // (every number it asks for was handed out the first time),
                 // so an unchanged frame means an unchanged block.
-                if computed[bi] && entry_ep[bi] == eep && entry_vn[bi] == ev {
+                if computed[bi] && entry_ep[bi] == eep && row(&entry_vn, nv, bi) == ev {
                     continue;
                 }
 
@@ -465,27 +488,27 @@ impl ValueNumbering {
                     exc.fold(&mut num, bi, &state, ep);
                 }
 
+                let old_exc = exc_ep[bi].map(|_| row(&exc_vn, nv, bi));
                 if computed[bi]
-                    && entry_vn[bi] == ev
+                    && row(&entry_vn, nv, bi) == ev
                     && entry_ep[bi] == eep
-                    && exit_vn[bi] == state
+                    && row(&exit_vn, nv, bi) == state
                     && exit_ep[bi] == ep
-                    && def_vn[bi] == dvs
-                    && exc_vn[bi].as_deref() == exc.binding()
+                    && def_vn[def_row(bi)] == dvs
+                    && old_exc == exc.binding()
                     && exc_ep[bi] == exc.epoch
                     && exc_cut[bi] == cut
                 {
                     continue;
                 }
                 changed = true;
-                assign(&mut entry_vn[bi], &ev);
+                row_mut(&mut entry_vn, nv, bi).copy_from_slice(&ev);
                 entry_ep[bi] = eep;
-                assign(&mut exit_vn[bi], &state);
+                row_mut(&mut exit_vn, nv, bi).copy_from_slice(&state);
                 exit_ep[bi] = ep;
-                assign(&mut def_vn[bi], &dvs);
-                match exc.binding() {
-                    Some(bind) => assign(exc_vn[bi].get_or_insert_with(Vec::new), bind),
-                    None => exc_vn[bi] = None,
+                def_vn[def_row(bi)].copy_from_slice(&dvs);
+                if let Some(bind) = exc.binding() {
+                    row_mut(&mut exc_vn, nv, bi).copy_from_slice(bind);
                 }
                 exc_ep[bi] = exc.epoch;
                 exc_cut[bi] = cut;
@@ -502,13 +525,41 @@ impl ValueNumbering {
         }
 
         ValueNumbering {
-            entry_vn,
-            exit_vn,
-            def_vn,
-            exc_vn,
+            nv,
+            entry: entry_vn,
+            exit: exit_vn,
+            exc: exc_vn,
+            inst_base,
+            def: def_vn,
             exc_cut,
             num_vns: num.next as usize,
         }
+    }
+
+    /// Block `block`'s variable → VN binding at its entry.
+    pub fn entry_vn(&self, block: usize) -> &[u32] {
+        row(&self.entry, self.nv, block)
+    }
+
+    /// Block `block`'s variable → VN binding at its exit (after every
+    /// instruction).
+    pub fn exit_vn(&self, block: usize) -> &[u32] {
+        row(&self.exit, self.nv, block)
+    }
+
+    /// Block `block`'s per-instruction VNs: what each instruction's
+    /// destination is bound to afterwards ([`NO_VN`] for instructions
+    /// without a def).
+    pub fn def_vn(&self, block: usize) -> &[u32] {
+        &self.def[self.inst_base[block]..self.inst_base[block + 1]]
+    }
+
+    /// Block `block`'s variable → VN binding folded over every throw point
+    /// (the binding the handler observes). `None` when the block has no
+    /// throw point — its exceptional edge is never taken, a ⊤
+    /// contribution.
+    pub fn exc_vn(&self, block: usize) -> Option<&[u32]> {
+        (self.exc_cut[block] != usize::MAX).then(|| row(&self.exc, self.nv, block))
     }
 
     /// Advances a replay state (variable → VN) across one instruction at
@@ -517,7 +568,7 @@ impl ValueNumbering {
         if let Inst::Move { dst, src } = inst {
             state[dst.index()] = state[src.index()];
         } else if let Some(d) = inst.def() {
-            state[d.index()] = self.def_vn[block][idx];
+            state[d.index()] = self.def_vn(block)[idx];
         }
     }
 
@@ -562,16 +613,16 @@ pub fn compute_gvn_sets(
     let mut state = Vec::with_capacity(func.num_vars());
     for b in func.blocks() {
         let bi = b.id.index();
-        assign(&mut state, &vn.entry_vn[bi]);
+        assign(&mut state, vn.entry_vn(bi));
         let mut g = BitSet::new(nf);
         let mut eg = BitSet::new(nf);
         for (i, inst) in b.insts.iter().enumerate() {
             let gvn = if ctx.and_then(|c| c.assumed_nonnull_def(inst)).is_some() {
-                Some(vn.def_vn[bi][i])
+                Some(vn.def_vn(bi)[i])
             } else {
                 match inst {
                     Inst::NullCheck { var, .. } => Some(state[var.index()]),
-                    Inst::New { .. } | Inst::NewArray { .. } => Some(vn.def_vn[bi][i]),
+                    Inst::New { .. } | Inst::NewArray { .. } => Some(vn.def_vn(bi)[i]),
                     _ => None,
                 }
             };
@@ -642,7 +693,7 @@ impl Problem for GvnNonNullProblem<'_> {
     }
     fn boundary(&self) -> BitSet {
         let mut b = BitSet::new(self.vn.num_vns);
-        let frame = &self.vn.entry_vn[self.func.entry().index()];
+        let frame = self.vn.entry_vn(self.func.entry().index());
         if self.func.is_instance() {
             b.insert(frame[0] as usize);
         }
@@ -668,13 +719,13 @@ impl Problem for GvnNonNullProblem<'_> {
             // `set` holds the block's entry facts (edge_uses_input). The
             // handler observes in-facts plus pre-first-throw-point gens,
             // through the folded exceptional bindings.
-            match &self.vn.exc_vn[fi] {
+            match self.vn.exc_vn(fi) {
                 // No throw point: the edge is never taken — ⊤.
                 None => out.set_all(),
                 Some(bind) => {
                     // `set` is overwritten below, so gen into it in place.
                     set.union_with(&self.sets.exc_gen[fi]);
-                    ValueNumbering::translate(bind, &self.vn.entry_vn[ti], set, &mut out);
+                    ValueNumbering::translate(bind, self.vn.entry_vn(ti), set, &mut out);
                 }
             }
         } else {
@@ -682,8 +733,8 @@ impl Problem for GvnNonNullProblem<'_> {
             // fact without a carrying variable dies here — deliberately,
             // since a phi number denotes a different value once control
             // re-enters its block (§4.1.2's Edge function, per class).
-            let exit = &self.vn.exit_vn[fi];
-            let ent = &self.vn.entry_vn[ti];
+            let exit = self.vn.exit_vn(fi);
+            let ent = self.vn.entry_vn(ti);
             for (v, &xvn) in exit.iter().enumerate() {
                 let covered =
                     set.contains(xvn as usize) || self.earliest.is_some_and(|e| e[fi].contains(v));
@@ -747,7 +798,7 @@ pub fn eliminate_redundant_gvn(
     };
     for bi in 0..func.num_blocks() {
         let block_id = BlockId::new(bi);
-        let mut state = vn.entry_vn[bi].clone();
+        let mut state = vn.entry_vn(bi).to_vec();
         let mut vset = gvn_ins[bi].clone();
         let mut lset = legacy_ins[bi].clone();
         if rec.is_enabled() {
@@ -1068,7 +1119,7 @@ mod tests {
             for bi in 0..f.num_blocks() {
                 for v in lins[bi].iter() {
                     assert!(
-                        gins[bi].contains(vn.entry_vn[bi][v] as usize),
+                        gins[bi].contains(vn.entry_vn(bi)[v] as usize),
                         "block {bi}: legacy fact v{v} missing from VN solution\n{f}"
                     );
                 }

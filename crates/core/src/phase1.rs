@@ -36,7 +36,7 @@
 //! block, and if generated, generated before the first throwing
 //! instruction).
 
-use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem};
+use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem, Solution};
 use njc_ir::{BlockId, CfgCache, Function, Inst, NullCheckKind, VarId};
 use njc_observe::{CheckEvent, Recorder};
 
@@ -162,6 +162,39 @@ fn compute_earliest(func: &Function, preds: &[Vec<BlockId>], outs: &[BitSet]) ->
     earliest
 }
 
+/// When tracing with assumptions, the solution of the *plain* problem
+/// (`assumed` without its interprocedural facts): an entry fact present
+/// only in the assumed solution is attributed to the interprocedural fact
+/// that minted it. Deliberately excluded from the solver statistics so
+/// traced and plain runs report identically.
+///
+/// `None` when not tracing, and also when `assumed` has no entry fact and
+/// no assumed gen fired: then the two problems are the same problem, the
+/// assumed solution holds no fact the plain one lacks, and every kill
+/// keeps its intraprocedural attribution without a second solve.
+fn plain_solution(
+    ctx: &AnalysisCtx<'_>,
+    cfg: &CfgCache,
+    assumed: &NonNullProblem<'_>,
+    rec: &Recorder,
+) -> Option<Solution> {
+    if !rec.is_enabled() || ctx.assumptions().is_none() {
+        return None;
+    }
+    if assumed.entry.is_none() && !assumed.sets.assumed_gens {
+        return None;
+    }
+    let func = assumed.func;
+    let base = NonNullProblem {
+        func,
+        sets: compute_sets(func),
+        earliest: assumed.earliest,
+        entry: None,
+        num_facts: assumed.num_facts,
+    };
+    Some(solve_cached(func, cfg, &base))
+}
+
 /// Runs phase 1 on `func`: moves null checks backward to their earliest
 /// points and eliminates redundant ones. Computes the CFG structures on
 /// the spot; the pipeline uses [`run_recorded`] with its own cache.
@@ -215,22 +248,7 @@ pub fn run_recorded(
     stats.nonnull_iterations = sol_fwd.iterations;
     stats.nonnull_pops = sol_fwd.worklist_pops;
 
-    // When tracing with assumptions, also solve the *plain* problem: an
-    // entry fact present only in the assumed solution is attributed to
-    // the interprocedural fact that minted it. Deliberately excluded from
-    // the solver statistics so traced and plain runs report identically.
-    let base_sol = if rec.is_enabled() && ctx.assumptions().is_some() {
-        let base = NonNullProblem {
-            func,
-            sets: compute_sets(func),
-            earliest: Some(&earliest),
-            entry: None,
-            num_facts: nv,
-        };
-        Some(solve_cached(func, cfg, &base))
-    } else {
-        None
-    };
+    let base_sol = plain_solution(ctx, cfg, &nonnull, rec);
 
     // Rewrite: remove redundant checks...
     stats.eliminated = eliminate_redundant_assumed(
@@ -325,18 +343,7 @@ pub fn run_recorded_gvn(
     stats.nonnull_iterations = sol_fwd.iterations + sol_gvn.iterations;
     stats.nonnull_pops = sol_fwd.worklist_pops + sol_gvn.worklist_pops;
 
-    let base_sol = if rec.is_enabled() && ctx.assumptions().is_some() {
-        let base = NonNullProblem {
-            func,
-            sets: compute_sets(func),
-            earliest: Some(&earliest),
-            entry: None,
-            num_facts: nv,
-        };
-        Some(solve_cached(func, cfg, &base))
-    } else {
-        None
-    };
+    let base_sol = plain_solution(ctx, cfg, &nonnull, rec);
 
     let r = eliminate_redundant_gvn(
         Some(ctx),
@@ -359,7 +366,7 @@ pub fn run_recorded_gvn(
         let block = BlockId::new(bi);
         let mut fresh = Vec::new();
         for v in e.iter() {
-            if sol_gvn.outs[bi].contains(vn.exit_vn[bi][v] as usize) {
+            if sol_gvn.outs[bi].contains(vn.exit_vn(bi)[v] as usize) {
                 continue;
             }
             let id = rec.fresh();

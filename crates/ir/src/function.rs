@@ -374,13 +374,20 @@ impl Function {
     /// the original hash. The adaptive runtime's code cache uses this as its
     /// content address.
     pub fn body_hash(&self) -> u64 {
-        let text = self.to_string();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in text.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        /// FNV-1a as a text sink: the text is hashed as it is printed.
+        struct Fnv(u64);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for b in s.bytes() {
+                    self.0 ^= u64::from(b);
+                    self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+                Ok(())
+            }
         }
-        h
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        crate::display::write_function(&mut h, self).expect("hashing cannot fail");
+        h.0
     }
 }
 

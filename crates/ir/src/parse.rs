@@ -560,9 +560,10 @@ fn parse_terminator(line: &str, lineno: usize) -> Result<Terminator> {
 
 /// Whether a trimmed line looks like a terminator.
 fn is_terminator_line(line: &str) -> bool {
-    ["goto", "if", "ifnull", "return", "throw"]
-        .iter()
-        .any(|t| line == *t || line.starts_with(&format!("{t} ")))
+    ["goto", "if", "ifnull", "return", "throw"].iter().any(|t| {
+        line.strip_prefix(t)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
+    })
 }
 
 /// Parses a function from its textual form.

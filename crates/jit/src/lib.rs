@@ -3,8 +3,8 @@
 //! Glues the pieces together the way the paper's evaluation does: a
 //! workload is compiled under one of the [`ConfigKind`] configurations
 //! (with thread-CPU per-pass metering for the Tables 3–5 compile-time
-//! experiments, via [`njc_observe::PassTimer`] — matching the pipeline's
-//! own timers, so a concurrent sibling can't inflate the numbers),
+//! experiments, via [`njc_observe::PassClock`] — matching the pipeline's
+//! own clock, so a concurrent sibling can't inflate the numbers),
 //! executed on the [`njc_vm`] interpreter, and checked for observational
 //! equivalence against its unoptimized form.
 //!
@@ -28,7 +28,7 @@ use std::time::Duration;
 
 use njc_analysis::ValidationReport;
 use njc_arch::Platform;
-use njc_observe::PassTimer;
+use njc_observe::PassClock;
 use njc_opt::{optimize_module, ConfigKind, OptConfig, PipelineStats};
 use njc_vm::{Fault, Outcome, Vm, VmConfig};
 use njc_workloads::Workload;
@@ -48,7 +48,7 @@ pub struct Compiled {
     pub stats: PipelineStats,
     /// Total compile time, measured as this thread's CPU time (falling back
     /// to wall clock off Linux) so the figure agrees with the per-pass
-    /// [`PassTimer`] breakdown in [`PipelineStats`].
+    /// [`PassClock`] breakdown in [`PipelineStats`].
     pub wall: Duration,
 }
 
@@ -67,9 +67,9 @@ pub fn compile_config(
     config: &OptConfig,
 ) -> Compiled {
     let mut module = workload.module.clone();
-    let t = PassTimer::start();
+    let mut clock = PassClock::start();
     let stats = optimize_module(&mut module, platform, config);
-    let wall = t.elapsed();
+    let wall = clock.lap();
     Compiled {
         name: workload.name,
         kind,
@@ -95,9 +95,9 @@ pub fn compile_validated(
         validate: true,
         ..kind.to_config(platform)
     };
-    let t = PassTimer::start();
+    let mut clock = PassClock::start();
     let stats = njc_opt::optimize_module_validated(&mut module, platform, &config)?;
-    let wall = t.elapsed();
+    let wall = clock.lap();
     Ok(Compiled {
         name: workload.name,
         kind,

@@ -377,6 +377,21 @@ impl Recorder {
         self.enabled
     }
 
+    /// How many check ids have been drawn so far.
+    pub fn issued(&self) -> u32 {
+        self.next_id
+    }
+
+    /// A recorder that continues this one's id sequence with an empty
+    /// event stream: what a pass would draw and record next, observed
+    /// without touching this recorder.
+    pub fn fork(&self) -> Recorder {
+        Recorder {
+            next_id: self.next_id,
+            ..Recorder::new(self.enabled)
+        }
+    }
+
     /// Allocates a fresh check id (always, enabled or not).
     pub fn fresh(&mut self) -> CheckId {
         let id = CheckId(self.next_id);
@@ -1181,18 +1196,36 @@ pub struct RecompileEvent {
 // Thread CPU time
 // ---------------------------------------------------------------------------
 
-/// A per-pass timer measuring *this thread's* CPU time where the platform
-/// provides it (Linux `CLOCK_THREAD_CPUTIME_ID`), falling back to wall
-/// clock elsewhere.
+/// A lap clock for per-pass timings: it reads *this thread's* CPU time
+/// where the platform provides it (Linux `CLOCK_THREAD_CPUTIME_ID`),
+/// falling back to wall clock elsewhere, and reads it exactly once per pass
+/// boundary — [`PassClock::lap`] returns the time since the previous read
+/// and starts the next lap at the same instant, so back-to-back passes cost
+/// one clock read each (a thread-CPU read is a system call).
 ///
 /// Wall-clock pass timers on worker threads count time the thread spent
 /// *preempted by its siblings*, which polluted the per-pass breakdown in
 /// `BENCH_compile.json` with 3–10× outliers under `threads > 1`; thread CPU
 /// time attributes to each pass only the work it actually did.
 #[derive(Clone, Copy, Debug)]
-pub struct PassTimer {
-    cpu_start: Option<Duration>,
-    wall_start: Instant,
+pub struct PassClock {
+    last: Reading,
+}
+
+/// One clock reading: thread CPU time, or wall clock where there is none.
+#[derive(Clone, Copy, Debug)]
+enum Reading {
+    Cpu(Duration),
+    Wall(Instant),
+}
+
+impl Reading {
+    fn now() -> Reading {
+        match thread_cpu_now() {
+            Some(d) => Reading::Cpu(d),
+            None => Reading::Wall(Instant::now()),
+        }
+    }
 }
 
 #[cfg(target_os = "linux")]
@@ -1227,22 +1260,27 @@ fn thread_cpu_now() -> Option<Duration> {
     None
 }
 
-impl PassTimer {
-    /// Starts timing.
+impl PassClock {
+    /// Starts the first lap.
     pub fn start() -> Self {
-        PassTimer {
-            cpu_start: thread_cpu_now(),
-            wall_start: Instant::now(),
+        PassClock {
+            last: Reading::now(),
         }
     }
 
     /// CPU time (or wall time, on platforms without a thread clock) since
-    /// [`PassTimer::start`].
-    pub fn elapsed(&self) -> Duration {
-        match (self.cpu_start, thread_cpu_now()) {
-            (Some(s), Some(e)) => e.saturating_sub(s),
-            _ => self.wall_start.elapsed(),
-        }
+    /// the previous lap ended, or since [`PassClock::start`]; the next lap
+    /// starts now.
+    pub fn lap(&mut self) -> Duration {
+        let now = Reading::now();
+        let d = match (self.last, now) {
+            (Reading::Cpu(s), Reading::Cpu(e)) => e.saturating_sub(s),
+            (Reading::Wall(s), Reading::Wall(e)) => e.saturating_duration_since(s),
+            // The thread clock failed on one side only: no sound interval.
+            _ => Duration::ZERO,
+        };
+        self.last = now;
+        d
     }
 }
 
@@ -1434,16 +1472,17 @@ mod tests {
     }
 
     #[test]
-    fn pass_timer_advances() {
-        let t = PassTimer::start();
+    fn pass_clock_laps() {
+        let mut clock = PassClock::start();
         let mut acc = 0u64;
         for i in 0..200_000u64 {
             acc = acc.wrapping_add(i * i);
         }
         std::hint::black_box(acc);
         // CPU time may round to zero for tiny spins on coarse clocks; the
-        // call contract is only "monotone, no panic".
-        let _ = t.elapsed();
+        // call contract is only "monotone, no panic", lap after lap.
+        let _ = clock.lap();
+        let _ = clock.lap();
     }
 
     #[test]

@@ -16,7 +16,7 @@ use njc_arch::{Platform, TrapModel};
 use njc_core::ctx::{AnalysisCtx, EntryAssumptions, ExplicitOverride};
 use njc_core::{collect_site_records, phase1, phase2, trivial, whaley, NullCheckStats};
 use njc_ir::{CfgCache, Function, FunctionId, Module};
-use njc_observe::{CheckEvent, FunctionTrace, Ledger, ModuleTrace, PassTimer, Recorder};
+use njc_observe::{CheckEvent, FunctionTrace, Ledger, ModuleTrace, PassClock, Recorder};
 
 use crate::boundcheck;
 use crate::copyprop;
@@ -57,7 +57,11 @@ pub struct OptConfig {
     pub speculation: bool,
     /// Devirtualize + inline before optimizing.
     pub inline: bool,
-    /// Number of phase1/boundcheck/scalar iterations (Figure 2's loop).
+    /// Upper bound on the phase1/boundcheck/scalar rounds of Figure 2's
+    /// loop. The loop stops early at its fixed point — after the first
+    /// round that leaves the function unchanged, since every later round
+    /// would repeat it — so raising the bound past convergence costs
+    /// nothing and changes no output.
     pub iterations: usize,
     /// Loop versioning for bounds check removal (ablation toggle).
     pub versioning: bool,
@@ -374,7 +378,7 @@ pub struct PipelineStats {
     /// Per-pass *thread CPU time*, accumulated over all functions and
     /// iterations. Keys: "nullcheck", "inline", "intrinsics", "boundcheck",
     /// "scalar", "cleanup". Each sample is taken with
-    /// [`njc_observe::PassTimer`] on the worker thread that ran the pass,
+    /// [`njc_observe::PassClock`] on the worker thread that ran the pass,
     /// so the breakdown is free of cross-thread pollution: a pass never
     /// gets billed for time another worker spent running. The sum over
     /// passes therefore *exceeds* [`PipelineStats::wall_time`] whenever
@@ -527,16 +531,16 @@ pub fn prepare_module(
     // Intrinsic substitution (before inlining: an intrinsified call site is
     // no longer a call, so it stops being an inline candidate or barrier).
     if platform.has_fp_intrinsics {
-        let t = PassTimer::start();
+        let mut clock = PassClock::start();
         stats.intrinsics = intrinsics::run(module);
-        stats.add_time("intrinsics", t.elapsed());
+        stats.add_time("intrinsics", clock.lap());
     }
 
     // Devirtualization + inlining (Figure 1 / §5.1 mtrt).
     if config.inline {
-        let t = PassTimer::start();
+        let mut clock = PassClock::start();
         stats.inline = inline::run(module, InlineConfig::default());
-        stats.add_time("inline", t.elapsed());
+        stats.add_time("inline", clock.lap());
     }
 
     // Baseline validation of the module as handed to the iterated loop:
@@ -568,10 +572,10 @@ fn optimize_module_impl(
     let assumptions = config
         .interproc
         .then(|| {
-            let t = PassTimer::start();
+            let mut clock = PassClock::start();
             let (asm, istats) = njc_interproc::infer_with_stats(module);
             stats.interproc = istats;
-            stats.add_time("interproc", t.elapsed());
+            stats.add_time("interproc", clock.lap());
             asm
         })
         .filter(|a| !a.is_empty());
@@ -795,7 +799,12 @@ fn checks_before(rec: &Recorder, func: &Function) -> Option<usize> {
 /// serves every analysis of the function; passes that rewrite instruction
 /// lists without touching the CFG leave it warm.
 ///
-/// All per-pass timings are taken with [`PassTimer`] — thread CPU time —
+/// Figure 2's loop stops at its fixed point: a round that leaves the
+/// function unchanged, draws no check id and records no event has a
+/// deterministic successor that does exactly the same nothing, so every
+/// later round is skipped ([`OptConfig::iterations`] is an upper bound).
+///
+/// All per-pass timings are laps of one [`PassClock`] — thread CPU time —
 /// so a pass is only ever billed for cycles this worker actually spent in
 /// it, regardless of how many sibling workers run concurrently.
 fn optimize_function(
@@ -813,149 +822,44 @@ fn optimize_function(
         None => AnalysisCtx::new(module, config.compiler_trap),
     }
     .with_assumptions(assumptions);
+    let pipeline = FunctionPipeline {
+        module,
+        platform,
+        config,
+        assumptions,
+        ctx,
+    };
     let mut cfg = CfgCache::new();
 
     // Every check the function arrives with gets its stable identity (and,
     // when tracing, an origin event) before any pass touches it.
     rec.assign_origins(func);
 
-    // Figure 2's iterated architecture-independent loop.
-    for _ in 0..config.iterations.max(1) {
-        // Null check optimization.
-        let t = PassTimer::start();
-        match config.null_opt {
-            NullOpt::None => {}
-            NullOpt::Whaley => {
-                let orig = config.validate.then(|| func.clone());
-                let s = if config.gvn {
-                    whaley::run_recorded_gvn(func, &mut cfg, rec)
-                } else {
-                    whaley::run_recorded(func, &mut cfg, rec)
-                };
-                stats.null_checks.whaley.eliminated += s.eliminated;
-                stats.null_checks.whaley.gvn_eliminated += s.gvn_eliminated;
-                stats.null_checks.whaley.iterations += s.iterations;
-                stats.null_checks.whaley.pops += s.pops;
-                if let Some(orig) = &orig {
-                    validate_null_pass(
-                        &mut stats,
-                        module,
-                        platform.trap,
-                        assumptions,
-                        "whaley",
-                        orig,
-                        func,
-                        true,
-                    );
+    // Figure 2's iterated architecture-independent loop, up to its fixed
+    // point. The last permitted round needs no snapshot: nothing follows it.
+    let mut clock = PassClock::start();
+    let rounds = config.iterations.max(1);
+    for round in 1..=rounds {
+        let before = (round < rounds).then(|| (func.clone(), rec.issued(), rec.events.len()));
+        pipeline.round(func, &mut cfg, rec, &mut stats, &mut clock);
+        if let Some((snapshot, issued, events)) = before {
+            if *func == snapshot && rec.issued() == issued && rec.events.len() == events {
+                #[cfg(debug_assertions)]
+                {
+                    pipeline.assert_fixed_point(func, &cfg, rec);
+                    clock.lap();
                 }
-            }
-            NullOpt::Phase1 => {
-                let orig = config.validate.then(|| func.clone());
-                let s = if config.gvn {
-                    phase1::run_recorded_gvn(&ctx, func, &mut cfg, rec)
-                } else {
-                    phase1::run_recorded(&ctx, func, &mut cfg, rec)
-                };
-                stats.null_checks.phase1.eliminated += s.eliminated;
-                stats.null_checks.phase1.gvn_eliminated += s.gvn_eliminated;
-                stats.null_checks.phase1.inserted += s.inserted;
-                stats.null_checks.phase1.motion_iterations += s.motion_iterations;
-                stats.null_checks.phase1.nonnull_iterations += s.nonnull_iterations;
-                stats.null_checks.phase1.motion_pops += s.motion_pops;
-                stats.null_checks.phase1.nonnull_pops += s.nonnull_pops;
-                if let Some(orig) = &orig {
-                    validate_null_pass(
-                        &mut stats,
-                        module,
-                        platform.trap,
-                        assumptions,
-                        "phase1",
-                        orig,
-                        func,
-                        true,
-                    );
-                }
+                break;
             }
         }
-        stats.add_time("nullcheck", t.elapsed());
-
-        // Array bounds check optimization.
-        let t = PassTimer::start();
-        let before = checks_before(rec, func);
-        stats.boundchecks_eliminated += boundcheck::run(func, &mut cfg).eliminated;
-        record_pass_delta(rec, "boundcheck", before, func);
-        if config.validate {
-            validate_coverage(
-                &mut stats,
-                module,
-                platform.trap,
-                assumptions,
-                "boundcheck",
-                func,
-            );
-        }
-        stats.add_time("boundcheck", t.elapsed());
-
-        // Scalar replacement (with or without speculation).
-        let t = PassTimer::start();
-        let before = checks_before(rec, func);
-        let allow_spec = config.speculation && config.compiler_trap.reads_are_speculatable();
-        let s = scalar::run(
-            &ctx,
-            func,
-            &mut cfg,
-            ScalarConfig {
-                speculation: allow_spec,
-            },
-        );
-        stats.scalar.hoisted_loads += s.hoisted_loads;
-        stats.scalar.speculative_loads += s.speculative_loads;
-        stats.scalar.hoisted_pure += s.hoisted_pure;
-        stats.scalar.hoisted_boundchecks += s.hoisted_boundchecks;
-        stats.scalar.local_loads_reused += s.local_loads_reused;
-        // Store sinking (Figure 4 (5)) — only fires once the loop is
-        // check-free, i.e. after phase 1 did its part.
-        if config.sinking {
-            stats.fields_promoted += sink::run(&ctx, func, &mut cfg).promoted;
-        }
-        record_pass_delta(rec, "scalar", before, func);
-        if config.validate {
-            validate_coverage(
-                &mut stats,
-                module,
-                platform.trap,
-                assumptions,
-                "scalar",
-                func,
-            );
-        }
-        stats.add_time("scalar", t.elapsed());
-
-        // Cleanup.
-        let t = PassTimer::start();
-        let before = checks_before(rec, func);
-        stats.copies_propagated += copyprop::run(func).replaced_uses;
-        stats.dead_removed += dce::run(func, &mut cfg).removed;
-        record_pass_delta(rec, "cleanup", before, func);
-        if config.validate {
-            validate_coverage(
-                &mut stats,
-                module,
-                platform.trap,
-                assumptions,
-                "cleanup",
-                func,
-            );
-        }
-        stats.add_time("cleanup", t.elapsed());
     }
+    let ctx = &pipeline.ctx;
 
     // Array bounds check optimization, part 2: loop versioning. Runs once
     // after the iterated loop (versioning duplicates loop bodies, which
     // would defeat later scalar-replacement rounds) — and it is effective
     // only where scalar replacement could hoist the array lengths, i.e.
     // where phase 1 hoisted the null checks first.
-    let t = PassTimer::start();
     let before = checks_before(rec, func);
     if config.versioning {
         let s = versioning::run(func, &mut cfg);
@@ -968,7 +872,7 @@ fn optimize_function(
     stats.copies_propagated += copyprop::run(func).replaced_uses;
     stats.dead_removed += dce::run(func, &mut cfg).removed;
     if config.sinking {
-        stats.fields_promoted += sink::run(&ctx, func, &mut cfg).promoted;
+        stats.fields_promoted += sink::run(ctx, func, &mut cfg).promoted;
     }
     record_pass_delta(rec, "versioning", before, func);
     if config.validate {
@@ -981,13 +885,12 @@ fn optimize_function(
             func,
         );
     }
-    stats.add_time("boundcheck", t.elapsed());
+    stats.add_time("boundcheck", clock.lap());
 
     // Architecture dependent phase (or the trivial conversion).
-    let t = PassTimer::start();
     let orig = config.validate.then(|| func.clone());
     if config.phase2 {
-        let s = phase2::run_recorded(&ctx, func, &mut cfg, rec);
+        let s = phase2::run_recorded(ctx, func, &mut cfg, rec);
         stats.null_checks.phase2.converted_implicit += s.converted_implicit;
         stats.null_checks.phase2.explicit_inserted += s.explicit_inserted;
         stats.null_checks.phase2.substituted += s.substituted;
@@ -1000,7 +903,7 @@ fn optimize_function(
         stats.null_checks.phase2.motion_pops += s.motion_pops;
         stats.null_checks.phase2.subst_pops += s.subst_pops;
     } else if config.trivial_trap {
-        stats.null_checks.trivial.converted += trivial::run_recorded(&ctx, func, rec).converted;
+        stats.null_checks.trivial.converted += trivial::run_recorded(ctx, func, rec).converted;
     }
     if let Some(orig) = &orig {
         // This is the stage that bets on the hardware: validate the
@@ -1026,13 +929,202 @@ fn optimize_function(
         );
         validate_coverage(&mut stats, module, platform.trap, assumptions, stage, func);
     }
-    stats.add_time("nullcheck", t.elapsed());
+    stats.add_time("nullcheck", clock.lap());
 
     // Resolve every marked exception site of the final IR back to the
     // conversion event that justified it (no-op when tracing is off).
-    collect_site_records(&ctx, func, rec);
+    collect_site_records(ctx, func, rec);
 
     stats
+}
+
+/// The read-only inputs of one function's trip through the pipeline.
+struct FunctionPipeline<'a> {
+    module: &'a Module,
+    platform: &'a Platform,
+    config: &'a OptConfig,
+    assumptions: Option<&'a EntryAssumptions>,
+    ctx: AnalysisCtx<'a>,
+}
+
+impl FunctionPipeline<'_> {
+    /// One round of Figure 2's loop: null check optimization, bounds check
+    /// optimization, scalar replacement (with store sinking), cleanup.
+    fn round(
+        &self,
+        func: &mut Function,
+        cfg: &mut CfgCache,
+        rec: &mut Recorder,
+        stats: &mut PipelineStats,
+        clock: &mut PassClock,
+    ) {
+        let FunctionPipeline {
+            module,
+            platform,
+            config,
+            assumptions,
+            ref ctx,
+        } = *self;
+
+        // Null check optimization.
+        match config.null_opt {
+            NullOpt::None => {}
+            NullOpt::Whaley => {
+                let orig = config.validate.then(|| func.clone());
+                let s = if config.gvn {
+                    whaley::run_recorded_gvn(func, cfg, rec)
+                } else {
+                    whaley::run_recorded(func, cfg, rec)
+                };
+                stats.null_checks.whaley.eliminated += s.eliminated;
+                stats.null_checks.whaley.gvn_eliminated += s.gvn_eliminated;
+                stats.null_checks.whaley.iterations += s.iterations;
+                stats.null_checks.whaley.pops += s.pops;
+                if let Some(orig) = &orig {
+                    validate_null_pass(
+                        stats,
+                        module,
+                        platform.trap,
+                        assumptions,
+                        "whaley",
+                        orig,
+                        func,
+                        true,
+                    );
+                }
+            }
+            NullOpt::Phase1 => {
+                let orig = config.validate.then(|| func.clone());
+                let s = if config.gvn {
+                    phase1::run_recorded_gvn(ctx, func, cfg, rec)
+                } else {
+                    phase1::run_recorded(ctx, func, cfg, rec)
+                };
+                stats.null_checks.phase1.eliminated += s.eliminated;
+                stats.null_checks.phase1.gvn_eliminated += s.gvn_eliminated;
+                stats.null_checks.phase1.inserted += s.inserted;
+                stats.null_checks.phase1.motion_iterations += s.motion_iterations;
+                stats.null_checks.phase1.nonnull_iterations += s.nonnull_iterations;
+                stats.null_checks.phase1.motion_pops += s.motion_pops;
+                stats.null_checks.phase1.nonnull_pops += s.nonnull_pops;
+                if let Some(orig) = &orig {
+                    validate_null_pass(
+                        stats,
+                        module,
+                        platform.trap,
+                        assumptions,
+                        "phase1",
+                        orig,
+                        func,
+                        true,
+                    );
+                }
+            }
+        }
+        stats.add_time("nullcheck", clock.lap());
+
+        // Array bounds check optimization.
+        let before = checks_before(rec, func);
+        stats.boundchecks_eliminated += boundcheck::run(func, cfg).eliminated;
+        record_pass_delta(rec, "boundcheck", before, func);
+        if config.validate {
+            validate_coverage(
+                stats,
+                module,
+                platform.trap,
+                assumptions,
+                "boundcheck",
+                func,
+            );
+        }
+        stats.add_time("boundcheck", clock.lap());
+
+        // Scalar replacement (with or without speculation).
+        let before = checks_before(rec, func);
+        let allow_spec = config.speculation && config.compiler_trap.reads_are_speculatable();
+        let s = scalar::run(
+            ctx,
+            func,
+            cfg,
+            ScalarConfig {
+                speculation: allow_spec,
+            },
+        );
+        stats.scalar.hoisted_loads += s.hoisted_loads;
+        stats.scalar.speculative_loads += s.speculative_loads;
+        stats.scalar.hoisted_pure += s.hoisted_pure;
+        stats.scalar.hoisted_boundchecks += s.hoisted_boundchecks;
+        stats.scalar.local_loads_reused += s.local_loads_reused;
+        // Store sinking (Figure 4 (5)) — only fires once the loop is
+        // check-free, i.e. after phase 1 did its part.
+        if config.sinking {
+            stats.fields_promoted += sink::run(ctx, func, cfg).promoted;
+        }
+        record_pass_delta(rec, "scalar", before, func);
+        if config.validate {
+            validate_coverage(stats, module, platform.trap, assumptions, "scalar", func);
+        }
+        stats.add_time("scalar", clock.lap());
+
+        // Cleanup.
+        let before = checks_before(rec, func);
+        stats.copies_propagated += copyprop::run(func).replaced_uses;
+        stats.dead_removed += dce::run(func, cfg).removed;
+        record_pass_delta(rec, "cleanup", before, func);
+        if config.validate {
+            validate_coverage(stats, module, platform.trap, assumptions, "cleanup", func);
+        }
+        stats.add_time("cleanup", clock.lap());
+    }
+
+    /// The debug-build proof obligation of the loop's early exit: one more
+    /// round on a copy of the fixed point changes no instruction, draws no
+    /// check id, records no event and counts no transformation.
+    #[cfg(debug_assertions)]
+    fn assert_fixed_point(&self, func: &Function, cfg: &CfgCache, rec: &Recorder) {
+        let mut f = func.clone();
+        let mut fork = rec.fork();
+        let mut extra = PipelineStats::default();
+        self.round(
+            &mut f,
+            &mut cfg.clone(),
+            &mut fork,
+            &mut extra,
+            &mut PassClock::start(),
+        );
+        let name = func.name();
+        assert!(
+            f == *func,
+            "`{name}`: a round after the fixed point changed the IR"
+        );
+        assert_eq!(
+            fork.issued(),
+            rec.issued(),
+            "`{name}`: a round after the fixed point drew a check id"
+        );
+        assert!(
+            fork.events.is_empty(),
+            "`{name}`: a round after the fixed point recorded {:?}",
+            fork.events
+        );
+        let effects = |s: &PipelineStats| {
+            let nc = &s.null_checks;
+            (
+                (
+                    nc.phase1.eliminated,
+                    nc.phase1.inserted,
+                    nc.whaley.eliminated,
+                ),
+                (s.boundchecks_eliminated, s.fields_promoted, s.scalar),
+                (s.copies_propagated, s.dead_removed),
+            )
+        };
+        assert_eq!(
+            effects(&extra),
+            effects(&PipelineStats::default()),
+            "`{name}`: a round after the fixed point counted a transformation"
+        );
+    }
 }
 
 /// Fans [`optimize_function`] out over `threads` scoped workers. Workers
@@ -1114,6 +1206,49 @@ mod tests {
         .unwrap();
         m.add_function(f);
         m
+    }
+
+    /// One function under `Full` with at most `iterations` rounds of
+    /// Figure 2's loop: its optimized text and its phase 1 solver pops
+    /// (every round that runs adds its pops).
+    fn rounds_probe(src: &str, iterations: usize) -> (String, usize) {
+        let mut m = Module::new("t");
+        m.add_class("C", &[("next", Type::Ref), ("f", Type::Int)]);
+        m.add_function(parse_function(src).unwrap());
+        let p = Platform::windows_ia32();
+        let cfg = OptConfig {
+            iterations,
+            ..ConfigKind::Full.to_config(&p)
+        };
+        let stats = optimize_module(&mut m, &p, &cfg);
+        let pops = stats.null_checks.phase1.motion_pops + stats.null_checks.phase1.nonnull_pops;
+        (m.functions()[0].to_string(), pops)
+    }
+
+    #[test]
+    fn figure2_loop_stops_at_its_fixed_point() {
+        // Straight-line code: the first round changes nothing, so it is
+        // the only round, whatever the bound.
+        let flat = "func flat(v0: ref) -> int {\n  locals v1: int\nbb0:\n  nullcheck v0\n  v1 = getfield v0, field1\n  return v1\n}";
+        let (ir1, pops1) = rounds_probe(flat, 1);
+        assert_eq!(rounds_probe(flat, 3), (ir1, pops1));
+
+        // A pointer chase in a loop: round 1 hoists `v0`'s check and load,
+        // which lets round 2 hoist `v3`'s; round 3 is the first that
+        // changes nothing, so the default bound of 3 runs all three rounds
+        // and a higher bound runs no fourth.
+        let chase = "func chase(v0: ref, v1: int) -> int {\n  locals v2: int v3: ref v4: int\nbb0:\n  v2 = const 0\n  goto bb1\nbb1:\n  nullcheck v0\n  v3 = getfield v0, field0\n  nullcheck v3\n  v4 = getfield v3, field1\n  v2 = add.int v2, v4\n  if lt v2, v1 then bb1 else bb2\nbb2:\n  return v2\n}";
+        let (ir1, _) = rounds_probe(chase, 1);
+        let (ir2, pops2) = rounds_probe(chase, 2);
+        let (ir3, pops3) = rounds_probe(chase, 3);
+        assert_ne!(ir1, ir2, "round 2 still changes the function");
+        assert_eq!(ir2, ir3, "round 3 changes nothing");
+        assert!(pops3 > pops2, "the bound of 3 runs the third round");
+        assert_eq!(
+            rounds_probe(chase, 10),
+            (ir3, pops3),
+            "no round past the fixed point"
+        );
     }
 
     #[test]

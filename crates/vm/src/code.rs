@@ -340,8 +340,6 @@ impl Body<'_> {
 #[derive(Debug)]
 pub(crate) struct Code<'m> {
     pub body: Body<'m>,
-    /// The body's name, shared by every exception event raised in it.
-    pub name: Arc<str>,
     /// Index of the function this body implements: the key of its site
     /// counters, the same for every tier of the function.
     pub func: u32,
@@ -404,6 +402,11 @@ impl Decoder<'_> {
 }
 
 impl<'m> Code<'m> {
+    /// The body's function name (for faults, which are rare).
+    pub fn name(&self) -> &str {
+        self.body.function().name()
+    }
+
     /// Decodes `body`, which implements the function at index `func` of
     /// `module`, priced for `platform`.
     pub fn decode(module: &Module, platform: &Platform, func: u32, body: Body<'m>) -> Code<'m> {
@@ -551,7 +554,6 @@ impl<'m> Code<'m> {
             }
         }
         Code {
-            name: Arc::from(f.name()),
             func,
             ops,
             rest,

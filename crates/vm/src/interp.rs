@@ -486,10 +486,11 @@ pub struct ExceptionEvent {
     /// "program point" of the exception.
     pub at_trace: usize,
     /// Function where the exception originated (diagnostic only: inlining
-    /// legitimately changes this, so equivalence checks must not compare it).
-    /// One name per decoded body, shared by every event raised in it, so
-    /// raising allocates nothing.
-    pub function: Arc<str>,
+    /// legitimately changes this, so equivalence checks must not compare
+    /// it). An index into the module, the same for every tier of the
+    /// function; a reader that displays the event resolves the name with
+    /// `module.function(event.function).name()`.
+    pub function: FunctionId,
     /// Block where it originated (diagnostic only, see
     /// [`ExceptionEvent::function`]).
     pub block: BlockId,
@@ -783,7 +784,7 @@ pub struct Vm<'m> {
 #[cold]
 fn ill_typed(code: &Code, pc: usize, detail: impl std::fmt::Display) -> Fault {
     Fault::IllTyped {
-        function: code.name.to_string(),
+        function: code.name().to_string(),
         block: code.block(pc),
         detail: detail.to_string(),
     }
@@ -793,7 +794,7 @@ fn ill_typed(code: &Code, pc: usize, detail: impl std::fmt::Display) -> Fault {
 #[cold]
 fn heap_exhausted(code: &Code, e: HeapExhausted) -> Fault {
     Fault::HeapExhausted {
-        function: code.name.to_string(),
+        function: code.name().to_string(),
         requested: e.requested,
     }
 }
@@ -1025,11 +1026,12 @@ impl<'m> Vm<'m> {
         // verdict rather than a panic in frame setup.
         if argc != code.params {
             return Err(Fault::IllTyped {
-                function: code.name.to_string(),
+                function: code.name().to_string(),
                 block: code.body().entry(),
                 detail: format!(
                     "arity: `{}` takes {} argument(s), got {argc}",
-                    code.name, code.params
+                    code.name(),
+                    code.params
                 ),
             });
         }
@@ -1555,7 +1557,7 @@ impl State<'_> {
         self.events.push(ExceptionEvent {
             kind,
             at_trace: self.trace.len(),
-            function: Arc::clone(&code.name),
+            function: FunctionId(code.func),
             block: code.block(pc),
         });
         kind
@@ -1585,7 +1587,7 @@ impl State<'_> {
                 self.stats.traps_taken += 1;
                 if !slot.site {
                     return Err(Fault::UnexpectedTrap {
-                        function: code.name.to_string(),
+                        function: code.name().to_string(),
                         block,
                     });
                 }
@@ -1610,7 +1612,7 @@ impl State<'_> {
                 Ok(self.recover_trap(strategy, code, pc, coords))
             }
             MemoryError::WildAccess { address, .. } => Err(Fault::WildAccess {
-                function: code.name.to_string(),
+                function: code.name().to_string(),
                 address,
             }),
         }
