@@ -10,6 +10,7 @@ use njc_arch::TrapModel;
 use njc_core::ctx::AnalysisCtx;
 use njc_core::{phase1, phase2, whaley};
 use njc_ir::{parse_function, CfgCache, Function, Module, Type};
+use njc_opt::loops::LoopCache;
 use njc_opt::scalar::{self, ScalarConfig};
 
 fn module() -> Module {
@@ -99,7 +100,13 @@ bb2:
         ),
         &f,
     );
-    let s = scalar::run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+    let s = scalar::run(
+        &ctx,
+        &mut f,
+        &mut CfgCache::new(),
+        &mut LoopCache::new(),
+        ScalarConfig::default(),
+    );
     stage(
         &format!(
             "scalar replacement ({} loads hoisted): the field load followed its check",
@@ -149,6 +156,7 @@ bb2:
         &aix,
         &mut f,
         &mut CfgCache::new(),
+        &mut LoopCache::new(),
         ScalarConfig { speculation: false },
     );
     stage(
@@ -165,6 +173,7 @@ bb2:
         &aix,
         &mut f,
         &mut CfgCache::new(),
+        &mut LoopCache::new(),
         ScalarConfig { speculation: true },
     );
     stage(

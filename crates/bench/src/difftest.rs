@@ -110,7 +110,8 @@ pub enum Verdict {
 
 /// A structured fault's static label: the one vocabulary both executors'
 /// faults map to, so runs compare by fault kind. The two enums share all
-/// but one variant each (`IllTyped` for the VM, `BadCode` for the bytes).
+/// but a few variants (`IllTyped` and `InvalidSetting` for the VM,
+/// `BadCode` for the bytes).
 pub(crate) fn fault_label(f: &Fault) -> &'static str {
     match f {
         Fault::UnexpectedTrap { .. } => "unexpected-trap",
@@ -121,6 +122,7 @@ pub(crate) fn fault_label(f: &Fault) -> &'static str {
         Fault::NoSuchFunction(_) => "no-such-function",
         Fault::IllTyped { .. } => "ill-typed",
         Fault::HeapExhausted { .. } => "heap-exhausted",
+        Fault::InvalidSetting { .. } => "invalid-setting",
     }
 }
 

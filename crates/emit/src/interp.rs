@@ -14,28 +14,41 @@
 //! `njc-trap` layout functions the IR interpreter uses, so the two heaps
 //! agree word for word.
 //!
-//! Each run decodes a straight line of code once. The first time
+//! Each run decodes its code once, a block at a time. The first time
 //! execution reaches a pc, [`decode_one`] decodes from there up to and
-//! including the first control transfer (`jcc`, `jmp`, short jump,
-//! `call`, `ret`, `syscall`) or up to the function's end, and the block
-//! is lowered into flat ops: slot moves split by register, jump
-//! conditions and targets and call targets resolved, and the two most
-//! frequent pairs, `mov rax, slot; mov rcx, slot` and `cmp rax, rcx; jcc`,
-//! fused into one op each. Every later visit to that pc runs the block's
-//! ops through one `match`. Blocks are keyed by their first pc and may
-//! overlap, so a jump to any offset sees exactly what [`decode_one`]
-//! decodes there. An instruction that does not decode, padding, and a
-//! jump or call whose target is out of bounds end the block before them;
-//! they fault as a [`MachineFault::BadCode`] only when execution reaches
-//! them, never a panic.
+//! including the first control transfer (`jcc`, short jump, `call`,
+//! `ret`, `syscall`) or up to the function's end. An unconditional `jmp`
+//! does not end the block: the block goes on at its target, a bounded
+//! number of times and only to code not yet in the block, so a taken
+//! `jmp` costs no block lookup. Each instruction is lowered into a flat
+//! op (slot moves split by register, jump conditions and targets and call
+//! targets resolved), and then each fixed slot sequence the encoder emits
+//! for one IR operation is fused into one three-address superinstruction:
+//! `mov rax, [a]; mov rcx, [b]; add rax, rcx; mov [d], rax` becomes one
+//! op, and so do the other ALU and float operations, field and array
+//! loads and stores, slot-to-slot moves, a compare of two slots with its
+//! `jcc`, and the explicit null check. Every later visit to that pc runs
+//! the block's ops through one `match`. Blocks are keyed by their first
+//! pc and may overlap, so a jump to any offset sees exactly what
+//! [`decode_one`] decodes there. An instruction that does not decode,
+//! padding, and a jump or call whose target is out of bounds end the
+//! block before them; they fault as a [`MachineFault::BadCode`] only when
+//! execution reaches them, never a panic.
+//!
+//! A fused op leaves every register as the sequence it stands for would.
+//! Its pc, which only the cold paths read (site lookup, trap capture,
+//! unwinding and faults), is that of its one instruction that can trap,
+//! the heap access; an op without one takes the pc of its slot store, the
+//! only [`MachineFault::BadCode`] it can raise, or else its first pc.
 //!
 //! Fuel is charged per block: entering a block charges all of its
-//! instructions when the budget covers them, and otherwise runs exactly
-//! the instructions left and then stops with [`MachineFault::OutOfFuel`].
-//! A hardware trap that leaves a block early refunds the instructions it
-//! skipped, so `MachineStats::insts` counts exactly the instructions
-//! executed. Each op carries its own pc, which only the cold paths read:
-//! site lookup, trap capture, unwinding and faults.
+//! instructions when the budget covers them. Otherwise the block is
+//! lowered again without fusion or `jmp` following, one op per
+//! instruction, and exactly the instructions the budget has left run
+//! before the run stops with [`MachineFault::OutOfFuel`]. A hardware trap
+//! that leaves a block early refunds the instructions after the faulting
+//! one, counted by position in the block, so `MachineStats::insts` counts
+//! exactly the instructions executed.
 
 use njc_arch::Platform;
 use njc_codegen::{MachineFault, MachineOutcome, MachineStats};
@@ -98,11 +111,11 @@ struct Frame {
     rbp_restore: u64,
 }
 
-/// One emitted instruction, or a fused pair, lowered for dispatch. A
-/// jump's operand is its absolute target and a call's the callee's
+/// One emitted instruction, or a superinstruction, lowered for dispatch.
+/// A jump's operand is its absolute target and a call's the callee's
 /// function index; the fall-through pc of a block's last op is the
-/// block's `next`. At most two `u32` operands, so an [`Inst`] is 16
-/// bytes.
+/// block's `next`. A superinstruction packs its slots as `u16` beside at
+/// most one `u32`, so an [`Inst`] is 16 bytes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Op {
     /// `mov rax, [rbp + 8*slot]`.
@@ -111,8 +124,6 @@ enum Op {
     LoadRcx(u32),
     /// `mov rdx, [rbp + 8*slot]`.
     LoadRdx(u32),
-    /// `mov rax, [rbp + 8*a]; mov rcx, [rbp + 8*b]`: two instructions.
-    LoadRaxRcx(u32, u32),
     /// `mov [rbp + 8*slot], rax`.
     StoreRax(u32),
     /// `mov [rbp + 8*slot], rcx`.
@@ -174,6 +185,39 @@ enum Op {
     CmpsdNe,
     Cvtsi2sd,
     MovqRaxXmm0,
+    // Superinstructions, each the whole slot sequence of one IR
+    // operation (see `superinstruction`).
+    /// `mov rax, [a]; mov rcx, [b]; add rax, rcx; mov [d], rax` as
+    /// `Add(a, b, d)`, and likewise for the other integer ALU ops.
+    Add(u16, u16, u16),
+    Sub(u16, u16, u16),
+    Mul(u16, u16, u16),
+    And(u16, u16, u16),
+    Or(u16, u16, u16),
+    Xor(u16, u16, u16),
+    Shl(u16, u16, u16),
+    Sar(u16, u16, u16),
+    Shr(u16, u16, u16),
+    /// `movsd xmm0, [a]; movsd xmm1, [b]; addsd xmm0, xmm1;
+    /// movsd [d], xmm0` as `Fadd(a, b, d)`, and likewise for the others.
+    Fadd(u16, u16, u16),
+    Fsub(u16, u16, u16),
+    Fmul(u16, u16, u16),
+    Fdiv(u16, u16, u16),
+    /// `mov rax, [s]; mov [d], rax` as `Move(s, d)`.
+    Move(u16, u16),
+    /// `mov rax, [obj]; mov rdx, [rax + disp]; mov [d], rdx` as
+    /// `GetField(obj, d, disp)`.
+    GetField(u16, u16, u32),
+    /// `mov rax, [arr]; mov rcx, [i]; mov rdx, [rax + rcx*8 + disp];
+    /// mov [d], rdx` as `GetElem(arr, i, d, disp)`.
+    GetElem(u16, u16, u16, u32),
+    /// `mov rax, [obj]; mov rdx, [v]; mov [rax + disp], rdx` as
+    /// `PutField(obj, v, disp)`.
+    PutField(u16, u16, u32),
+    /// `mov rax, [arr]; mov rcx, [i]; mov rdx, [v];
+    /// mov [rax + rcx*8 + disp], rdx` as `PutElem(arr, i, v, disp)`.
+    PutElem(u16, u16, u16, u32),
     // Control transfers, always a block's last op. The conditions
     // compare the last `cmp`/`test` operands, signed except `Jb`.
     Je(u32),
@@ -184,36 +228,24 @@ enum Op {
     Jge(u32),
     Jb(u32),
     Jmp(u32),
-    /// `cmp rax, rcx` and the conditional jump after it: two
-    /// instructions each.
-    CmpJe(u32),
-    CmpJne(u32),
-    CmpJl(u32),
-    CmpJle(u32),
-    CmpJg(u32),
-    CmpJge(u32),
-    CmpJb(u32),
+    /// `mov rax, [a]; mov rcx, [b]; cmp rax, rcx; je t` as
+    /// `BrEq(a, b, t)`, and likewise for the other conditions.
+    BrEq(u16, u16, u32),
+    BrNe(u16, u16, u32),
+    BrLt(u16, u16, u32),
+    BrLe(u16, u16, u32),
+    BrGt(u16, u16, u32),
+    BrGe(u16, u16, u32),
+    BrB(u16, u16, u32),
+    /// The explicit null check `mov rax, [r]; test rax, rax; jne t` as
+    /// `NullCheck(r, t)`.
+    NullCheck(u16, u32),
     Call(u32),
     Ret,
     Syscall,
 }
 
 impl Op {
-    /// The instructions this op stands for.
-    fn insts(self) -> u32 {
-        match self {
-            Op::LoadRaxRcx(..)
-            | Op::CmpJe(_)
-            | Op::CmpJne(_)
-            | Op::CmpJl(_)
-            | Op::CmpJle(_)
-            | Op::CmpJg(_)
-            | Op::CmpJge(_)
-            | Op::CmpJb(_) => 2,
-            _ => 1,
-        }
-    }
-
     /// Whether the op may transfer control, which ends its block.
     fn ends_block(self) -> bool {
         matches!(
@@ -226,47 +258,116 @@ impl Op {
                 | Op::Jge(_)
                 | Op::Jb(_)
                 | Op::Jmp(_)
-                | Op::CmpJe(_)
-                | Op::CmpJne(_)
-                | Op::CmpJl(_)
-                | Op::CmpJle(_)
-                | Op::CmpJg(_)
-                | Op::CmpJge(_)
-                | Op::CmpJb(_)
+                | Op::BrEq(..)
+                | Op::BrNe(..)
+                | Op::BrLt(..)
+                | Op::BrLe(..)
+                | Op::BrGt(..)
+                | Op::BrGe(..)
+                | Op::BrB(..)
+                | Op::NullCheck(..)
                 | Op::Call(_)
                 | Op::Ret
                 | Op::Syscall
         )
     }
-
-    /// The single op for `prev` followed by `self`, when the pair fuses.
-    /// Only pairs whose first instruction cannot fault fuse, so a fused
-    /// op faults at its own pc and stopping before it when the fuel runs
-    /// out midway is the same as running its first half.
-    fn fused_after(self, prev: Op) -> Option<Op> {
-        Some(match (prev, self) {
-            (Op::LoadRax(a), Op::LoadRcx(b)) => Op::LoadRaxRcx(a, b),
-            (Op::CmpRaxRcx, Op::Je(t)) => Op::CmpJe(t),
-            (Op::CmpRaxRcx, Op::Jne(t)) => Op::CmpJne(t),
-            (Op::CmpRaxRcx, Op::Jl(t)) => Op::CmpJl(t),
-            (Op::CmpRaxRcx, Op::Jle(t)) => Op::CmpJle(t),
-            (Op::CmpRaxRcx, Op::Jg(t)) => Op::CmpJg(t),
-            (Op::CmpRaxRcx, Op::Jge(t)) => Op::CmpJge(t),
-            (Op::CmpRaxRcx, Op::Jb(t)) => Op::CmpJb(t),
-            _ => return None,
-        })
-    }
 }
 
-/// An op and the absolute pc of its (first) instruction.
+/// The byte lengths of `mov rdx, [rax + disp32]` and
+/// `mov rdx, [rax + rcx*8 + disp32]`: a fused load's slot store lies
+/// this far past the load's pc.
+const LOAD_MEM_LEN: usize = 7;
+const LOAD_MEM_INDEXED_LEN: usize = 8;
+
+/// The most `jmp`s one block follows.
+const MAX_FOLLOWED: usize = 8;
+
+/// The superinstruction that the slot sequence `s` starts with, and how
+/// many of its single-instruction ops it stands for. It takes the pc of
+/// its heap access, else of its slot store, else of its first
+/// instruction. A slot of 2^16 or more stays unfused.
+fn superinstruction(s: &[Inst]) -> Option<(Inst, usize)> {
+    use Op::*;
+    let op = |k: usize| s.get(k).map(|i| i.op);
+    let w = |slot: u32| u16::try_from(slot).ok();
+    // The fused op, the index of the instruction whose pc it takes, and
+    // the instructions it stands for. The patterns are disjoint.
+    let (fused, at, n) = match (op(0)?, op(1)?, op(2), op(3)) {
+        (LoadRax(a), LoadRcx(b), Some(alu), Some(StoreRax(d))) => {
+            let (a, b, d) = (w(a)?, w(b)?, w(d)?);
+            let fused = match alu {
+                AddRcx => Add(a, b, d),
+                SubRcx => Sub(a, b, d),
+                MulRcx => Mul(a, b, d),
+                AndRcx => And(a, b, d),
+                OrRcx => Or(a, b, d),
+                XorRcx => Xor(a, b, d),
+                ShlCl => Shl(a, b, d),
+                SarCl => Sar(a, b, d),
+                ShrCl => Shr(a, b, d),
+                _ => return None,
+            };
+            (fused, 3, 4)
+        }
+        (MovsdXmm0(a), MovsdXmm1(b), Some(fop), Some(MovsdStore(d))) => {
+            let (a, b, d) = (w(a)?, w(b)?, w(d)?);
+            let fused = match fop {
+                Addsd => Fadd(a, b, d),
+                Subsd => Fsub(a, b, d),
+                Mulsd => Fmul(a, b, d),
+                Divsd => Fdiv(a, b, d),
+                _ => return None,
+            };
+            (fused, 3, 4)
+        }
+        (LoadRax(a), LoadRcx(b), Some(CmpRaxRcx), Some(jcc)) => {
+            let (a, b) = (w(a)?, w(b)?);
+            let fused = match jcc {
+                Je(t) => BrEq(a, b, t),
+                Jne(t) => BrNe(a, b, t),
+                Jl(t) => BrLt(a, b, t),
+                Jle(t) => BrLe(a, b, t),
+                Jg(t) => BrGt(a, b, t),
+                Jge(t) => BrGe(a, b, t),
+                Jb(t) => BrB(a, b, t),
+                _ => return None,
+            };
+            (fused, 0, 4)
+        }
+        (LoadRax(a), LoadRcx(i), Some(LoadMemIndexed(disp)), Some(StoreRdx(d))) => {
+            (GetElem(w(a)?, w(i)?, w(d)?, disp), 2, 4)
+        }
+        (LoadRax(a), LoadRcx(i), Some(LoadRdx(v)), Some(StoreMemIndexed(disp))) => {
+            (PutElem(w(a)?, w(i)?, w(v)?, disp), 3, 4)
+        }
+        (LoadRax(a), LoadMem(disp), Some(StoreRdx(d)), _) => (GetField(w(a)?, w(d)?, disp), 1, 3),
+        (LoadRax(a), LoadRdx(v), Some(StoreMem(disp)), _) => (PutField(w(a)?, w(v)?, disp), 2, 3),
+        (LoadRax(a), TestRax, Some(Jne(t)), _) => (NullCheck(w(a)?, t), 0, 3),
+        (LoadRax(a), StoreRax(d), _, _) => (Move(w(a)?, w(d)?), 1, 2),
+        _ => return None,
+    };
+    Some((
+        Inst {
+            pc: s[at].pc,
+            op: fused,
+        },
+        n,
+    ))
+}
+
+/// An op and the absolute pc it answers for: its own instruction's, or
+/// for a superinstruction the one [`superinstruction`] names.
 #[derive(Clone, Copy, Debug)]
 struct Inst {
     pc: u32,
     op: Op,
 }
 
-/// A straight line of code: `ops[first..end]`, standing for `insts`
-/// instructions, after which execution falls through to `next`.
+const _: () = assert!(std::mem::size_of::<Inst>() == 16);
+
+/// A trace of code: `ops[first..end]`, standing for `insts` instructions
+/// (the `jmp`s it follows included), after which execution falls
+/// through to `next`.
 #[derive(Clone, Copy, Debug)]
 struct Block {
     first: u32,
@@ -284,6 +385,9 @@ struct Code {
     at: Vec<u32>,
     blocks: Vec<Block>,
     ops: Vec<Inst>,
+    /// Scratch for the block being lowered: one op per instruction, in
+    /// the order the block runs them.
+    singles: Vec<Inst>,
 }
 
 /// Where execution goes after an exception or a service request.
@@ -583,33 +687,20 @@ impl Exec<'_> {
 
     /// Decodes and lowers the block starting at `pc` and returns its
     /// index: the miss path of the run loop, taken once per block start
-    /// per run. The first instruction must lower; any later one that
-    /// does not ends the block before it.
+    /// per run.
     #[cold]
     fn fill(&self, code: &mut Code, pc: usize) -> Result<usize, MachineFault> {
-        let f = self.func();
-        let func_end = (f.text_off + f.text_len) as usize;
+        let next = self.lower_block(&mut code.singles, pc, true)?;
         let first = code.ops.len();
-        let (mut cur, mut insts) = (pc, 0u32);
-        loop {
-            let lowered = decode_one(&self.em.text, cur)
-                .map_err(|e| e.to_string())
-                .and_then(|(dec, len)| Ok((self.lower(dec, cur, len)?, len)));
-            let (op, len) = match lowered {
-                Ok(lowered) => lowered,
-                Err(detail) if cur == pc => return Err(self.bad_code(pc, detail)),
-                Err(_) => break,
-            };
-            let prev = code.ops[first..].last_mut();
-            match prev.and_then(|prev| Some((op.fused_after(prev.op)?, prev))) {
-                Some((fused, prev)) => prev.op = fused,
-                None => code.ops.push(Inst { pc: cur as u32, op }),
+        let singles = &code.singles;
+        let mut i = 0;
+        while let Some(&single) = singles.get(i) {
+            let (inst, n) = superinstruction(&singles[i..]).unwrap_or((single, 1));
+            // A `jmp` the block followed runs as nothing.
+            if !matches!(single.op, Op::Jmp(_)) || i + 1 == singles.len() {
+                code.ops.push(inst);
             }
-            insts += 1;
-            cur += len;
-            if op.ends_block() || cur >= func_end {
-                break;
-            }
+            i += n;
         }
         let index = code.blocks.len();
         let (Ok(entry), Ok(end)) = (u32::try_from(index + 1), u32::try_from(code.ops.len())) else {
@@ -618,11 +709,67 @@ impl Exec<'_> {
         code.blocks.push(Block {
             first: first as u32,
             end,
-            insts,
-            next: cur as u32,
+            insts: singles.len() as u32,
+            next: next as u32,
         });
         code.at[pc] = entry;
         Ok(index)
+    }
+
+    /// Lowers the block starting at `pc` into `singles`, one op per
+    /// instruction, and returns the pc it falls through to. The first
+    /// instruction must lower; any later one that does not ends the block
+    /// before it. With `follow`, the block goes on at the target of each
+    /// `jmp` (which stays in `singles`), up to [`MAX_FOLLOWED`] times and
+    /// only while it reaches code not yet in the block, so no pc occurs
+    /// in it twice.
+    fn lower_block(
+        &self,
+        singles: &mut Vec<Inst>,
+        pc: usize,
+        follow: bool,
+    ) -> Result<usize, MachineFault> {
+        let f = self.func();
+        let func_end = (f.text_off + f.text_len) as usize;
+        let lowered = |at: usize| {
+            decode_one(&self.em.text, at)
+                .map_err(|e| e.to_string())
+                .and_then(|(dec, len)| Ok((self.lower(dec, at, len)?, len)))
+        };
+        singles.clear();
+        // The byte ranges of the block's code before its last `jmp`
+        // target, and where the code since then starts.
+        let mut ranges = [(0, 0); MAX_FOLLOWED];
+        let seen =
+            |ranges: &[(usize, usize)], at: usize| ranges.iter().any(|r| (r.0..r.1).contains(&at));
+        let (mut followed, mut from, mut cur) = (0, pc, pc);
+        loop {
+            let (op, len) = match lowered(cur) {
+                Ok(lowered) => lowered,
+                Err(detail) if cur == pc => return Err(self.bad_code(pc, detail)),
+                Err(_) => break,
+            };
+            singles.push(Inst { pc: cur as u32, op });
+            cur += len;
+            if let Op::Jmp(target) = op {
+                let target = target as usize;
+                if follow
+                    && followed < MAX_FOLLOWED
+                    && !(from..cur).contains(&target)
+                    && !seen(&ranges[..followed], target)
+                    && lowered(target).is_ok()
+                {
+                    ranges[followed] = (from, cur);
+                    followed += 1;
+                    (from, cur) = (target, target);
+                    continue;
+                }
+            }
+            if op.ends_block() || cur >= func_end || seen(&ranges[..followed], cur) {
+                break;
+            }
+        }
+        Ok(cur)
     }
 
     /// Lowers the instruction `dec` of `len` bytes at `pc`, or says why it
@@ -759,23 +906,44 @@ impl Exec<'_> {
         })
     }
 
-    /// Charges what is left of the budget to the block whose
-    /// instructions exceed it: returns the end of the longest prefix of
-    /// its ops that fits. The run stops with [`MachineFault::OutOfFuel`]
-    /// after the prefix.
+    /// Charges what is left of the budget, `left`, to the block at `pc`
+    /// whose instructions exceed it: lowers the block again into
+    /// `code.singles` without fusion or `jmp` following, one op per
+    /// instruction, and returns how many of them run, the pc they fall
+    /// through to, and whether the budget stops the run after them.
     #[cold]
-    fn ration(&mut self, code: &Code, block: Block) -> u32 {
-        let mut left = self.fuel - self.stats.insts;
-        let mut end = block.first;
-        for inst in &code.ops[block.first as usize..block.end as usize] {
-            let Some(rest) = left.checked_sub(u64::from(inst.op.insts())) else {
+    fn ration(
+        &mut self,
+        code: &mut Code,
+        pc: usize,
+        left: u64,
+    ) -> Result<(usize, usize, bool), MachineFault> {
+        let next = self.lower_block(&mut code.singles, pc, false)?;
+        let n = code.singles.len();
+        let run = usize::try_from(left).map_or(n, |left| left.min(n));
+        self.stats.insts += run as u64;
+        Ok((run, next, run < n))
+    }
+
+    /// How many instructions the block entered at `start` runs up to and
+    /// including the one at `pc`, counted by position: a trace's pcs do
+    /// not increase, but every `jmp` before `pc` is one the block
+    /// followed, since any other ends it.
+    fn ran_through(&self, start: usize, pc: usize) -> u64 {
+        let (mut cur, mut n) = (start, 1);
+        while cur != pc {
+            let Ok((dec, len)) = decode_one(&self.em.text, cur) else {
                 break;
             };
-            left = rest;
-            end += 1;
+            cur += len;
+            match dec {
+                Dec::Jmp { rel } => cur = (cur as i64 + i64::from(rel)) as usize,
+                Dec::Jmp8 { opcode: 0xEB, rel } => cur = (cur as i64 + i64::from(rel)) as usize,
+                _ => {}
+            }
+            n += 1;
         }
-        self.stats.insts = self.fuel - left;
-        end
+        n
     }
 
     fn unexpected_trap(&self, pc: usize, kind: AccessKind, offset: Option<u64>) -> MachineFault {
@@ -804,10 +972,11 @@ impl Exec<'_> {
         }
     }
 
-    /// The memory access at `pc`, inside the block `ops`, failed with
-    /// `e`. A trap at a registered site raises the NPE (or, in snapshot
-    /// mode, captures the frame) and refunds the block's instructions
-    /// after `pc`, which will not run.
+    /// The memory access at `pc` failed with `e`, inside the block
+    /// entered at `start` that was charged `charged` instructions. A trap
+    /// at a registered site raises the NPE (or, in snapshot mode,
+    /// captures the frame) and refunds the block's instructions after
+    /// `pc`, which will not run.
     #[cold]
     fn mem_fault(
         &mut self,
@@ -815,7 +984,7 @@ impl Exec<'_> {
         pc: usize,
         kind: AccessKind,
         offset: Option<u64>,
-        ops: &[Inst],
+        (start, charged): (usize, u64),
     ) -> Result<Resume, MachineFault> {
         match e {
             MemoryError::Trap(_) => {
@@ -823,12 +992,7 @@ impl Exec<'_> {
                     return Err(self.unexpected_trap(pc, kind, offset));
                 };
                 self.stats.traps_taken += 1;
-                let skipped: u32 = ops
-                    .iter()
-                    .filter(|i| i.pc as usize > pc)
-                    .map(|i| i.op.insts())
-                    .sum();
-                self.stats.insts -= u64::from(skipped);
+                self.stats.insts -= charged - self.ran_through(start, pc);
                 if self.deopt {
                     self.snapshot = Some(self.capture(site, pc));
                     return Ok(Resume::Exit(None));
@@ -984,14 +1148,15 @@ impl Exec<'_> {
                 _ => self.fill(code, pc)?,
             };
             let block = code.blocks[b];
-            let (end, rationed) = if u64::from(block.insts) <= self.fuel - self.stats.insts {
+            let left = self.fuel - self.stats.insts;
+            let (ops, next, charged, rationed) = if u64::from(block.insts) <= left {
                 self.stats.insts += u64::from(block.insts);
-                (block.end, false)
+                let ops = &code.ops[block.first as usize..block.end as usize];
+                (ops, block.next as usize, u64::from(block.insts), false)
             } else {
-                (self.ration(code, block), true)
+                let (run, next, rationed) = self.ration(code, pc, left)?;
+                (&code.singles[..run], next, run as u64, rationed)
             };
-            let next = block.next as usize;
-            let ops = &code.ops[block.first as usize..end as usize];
             // Continue at the pc a trap or service resumes at, or return.
             macro_rules! resume {
                 ($resume:expr) => {
@@ -1012,41 +1177,73 @@ impl Exec<'_> {
                     }
                 };
             }
+            // `mov rdx, [rax (+ rcx*8) + disp]` at `$at`.
+            macro_rules! load_mem {
+                ($disp:expr, $indexed:expr, $at:expr) => {
+                    match self.mem.read_u64(r.address($disp, $indexed)) {
+                        Ok(out) => {
+                            if out.from_guard {
+                                self.guard_read($at);
+                            }
+                            r.rdx = out.value;
+                        }
+                        Err(e) => {
+                            let offset = (!$indexed).then_some(u64::from($disp));
+                            let block = (pc, charged);
+                            resume!(self.mem_fault(e, $at, AccessKind::Read, offset, block)?);
+                        }
+                    }
+                };
+            }
+            // `mov [rax (+ rcx*8) + disp], rdx` at `$at`.
+            macro_rules! store_mem {
+                ($disp:expr, $indexed:expr, $at:expr) => {
+                    if let Err(e) = self.mem.write_u64(r.address($disp, $indexed), r.rdx) {
+                        let offset = (!$indexed).then_some(u64::from($disp));
+                        let block = (pc, charged);
+                        resume!(self.mem_fault(e, $at, AccessKind::Write, offset, block)?);
+                    }
+                };
+            }
+            // An integer ALU superinstruction.
+            macro_rules! alu {
+                ($a:expr, $b:expr, $d:expr, $at:expr, |$x:ident, $y:ident| $value:expr) => {{
+                    let ($x, $y) = (self.read_slot($a.into()), self.read_slot($b.into()));
+                    r.rcx = $y;
+                    r.rax = $value;
+                    self.write_slot($d.into(), r.rax, $at)?;
+                }};
+            }
+            // A float ALU superinstruction.
+            macro_rules! falu {
+                ($a:expr, $b:expr, $d:expr, $at:expr, $f:expr) => {{
+                    r.xmm0 = self.read_slot($a.into());
+                    r.xmm1 = self.read_slot($b.into());
+                    r.fop($f);
+                    self.write_slot($d.into(), r.xmm0, $at)?;
+                }};
+            }
+            // A compare-two-slots-and-branch superinstruction.
+            macro_rules! branch {
+                ($a:expr, $b:expr, $t:expr, |$x:ident, $y:ident| $taken:expr) => {{
+                    let ($x, $y) = (self.read_slot($a.into()), self.read_slot($b.into()));
+                    (r.rax, r.rcx, r.cmp) = ($x, $y, ($x, $y));
+                    jump_if!($taken, $t);
+                }};
+            }
             for &Inst { pc: at, op } in ops {
                 let at = at as usize;
                 match op {
                     Op::LoadRax(slot) => r.rax = self.read_slot(slot),
                     Op::LoadRcx(slot) => r.rcx = self.read_slot(slot),
                     Op::LoadRdx(slot) => r.rdx = self.read_slot(slot),
-                    Op::LoadRaxRcx(a, b) => {
-                        r.rax = self.read_slot(a);
-                        r.rcx = self.read_slot(b);
-                    }
                     Op::StoreRax(slot) => self.write_slot(slot, r.rax, at)?,
                     Op::StoreRcx(slot) => self.write_slot(slot, r.rcx, at)?,
                     Op::StoreRdx(slot) => self.write_slot(slot, r.rdx, at)?,
-                    Op::LoadMem(disp) | Op::LoadMemIndexed(disp) => {
-                        let indexed = matches!(op, Op::LoadMemIndexed(_));
-                        match self.mem.read_u64(r.address(disp, indexed)) {
-                            Ok(out) => {
-                                if out.from_guard {
-                                    self.guard_read(at);
-                                }
-                                r.rdx = out.value;
-                            }
-                            Err(e) => {
-                                let offset = (!indexed).then_some(u64::from(disp));
-                                resume!(self.mem_fault(e, at, AccessKind::Read, offset, ops)?);
-                            }
-                        }
-                    }
-                    Op::StoreMem(disp) | Op::StoreMemIndexed(disp) => {
-                        let indexed = matches!(op, Op::StoreMemIndexed(_));
-                        if let Err(e) = self.mem.write_u64(r.address(disp, indexed), r.rdx) {
-                            let offset = (!indexed).then_some(u64::from(disp));
-                            resume!(self.mem_fault(e, at, AccessKind::Write, offset, ops)?);
-                        }
-                    }
+                    Op::LoadMem(disp) => load_mem!(disp, false, at),
+                    Op::LoadMemIndexed(disp) => load_mem!(disp, true, at),
+                    Op::StoreMem(disp) => store_mem!(disp, false, at),
+                    Op::StoreMemIndexed(disp) => store_mem!(disp, true, at),
                     Op::MovAbsRax(lo, hi) => r.rax = u64::from(hi) << 32 | u64::from(lo),
                     Op::MovAbsRcx(lo, hi) => r.rcx = u64::from(hi) << 32 | u64::from(lo),
                     Op::MovAbsRdx(lo, hi) => r.rdx = u64::from(hi) << 32 | u64::from(lo),
@@ -1062,13 +1259,9 @@ impl Exec<'_> {
                     Op::XorRcx => r.rax ^= r.rcx,
                     Op::XorSelf => r.rax = 0,
                     Op::XorRdx => r.rax ^= r.rdx,
-                    Op::ShlCl => {
-                        r.rax = (r.rax as i64).wrapping_shl(r.rcx as u32 & 63) as u64;
-                    }
-                    Op::SarCl => {
-                        r.rax = (r.rax as i64).wrapping_shr(r.rcx as u32 & 63) as u64;
-                    }
-                    Op::ShrCl => r.rax = r.rax.wrapping_shr(r.rcx as u32 & 63),
+                    Op::ShlCl => r.rax = shl(r.rax, r.rcx),
+                    Op::SarCl => r.rax = sar(r.rax, r.rcx),
+                    Op::ShrCl => r.rax = shr(r.rax, r.rcx),
                     Op::NegRax => r.rax = (r.rax as i64).wrapping_neg() as u64,
                     Op::Cqo => r.rdx = ((r.rax as i64) >> 63) as u64,
                     Op::IdivRcx => {
@@ -1107,6 +1300,45 @@ impl Exec<'_> {
                     Op::CmpsdNe => r.fcmp(|x, y| x != y),
                     Op::Cvtsi2sd => r.xmm0 = ((r.rax as i64) as f64).to_bits(),
                     Op::MovqRaxXmm0 => r.rax = r.xmm0,
+                    Op::Add(a, b, d) => alu!(a, b, d, at, |x, y| x.wrapping_add(y)),
+                    Op::Sub(a, b, d) => alu!(a, b, d, at, |x, y| x.wrapping_sub(y)),
+                    Op::Mul(a, b, d) => alu!(a, b, d, at, |x, y| x.wrapping_mul(y)),
+                    Op::And(a, b, d) => alu!(a, b, d, at, |x, y| x & y),
+                    Op::Or(a, b, d) => alu!(a, b, d, at, |x, y| x | y),
+                    Op::Xor(a, b, d) => alu!(a, b, d, at, |x, y| x ^ y),
+                    Op::Shl(a, b, d) => alu!(a, b, d, at, |x, y| shl(x, y)),
+                    Op::Sar(a, b, d) => alu!(a, b, d, at, |x, y| sar(x, y)),
+                    Op::Shr(a, b, d) => alu!(a, b, d, at, |x, y| shr(x, y)),
+                    Op::Fadd(a, b, d) => falu!(a, b, d, at, |x, y| x + y),
+                    Op::Fsub(a, b, d) => falu!(a, b, d, at, |x, y| x - y),
+                    Op::Fmul(a, b, d) => falu!(a, b, d, at, |x, y| x * y),
+                    Op::Fdiv(a, b, d) => falu!(a, b, d, at, |x, y| x / y),
+                    Op::Move(a, d) => {
+                        r.rax = self.read_slot(a.into());
+                        self.write_slot(d.into(), r.rax, at)?;
+                    }
+                    Op::GetField(obj, d, disp) => {
+                        r.rax = self.read_slot(obj.into());
+                        load_mem!(disp, false, at);
+                        self.write_slot(d.into(), r.rdx, at + LOAD_MEM_LEN)?;
+                    }
+                    Op::GetElem(arr, i, d, disp) => {
+                        r.rax = self.read_slot(arr.into());
+                        r.rcx = self.read_slot(i.into());
+                        load_mem!(disp, true, at);
+                        self.write_slot(d.into(), r.rdx, at + LOAD_MEM_INDEXED_LEN)?;
+                    }
+                    Op::PutField(obj, v, disp) => {
+                        r.rax = self.read_slot(obj.into());
+                        r.rdx = self.read_slot(v.into());
+                        store_mem!(disp, false, at);
+                    }
+                    Op::PutElem(arr, i, v, disp) => {
+                        r.rax = self.read_slot(arr.into());
+                        r.rcx = self.read_slot(i.into());
+                        r.rdx = self.read_slot(v.into());
+                        store_mem!(disp, true, at);
+                    }
                     Op::Je(t) => jump_if!(r.cmp.0 == r.cmp.1, t),
                     Op::Jne(t) => jump_if!(r.cmp.0 != r.cmp.1, t),
                     Op::Jl(t) => jump_if!((r.cmp.0 as i64) < r.cmp.1 as i64, t),
@@ -1115,33 +1347,18 @@ impl Exec<'_> {
                     Op::Jge(t) => jump_if!(r.cmp.0 as i64 >= r.cmp.1 as i64, t),
                     Op::Jb(t) => jump_if!(r.cmp.0 < r.cmp.1, t),
                     Op::Jmp(t) => jump_if!(true, t),
-                    Op::CmpJe(t) => {
-                        r.cmp = (r.rax, r.rcx);
-                        jump_if!(r.rax == r.rcx, t);
-                    }
-                    Op::CmpJne(t) => {
-                        r.cmp = (r.rax, r.rcx);
-                        jump_if!(r.rax != r.rcx, t);
-                    }
-                    Op::CmpJl(t) => {
-                        r.cmp = (r.rax, r.rcx);
-                        jump_if!((r.rax as i64) < r.rcx as i64, t);
-                    }
-                    Op::CmpJle(t) => {
-                        r.cmp = (r.rax, r.rcx);
-                        jump_if!(r.rax as i64 <= r.rcx as i64, t);
-                    }
-                    Op::CmpJg(t) => {
-                        r.cmp = (r.rax, r.rcx);
-                        jump_if!(r.rax as i64 > r.rcx as i64, t);
-                    }
-                    Op::CmpJge(t) => {
-                        r.cmp = (r.rax, r.rcx);
-                        jump_if!(r.rax as i64 >= r.rcx as i64, t);
-                    }
-                    Op::CmpJb(t) => {
-                        r.cmp = (r.rax, r.rcx);
-                        jump_if!(r.rax < r.rcx, t);
+                    Op::BrEq(a, b, t) => branch!(a, b, t, |x, y| x == y),
+                    Op::BrNe(a, b, t) => branch!(a, b, t, |x, y| x != y),
+                    Op::BrLt(a, b, t) => branch!(a, b, t, |x, y| (x as i64) < y as i64),
+                    Op::BrLe(a, b, t) => branch!(a, b, t, |x, y| x as i64 <= y as i64),
+                    Op::BrGt(a, b, t) => branch!(a, b, t, |x, y| x as i64 > y as i64),
+                    Op::BrGe(a, b, t) => branch!(a, b, t, |x, y| x as i64 >= y as i64),
+                    Op::BrB(a, b, t) => branch!(a, b, t, |x, y| x < y),
+                    Op::NullCheck(a, t) => {
+                        r.rax = self.read_slot(a.into());
+                        self.stats.explicit_null_checks += 1;
+                        r.cmp = (r.rax, 0);
+                        jump_if!(r.rax != 0, t);
                     }
                     Op::Call(callee) => {
                         pc = self.enter(callee as usize, next)?;
@@ -1173,6 +1390,20 @@ impl Exec<'_> {
             pc = next;
         }
     }
+}
+
+/// `shl`, `sar` and `shr` of `x` by `cl`: hardware masks a 64-bit
+/// operand's count to 6 bits.
+fn shl(x: u64, count: u64) -> u64 {
+    (x as i64).wrapping_shl(count as u32 & 63) as u64
+}
+
+fn sar(x: u64, count: u64) -> u64 {
+    (x as i64).wrapping_shr(count as u32 & 63) as u64
+}
+
+fn shr(x: u64, count: u64) -> u64 {
+    x.wrapping_shr(count as u32 & 63)
 }
 
 #[cfg(test)]
@@ -1273,9 +1504,44 @@ mod tests {
         assert_eq!(out.stats.traps_taken, 1);
     }
 
+    /// How many instructions `op` stands for, and the index of the one
+    /// whose pc it answers for.
+    fn shape(op: Op) -> (usize, usize) {
+        match op {
+            Op::Add(..)
+            | Op::Sub(..)
+            | Op::Mul(..)
+            | Op::And(..)
+            | Op::Or(..)
+            | Op::Xor(..)
+            | Op::Shl(..)
+            | Op::Sar(..)
+            | Op::Shr(..)
+            | Op::Fadd(..)
+            | Op::Fsub(..)
+            | Op::Fmul(..)
+            | Op::Fdiv(..)
+            | Op::PutElem(..) => (4, 3),
+            Op::GetElem(..) => (4, 2),
+            Op::BrEq(..)
+            | Op::BrNe(..)
+            | Op::BrLt(..)
+            | Op::BrLe(..)
+            | Op::BrGt(..)
+            | Op::BrGe(..)
+            | Op::BrB(..) => (4, 0),
+            Op::PutField(..) => (3, 2),
+            Op::GetField(..) => (3, 1),
+            Op::NullCheck(..) => (3, 0),
+            Op::Move(..) => (2, 1),
+            _ => (1, 0),
+        }
+    }
+
     /// The instructions `op` stands for, given the `(pc, len)` of each:
     /// what [`decode_one`] must decode there. A call's target is checked
     /// apart, so it stands for the decoded call itself.
+    #[allow(clippy::too_many_lines)]
     fn decs(op: Op, at: &[(usize, usize)], call: Dec) -> Vec<Dec> {
         use Scratch::{Rax, Rcx, Rdx};
         let (pc, len) = at[at.len() - 1];
@@ -1293,15 +1559,42 @@ mod tests {
         };
         let imm = |lo: u32, hi: u32| u64::from(hi) << 32 | u64::from(lo);
         let one = |dec: Dec| vec![dec];
-        let cmp = |jump: Dec| vec![Dec::CmpRaxRcx, jump];
+        let load = |reg: Scratch, slot: u16| Dec::LoadSlot {
+            reg,
+            slot: slot.into(),
+        };
+        let alu = |a: u16, b: u16, d: u16, alu: Dec| {
+            vec![
+                load(Rax, a),
+                load(Rcx, b),
+                alu,
+                Dec::StoreSlot {
+                    slot: d.into(),
+                    reg: Rax,
+                },
+            ]
+        };
+        let falu = |a: u16, b: u16, d: u16, fop: Dec| {
+            vec![
+                Dec::MovsdLoad {
+                    xmm: 0,
+                    slot: a.into(),
+                },
+                Dec::MovsdLoad {
+                    xmm: 1,
+                    slot: b.into(),
+                },
+                fop,
+                Dec::MovsdStore { slot: d.into() },
+            ]
+        };
+        let branch = |a: u16, b: u16, cc: u8, t: u32| {
+            vec![load(Rax, a), load(Rcx, b), Dec::CmpRaxRcx, jcc(cc, t)]
+        };
         match op {
             Op::LoadRax(slot) => one(Dec::LoadSlot { reg: Rax, slot }),
             Op::LoadRcx(slot) => one(Dec::LoadSlot { reg: Rcx, slot }),
             Op::LoadRdx(slot) => one(Dec::LoadSlot { reg: Rdx, slot }),
-            Op::LoadRaxRcx(a, b) => vec![
-                Dec::LoadSlot { reg: Rax, slot: a },
-                Dec::LoadSlot { reg: Rcx, slot: b },
-            ],
             Op::StoreRax(slot) => one(Dec::StoreSlot { slot, reg: Rax }),
             Op::StoreRcx(slot) => one(Dec::StoreSlot { slot, reg: Rcx }),
             Op::StoreRdx(slot) => one(Dec::StoreSlot { slot, reg: Rdx }),
@@ -1381,6 +1674,66 @@ mod tests {
             Op::CmpsdNe => one(Dec::Cmpsd { pred: 4 }),
             Op::Cvtsi2sd => one(Dec::Cvtsi2sd),
             Op::MovqRaxXmm0 => one(Dec::MovqRaxXmm0),
+            Op::Add(a, b, d) => alu(a, b, d, Dec::AddRcx),
+            Op::Sub(a, b, d) => alu(a, b, d, Dec::SubRcx),
+            Op::Mul(a, b, d) => alu(a, b, d, Dec::MulRcx),
+            Op::And(a, b, d) => alu(a, b, d, Dec::AndRcx),
+            Op::Or(a, b, d) => alu(a, b, d, Dec::OrRcx),
+            Op::Xor(a, b, d) => alu(a, b, d, Dec::XorRcx),
+            Op::Shl(a, b, d) => alu(a, b, d, Dec::ShlCl),
+            Op::Sar(a, b, d) => alu(a, b, d, Dec::SarCl),
+            Op::Shr(a, b, d) => alu(a, b, d, Dec::ShrCl),
+            Op::Fadd(a, b, d) => falu(a, b, d, Dec::Addsd),
+            Op::Fsub(a, b, d) => falu(a, b, d, Dec::Subsd),
+            Op::Fmul(a, b, d) => falu(a, b, d, Dec::Mulsd),
+            Op::Fdiv(a, b, d) => falu(a, b, d, Dec::Divsd),
+            Op::Move(a, d) => vec![
+                load(Rax, a),
+                Dec::StoreSlot {
+                    slot: d.into(),
+                    reg: Rax,
+                },
+            ],
+            Op::GetField(obj, d, disp) => vec![
+                load(Rax, obj),
+                Dec::LoadMem {
+                    disp,
+                    indexed: false,
+                },
+                Dec::StoreSlot {
+                    slot: d.into(),
+                    reg: Rdx,
+                },
+            ],
+            Op::GetElem(arr, i, d, disp) => vec![
+                load(Rax, arr),
+                load(Rcx, i),
+                Dec::LoadMem {
+                    disp,
+                    indexed: true,
+                },
+                Dec::StoreSlot {
+                    slot: d.into(),
+                    reg: Rdx,
+                },
+            ],
+            Op::PutField(obj, v, disp) => vec![
+                load(Rax, obj),
+                load(Rdx, v),
+                Dec::StoreMem {
+                    disp,
+                    indexed: false,
+                },
+            ],
+            Op::PutElem(arr, i, v, disp) => vec![
+                load(Rax, arr),
+                load(Rcx, i),
+                load(Rdx, v),
+                Dec::StoreMem {
+                    disp,
+                    indexed: true,
+                },
+            ],
             Op::Je(t) => one(jcc(0x84, t)),
             Op::Jne(t) => one(jcc(0x85, t)),
             Op::Jl(t) => one(jcc(0x8C, t)),
@@ -1395,84 +1748,212 @@ mod tests {
                 },
                 _ => Dec::Jmp { rel: rel(t) as i32 },
             }),
-            Op::CmpJe(t) => cmp(jcc(0x84, t)),
-            Op::CmpJne(t) => cmp(jcc(0x85, t)),
-            Op::CmpJl(t) => cmp(jcc(0x8C, t)),
-            Op::CmpJle(t) => cmp(jcc(0x8E, t)),
-            Op::CmpJg(t) => cmp(jcc(0x8F, t)),
-            Op::CmpJge(t) => cmp(jcc(0x8D, t)),
-            Op::CmpJb(t) => cmp(jcc(0x82, t)),
+            Op::BrEq(a, b, t) => branch(a, b, 0x84, t),
+            Op::BrNe(a, b, t) => branch(a, b, 0x85, t),
+            Op::BrLt(a, b, t) => branch(a, b, 0x8C, t),
+            Op::BrLe(a, b, t) => branch(a, b, 0x8E, t),
+            Op::BrGt(a, b, t) => branch(a, b, 0x8F, t),
+            Op::BrGe(a, b, t) => branch(a, b, 0x8D, t),
+            Op::BrB(a, b, t) => branch(a, b, 0x82, t),
+            Op::NullCheck(a, t) => vec![load(Rax, a), Dec::TestRax, jcc(0x85, t)],
             Op::Call(_) => one(call),
             Op::Ret => one(Dec::Ret),
             Op::Syscall => one(Dec::Syscall),
         }
     }
 
-    #[test]
-    fn block_table_agrees_with_the_decoder() {
-        // The 17 programs on both perfbench `suite_exec` legs: every op a
-        // run lowered is what `decode_one` decodes at its pc (a call's
-        // callee is `function_at` of its target), a block's ops are
-        // contiguous from its first pc to where it falls through, only
-        // its last op may transfer control, and its charge is the
-        // instructions its ops stand for.
+    /// The target of the unconditional `jmp` at `pc`, if one is there.
+    fn jmp_target(text: &[u8], pc: usize) -> Option<usize> {
+        match decode_one(text, pc).ok()? {
+            (Dec::Jmp { rel }, len) => Some((pc + len) as i64 + i64::from(rel)),
+            (Dec::Jmp8 { opcode: 0xEB, rel }, len) => Some((pc + len) as i64 + i64::from(rel)),
+            _ => None,
+        }
+        .map(|t| t as usize)
+    }
+
+    /// Checks that `ops` stand for exactly what [`decode_one`] decodes
+    /// from `start` on, with a `jmp` the ops leave out followed (at most
+    /// [`MAX_FOLLOWED`] of them, to code not yet run), and returns the
+    /// instructions they stand for and the pc after them.
+    fn check_ops(em: &EmittedModule, start: usize, ops: &[Inst], what: &str) -> (u32, usize) {
+        let (mut cur, mut followed) = (start, 0);
+        let mut pcs = Vec::new();
+        for (i, inst) in ops.iter().enumerate() {
+            assert!(
+                !inst.op.ends_block() || i + 1 == ops.len(),
+                "{what}: {inst:?} transfers control inside a block"
+            );
+            if !matches!(inst.op, Op::Jmp(_)) {
+                while let Some(target) = jmp_target(&em.text, cur) {
+                    pcs.push(cur);
+                    followed += 1;
+                    cur = target;
+                }
+            }
+            let (n, answers) = shape(inst.op);
+            let mut at = Vec::new();
+            let mut decoded = Vec::new();
+            for _ in 0..n {
+                let (dec, len) = decode_one(&em.text, cur).unwrap();
+                at.push((cur, len));
+                pcs.push(cur);
+                decoded.push(dec);
+                cur += len;
+            }
+            let last = decoded[decoded.len() - 1];
+            assert_eq!(
+                decs(inst.op, &at, last),
+                decoded,
+                "{what} at {:#x}",
+                inst.pc
+            );
+            assert_eq!(inst.pc as usize, at[answers].0, "{what}: {inst:?}'s pc");
+            match inst.op {
+                Op::GetField(..) => assert_eq!(at[2].0, at[1].0 + LOAD_MEM_LEN),
+                Op::GetElem(..) => assert_eq!(at[3].0, at[2].0 + LOAD_MEM_INDEXED_LEN),
+                _ => {}
+            }
+            if let (Op::Call(callee), Dec::Call { rel }) = (inst.op, last) {
+                let target = cur as i64 + i64::from(rel);
+                assert_eq!(
+                    em.function_at(target as u32),
+                    Some(callee as usize),
+                    "{what} call at {:#x}",
+                    inst.pc
+                );
+            }
+        }
+        assert!(
+            followed <= MAX_FOLLOWED,
+            "{what}: {followed} jumps followed"
+        );
+        let mut unique = pcs.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), pcs.len(), "{what}: a pc twice in one block");
+        (pcs.len() as u32, cur)
+    }
+
+    /// The 17 programs compiled for perfbench `suite_exec`'s two legs
+    /// (IA32 `Full`, AIX `AixSpeculation`), in `njc_workloads::all()`
+    /// order, leg by leg.
+    fn suite_exec_modules() -> Vec<(Platform, &'static str, EmittedModule)> {
         let legs = [
             (Platform::windows_ia32(), ConfigKind::Full),
             (Platform::aix_ppc(), ConfigKind::AixSpeculation),
         ];
+        let mut modules = Vec::new();
         for (platform, kind) in legs {
             for w in njc_workloads::all() {
                 let mut m = w.module;
                 njc_opt::optimize_module(&mut m, &platform, &kind.to_config(&platform));
-                let em = emit_module(&lower_module(&m), 1);
-                let (exec, _, _) = ByteMachine::new(&em, platform).exec("main", false).unwrap();
-                let code = &exec.code;
-                let mut filled = 0;
-                for (pc, &entry) in code.at.iter().enumerate().filter(|(_, &e)| e != 0) {
-                    let block = code.blocks[entry as usize - 1];
-                    let ops = &code.ops[block.first as usize..block.end as usize];
-                    let (mut cur, mut insts) = (pc, 0);
-                    for (i, inst) in ops.iter().enumerate() {
-                        assert_eq!(inst.pc as usize, cur, "{}: contiguous ops", w.name);
-                        assert!(
-                            !inst.op.ends_block() || i + 1 == ops.len(),
-                            "{}: {inst:?} transfers control inside a block",
-                            w.name
-                        );
-                        let mut at = Vec::new();
-                        let mut decoded = Vec::new();
-                        for _ in 0..inst.op.insts() {
-                            let (dec, len) = decode_one(&em.text, cur).unwrap();
-                            at.push((cur, len));
-                            decoded.push(dec);
-                            cur += len;
-                        }
-                        assert_eq!(
-                            decs(inst.op, &at, decoded[decoded.len() - 1]),
-                            decoded,
-                            "{} at {:#x}",
-                            w.name,
-                            inst.pc
-                        );
-                        if let (Op::Call(callee), Dec::Call { rel }) = (inst.op, decoded[0]) {
-                            let target = cur as i64 + i64::from(rel);
-                            assert_eq!(
-                                em.function_at(target as u32),
-                                Some(callee as usize),
-                                "{} call at {:#x}",
-                                w.name,
-                                inst.pc
-                            );
-                        }
-                        insts += inst.op.insts();
-                    }
-                    assert_eq!(cur, block.next as usize, "{}: falls through", w.name);
-                    assert_eq!(insts, block.insts, "{}: block charge", w.name);
-                    filled += 1;
-                }
-                assert_eq!(filled, code.blocks.len(), "{}: one block per pc", w.name);
+                modules.push((platform, w.name, emit_module(&lower_module(&m), 1)));
             }
         }
+        modules
+    }
+
+    #[test]
+    fn block_table_agrees_with_the_decoder() {
+        // Every op a run lowered stands for exactly what `decode_one`
+        // decodes at its pcs (a call's callee is `function_at` of its
+        // target), following the `jmp`s the block followed; only a
+        // block's last op may transfer control; and its charge and
+        // fall-through pc are those of the instructions its ops stand
+        // for. The same holds for the unfused lowering a short budget
+        // runs, one op per instruction.
+        let (mut fused, mut followed) = (0, 0);
+        for (platform, name, em) in suite_exec_modules() {
+            let (mut exec, _, _) = ByteMachine::new(&em, platform).exec("main", false).unwrap();
+            let code = std::mem::take(&mut exec.code);
+            let mut filled = 0;
+            for (pc, &entry) in code.at.iter().enumerate().filter(|(_, &e)| e != 0) {
+                let block = code.blocks[entry as usize - 1];
+                let ops = &code.ops[block.first as usize..block.end as usize];
+                let (insts, next) = check_ops(&em, pc, ops, name);
+                assert_eq!(next, block.next as usize, "{name}: falls through");
+                assert_eq!(insts, block.insts, "{name}: block charge");
+                fused += ops.iter().filter(|i| shape(i.op).0 > 1).count();
+                followed += block.insts as usize - ops.iter().map(|i| shape(i.op).0).sum::<usize>();
+                // Unfused: what a short budget runs from here.
+                exec.fidx = em.function_at(pc as u32).unwrap();
+                let mut singles = Vec::new();
+                let next = exec.lower_block(&mut singles, pc, false).unwrap();
+                assert!(singles.iter().all(|i| shape(i.op).0 == 1), "{name}");
+                let (_, unfused_next) = check_ops(&em, pc, &singles, name);
+                assert_eq!(next, unfused_next, "{name}: unfused falls through");
+                filled += 1;
+            }
+            assert_eq!(filled, code.blocks.len(), "{name}: one block per pc");
+        }
+        assert!(
+            fused > 0 && followed > 0,
+            "{fused} fused ops, {followed} jumps followed"
+        );
+    }
+
+    /// The instructions each of the 17 programs runs on the byte machine,
+    /// on the IA32 and the AIX leg of [`suite_exec_modules`]: the counts
+    /// of the one-instruction-per-op byte machine this one replaced.
+    const SUITE_INSTS: [(&str, u64, u64); 17] = [
+        ("Numeric Sort", 1_158_250, 1_158_253),
+        ("String Sort", 400_493, 443_696),
+        ("Bitfield", 304_379, 304_382),
+        ("FP Emulation", 331_590, 331_590),
+        ("Fourier", 46_570, 61_698),
+        ("Assignment", 206_392, 217_285),
+        ("IDEA encryption", 469_240, 469_232),
+        ("Huffman Compression", 266_982, 266_737),
+        ("Neural Net", 196_875, 195_675),
+        ("LU Decomposition", 65_196, 63_527),
+        ("mtrt", 896_755, 929_158),
+        ("jess", 108_915, 115_995),
+        ("compress", 390_903, 385_931),
+        ("db", 946_626, 1_083_881),
+        ("mpegaudio", 150_498, 150_698),
+        ("jack", 140_862, 145_407),
+        ("javac", 208_669, 218_386),
+    ];
+
+    #[test]
+    fn fuel_runs_out_on_the_exact_instruction() {
+        // A budget of n, the instructions a run takes, reproduces the
+        // unlimited outcome; any smaller budget, however it splits a
+        // block, a superinstruction or a trace, stops with `OutOfFuel`.
+        let modules = suite_exec_modules();
+        assert_eq!(modules.len(), 2 * SUITE_INSTS.len());
+        for (i, (platform, name, em)) in modules.iter().enumerate() {
+            let (expected, ia32, aix) = SUITE_INSTS[i % SUITE_INSTS.len()];
+            assert_eq!(*name, expected);
+            let n = if i < SUITE_INSTS.len() { ia32 } else { aix };
+            let full = ByteMachine::new(em, *platform).run("main").unwrap();
+            assert_eq!(full.stats.insts, n, "{name}");
+            for fuel in [0, 1, 2, n / 7, n / 3, n / 2, n - 1] {
+                let out = ByteMachine::new(em, *platform).with_fuel(fuel).run("main");
+                assert_eq!(out, Err(MachineFault::OutOfFuel), "{name} at fuel {fuel}");
+            }
+            let out = ByteMachine::new(em, *platform).with_fuel(n).run("main");
+            assert_eq!(out, Ok(full), "{name} at fuel {n}");
+        }
+    }
+
+    /// How many instructions `main` of `em` runs from its entry through
+    /// the one at `pc`, when it runs straight there: each `jmp` on the way
+    /// is taken.
+    fn insts_through(em: &EmittedModule, pc: usize) -> u64 {
+        let (mut cur, mut n) = (em.functions[0].text_off as usize, 1);
+        while cur != pc {
+            let (dec, len) = decode_one(&em.text, cur).unwrap();
+            cur += len;
+            match dec {
+                Dec::Jmp { rel } => cur = (cur as i64 + i64::from(rel)) as usize,
+                Dec::Jmp8 { opcode: 0xEB, rel } => cur = (cur as i64 + i64::from(rel)) as usize,
+                _ => {}
+            }
+            n += 1;
+        }
+        n
     }
 
     /// `main` loads a field of null at a marked site, in the middle of a
@@ -1515,20 +1996,68 @@ mod tests {
             assert_eq!(out.stats.insts, expected, "raise, caught: {caught}");
             let (snap, _, _) = ByteMachine::new(&em, platform).exec("main", true).unwrap();
             assert!(snap.snapshot.is_some());
-            // The instructions from the entry through the trapping load:
-            // `main` runs straight to it.
-            let (mut pc, mut to_trap) = (f.text_off as usize, 1);
-            while pc != site {
-                let (dec, len) = decode_one(&em.text, pc).unwrap();
-                pc += len;
-                match dec {
-                    Dec::Jmp { rel } => pc = (pc as i64 + i64::from(rel)) as usize,
-                    Dec::Jmp8 { opcode: 0xEB, rel } => pc = (pc as i64 + i64::from(rel)) as usize,
-                    _ => {}
-                }
-                to_trap += 1;
-            }
+            // `main` runs straight to the trapping load.
+            let to_trap = insts_through(&em, site);
             assert_eq!(snap.stats.insts, to_trap, "snapshot, caught: {caught}");
+        }
+    }
+
+    #[test]
+    fn a_trap_inside_a_superinstruction_or_a_trace_refunds_what_follows() {
+        // `main` runs straight to a marked load of null and lets the NPE
+        // escape. The load is the heap access of a fused field or array
+        // load, and in the last case also lies past a `jmp` its block
+        // followed, with the code the `jmp` skipped at lower pcs. Each run
+        // charges the instructions through the load: never the slot store
+        // fused after it, nor the rest of the trace.
+        let cases = [
+            (
+                "field load",
+                "func main() -> int {\n  locals v0: ref v1: int\nbb0:\n  v0 = const null\n  v1 = getfield v0, field0 [site]\n  v1 = add.int v1, v1\n  return v1\n}",
+                10,
+            ),
+            (
+                "array load",
+                "func main() -> int {\n  locals v0: ref v1: int v2: int\nbb0:\n  v0 = const null\n  v1 = const 0\n  v2 = aload.int v0[v1] [site]\n  v2 = add.int v2, v2\n  return v2\n}",
+                14,
+            ),
+            (
+                "trace",
+                "func main() -> int {\n  locals v0: ref v1: int\nbb0:\n  v0 = const null\n  v1 = const 1\n  goto bb2\nbb1:\n  v1 = add.int v1, v1\n  return v1\nbb2:\n  v1 = getfield v0, field0 [site]\n  v1 = add.int v1, v1\n  goto bb1\n}",
+                13,
+            ),
+        ];
+        let platform = Platform::windows_ia32();
+        for (what, text, expected) in cases {
+            let mut m = Module::new("fused_trap");
+            m.add_class("C", &[("x", Type::Int)]);
+            m.add_function(parse_function(text).unwrap());
+            let em = emit_module(&lower_module(&m), 1);
+            let f = &em.functions[0];
+            let site = f.text_off as usize + f.sites[0].byte_off as usize;
+            // The block entered at `main`'s entry runs a fused load at the
+            // site, with more ops after it.
+            let (exec, _, _) = ByteMachine::new(&em, platform).exec("main", false).unwrap();
+            let code = &exec.code;
+            let block = code.blocks[code.at[f.text_off as usize] as usize - 1];
+            let ops = &code.ops[block.first as usize..block.end as usize];
+            let at = ops.iter().position(|i| i.pc as usize == site).expect(what);
+            assert!(at + 1 < ops.len(), "{what}: {ops:?}");
+            match (what, ops[at].op) {
+                ("array load", Op::GetElem(..)) => {}
+                ("field load" | "trace", Op::GetField(..)) => {}
+                (_, op) => panic!("{what}: {op:?} at the site"),
+            }
+            let run = block.insts as usize - ops.iter().map(|i| shape(i.op).0).sum::<usize>();
+            assert_eq!(run > 0, what == "trace", "{what}: {ops:?}");
+            let to_trap = insts_through(&em, site);
+            let out = ByteMachine::new(&em, platform).run("main").unwrap();
+            assert_eq!(out.exception, Some(ExceptionKind::NullPointer), "{what}");
+            assert_eq!(out.stats.traps_taken, 1, "{what}");
+            assert_eq!((out.stats.insts, to_trap), (expected, expected), "{what}");
+            let (snap, _, _) = ByteMachine::new(&em, platform).exec("main", true).unwrap();
+            assert!(snap.snapshot.is_some(), "{what}");
+            assert_eq!(snap.stats.insts, expected, "{what}: snapshot");
         }
     }
 }

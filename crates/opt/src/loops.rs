@@ -4,8 +4,10 @@
 //! where loops are and which blocks execute on every iteration. Both are
 //! classic bit-vector computations, small enough to run per-function on
 //! every pipeline iteration. Both read predecessors, successors and
-//! reverse postorder from the caller's [`CfgCache`], so the passes that
-//! look for loops share one CFG walk per generation of the function.
+//! reverse postorder from the caller's [`CfgCache`], and a [`LoopCache`]
+//! keeps their result for one CFG generation, so the passes that look for
+//! loops (LICM, store sinking, versioning) share one computation until an
+//! edge changes.
 
 use njc_dataflow::BitSet;
 use njc_ir::{BlockId, CfgCache, Function};
@@ -145,6 +147,38 @@ pub fn find_loops(func: &Function, cfg: &CfgCache, doms: &Dominators) -> Vec<Nat
     }
     loops.sort_by_key(|l| l.body.count());
     loops
+}
+
+/// The dominators and natural loops of one function at one CFG
+/// generation, computed on first use and kept until the generation moves.
+/// Like a [`CfgCache`], one serves one function: generations of different
+/// functions may coincide.
+#[derive(Clone, Debug, Default)]
+pub struct LoopCache {
+    cached: Option<(u64, Dominators, Vec<NaturalLoop>)>,
+}
+
+impl LoopCache {
+    /// An empty cache; the first [`LoopCache::get`] fills it.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`Dominators::compute`] and [`find_loops`] for `func`, recomputed
+    /// only when its CFG generation moved since the last call. `cfg` must
+    /// be fresh for `func`.
+    pub fn get(&mut self, func: &Function, cfg: &CfgCache) -> (&Dominators, &[NaturalLoop]) {
+        let generation = func.generation();
+        if self.cached.as_ref().is_some_and(|c| c.0 != generation) {
+            self.cached = None;
+        }
+        let (_, doms, loops) = self.cached.get_or_insert_with(|| {
+            let doms = Dominators::compute(func, cfg);
+            let loops = find_loops(func, cfg, &doms);
+            (generation, doms, loops)
+        });
+        (doms, loops)
+    }
 }
 
 #[cfg(test)]

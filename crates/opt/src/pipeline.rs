@@ -23,6 +23,7 @@ use crate::copyprop;
 use crate::dce;
 use crate::inline::{self, InlineConfig};
 use crate::intrinsics;
+use crate::loops::LoopCache;
 use crate::scalar::{self, ScalarConfig};
 use crate::sink;
 use crate::versioning;
@@ -829,7 +830,7 @@ fn optimize_function(
         assumptions,
         ctx,
     };
-    let mut cfg = CfgCache::new();
+    let (mut cfg, mut loops) = (CfgCache::new(), LoopCache::new());
 
     // Every check the function arrives with gets its stable identity (and,
     // when tracing, an origin event) before any pass touches it.
@@ -841,12 +842,12 @@ fn optimize_function(
     let rounds = config.iterations.max(1);
     for round in 1..=rounds {
         let before = (round < rounds).then(|| (func.clone(), rec.issued(), rec.events.len()));
-        pipeline.round(func, &mut cfg, rec, &mut stats, &mut clock);
+        pipeline.round(func, &mut cfg, &mut loops, rec, &mut stats, &mut clock);
         if let Some((snapshot, issued, events)) = before {
             if *func == snapshot && rec.issued() == issued && rec.events.len() == events {
                 #[cfg(debug_assertions)]
                 {
-                    pipeline.assert_fixed_point(func, &cfg, rec);
+                    pipeline.assert_fixed_point(func, &cfg, &loops, rec);
                     clock.lap();
                 }
                 break;
@@ -862,7 +863,7 @@ fn optimize_function(
     // where phase 1 hoisted the null checks first.
     let before = checks_before(rec, func);
     if config.versioning {
-        let s = versioning::run(func, &mut cfg);
+        let s = versioning::run(func, &mut cfg, &mut loops);
         stats.loops_versioned += s.loops_versioned;
         stats.boundchecks_eliminated += s.checks_removed;
     }
@@ -872,7 +873,7 @@ fn optimize_function(
     stats.copies_propagated += copyprop::run(func).replaced_uses;
     stats.dead_removed += dce::run(func, &mut cfg).removed;
     if config.sinking {
-        stats.fields_promoted += sink::run(ctx, func, &mut cfg).promoted;
+        stats.fields_promoted += sink::run(ctx, func, &mut cfg, &mut loops).promoted;
     }
     record_pass_delta(rec, "versioning", before, func);
     if config.validate {
@@ -954,6 +955,7 @@ impl FunctionPipeline<'_> {
         &self,
         func: &mut Function,
         cfg: &mut CfgCache,
+        loops: &mut LoopCache,
         rec: &mut Recorder,
         stats: &mut PipelineStats,
         clock: &mut PassClock,
@@ -1046,6 +1048,7 @@ impl FunctionPipeline<'_> {
             ctx,
             func,
             cfg,
+            loops,
             ScalarConfig {
                 speculation: allow_spec,
             },
@@ -1058,7 +1061,7 @@ impl FunctionPipeline<'_> {
         // Store sinking (Figure 4 (5)) — only fires once the loop is
         // check-free, i.e. after phase 1 did its part.
         if config.sinking {
-            stats.fields_promoted += sink::run(ctx, func, cfg).promoted;
+            stats.fields_promoted += sink::run(ctx, func, cfg, loops).promoted;
         }
         record_pass_delta(rec, "scalar", before, func);
         if config.validate {
@@ -1081,13 +1084,20 @@ impl FunctionPipeline<'_> {
     /// round on a copy of the fixed point changes no instruction, draws no
     /// check id, records no event and counts no transformation.
     #[cfg(debug_assertions)]
-    fn assert_fixed_point(&self, func: &Function, cfg: &CfgCache, rec: &Recorder) {
+    fn assert_fixed_point(
+        &self,
+        func: &Function,
+        cfg: &CfgCache,
+        loops: &LoopCache,
+        rec: &Recorder,
+    ) {
         let mut f = func.clone();
         let mut fork = rec.fork();
         let mut extra = PipelineStats::default();
         self.round(
             &mut f,
             &mut cfg.clone(),
+            &mut loops.clone(),
             &mut fork,
             &mut extra,
             &mut PassClock::start(),

@@ -28,7 +28,7 @@ use njc_core::nonnull::{compute_sets, NonNullProblem};
 use njc_dataflow::{solve_cached, BitSet};
 use njc_ir::{BlockId, CfgCache, FieldId, Function, Inst, Type, VarId};
 
-use crate::loops::{find_loops, Dominators, NaturalLoop};
+use crate::loops::{Dominators, LoopCache, NaturalLoop};
 
 /// Configuration for the scalar replacement pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -62,18 +62,21 @@ impl ScalarStats {
 }
 
 /// Runs scalar replacement on `func` in place, reading the CFG from `cfg`
-/// (revalidated first). Loads are only rewritten or moved between blocks,
-/// never edges, so the cache stays fresh.
+/// (revalidated first) and its loops from `loops`. Loads are only
+/// rewritten or moved between blocks, never edges, so both caches stay
+/// fresh.
 pub fn run(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &mut CfgCache,
+    loops: &mut LoopCache,
     config: ScalarConfig,
 ) -> ScalarStats {
     let mut stats = ScalarStats::default();
     local_load_reuse(func, &mut stats);
     cfg.ensure(func);
-    licm(ctx, func, cfg, config, &mut stats);
+    let (doms, loops) = loops.get(func, cfg);
+    licm(ctx, func, cfg, doms, loops, config, &mut stats);
     stats
 }
 
@@ -325,21 +328,22 @@ fn preheader_bounds(func: &Function, cfg: &CfgCache, preheader: BlockId) -> Vec<
     ok
 }
 
-/// `cfg` must be fresh for `func`; hoisting moves instructions only, so it
-/// stays fresh throughout.
+/// `cfg` must be fresh for `func`, and `doms` and `loops` its dominators
+/// and natural loops; hoisting moves instructions only, so all three stay
+/// fresh throughout.
 fn licm(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &CfgCache,
+    doms: &Dominators,
+    loops: &[NaturalLoop],
     config: ScalarConfig,
     stats: &mut ScalarStats,
 ) {
-    let doms = Dominators::compute(func, cfg);
-    let loops = find_loops(func, cfg, &doms);
     let counts = def_counts(func);
     let mut nonnull_sol = None;
 
-    for l in &loops {
+    for l in loops {
         let Some(preheader) = l.preheader else {
             continue;
         };
@@ -570,7 +574,13 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(LOOP_SRC).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            ScalarConfig::default(),
+        );
         assert_eq!(stats.hoisted_loads, 0, "{f}");
     }
 
@@ -582,7 +592,13 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(LOOP_SRC).unwrap();
         phase1::run(&ctx, &mut f);
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            ScalarConfig::default(),
+        );
         assert_eq!(stats.hoisted_loads, 1, "{f}");
         verify(&f).unwrap();
         // The load now sits in bb0 next to the hoisted check.
@@ -604,6 +620,7 @@ bb2:
             &ctx,
             &mut f,
             &mut CfgCache::new(),
+            &mut LoopCache::new(),
             ScalarConfig { speculation: true },
         );
         assert_eq!(stats.hoisted_loads, 1, "{f}");
@@ -614,6 +631,7 @@ bb2:
             &ctx,
             &mut f2,
             &mut CfgCache::new(),
+            &mut LoopCache::new(),
             ScalarConfig { speculation: false },
         );
         assert_eq!(stats2.hoisted_loads, 0);
@@ -629,6 +647,7 @@ bb2:
             &ctx,
             &mut f,
             &mut CfgCache::new(),
+            &mut LoopCache::new(),
             ScalarConfig { speculation: true },
         );
         assert_eq!(stats.hoisted_loads, 0, "{f}");
@@ -657,7 +676,13 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            ScalarConfig::default(),
+        );
         assert_eq!(stats.hoisted_loads, 0, "aliasing store blocks hoist: {f}");
     }
 
@@ -677,7 +702,13 @@ bb0:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            ScalarConfig::default(),
+        );
         assert_eq!(stats.local_loads_reused, 1, "{f}");
         verify(&f).unwrap();
         assert!(f
@@ -702,7 +733,13 @@ bb0:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            ScalarConfig::default(),
+        );
         assert_eq!(stats.local_loads_reused, 1, "{f}");
     }
 
@@ -724,7 +761,13 @@ bb0:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            ScalarConfig::default(),
+        );
         // v1 may alias v0: the second load must not reuse v2. (The store
         // forwards its own value under key (v1, field0) only.)
         assert_eq!(stats.local_loads_reused, 0, "{f}");
@@ -767,7 +810,13 @@ bb2:
         let mut total = ScalarStats::default();
         for _ in 0..2 {
             phase1::run(&ctx, &mut f);
-            let s = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+            let s = run(
+                &ctx,
+                &mut f,
+                &mut CfgCache::new(),
+                &mut LoopCache::new(),
+                ScalarConfig::default(),
+            );
             total.hoisted_loads += s.hoisted_loads;
             total.hoisted_boundchecks += s.hoisted_boundchecks;
         }
@@ -804,7 +853,13 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
         phase1::run(&ctx, &mut f);
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), ScalarConfig::default());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            ScalarConfig::default(),
+        );
         // v3 (index) varies: the element load and bounds check stay.
         assert_eq!(stats.hoisted_boundchecks, 0, "{f}");
         assert!(f

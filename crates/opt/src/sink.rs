@@ -21,7 +21,7 @@ use njc_core::nonnull::{compute_sets, NonNullProblem};
 use njc_dataflow::solve_cached;
 use njc_ir::{BlockId, CfgCache, FieldId, Function, Inst, Terminator, VarId};
 
-use crate::loops::{find_loops, Dominators, NaturalLoop};
+use crate::loops::{LoopCache, NaturalLoop};
 
 /// Statistics from one store-sinking application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -180,18 +180,23 @@ fn promote(
     stats.promoted += 1;
 }
 
-/// Runs store sinking on `func` in place, reading the CFG from `cfg`
-/// (revalidated after every promotion, which splits exit edges).
-pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function, cfg: &mut CfgCache) -> SinkStats {
+/// Runs store sinking on `func` in place, reading the CFG from `cfg` and
+/// its loops from `loops` (both revalidated after every promotion, which
+/// splits exit edges).
+pub fn run(
+    ctx: &AnalysisCtx<'_>,
+    func: &mut Function,
+    cfg: &mut CfgCache,
+    loops: &mut LoopCache,
+) -> SinkStats {
     let mut stats = SinkStats::default();
     loop {
         cfg.ensure(func);
-        let doms = Dominators::compute(func, cfg);
-        let loops = find_loops(func, cfg, &doms);
+        let (_, loops) = loops.get(func, cfg);
         // Solved on the first candidate only: most loops have none.
         let mut nonnull = None;
         let mut applied = false;
-        for l in &loops {
+        for l in loops {
             let Some(preheader) = l.preheader else {
                 continue;
             };
@@ -261,7 +266,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(FIG4).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.promoted, 1, "{f}");
         assert_eq!(stats.accesses_rewritten, 2);
         verify(&f).unwrap();
@@ -303,7 +308,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.promoted, 0, "{f}");
     }
 
@@ -327,7 +332,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.promoted, 0, "v0 and v1 may alias: {f}");
     }
 
@@ -350,7 +355,7 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.promoted, 0);
     }
 
@@ -377,7 +382,7 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
         phase1::run(&ctx, &mut f);
-        let stats = run(&ctx, &mut f, &mut CfgCache::new());
+        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.promoted, 1, "{f}");
         verify(&f).unwrap();
     }

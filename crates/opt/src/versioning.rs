@@ -25,7 +25,7 @@
 
 use njc_ir::{BlockId, CfgCache, Cond, ConstValue, Function, Inst, Terminator, Type, VarId};
 
-use crate::loops::{find_loops, Dominators, NaturalLoop};
+use crate::loops::{LoopCache, NaturalLoop};
 
 /// Statistics from one versioning application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -316,17 +316,17 @@ fn apply(func: &mut Function, plan: &Plan, stats: &mut VersioningStats) {
     stats.loops_versioned += 1;
 }
 
-/// Runs loop versioning on `func` in place, reading the CFG from `cfg`
-/// (revalidated after every versioned loop, which adds blocks).
-pub fn run(func: &mut Function, cfg: &mut CfgCache) -> VersioningStats {
+/// Runs loop versioning on `func` in place, reading the CFG from `cfg` and
+/// its loops from `loops` (both revalidated after every versioned loop,
+/// which adds blocks).
+pub fn run(func: &mut Function, cfg: &mut CfgCache, loops: &mut LoopCache) -> VersioningStats {
     let mut stats = VersioningStats::default();
     for _round in 0..4 {
         if func.num_blocks() >= MAX_BLOCKS {
             break;
         }
         cfg.ensure(func);
-        let doms = Dominators::compute(func, cfg);
-        let loops = find_loops(func, cfg, &doms);
+        let (_, loops) = loops.get(func, cfg);
         let counts = def_counts(func);
         let plan = loops.iter().find_map(|l| recognize(func, cfg, l, &counts));
         match plan {
@@ -389,7 +389,7 @@ mod tests {
     fn counter_indexed_check_is_versioned_away() {
         let mut f = hoisted_loop();
         let before_blocks = f.num_blocks();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.loops_versioned, 1, "{f}");
         assert_eq!(stats.checks_removed, 1);
         assert!(f.num_blocks() > before_blocks);
@@ -406,9 +406,9 @@ mod tests {
     #[test]
     fn second_run_is_idempotent() {
         let mut f = hoisted_loop();
-        run(&mut f, &mut CfgCache::new());
+        run(&mut f, &mut CfgCache::new(), &mut LoopCache::new());
         let blocks = f.num_blocks();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.loops_versioned, 0, "{f}");
         assert_eq!(f.num_blocks(), blocks);
     }
@@ -429,7 +429,7 @@ mod tests {
         });
         b.ret(Some(acc));
         let mut f = b.finish();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.loops_versioned, 0, "{f}");
     }
 
@@ -452,14 +452,14 @@ mod tests {
         });
         b.ret(Some(acc));
         let mut f = b.finish();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut LoopCache::new());
         assert_eq!(stats.loops_versioned, 0);
     }
 
     #[test]
     fn versioned_function_verifies_and_keeps_shape() {
         let mut f = hoisted_loop();
-        run(&mut f, &mut CfgCache::new());
+        run(&mut f, &mut CfgCache::new(), &mut LoopCache::new());
         verify(&f).unwrap();
         // The guard chain exists: some block compares end (v1) with Gt.
         let has_guard = f

@@ -11,7 +11,7 @@
 use njc_arch::{CostModel, TrapModel};
 use njc_core::ExplicitOverride;
 use njc_ir::{AccessKind, FieldId, Function};
-use njc_vm::SiteCounters;
+use njc_vm::{Fault, SiteCounters};
 
 /// Tunable thresholds for the tiering decisions.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -43,6 +43,22 @@ impl ProfilePolicy {
             hot_function_calls: 64,
             quiesce_executions: 256,
         }
+    }
+
+    /// Refuses a policy no run can follow: `trap_ratio` must be a finite,
+    /// non-negative number. A NaN would compare false against every
+    /// observed rate and quietly change which sites are judged hot.
+    ///
+    /// # Errors
+    /// [`Fault::InvalidSetting`] naming `policy.trap_ratio`.
+    pub fn validate(&self) -> Result<(), Fault> {
+        if self.trap_ratio.is_finite() && self.trap_ratio >= 0.0 {
+            return Ok(());
+        }
+        Err(Fault::InvalidSetting {
+            setting: "policy.trap_ratio",
+            detail: format!("{} is not a finite, non-negative ratio", self.trap_ratio),
+        })
     }
 }
 

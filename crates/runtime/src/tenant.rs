@@ -372,14 +372,17 @@ impl ServiceRuntime {
     /// pipeline, then fixpoints and steady-measures each one.
     ///
     /// # Errors
-    /// [`Fault::IllTyped`] naming the verifier's first error when a
-    /// tenant's module does not verify (checked for every tenant before
-    /// any compile: the optimizer assumes verified IR); otherwise the
-    /// first VM [`Fault`] any tenant hit (adaptive or steady run).
+    /// [`Fault::InvalidSetting`] when the profile policy's ratio is not a
+    /// finite, non-negative number, and [`Fault::IllTyped`] naming the
+    /// verifier's first error when a tenant's module does not verify (both
+    /// checked before any compile: the optimizer assumes verified IR);
+    /// otherwise the first VM [`Fault`] any tenant hit (adaptive or steady
+    /// run).
     ///
     /// # Panics
     /// Resumes the panic of a tenant VM that panicked.
     pub fn run(&self, specs: &[TenantSpec]) -> Result<ServiceOutcome, Fault> {
+        self.config.runtime.policy.validate()?;
         for spec in specs {
             admit(&spec.module)?;
         }

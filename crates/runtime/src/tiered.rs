@@ -356,9 +356,11 @@ impl TieredRuntime {
     /// then once more (steady state) on the final bodies.
     ///
     /// # Errors
-    /// [`Fault::IllTyped`] naming the verifier's first error when the
-    /// module does not verify (nothing is compiled then); otherwise VM
-    /// [`Fault`]s from either run, including a wrong entry arity.
+    /// [`Fault::InvalidSetting`] when the profile policy's ratio is not a
+    /// finite, non-negative number, and [`Fault::IllTyped`] naming the
+    /// verifier's first error when the module does not verify (nothing is
+    /// compiled then); otherwise VM [`Fault`]s from either run, including
+    /// a wrong entry arity.
     pub fn run(&self, entry: &str, args: &[Value]) -> Result<RuntimeOutcome, Fault> {
         let spec = TenantSpec {
             name: entry.to_string(),

@@ -433,6 +433,14 @@ pub enum Fault {
         /// What was wrong (e.g. `binop.int over Ref operands`).
         detail: String,
     },
+    /// A runtime setting outside its domain, refused before anything is
+    /// compiled or run (e.g. a profile-policy ratio that is NaN).
+    InvalidSetting {
+        /// The setting, e.g. `policy.trap_ratio`.
+        setting: &'static str,
+        /// Why it was refused.
+        detail: String,
+    },
 }
 
 /// Alias for [`Fault`]: every VM error, including the structured
@@ -465,6 +473,9 @@ impl std::fmt::Display for Fault {
                 detail,
             } => {
                 write!(f, "ill-typed instruction in {function}/{block}: {detail}")
+            }
+            Fault::InvalidSetting { setting, detail } => {
+                write!(f, "invalid setting `{setting}`: {detail}")
             }
         }
     }

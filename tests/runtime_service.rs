@@ -9,9 +9,10 @@
 //! tier-down must return a quiesced site to the implicit (free) form with
 //! every tier's conservation ledger still balanced. `TieredRuntime` is a
 //! one-tenant service, so each comparison against it is N tenants against
-//! one. Two robustness properties follow: a wrong entry arity is a prompt
-//! structured fault, and a panicked compile job is charged to the tenant
-//! that waited on it.
+//! one. Robustness properties follow: a wrong entry arity is a prompt
+//! structured fault, a panicked compile job is charged to the tenant that
+//! waited on it, and an unverified module or a policy ratio that is not a
+//! finite, non-negative number is refused before anything compiles.
 
 use njc_arch::{Platform, TrapModel};
 use njc_core::ExplicitOverride;
@@ -343,4 +344,40 @@ fn admission_refuses_an_unverified_module_before_compiling_it() {
         let service = ServiceRuntime::new(p).run(&specs);
         assert_eq!(service.err(), Some(expected), "{src}");
     }
+}
+
+#[test]
+fn a_non_finite_or_negative_trap_ratio_is_refused_before_compiling() {
+    let p = Platform::windows_ia32();
+    let args = [Value::Int(3), Value::Ref(0)];
+    for ratio in [f64::NAN, -1.0, f64::INFINITY] {
+        let mut config = ServiceConfig::for_platform(&p);
+        config.runtime.policy.trap_ratio = ratio;
+        let expected = Fault::InvalidSetting {
+            setting: "policy.trap_ratio",
+            detail: format!("{ratio} is not a finite, non-negative ratio"),
+        };
+        let tiered = TieredRuntime::with_config(hot_field_workload(), p, config.runtime);
+        assert_eq!(tiered.run("main", &args).err(), Some(expected.clone()));
+        assert_eq!(
+            tiered.cache_stats(),
+            Default::default(),
+            "{ratio}: compiled"
+        );
+        let service = ServiceRuntime::with_config(p, config);
+        let specs = fleet("hot", &hot_field_workload(), &args, 2);
+        assert_eq!(service.run(&specs).err(), Some(expected));
+        assert_eq!(
+            service.cache().stats(),
+            Default::default(),
+            "{ratio}: compiled"
+        );
+    }
+    // The break-even default still runs.
+    let config = ServiceConfig::for_platform(&p);
+    config.runtime.policy.validate().unwrap();
+    let tiered = TieredRuntime::with_config(hot_field_workload(), p, config.runtime);
+    assert!(tiered.run("main", &args).is_ok());
+    let specs = fleet("hot", &hot_field_workload(), &args, 2);
+    assert!(ServiceRuntime::with_config(p, config).run(&specs).is_ok());
 }
