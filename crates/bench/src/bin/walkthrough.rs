@@ -8,7 +8,7 @@
 
 use njc_arch::TrapModel;
 use njc_core::ctx::AnalysisCtx;
-use njc_core::{phase1, phase2, whaley};
+use njc_core::{phase1, phase2, whaley, Workspace};
 use njc_ir::{parse_function, CfgCache, Function, Module, Type};
 use njc_opt::loops::LoopCache;
 use njc_opt::scalar::{self, ScalarConfig};
@@ -105,6 +105,7 @@ bb2:
         &mut f,
         &mut CfgCache::new(),
         &mut LoopCache::new(),
+        &mut Workspace::new(),
         ScalarConfig::default(),
     );
     stage(
@@ -157,6 +158,7 @@ bb2:
         &mut f,
         &mut CfgCache::new(),
         &mut LoopCache::new(),
+        &mut Workspace::new(),
         ScalarConfig { speculation: false },
     );
     stage(
@@ -174,6 +176,7 @@ bb2:
         &mut f,
         &mut CfgCache::new(),
         &mut LoopCache::new(),
+        &mut Workspace::new(),
         ScalarConfig { speculation: true },
     );
     stage(

@@ -42,7 +42,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use njc_dataflow::{BitSet, Direction, Meet, Problem};
-use njc_ir::{BlockId, Function, Inst, Terminator, VarId};
+use njc_ir::{BlockId, CfgCache, Function, Inst, Terminator, VarId};
 use njc_observe::{CheckEvent, Recorder, Redundancy};
 
 use crate::ctx::AnalysisCtx;
@@ -83,6 +83,7 @@ pub fn default_throw_point(inst: &Inst) -> bool {
 /// are themselves numbers, needs a map. Since a slot takes the next number
 /// on first sight, the numbers come out in exactly the order one interner
 /// over all shapes would hand them out.
+#[derive(Clone, Debug, Default)]
 struct Numbers {
     next: u32,
     nv: usize,
@@ -111,29 +112,34 @@ fn first_sight(slot: &mut u32, next: &mut u32) -> u32 {
     *slot
 }
 
+/// Refills `v` with `n` copies of `x`, reusing its buffer.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
 impl Numbers {
-    fn new(func: &Function) -> Self {
+    /// Forgets every number and sizes the slot tables for `func`,
+    /// reusing their buffers.
+    fn reset(&mut self, func: &Function) {
         let nb = func.num_blocks();
         let nv = func.num_vars();
-        let mut inst_base = Vec::with_capacity(nb + 1);
+        self.inst_base.clear();
         let mut total = 0;
         for b in func.blocks() {
-            inst_base.push(total);
+            self.inst_base.push(total);
             total += b.insts.len();
         }
-        inst_base.push(total);
-        Numbers {
-            next: 0,
-            nv,
-            merge: vec![NO_VN; nb * nv],
-            exc_merge: vec![NO_VN; nb * nv],
-            mem_merge: vec![NO_VN; nb],
-            exc_mem_merge: vec![NO_VN; nb],
-            inst_base,
-            def: vec![NO_VN; total],
-            store: vec![NO_VN; total],
-            load: HashMap::new(),
-        }
+        self.inst_base.push(total);
+        self.next = 0;
+        self.nv = nv;
+        refill(&mut self.merge, nb * nv, NO_VN);
+        refill(&mut self.exc_merge, nb * nv, NO_VN);
+        refill(&mut self.mem_merge, nb, NO_VN);
+        refill(&mut self.exc_mem_merge, nb, NO_VN);
+        refill(&mut self.def, total, NO_VN);
+        refill(&mut self.store, total, NO_VN);
+        self.load.clear();
     }
 
     /// A number no key shares (the entry frame's `Entry(v)`/`EntryMem`).
@@ -194,6 +200,7 @@ impl Numbers {
 /// ([`ValueNumbering::entry_vn`] and its siblings): the variable-indexed
 /// tables have stride `num_vars`, the instruction-indexed one a per-block
 /// offset.
+#[derive(Clone, Debug, Default)]
 pub struct ValueNumbering {
     /// Variables per row of the variable-indexed tables.
     nv: usize,
@@ -220,7 +227,7 @@ pub struct ValueNumbering {
 /// until the first throw point, then the state there, with positions that
 /// later throw points disagree on turned into sticky per-(block, var) phi
 /// numbers.
-#[derive(Default)]
+#[derive(Clone, Debug, Default)]
 struct ExcFold {
     vars: Vec<u32>,
     epoch: Option<u32>,
@@ -258,7 +265,7 @@ impl ExcFold {
 }
 
 /// Overwrites `dst` with `src`, reusing `dst`'s buffer.
-fn assign(dst: &mut Vec<u32>, src: &[u32]) {
+fn assign<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
     dst.clear();
     dst.extend_from_slice(src);
 }
@@ -280,260 +287,7 @@ impl ValueNumbering {
     /// costs the *client's* exceptional-edge precision, so each passes its
     /// own). `Terminator::Throw` is always a throw point.
     pub fn compute(func: &Function, is_throw_point: &dyn Fn(&Inst) -> bool) -> ValueNumbering {
-        let nb = func.num_blocks();
-        let nv = func.num_vars();
-        let mut num = Numbers::new(func);
-
-        // Predecessor edges, handler edges included and tagged.
-        let mut preds: Vec<Vec<(usize, bool)>> = vec![Vec::new(); nb];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nb];
-        let mut explicit = Vec::with_capacity(2);
-        for b in func.blocks() {
-            let bi = b.id.index();
-            explicit.clear();
-            b.term.successors_into(&mut explicit);
-            for s in &explicit {
-                preds[s.index()].push((bi, false));
-                succs[bi].push(s.index());
-            }
-            if let Some(tr) = b.try_region {
-                let h = func.try_region(tr).handler;
-                preds[h.index()].push((bi, true));
-                succs[bi].push(h.index());
-            }
-        }
-
-        // Reverse postorder from the entry (unreachable blocks appended —
-        // they still get frames, seeded from their own entry bindings).
-        let entry_idx = func.entry().index();
-        let mut order: Vec<usize> = {
-            let mut post = Vec::with_capacity(nb);
-            let mut seen = vec![false; nb];
-            let mut stack: Vec<(usize, usize)> = vec![(entry_idx, 0)];
-            seen[entry_idx] = true;
-            while let Some((n, i)) = stack.last_mut() {
-                if let Some(&s) = succs[*n].get(*i) {
-                    *i += 1;
-                    if !seen[s] {
-                        seen[s] = true;
-                        stack.push((s, 0));
-                    }
-                } else {
-                    post.push(*n);
-                    stack.pop();
-                }
-            }
-            let mut order: Vec<usize> = post.into_iter().rev().collect();
-            for (b, vis) in seen.iter().enumerate() {
-                if !vis {
-                    order.push(b);
-                }
-            }
-            order
-        };
-        if order.is_empty() {
-            order.push(entry_idx);
-        }
-
-        // The entry block leads the order, so its frame takes the first
-        // numbers: `Entry(v)` is `v` and `EntryMem` is `nv`.
-        let entry_frame: Vec<u32> = (0..nv).map(|_| num.fresh()).collect();
-        let entry_mem = num.fresh();
-
-        // The tables, flat; a block's rows are meaningful once `computed`.
-        let mut entry_vn: Vec<u32> = vec![NO_VN; nb * nv];
-        let mut entry_ep: Vec<u32> = vec![0; nb];
-        let mut exit_vn: Vec<u32> = vec![NO_VN; nb * nv];
-        let mut exit_ep: Vec<u32> = vec![0; nb];
-        let mut def_vn: Vec<u32> = vec![NO_VN; num.def.len()];
-        let inst_base = num.inst_base.clone();
-        let def_row = |bi: usize| inst_base[bi]..inst_base[bi + 1];
-        // A block's exceptional row is its binding iff the block has a
-        // throw point (`exc_cut` is set), i.e. iff `exc_ep` is `Some`.
-        let mut exc_vn: Vec<u32> = vec![NO_VN; nb * nv];
-        let mut exc_ep: Vec<Option<u32>> = vec![None; nb];
-        let mut exc_cut: Vec<usize> = vec![usize::MAX; nb];
-        let mut computed = vec![false; nb];
-        // Whether a predecessor's frame changed since the block's entry
-        // frame was last built. A block whose inputs did not move would
-        // rebuild the same frame and hand out no new number, so skipping it
-        // changes neither the numbering nor its order.
-        let mut stale = vec![true; nb];
-
-        // Per-block scratch, reused across blocks and passes.
-        let mut contribs: Vec<(usize, bool)> = Vec::new();
-        let mut ev: Vec<u32> = Vec::with_capacity(nv);
-        let mut state: Vec<u32> = Vec::with_capacity(nv);
-        let mut dvs: Vec<u32> = Vec::new();
-        let mut exc = ExcFold::default();
-
-        // Merge decisions are sticky: once a join observes disagreement for
-        // a (block, var) — or for a block's epoch — it stays a phi (its
-        // `Merge` slot is taken). This is what makes the fixpoint monotone
-        // (each decision flips at most once), so the pass bound below is
-        // generous, not load-bearing.
-        let limit = (nb + 2) * (nv + 2) + 16;
-        let mut passes = 0;
-        loop {
-            let mut changed = false;
-            for &bi in &order {
-                if !stale[bi] {
-                    continue;
-                }
-                stale[bi] = false;
-                // Block entry frame: agree → inherit, disagree → phi. Only
-                // predecessors already visited contribute (optimistic).
-                contribs.clear();
-                if bi != entry_idx {
-                    for &(p, is_exc) in &preds[bi] {
-                        if computed[p] && (!is_exc || exc_ep[p].is_some()) {
-                            contribs.push((p, is_exc));
-                        }
-                    }
-                }
-                ev.clear();
-                let eep = if let Some((&first, rest)) = contribs.split_first() {
-                    let frame = |(p, is_exc): (usize, bool)| -> &[u32] {
-                        if is_exc {
-                            row(&exc_vn, nv, p)
-                        } else {
-                            row(&exit_vn, nv, p)
-                        }
-                    };
-                    let epoch = |(p, is_exc): (usize, bool)| -> u32 {
-                        if is_exc {
-                            exc_ep[p].expect("exc epoch")
-                        } else {
-                            exit_ep[p]
-                        }
-                    };
-                    let first_frame = frame(first);
-                    for (v, &x) in first_frame.iter().enumerate() {
-                        let agree = rest.iter().all(|&c| frame(c)[v] == x);
-                        ev.push(if !agree || num.is_merged(bi, v) {
-                            num.merge(bi, v)
-                        } else {
-                            x
-                        });
-                    }
-                    let first_ep = epoch(first);
-                    let ep_agree = rest.iter().all(|&c| epoch(c) == first_ep);
-                    if !ep_agree || num.is_mem_merged(bi) {
-                        num.mem_merge(bi)
-                    } else {
-                        first_ep
-                    }
-                } else {
-                    ev.extend_from_slice(&entry_frame);
-                    entry_mem
-                };
-
-                // The walk below is a function of the entry frame alone
-                // (every number it asks for was handed out the first time),
-                // so an unchanged frame means an unchanged block.
-                if computed[bi] && entry_ep[bi] == eep && row(&entry_vn, nv, bi) == ev {
-                    continue;
-                }
-
-                // Straight-line walk of the block.
-                let block = func.block(BlockId::new(bi));
-                assign(&mut state, &ev);
-                let mut ep = eep;
-                dvs.clear();
-                exc.reset();
-                let mut cut = usize::MAX;
-                for (i, inst) in block.insts.iter().enumerate() {
-                    if is_throw_point(inst) {
-                        // The handler observes the state *before* the
-                        // throwing instruction executes.
-                        if cut == usize::MAX {
-                            cut = i;
-                        }
-                        exc.fold(&mut num, bi, &state, ep);
-                    }
-                    let dv = match inst {
-                        Inst::Move { dst, src } => {
-                            let x = state[src.index()];
-                            state[dst.index()] = x;
-                            x
-                        }
-                        Inst::GetField {
-                            dst, obj, field, ..
-                        } => {
-                            let x = num.load(state[obj.index()], field.0, ep);
-                            state[dst.index()] = x;
-                            x
-                        }
-                        _ => {
-                            let dv = match inst.def() {
-                                Some(d) => {
-                                    let x = num.def(bi, i);
-                                    state[d.index()] = x;
-                                    x
-                                }
-                                None => NO_VN,
-                            };
-                            if inst.writes_memory() {
-                                ep = num.store(bi, i);
-                            }
-                            dv
-                        }
-                    };
-                    dvs.push(dv);
-                }
-                if matches!(block.term, Terminator::Throw(_)) {
-                    if cut == usize::MAX {
-                        cut = block.insts.len();
-                    }
-                    exc.fold(&mut num, bi, &state, ep);
-                }
-
-                let old_exc = exc_ep[bi].map(|_| row(&exc_vn, nv, bi));
-                if computed[bi]
-                    && row(&entry_vn, nv, bi) == ev
-                    && entry_ep[bi] == eep
-                    && row(&exit_vn, nv, bi) == state
-                    && exit_ep[bi] == ep
-                    && def_vn[def_row(bi)] == dvs
-                    && old_exc == exc.binding()
-                    && exc_ep[bi] == exc.epoch
-                    && exc_cut[bi] == cut
-                {
-                    continue;
-                }
-                changed = true;
-                row_mut(&mut entry_vn, nv, bi).copy_from_slice(&ev);
-                entry_ep[bi] = eep;
-                row_mut(&mut exit_vn, nv, bi).copy_from_slice(&state);
-                exit_ep[bi] = ep;
-                def_vn[def_row(bi)].copy_from_slice(&dvs);
-                if let Some(bind) = exc.binding() {
-                    row_mut(&mut exc_vn, nv, bi).copy_from_slice(bind);
-                }
-                exc_ep[bi] = exc.epoch;
-                exc_cut[bi] = cut;
-                computed[bi] = true;
-                for &s in &succs[bi] {
-                    stale[s] = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            passes += 1;
-            assert!(passes <= limit, "value numbering failed to converge");
-        }
-
-        ValueNumbering {
-            nv,
-            entry: entry_vn,
-            exit: exit_vn,
-            exc: exc_vn,
-            inst_base,
-            def: def_vn,
-            exc_cut,
-            num_vns: num.next as usize,
-        }
+        GvnWorkspace::default().compute(func, &CfgCache::computed(func), is_throw_point)
     }
 
     /// Block `block`'s variable → VN binding at its entry.
@@ -584,8 +338,300 @@ impl ValueNumbering {
     }
 }
 
+/// The buffers of [`GvnWorkspace::compute`], kept between numberings of
+/// one function: the first-sight slot tables, the per-block frames and
+/// flags, and the tables of a numbering handed back through
+/// [`GvnWorkspace::recycle`]. Every numbering refills what it reads, so
+/// the result never depends on what the workspace computed before.
+#[derive(Clone, Debug, Default)]
+pub struct GvnWorkspace {
+    num: Numbers,
+    entry_frame: Vec<u32>,
+    entry_ep: Vec<u32>,
+    exit_ep: Vec<u32>,
+    exc_ep: Vec<Option<u32>>,
+    computed: Vec<bool>,
+    stale: Vec<bool>,
+    contribs: Vec<(usize, bool)>,
+    ev: Vec<u32>,
+    state: Vec<u32>,
+    dvs: Vec<u32>,
+    exc: ExcFold,
+    /// A recycled numbering whose tables the next one refills.
+    spare: Option<ValueNumbering>,
+    /// Recycled transfer sets, refilled by [`GvnWorkspace::sets`].
+    spare_sets: Option<GvnNonNullSets>,
+}
+
+impl GvnWorkspace {
+    /// Hands `vn`'s tables back for the next numbering to refill.
+    pub fn recycle(&mut self, vn: ValueNumbering) {
+        self.spare = Some(vn);
+    }
+
+    /// [`compute_gvn_sets`], refilling recycled sets when there are some.
+    pub fn sets(
+        &mut self,
+        ctx: Option<&AnalysisCtx<'_>>,
+        func: &Function,
+        vn: &ValueNumbering,
+    ) -> GvnNonNullSets {
+        let mut out = self.spare_sets.take().unwrap_or_default();
+        fill_gvn_sets(ctx, func, vn, &mut out, &mut self.state);
+        out
+    }
+
+    /// Hands `sets` back for [`GvnWorkspace::sets`] to refill.
+    pub fn recycle_sets(&mut self, sets: GvnNonNullSets) {
+        self.spare_sets = Some(sets);
+    }
+
+    /// [`ValueNumbering::compute`] over the CFG structures in `cfg` (fresh
+    /// for `func`), reusing this workspace's buffers.
+    ///
+    /// # Panics
+    /// Panics if `cfg` is stale.
+    pub fn compute(
+        &mut self,
+        func: &Function,
+        cfg: &CfgCache,
+        is_throw_point: &dyn Fn(&Inst) -> bool,
+    ) -> ValueNumbering {
+        assert!(cfg.is_fresh(func), "value numbering needs a fresh CfgCache");
+        let nb = func.num_blocks();
+        let nv = func.num_vars();
+        let GvnWorkspace {
+            num,
+            entry_frame,
+            entry_ep,
+            exit_ep,
+            exc_ep,
+            computed,
+            stale,
+            contribs,
+            ev,
+            state,
+            dvs,
+            exc,
+            spare,
+            ..
+        } = self;
+        num.reset(func);
+        let mut out = spare.take().unwrap_or_default();
+
+        // Blocks are visited in reverse postorder from the entry
+        // (unreachable blocks appended — they still get frames, seeded
+        // from their own entry bindings). The entry block leads the order,
+        // so its frame takes the first numbers: `Entry(v)` is `v` and
+        // `EntryMem` is `nv`.
+        let entry_idx = func.entry().index();
+        entry_frame.clear();
+        for _ in 0..nv {
+            entry_frame.push(num.fresh());
+        }
+        let entry_mem = num.fresh();
+
+        // The tables, flat; a block's rows are meaningful once `computed`.
+        refill(&mut out.entry, nb * nv, NO_VN);
+        refill(entry_ep, nb, 0);
+        refill(&mut out.exit, nb * nv, NO_VN);
+        refill(exit_ep, nb, 0);
+        refill(&mut out.def, num.def.len(), NO_VN);
+        assign(&mut out.inst_base, &num.inst_base);
+        // A block's exceptional row is its binding iff the block has a
+        // throw point (`exc_cut` is set), i.e. iff `exc_ep` is `Some`.
+        refill(&mut out.exc, nb * nv, NO_VN);
+        refill(exc_ep, nb, None);
+        refill(&mut out.exc_cut, nb, usize::MAX);
+        refill(computed, nb, false);
+        // Whether a predecessor's frame changed since the block's entry
+        // frame was last built. A block whose inputs did not move would
+        // rebuild the same frame and hand out no new number, so skipping it
+        // changes neither the numbering nor its order.
+        refill(stale, nb, true);
+        let inst_base = &out.inst_base;
+        let def_row = |bi: usize| inst_base[bi]..inst_base[bi + 1];
+
+        // Merge decisions are sticky: once a join observes disagreement for
+        // a (block, var) — or for a block's epoch — it stays a phi (its
+        // `Merge` slot is taken). This is what makes the fixpoint monotone
+        // (each decision flips at most once), so the pass bound below is
+        // generous, not load-bearing.
+        let limit = (nb + 2) * (nv + 2) + 16;
+        let mut passes = 0;
+        loop {
+            let mut changed = false;
+            for &b in cfg.rpo() {
+                let bi = b.index();
+                if !stale[bi] {
+                    continue;
+                }
+                stale[bi] = false;
+                // Block entry frame: agree → inherit, disagree → phi. Only
+                // predecessors already visited contribute (optimistic).
+                contribs.clear();
+                if bi != entry_idx {
+                    // The edges into `bi`, handler edges tagged. Their
+                    // order and multiplicity do not matter: a position
+                    // inherits only what every contributor agrees on.
+                    for &p in &cfg.preds()[bi] {
+                        let (pi, pb) = (p.index(), func.block(p));
+                        if !computed[pi] {
+                            continue;
+                        }
+                        if pb.term.has_successor(b) {
+                            contribs.push((pi, false));
+                        }
+                        let handles = pb
+                            .try_region
+                            .is_some_and(|tr| func.try_region(tr).handler == b);
+                        if handles && exc_ep[pi].is_some() {
+                            contribs.push((pi, true));
+                        }
+                    }
+                }
+                ev.clear();
+                let eep = if let Some((&first, rest)) = contribs.split_first() {
+                    let frame = |(p, is_exc): (usize, bool)| -> &[u32] {
+                        if is_exc {
+                            row(&out.exc, nv, p)
+                        } else {
+                            row(&out.exit, nv, p)
+                        }
+                    };
+                    let epoch = |(p, is_exc): (usize, bool)| -> u32 {
+                        if is_exc {
+                            exc_ep[p].expect("exc epoch")
+                        } else {
+                            exit_ep[p]
+                        }
+                    };
+                    let first_frame = frame(first);
+                    for (v, &x) in first_frame.iter().enumerate() {
+                        let agree = rest.iter().all(|&c| frame(c)[v] == x);
+                        ev.push(if !agree || num.is_merged(bi, v) {
+                            num.merge(bi, v)
+                        } else {
+                            x
+                        });
+                    }
+                    let first_ep = epoch(first);
+                    let ep_agree = rest.iter().all(|&c| epoch(c) == first_ep);
+                    if !ep_agree || num.is_mem_merged(bi) {
+                        num.mem_merge(bi)
+                    } else {
+                        first_ep
+                    }
+                } else {
+                    ev.extend_from_slice(entry_frame);
+                    entry_mem
+                };
+
+                // The walk below is a function of the entry frame alone
+                // (every number it asks for was handed out the first time),
+                // so an unchanged frame means an unchanged block.
+                if computed[bi] && entry_ep[bi] == eep && row(&out.entry, nv, bi) == ev {
+                    continue;
+                }
+
+                // Straight-line walk of the block.
+                let block = func.block(b);
+                assign(state, ev);
+                let mut ep = eep;
+                dvs.clear();
+                exc.reset();
+                let mut cut = usize::MAX;
+                for (i, inst) in block.insts.iter().enumerate() {
+                    if is_throw_point(inst) {
+                        // The handler observes the state *before* the
+                        // throwing instruction executes.
+                        if cut == usize::MAX {
+                            cut = i;
+                        }
+                        exc.fold(num, bi, state, ep);
+                    }
+                    let dv = match inst {
+                        Inst::Move { dst, src } => {
+                            let x = state[src.index()];
+                            state[dst.index()] = x;
+                            x
+                        }
+                        Inst::GetField {
+                            dst, obj, field, ..
+                        } => {
+                            let x = num.load(state[obj.index()], field.0, ep);
+                            state[dst.index()] = x;
+                            x
+                        }
+                        _ => {
+                            let dv = match inst.def() {
+                                Some(d) => {
+                                    let x = num.def(bi, i);
+                                    state[d.index()] = x;
+                                    x
+                                }
+                                None => NO_VN,
+                            };
+                            if inst.writes_memory() {
+                                ep = num.store(bi, i);
+                            }
+                            dv
+                        }
+                    };
+                    dvs.push(dv);
+                }
+                if matches!(block.term, Terminator::Throw(_)) {
+                    if cut == usize::MAX {
+                        cut = block.insts.len();
+                    }
+                    exc.fold(num, bi, state, ep);
+                }
+
+                let old_exc = exc_ep[bi].map(|_| row(&out.exc, nv, bi));
+                if computed[bi]
+                    && row(&out.entry, nv, bi) == ev
+                    && entry_ep[bi] == eep
+                    && row(&out.exit, nv, bi) == state
+                    && exit_ep[bi] == ep
+                    && out.def[def_row(bi)] == **dvs
+                    && old_exc == exc.binding()
+                    && exc_ep[bi] == exc.epoch
+                    && out.exc_cut[bi] == cut
+                {
+                    continue;
+                }
+                changed = true;
+                row_mut(&mut out.entry, nv, bi).copy_from_slice(ev);
+                entry_ep[bi] = eep;
+                row_mut(&mut out.exit, nv, bi).copy_from_slice(state);
+                exit_ep[bi] = ep;
+                out.def[def_row(bi)].copy_from_slice(dvs);
+                if let Some(bind) = exc.binding() {
+                    row_mut(&mut out.exc, nv, bi).copy_from_slice(bind);
+                }
+                exc_ep[bi] = exc.epoch;
+                out.exc_cut[bi] = cut;
+                computed[bi] = true;
+                for s in &cfg.succs()[bi] {
+                    stale[s.index()] = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            passes += 1;
+            assert!(passes <= limit, "value numbering failed to converge");
+        }
+
+        out.nv = nv;
+        out.num_vns = num.next as usize;
+        out
+    }
+}
+
 /// Per-block transfer sets of the VN-indexed non-nullness problem. Value
 /// numbers are immutable, so there is no kill set: `out = in ∪ gen`.
+#[derive(Clone, Debug, Default)]
 pub struct GvnNonNullSets {
     /// VNs proven non-null by the block (checks, allocations, assumed
     /// interprocedural gens — a fact on one class member is a fact on all).
@@ -606,16 +652,30 @@ pub fn compute_gvn_sets(
     func: &Function,
     vn: &ValueNumbering,
 ) -> GvnNonNullSets {
+    let mut sets = GvnNonNullSets::default();
+    fill_gvn_sets(ctx, func, vn, &mut sets, &mut Vec::new());
+    sets
+}
+
+/// [`compute_gvn_sets`] into `out`, reusing its sets; `state` is scratch.
+fn fill_gvn_sets(
+    ctx: Option<&AnalysisCtx<'_>>,
+    func: &Function,
+    vn: &ValueNumbering,
+    out: &mut GvnNonNullSets,
+    state: &mut Vec<u32>,
+) {
     let nf = vn.num_vns;
     let nb = func.num_blocks();
-    let mut gen = Vec::with_capacity(nb);
-    let mut exc_gen = Vec::with_capacity(nb);
-    let mut state = Vec::with_capacity(func.num_vars());
-    for b in func.blocks() {
+    nonnull::fit_sets(&mut out.gen, nb, nf);
+    nonnull::fit_sets(&mut out.exc_gen, nb, nf);
+    for (b, (g, eg)) in func
+        .blocks()
+        .iter()
+        .zip(out.gen.iter_mut().zip(&mut out.exc_gen))
+    {
         let bi = b.id.index();
-        assign(&mut state, vn.entry_vn(bi));
-        let mut g = BitSet::new(nf);
-        let mut eg = BitSet::new(nf);
+        assign(state, vn.entry_vn(bi));
         for (i, inst) in b.insts.iter().enumerate() {
             let gvn = if ctx.and_then(|c| c.assumed_nonnull_def(inst)).is_some() {
                 Some(vn.def_vn(bi)[i])
@@ -626,7 +686,7 @@ pub fn compute_gvn_sets(
                     _ => None,
                 }
             };
-            vn.step(bi, i, inst, &mut state);
+            vn.step(bi, i, inst, state);
             if let Some(x) = gvn {
                 g.insert(x as usize);
                 if i < vn.exc_cut[bi] {
@@ -634,10 +694,7 @@ pub fn compute_gvn_sets(
                 }
             }
         }
-        gen.push(g);
-        exc_gen.push(eg);
     }
-    GvnNonNullSets { gen, exc_gen }
 }
 
 /// The non-nullness dataflow problem over value numbers. Mirrors
@@ -796,11 +853,13 @@ pub fn eliminate_redundant_gvn(
         (Some(c), true) if c.assumptions().is_some() => nonnull::interproc_sources(c, func, nv),
         _ => Vec::new(),
     };
+    let mut state = Vec::with_capacity(nv);
+    let (mut vset, mut lset) = (BitSet::default(), BitSet::default());
     for bi in 0..func.num_blocks() {
         let block_id = BlockId::new(bi);
-        let mut state = vn.entry_vn(bi).to_vec();
-        let mut vset = gvn_ins[bi].clone();
-        let mut lset = legacy_ins[bi].clone();
+        assign(&mut state, vn.entry_vn(bi));
+        vset.clone_from(&gvn_ins[bi]);
+        lset.clone_from(&legacy_ins[bi]);
         if rec.is_enabled() {
             lwhy.iter_mut()
                 .for_each(|w| *w = Redundancy::NonNullAtEntry);
@@ -816,12 +875,14 @@ pub fn eliminate_redundant_gvn(
                 }
             }
         }
-        // insts_mut: instruction-only rewrite, CFG caches stay valid.
-        let insts = func.insts_mut(block_id);
-        let mut kept = Vec::with_capacity(insts.len());
-        let mut events = Vec::new();
-        for (idx, inst) in insts.drain(..).enumerate() {
-            match &inst {
+        // insts_mut: instruction-only rewrite, CFG caches stay valid. The
+        // replay keeps what `retain` keeps, in order; `idx` is each
+        // instruction's original index.
+        let mut idx = 0;
+        func.insts_mut(block_id).retain(|inst| {
+            let i = idx;
+            idx += 1;
+            match inst {
                 Inst::NullCheck { var, id, .. } => {
                     let x = state[var.index()] as usize;
                     let legacy_hit = lset.contains(var.index());
@@ -853,7 +914,7 @@ pub fn eliminate_redundant_gvn(
                                     class_size: size,
                                 }
                             };
-                            events.push(if phase1 {
+                            rec.record(if phase1 {
                                 CheckEvent::Phase1Eliminated {
                                     id: *id,
                                     var: *var,
@@ -869,23 +930,23 @@ pub fn eliminate_redundant_gvn(
                                 }
                             });
                         }
-                        continue;
+                        return false;
                     }
                     vset.insert(x);
                     lset.insert(var.index());
                     if rec.is_enabled() {
                         lwhy[var.index()] = Redundancy::PriorCheck(*id);
                     }
-                    kept.push(inst);
+                    true
                 }
                 Inst::New { dst, .. } | Inst::NewArray { dst, .. } => {
-                    vn.step(bi, idx, &inst, &mut state);
+                    vn.step(bi, i, inst, &mut state);
                     vset.insert(state[dst.index()] as usize);
                     lset.insert(dst.index());
                     if rec.is_enabled() {
                         lwhy[dst.index()] = Redundancy::Allocation;
                     }
-                    kept.push(inst);
+                    true
                 }
                 Inst::Move { dst, src } => {
                     // Legacy replay: the copy inherits the source's status
@@ -899,34 +960,30 @@ pub fn eliminate_redundant_gvn(
                     } else {
                         lset.remove(dst.index());
                     }
-                    vn.step(bi, idx, &inst, &mut state);
-                    kept.push(inst);
+                    vn.step(bi, i, inst, &mut state);
+                    true
                 }
                 _ => {
-                    if let Some(d) = ctx.and_then(|c| c.assumed_nonnull_def(&inst)) {
+                    if let Some(d) = ctx.and_then(|c| c.assumed_nonnull_def(inst)) {
                         lset.insert(d.index());
                         if rec.is_enabled() {
                             lwhy[d.index()] = nonnull::assumed_source(
                                 ctx.expect("assumed gen has a context"),
-                                &inst,
+                                inst,
                             );
                         }
-                        vn.step(bi, idx, &inst, &mut state);
+                        vn.step(bi, i, inst, &mut state);
                         vset.insert(state[d.index()] as usize);
                     } else {
                         if let Some(d) = inst.def() {
                             lset.remove(d.index());
                         }
-                        vn.step(bi, idx, &inst, &mut state);
+                        vn.step(bi, i, inst, &mut state);
                     }
-                    kept.push(inst);
+                    true
                 }
             }
-        }
-        *func.insts_mut(block_id) = kept;
-        for ev in events {
-            rec.record(ev);
-        }
+        });
     }
     result
 }

@@ -52,8 +52,51 @@ pub use phase2::Phase2Stats;
 pub use trivial::TrivialStats;
 pub use whaley::WhaleyStats;
 
-use njc_ir::{BlockId, CheckId, Function};
+use njc_dataflow::{Solution, SolverWorkspace};
+use njc_ir::{BlockId, CfgCache, CheckId, Function};
 use njc_observe::{CheckEvent, Recorder, SiteProvenance, SiteRecord};
+
+use gvn::GvnWorkspace;
+use nonnull::{NonNullProblem, SetsWorkspace};
+
+/// One function's reusable analysis buffers: the dataflow solver's, the
+/// value numbering's and the non-nullness transfer sets'. The optimizer
+/// keeps one beside the function's [`CfgCache`] for its whole trip through
+/// the pipeline, so the analyses that every round re-runs refill buffers
+/// instead of allocating them. A workspace carries no facts from one use
+/// to the next: every analysis refills what it reads.
+#[derive(Clone, Debug, Default)]
+pub struct Workspace {
+    /// Worklist buffers and recycled solution tables.
+    pub solver: SolverWorkspace,
+    /// Value numbering buffers.
+    pub gvn: GvnWorkspace,
+    /// Non-nullness transfer-set buffers.
+    pub sets: SetsWorkspace,
+}
+
+impl Workspace {
+    /// An empty workspace; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Solves the plain non-nullness problem over `func` (no
+    /// interprocedural facts, no insertion points): the facts scalar
+    /// replacement and store sinking hoist under. `cfg` must be fresh.
+    pub fn solve_nonnull(&mut self, func: &Function, cfg: &CfgCache) -> Solution {
+        let p = NonNullProblem {
+            func,
+            sets: self.sets.compute(None, func),
+            earliest: None,
+            entry: None,
+            num_facts: func.num_vars(),
+        };
+        let sol = self.solver.solve(func, cfg, &p);
+        self.sets.recycle(p.sets);
+        sol
+    }
+}
 
 /// Scans the final IR for marked exception sites and resolves each back to
 /// the conversion event that justified the marking — a

@@ -36,18 +36,14 @@
 //! block, and if generated, generated before the first throwing
 //! instruction).
 
-use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem, Solution};
+use njc_dataflow::{BitSet, Direction, Meet, Problem, Solution};
 use njc_ir::{BlockId, CfgCache, Function, Inst, NullCheckKind, VarId};
 use njc_observe::{CheckEvent, Recorder};
 
 use crate::ctx::AnalysisCtx;
-use crate::gvn::{
-    compute_gvn_sets, default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem,
-    ValueNumbering,
-};
-use crate::nonnull::{
-    compute_sets, compute_sets_assumed, eliminate_redundant_assumed, NonNullProblem,
-};
+use crate::gvn::{default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem};
+use crate::nonnull::{eliminate_redundant_assumed, NonNullProblem};
+use crate::Workspace;
 
 /// Statistics from one phase 1 application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -175,6 +171,7 @@ fn compute_earliest(func: &Function, preds: &[Vec<BlockId>], outs: &[BitSet]) ->
 fn plain_solution(
     ctx: &AnalysisCtx<'_>,
     cfg: &CfgCache,
+    ws: &mut Workspace,
     assumed: &NonNullProblem<'_>,
     rec: &Recorder,
 ) -> Option<Solution> {
@@ -187,12 +184,14 @@ fn plain_solution(
     let func = assumed.func;
     let base = NonNullProblem {
         func,
-        sets: compute_sets(func),
+        sets: ws.sets.compute(None, func),
         earliest: assumed.earliest,
         entry: None,
         num_facts: assumed.num_facts,
     };
-    Some(solve_cached(func, cfg, &base))
+    let sol = ws.solver.solve(func, cfg, &base);
+    ws.sets.recycle(base.sets);
+    Some(sol)
 }
 
 /// Runs phase 1 on `func`: moves null checks backward to their earliest
@@ -201,18 +200,25 @@ fn plain_solution(
 ///
 /// Returns statistics; the function is rewritten in place.
 pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> Phase1Stats {
-    run_recorded(ctx, func, &mut CfgCache::new(), &mut Recorder::disabled())
+    run_recorded(
+        ctx,
+        func,
+        &mut CfgCache::new(),
+        &mut Workspace::new(),
+        &mut Recorder::disabled(),
+    )
 }
 
 /// [`run`] with provenance, reusing (and revalidating) the caller's
-/// [`CfgCache`]: eliminations record the justifying `In_fwd` fact,
-/// insertions the earliest block they were hoisted to, and inserted checks
-/// draw fresh ids from the recorder. Phase 1 only rewrites instruction
+/// [`CfgCache`] and solving in the caller's [`Workspace`]: eliminations
+/// record the justifying `In_fwd` fact, insertions the earliest block they
+/// were hoisted to, and inserted checks draw fresh ids from the recorder. Phase 1 only rewrites instruction
 /// lists, so the cache stays valid for the caller afterwards.
 pub fn run_recorded(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &mut CfgCache,
+    ws: &mut Workspace,
     rec: &mut Recorder,
 ) -> Phase1Stats {
     let nv = func.num_vars();
@@ -228,7 +234,7 @@ pub fn run_recorded(
         sets: compute_motion_sets(ctx, func),
         num_facts: nv,
     };
-    let sol_bwd = solve_cached(func, cfg, &motion);
+    let sol_bwd = ws.solver.solve(func, cfg, &motion);
     stats.motion_iterations = sol_bwd.iterations;
     stats.motion_pops = sol_bwd.worklist_pops;
     let mut earliest = compute_earliest(func, cfg.preds(), &sol_bwd.outs);
@@ -239,16 +245,17 @@ pub fn run_recorded(
     // facts; without them this is byte-identical to the plain analysis.
     let nonnull = NonNullProblem {
         func,
-        sets: compute_sets_assumed(ctx, func),
+        sets: ws.sets.compute(Some(ctx), func),
         earliest: Some(&earliest),
         entry: ctx.entry_facts(func, nv),
         num_facts: nv,
     };
-    let sol_fwd = solve_cached(func, cfg, &nonnull);
+    let sol_fwd = ws.solver.solve(func, cfg, &nonnull);
     stats.nonnull_iterations = sol_fwd.iterations;
     stats.nonnull_pops = sol_fwd.worklist_pops;
 
-    let base_sol = plain_solution(ctx, cfg, &nonnull, rec);
+    let base_sol = plain_solution(ctx, cfg, ws, &nonnull, rec);
+    ws.sets.recycle(nonnull.sets);
 
     // Rewrite: remove redundant checks...
     stats.eliminated = eliminate_redundant_assumed(
@@ -282,6 +289,11 @@ pub fn run_recorded(
         }
         func.insts_mut(block).extend(fresh);
     }
+    ws.solver.recycle(sol_bwd);
+    ws.solver.recycle(sol_fwd);
+    if let Some(sol) = base_sol {
+        ws.solver.recycle(sol);
+    }
 
     stats
 }
@@ -296,6 +308,7 @@ pub fn run_recorded_gvn(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &mut CfgCache,
+    ws: &mut Workspace,
     rec: &mut Recorder,
 ) -> Phase1Stats {
     let nv = func.num_vars();
@@ -313,7 +326,7 @@ pub fn run_recorded_gvn(
         sets: compute_motion_sets(ctx, func),
         num_facts: nv,
     };
-    let sol_bwd = solve_cached(func, cfg, &motion);
+    let sol_bwd = ws.solver.solve(func, cfg, &motion);
     stats.motion_iterations = sol_bwd.iterations;
     stats.motion_pops = sol_bwd.worklist_pops;
     let mut earliest = compute_earliest(func, cfg.preds(), &sol_bwd.outs);
@@ -322,28 +335,30 @@ pub fn run_recorded_gvn(
     // it to keep legacy-provable kills on their legacy provenance) ...
     let nonnull = NonNullProblem {
         func,
-        sets: compute_sets_assumed(ctx, func),
+        sets: ws.sets.compute(Some(ctx), func),
         earliest: Some(&earliest),
         entry: ctx.entry_facts(func, nv),
         num_facts: nv,
     };
-    let sol_fwd = solve_cached(func, cfg, &nonnull);
+    let sol_fwd = ws.solver.solve(func, cfg, &nonnull);
 
     // ... and the value-numbered one, interprocedural facts seeded onto
     // entry VNs and assumed gens onto their classes.
-    let vn = ValueNumbering::compute(func, &default_throw_point);
+    let vn = ws.gvn.compute(func, cfg, &default_throw_point);
     let gvn_problem = GvnNonNullProblem::new(
         func,
         &vn,
-        compute_gvn_sets(Some(ctx), func, &vn),
+        ws.gvn.sets(Some(ctx), func, &vn),
         Some(&earliest),
         ctx.entry_facts(func, nv),
     );
-    let sol_gvn = solve_cached(func, cfg, &gvn_problem);
+    let sol_gvn = ws.solver.solve(func, cfg, &gvn_problem);
+    ws.gvn.recycle_sets(gvn_problem.sets);
     stats.nonnull_iterations = sol_fwd.iterations + sol_gvn.iterations;
     stats.nonnull_pops = sol_fwd.worklist_pops + sol_gvn.worklist_pops;
 
-    let base_sol = plain_solution(ctx, cfg, &nonnull, rec);
+    let base_sol = plain_solution(ctx, cfg, ws, &nonnull, rec);
+    ws.sets.recycle(nonnull.sets);
 
     let r = eliminate_redundant_gvn(
         Some(ctx),
@@ -384,6 +399,13 @@ pub fn run_recorded_gvn(
         }
         func.insts_mut(block).extend(fresh);
     }
+    ws.solver.recycle(sol_bwd);
+    ws.solver.recycle(sol_fwd);
+    ws.solver.recycle(sol_gvn);
+    if let Some(sol) = base_sol {
+        ws.solver.recycle(sol);
+    }
+    ws.gvn.recycle(vn);
 
     stats
 }

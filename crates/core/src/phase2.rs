@@ -34,11 +34,12 @@
 //!   causing a hardware trap") directly usable: any cover it finds is
 //!   already a legal exception site.
 
-use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem};
+use njc_dataflow::{BitSet, Direction, Meet, Problem};
 use njc_ir::{AccessKind, BlockId, CfgCache, CheckId, Function, Inst, NullCheckKind, VarId};
 use njc_observe::{CheckEvent, Cover, ExplicitCause, Recorder};
 
 use crate::ctx::{AccessClass, AnalysisCtx};
+use crate::Workspace;
 
 /// Statistics from one phase 2 application.
 ///
@@ -155,13 +156,11 @@ fn postponable(func: &Function, in_fwd: &[BitSet], n: BlockId, v: usize) -> bool
     if term.is_exit() {
         return false;
     }
-    let succs = term.successors();
-    if succs.is_empty() {
+    let mut succs = term.successors().peekable();
+    if succs.peek().is_none() {
         return false;
     }
-    succs
-        .iter()
-        .all(|&s| !func.edge_crosses_try(n, s) && in_fwd[s.index()].contains(v))
+    succs.all(|s| !func.edge_crosses_try(n, s) && in_fwd[s.index()].contains(v))
 }
 
 /// The trap-model rule that legalizes one implicit conversion, rendered for
@@ -319,8 +318,7 @@ fn rewrite_block(
         // 2. Barriers flush every pending check (the NPEs must fire before
         //    the side effect).
         if ctx.is_barrier(&inst, in_try) {
-            let pending: Vec<usize> = inner.iter().collect();
-            for v in pending {
+            for v in inner.iter() {
                 emit_explicit(
                     &mut out,
                     v,
@@ -486,17 +484,18 @@ fn eliminate_substitutable(
     } else {
         Vec::new()
     };
+    let (mut set, mut keep, mut events) = (BitSet::default(), Vec::new(), Vec::new());
     for (bi, out_set) in outs.iter().enumerate().take(func.num_blocks()) {
         let n = BlockId::new(bi);
         let in_try = func.block(n).try_region.is_some();
-        let mut set = out_set.clone();
+        set.clone_from(out_set);
         if !cover.is_empty() {
             cover.iter_mut().for_each(|c| *c = Cover::CrossBlock);
         }
         let insts = func.insts_mut(n);
         // Walk backward, keeping the set valid *after* each instruction.
-        let mut keep = vec![true; insts.len()];
-        let mut events = Vec::new();
+        keep.clear();
+        keep.resize(insts.len(), true);
         for (i, inst) in insts.iter().enumerate().rev() {
             if let Inst::NullCheck { var, kind, id } = inst {
                 if *kind == NullCheckKind::Explicit && set.contains(var.index()) {
@@ -541,7 +540,7 @@ fn eliminate_substitutable(
         }
         let mut it = keep.iter();
         insts.retain(|_| *it.next().unwrap());
-        for ev in events.into_iter().rev() {
+        for ev in events.drain(..).rev() {
             rec.record(ev);
         }
     }
@@ -555,21 +554,29 @@ fn eliminate_substitutable(
 /// support ([`njc_arch::TrapModel::supports_implicit_checks`] false) the
 /// motion and substitution still run, but no implicit conversions happen.
 pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> Phase2Stats {
-    run_recorded(ctx, func, &mut CfgCache::new(), &mut Recorder::disabled())
+    run_recorded(
+        ctx,
+        func,
+        &mut CfgCache::new(),
+        &mut Workspace::new(),
+        &mut Recorder::disabled(),
+    )
 }
 
 /// [`run`] with provenance, reusing (and revalidating) the caller's
-/// [`CfgCache`]: absorptions, merges, respawns, conversions (with the
-/// legalizing trap-model rule), explicit materializations (with their
-/// cause), postponements, and substitutions (with their cover) all become
-/// events, and every obligation carries a stable check id through the
-/// rewrite. The rewrites between the two solves only touch instruction
-/// lists, so one cache serves both the motion and the substitutable
-/// analysis — and stays valid for the caller afterwards.
+/// [`CfgCache`] and solving in the caller's [`Workspace`]: absorptions,
+/// merges, respawns, conversions (with the legalizing trap-model rule),
+/// explicit materializations (with their cause), postponements, and
+/// substitutions (with their cover) all become events, and every
+/// obligation carries a stable check id through the rewrite. The rewrites
+/// between the two solves only touch instruction lists, so one cache
+/// serves both the motion and the substitutable analysis — and stays valid
+/// for the caller afterwards.
 pub fn run_recorded(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &mut CfgCache,
+    ws: &mut Workspace,
     rec: &mut Recorder,
 ) -> Phase2Stats {
     let nv = func.num_vars();
@@ -585,7 +592,7 @@ pub fn run_recorded(
         sets: compute_forward_sets(ctx, func),
         num_facts: nv,
     };
-    let sol = solve_cached(func, cfg, &motion);
+    let sol = ws.solver.solve(func, cfg, &motion);
     stats.motion_iterations = sol.iterations;
     stats.motion_pops = sol.worklist_pops;
     let mut pending_id = vec![CheckId::NONE; nv];
@@ -609,10 +616,12 @@ pub fn run_recorded(
         sets: compute_subst_sets(ctx, func),
         num_facts: nv,
     };
-    let sol2 = solve_cached(func, cfg, &subst);
+    let sol2 = ws.solver.solve(func, cfg, &subst);
     stats.subst_iterations = sol2.iterations;
     stats.subst_pops = sol2.worklist_pops;
     eliminate_substitutable(ctx, func, &sol2.outs, &mut stats, rec);
+    ws.solver.recycle(sol);
+    ws.solver.recycle(sol2);
 
     stats
 }
@@ -703,7 +712,7 @@ bb0:
         let mut rec = Recorder::new(true);
         rec.assign_origins(&mut f);
         let mut cfg = njc_ir::CfgCache::new();
-        let stats = run_recorded(&ctx, &mut f, &mut cfg, &mut rec);
+        let stats = run_recorded(&ctx, &mut f, &mut cfg, &mut Workspace::new(), &mut rec);
         verify(&f).expect("phase2 output verifies");
         assert_eq!(stats.converted_implicit, 0);
         assert_eq!(count_explicit(&f), 1, "{f}");

@@ -11,15 +11,12 @@
 //! 2. it does not reposition checks to maximize hardware trap usage (the
 //!    *trivial* trap conversion of [`crate::trivial`] is all it gets).
 
-use njc_dataflow::solve_cached;
 use njc_ir::{CfgCache, Function};
 use njc_observe::Recorder;
 
-use crate::gvn::{
-    compute_gvn_sets, default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem,
-    ValueNumbering,
-};
-use crate::nonnull::{compute_sets, eliminate_redundant_recorded, NonNullProblem};
+use crate::gvn::{default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem};
+use crate::nonnull::eliminate_redundant_recorded;
+use crate::Workspace;
 
 /// Statistics from one Whaley-baseline application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -37,32 +34,36 @@ pub struct WhaleyStats {
 
 /// Runs the baseline elimination on `func` in place.
 pub fn run(func: &mut Function) -> WhaleyStats {
-    run_recorded(func, &mut CfgCache::new(), &mut Recorder::disabled())
+    run_recorded(
+        func,
+        &mut CfgCache::new(),
+        &mut Workspace::new(),
+        &mut Recorder::disabled(),
+    )
 }
 
 /// [`run`] with provenance, reusing (and revalidating) the caller's
-/// [`CfgCache`]: every elimination records the `In_fwd` fact that
-/// justified it.
-pub fn run_recorded(func: &mut Function, cfg: &mut CfgCache, rec: &mut Recorder) -> WhaleyStats {
-    let nv = func.num_vars();
-    if nv == 0 {
+/// [`CfgCache`] and solving in the caller's [`Workspace`]: every
+/// elimination records the `In_fwd` fact that justified it.
+pub fn run_recorded(
+    func: &mut Function,
+    cfg: &mut CfgCache,
+    ws: &mut Workspace,
+    rec: &mut Recorder,
+) -> WhaleyStats {
+    if func.num_vars() == 0 {
         return WhaleyStats::default();
     }
     cfg.ensure(func);
-    let problem = NonNullProblem {
-        func,
-        sets: compute_sets(func),
-        earliest: None,
-        entry: None,
-        num_facts: nv,
-    };
-    let sol = solve_cached(func, cfg, &problem);
-    WhaleyStats {
+    let sol = ws.solve_nonnull(func, cfg);
+    let stats = WhaleyStats {
         eliminated: eliminate_redundant_recorded(func, &sol.ins, rec, false),
         gvn_eliminated: 0,
         iterations: sol.iterations,
         pops: sol.worklist_pops,
-    }
+    };
+    ws.solver.recycle(sol);
+    stats
 }
 
 /// [`run_recorded`] under `OptConfig::gvn`: solves the per-variable
@@ -73,31 +74,29 @@ pub fn run_recorded(func: &mut Function, cfg: &mut CfgCache, rec: &mut Recorder)
 pub fn run_recorded_gvn(
     func: &mut Function,
     cfg: &mut CfgCache,
+    ws: &mut Workspace,
     rec: &mut Recorder,
 ) -> WhaleyStats {
-    let nv = func.num_vars();
-    if nv == 0 {
+    if func.num_vars() == 0 {
         return WhaleyStats::default();
     }
     cfg.ensure(func);
-    let problem = NonNullProblem {
-        func,
-        sets: compute_sets(func),
-        earliest: None,
-        entry: None,
-        num_facts: nv,
-    };
-    let lsol = solve_cached(func, cfg, &problem);
-    let vn = ValueNumbering::compute(func, &default_throw_point);
-    let gp = GvnNonNullProblem::new(func, &vn, compute_gvn_sets(None, func, &vn), None, None);
-    let gsol = solve_cached(func, cfg, &gp);
+    let lsol = ws.solve_nonnull(func, cfg);
+    let vn = ws.gvn.compute(func, cfg, &default_throw_point);
+    let gp = GvnNonNullProblem::new(func, &vn, ws.gvn.sets(None, func, &vn), None, None);
+    let gsol = ws.solver.solve(func, cfg, &gp);
+    ws.gvn.recycle_sets(gp.sets);
     let r = eliminate_redundant_gvn(None, func, &vn, &gsol.ins, &lsol.ins, None, rec, false);
-    WhaleyStats {
+    let stats = WhaleyStats {
         eliminated: r.eliminated,
         gvn_eliminated: r.gvn_only,
         iterations: lsol.iterations + gsol.iterations,
         pops: lsol.worklist_pops + gsol.worklist_pops,
-    }
+    };
+    ws.solver.recycle(lsol);
+    ws.solver.recycle(gsol);
+    ws.gvn.recycle(vn);
+    stats
 }
 
 #[cfg(test)]

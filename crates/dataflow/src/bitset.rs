@@ -18,7 +18,6 @@ const INLINE_WORDS: usize = 4;
 /// The word storage: inline up to [`INLINE_WORDS`], else on the heap.
 /// Which one a set uses depends only on its capacity, and inline words past
 /// `len` stay zero.
-#[derive(Clone)]
 enum Words {
     Inline {
         len: usize,
@@ -37,6 +36,26 @@ impl Words {
             }
         } else {
             Words::Heap(vec![0; len])
+        }
+    }
+}
+
+impl Clone for Words {
+    fn clone(&self) -> Self {
+        match self {
+            Words::Inline { len, buf } => Words::Inline {
+                len: *len,
+                buf: *buf,
+            },
+            Words::Heap(v) => Words::Heap(v.clone()),
+        }
+    }
+
+    /// Reuses `self`'s heap words when both sides have them.
+    fn clone_from(&mut self, source: &Self) {
+        match (&mut *self, source) {
+            (Words::Heap(dst), Words::Heap(src)) => dst.clone_from(src),
+            _ => *self = source.clone(),
         }
     }
 }
@@ -89,10 +108,32 @@ impl Hash for Words {
 /// a.intersect_with(&b);
 /// assert_eq!(a.iter().collect::<Vec<_>>(), vec![69]);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct BitSet {
     words: Words,
     capacity: usize,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+            capacity: self.capacity,
+        }
+    }
+
+    /// Reuses `self`'s heap words when both sets keep theirs on the heap.
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+        self.capacity = source.capacity;
+    }
+}
+
+impl Default for BitSet {
+    /// The empty set of capacity 0.
+    fn default() -> Self {
+        BitSet::new(0)
+    }
 }
 
 impl BitSet {
@@ -112,6 +153,20 @@ impl BitSet {
         let mut s = Self::new(capacity);
         s.set_all();
         s
+    }
+
+    /// Makes `self` the empty set of `capacity`, reusing its heap words
+    /// when the new capacity keeps them on the heap.
+    pub fn reset(&mut self, capacity: usize) {
+        let len = capacity.div_ceil(64);
+        match &mut self.words {
+            Words::Heap(v) if len > INLINE_WORDS => {
+                v.clear();
+                v.resize(len, 0);
+            }
+            _ => self.words = Words::zeroed(len),
+        }
+        self.capacity = capacity;
     }
 
     /// The capacity (number of representable facts).

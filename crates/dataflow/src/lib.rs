@@ -39,4 +39,6 @@ pub mod bitset;
 pub mod solver;
 
 pub use bitset::BitSet;
-pub use solver::{solve, solve_cached, solve_round_robin, Direction, Meet, Problem, Solution};
+pub use solver::{
+    solve, solve_cached, solve_round_robin, Direction, Meet, Problem, Solution, SolverWorkspace,
+};

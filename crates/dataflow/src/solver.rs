@@ -146,180 +146,256 @@ pub fn solve(func: &Function, problem: &impl Problem) -> Solution {
 }
 
 /// Solves `problem` over `func` with a dirty-block worklist, reusing the
-/// CFG structures in `cfg` (which must be fresh for `func`).
-///
-/// Blocks are prioritized by RPO position (forward) or postorder position
-/// (backward), so the initial drain is exactly one ordered sweep; after
-/// that, a block re-enters the worklist only when a value it consumes
-/// changed.
+/// CFG structures in `cfg` (which must be fresh for `func`). A one-off
+/// [`SolverWorkspace::solve`]; keep a workspace to solve repeatedly without
+/// reallocating the worklist.
 ///
 /// # Panics
 /// Panics if `cfg` is stale, or if the pop bound for monotone frameworks
 /// is exceeded.
 pub fn solve_cached(func: &Function, cfg: &CfgCache, problem: &impl Problem) -> Solution {
-    assert!(cfg.is_fresh(func), "solve_cached needs a fresh CfgCache");
-    let n = func.num_blocks();
-    let facts = problem.num_facts();
-    let meet = problem.meet();
-    let direction = problem.direction();
-    let top = match meet {
-        Meet::Union => BitSet::new(facts),
-        Meet::Intersect => BitSet::full(facts),
-    };
+    SolverWorkspace::new().solve(func, cfg, problem)
+}
 
-    let mut ins: Vec<BitSet> = (0..n).map(|_| top.clone()).collect();
-    let mut outs: Vec<BitSet> = (0..n).map(|_| top.clone()).collect();
-    let boundary = problem.boundary();
+/// The buffers of [`SolverWorkspace::solve`], kept between solves: the
+/// worklist schedule, the meet scratch sets, and the fact tables of
+/// solutions handed back through [`SolverWorkspace::recycle`]. The
+/// pipeline keeps one per function, so after its first solves a solve
+/// allocates nothing. A workspace holds no facts between solves: every
+/// solve fills what it reads, so results never depend on what ran before.
+#[derive(Clone, Debug, Default)]
+pub struct SolverWorkspace {
+    priority: Vec<usize>,
+    heap: BinaryHeap<Reverse<usize>>,
+    queued: Vec<bool>,
+    transfers: Vec<usize>,
+    top: BitSet,
+    scratch: BitSet,
+    meet_acc: BitSet,
+    /// `ins`/`outs` tables of recycled solutions.
+    tables: Vec<Vec<BitSet>>,
+}
 
-    // Priority schedule: position in RPO (forward) or postorder (backward).
-    // Unreachable blocks sit at the tail of the RPO, hence at the front of
-    // the postorder; both orders give them a stable position, and seeding
-    // every block keeps the old round-robin semantics for them (⊤ under
-    // intersect stays ⊤ — there is no path to refine it).
-    let order: &[BlockId] = match direction {
-        Direction::Forward => cfg.rpo(),
-        Direction::Backward => cfg.postorder(),
-    };
-    let mut priority = vec![0usize; n];
-    for (pos, b) in order.iter().enumerate() {
-        priority[b.index()] = pos;
+impl SolverWorkspace {
+    /// An empty workspace; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    let mut heap: BinaryHeap<Reverse<usize>> = (0..n).map(Reverse).collect();
-    let mut queued = vec![true; n];
-    let mut transfers = vec![0usize; n];
+    /// Hands `sol`'s fact tables back for later solves to refill.
+    pub fn recycle(&mut self, sol: Solution) {
+        self.tables.push(sol.ins);
+        self.tables.push(sol.outs);
+    }
 
-    let mut scratch = BitSet::new(facts);
-    let mut meet_acc = BitSet::new(facts);
-    let mut worklist_pops = 0usize;
-    let mut blocks_processed = 0usize;
-    let limit = max_pops(func, facts);
+    /// A table of `n` copies of `top`, refilled from a recycled one when
+    /// there is one.
+    fn table(&mut self, n: usize) -> Vec<BitSet> {
+        let mut t = self.tables.pop().unwrap_or_default();
+        t.truncate(n);
+        for s in &mut t {
+            s.clone_from(&self.top);
+        }
+        if t.len() < n {
+            t.resize(n, self.top.clone());
+        }
+        t
+    }
 
-    while let Some(Reverse(pos)) = heap.pop() {
-        let b = order[pos];
-        let bi = b.index();
-        queued[bi] = false;
-        worklist_pops += 1;
-        assert!(
-            worklist_pops <= limit,
-            "dataflow failed to converge after {limit} worklist pops \
-             (non-monotone transfer?)"
-        );
+    /// Solves `problem` over `func` with a dirty-block worklist, reusing
+    /// the CFG structures in `cfg` (which must be fresh for `func`).
+    ///
+    /// Blocks are prioritized by RPO position (forward) or postorder
+    /// position (backward), so the initial drain is exactly one ordered
+    /// sweep; after that, a block re-enters the worklist only when a value
+    /// it consumes changed.
+    ///
+    /// # Panics
+    /// Panics if `cfg` is stale, or if the pop bound for monotone
+    /// frameworks is exceeded.
+    pub fn solve(&mut self, func: &Function, cfg: &CfgCache, problem: &impl Problem) -> Solution {
+        assert!(cfg.is_fresh(func), "solve_cached needs a fresh CfgCache");
+        let n = func.num_blocks();
+        let facts = problem.num_facts();
+        let meet = problem.meet();
+        let direction = problem.direction();
+        self.top.reset(facts);
+        if meet == Meet::Intersect {
+            self.top.set_all();
+        }
 
-        // Meet the values flowing into this block's consumed side.
-        let mut first = true;
-        meet_acc.clear();
-        match direction {
-            Direction::Forward => {
-                // in(b) = MEET over preds of edge(pred, b, out(pred)),
-                // with the boundary folded in at the entry block.
-                if b == func.entry() {
-                    meet_acc.copy_from(&boundary);
-                    first = false;
-                }
-                for &p in &cfg.preds()[bi] {
-                    if problem.edge_uses_input(p, b) {
-                        scratch.copy_from(&ins[p.index()]);
-                    } else {
-                        scratch.copy_from(&outs[p.index()]);
-                    }
-                    problem.edge_transfer(p, b, &mut scratch);
-                    if first {
-                        meet_acc.copy_from(&scratch);
+        let mut ins = self.table(n);
+        let mut outs = self.table(n);
+        let boundary = problem.boundary();
+
+        // Priority schedule: position in RPO (forward) or postorder
+        // (backward). Unreachable blocks sit at the tail of the RPO, hence
+        // at the front of the postorder; both orders give them a stable
+        // position, and seeding every block keeps the old round-robin
+        // semantics for them (⊤ under intersect stays ⊤ — there is no path
+        // to refine it).
+        let order: &[BlockId] = match direction {
+            Direction::Forward => cfg.rpo(),
+            Direction::Backward => cfg.postorder(),
+        };
+        let SolverWorkspace {
+            priority,
+            heap,
+            queued,
+            transfers,
+            top,
+            scratch,
+            meet_acc,
+            ..
+        } = self;
+        priority.clear();
+        priority.resize(n, 0);
+        for (pos, b) in order.iter().enumerate() {
+            priority[b.index()] = pos;
+        }
+
+        // Positions are distinct and a block is queued at most once, so
+        // the pop order depends only on the positions, not on the heap's
+        // layout.
+        heap.clear();
+        heap.extend((0..n).map(Reverse));
+        queued.clear();
+        queued.resize(n, true);
+        transfers.clear();
+        transfers.resize(n, 0);
+
+        scratch.reset(facts);
+        meet_acc.reset(facts);
+        let mut worklist_pops = 0usize;
+        let mut blocks_processed = 0usize;
+        let limit = max_pops(func, facts);
+
+        while let Some(Reverse(pos)) = heap.pop() {
+            let b = order[pos];
+            let bi = b.index();
+            queued[bi] = false;
+            worklist_pops += 1;
+            assert!(
+                worklist_pops <= limit,
+                "dataflow failed to converge after {limit} worklist pops \
+                 (non-monotone transfer?)"
+            );
+
+            // Meet the values flowing into this block's consumed side.
+            let mut first = true;
+            meet_acc.clear();
+            match direction {
+                Direction::Forward => {
+                    // in(b) = MEET over preds of edge(pred, b, out(pred)),
+                    // with the boundary folded in at the entry block.
+                    if b == func.entry() {
+                        meet_acc.copy_from(&boundary);
                         first = false;
-                    } else {
-                        match meet {
-                            Meet::Union => meet_acc.union_with(&scratch),
-                            Meet::Intersect => meet_acc.intersect_with(&scratch),
-                        };
+                    }
+                    for &p in &cfg.preds()[bi] {
+                        if problem.edge_uses_input(p, b) {
+                            scratch.copy_from(&ins[p.index()]);
+                        } else {
+                            scratch.copy_from(&outs[p.index()]);
+                        }
+                        problem.edge_transfer(p, b, scratch);
+                        if first {
+                            meet_acc.copy_from(scratch);
+                            first = false;
+                        } else {
+                            match meet {
+                                Meet::Union => meet_acc.union_with(scratch),
+                                Meet::Intersect => meet_acc.intersect_with(scratch),
+                            };
+                        }
+                    }
+                }
+                Direction::Backward => {
+                    // out(b) = MEET over succs of edge(b, succ, in(succ)).
+                    // Blocks whose terminator exits the function participate
+                    // in the boundary meet even when they have exceptional
+                    // successors: control may leave through the return as
+                    // well as through the handler edge.
+                    let succs = &cfg.succs()[bi];
+                    if succs.is_empty() || func.block(b).term.is_exit() {
+                        meet_acc.copy_from(&boundary);
+                        first = false;
+                    }
+                    for &s in succs {
+                        scratch.copy_from(&ins[s.index()]);
+                        problem.edge_transfer(b, s, scratch);
+                        if first {
+                            meet_acc.copy_from(scratch);
+                            first = false;
+                        } else {
+                            match meet {
+                                Meet::Union => meet_acc.union_with(scratch),
+                                Meet::Intersect => meet_acc.intersect_with(scratch),
+                            };
+                        }
                     }
                 }
             }
-            Direction::Backward => {
-                // out(b) = MEET over succs of edge(b, succ, in(succ)).
-                // Blocks whose terminator exits the function participate
-                // in the boundary meet even when they have exceptional
-                // successors: control may leave through the return as
-                // well as through the handler edge.
-                let succs = &cfg.succs()[bi];
-                if succs.is_empty() || func.block(b).term.is_exit() {
-                    meet_acc.copy_from(&boundary);
-                    first = false;
-                }
-                for &s in succs {
-                    scratch.copy_from(&ins[s.index()]);
-                    problem.edge_transfer(b, s, &mut scratch);
-                    if first {
-                        meet_acc.copy_from(&scratch);
-                        first = false;
-                    } else {
-                        match meet {
-                            Meet::Union => meet_acc.union_with(&scratch),
-                            Meet::Intersect => meet_acc.intersect_with(&scratch),
-                        };
-                    }
-                }
+            if first {
+                // No inflowing edges and no boundary (an unreachable non-entry
+                // block in a forward problem): keep ⊤.
+                meet_acc.copy_from(top);
             }
-        }
-        if first {
-            // No inflowing edges and no boundary (an unreachable non-entry
-            // block in a forward problem): keep ⊤.
-            meet_acc.copy_from(&top);
-        }
 
-        let consumed = match direction {
-            Direction::Forward => &mut ins[bi],
-            Direction::Backward => &mut outs[bi],
-        };
-        let meet_changed = meet_acc != *consumed;
-        if meet_changed {
-            consumed.copy_from(&meet_acc);
-        }
-        if !meet_changed && transfers[bi] > 0 {
-            // The transfer function is deterministic: same consumed value,
-            // same produced value. Nothing to do for this pop.
-            continue;
-        }
-
-        let consumed = match direction {
-            Direction::Forward => &ins[bi],
-            Direction::Backward => &outs[bi],
-        };
-        problem.transfer(b, consumed, &mut scratch);
-        blocks_processed += 1;
-        transfers[bi] += 1;
-        let produced = match direction {
-            Direction::Forward => &mut outs[bi],
-            Direction::Backward => &mut ins[bi],
-        };
-        let produced_changed = scratch != *produced;
-        if produced_changed {
-            produced.copy_from(&scratch);
-        }
-
-        if meet_changed || produced_changed {
-            // Re-dirty the blocks that consume this block's values. Forward
-            // consumers may read either side (exceptional edges carry the
-            // input set), so both kinds of change propagate.
-            let dependents = match direction {
-                Direction::Forward => &cfg.succs()[bi],
-                Direction::Backward => &cfg.preds()[bi],
+            let consumed = match direction {
+                Direction::Forward => &mut ins[bi],
+                Direction::Backward => &mut outs[bi],
             };
-            for &d in dependents {
-                if !queued[d.index()] {
-                    queued[d.index()] = true;
-                    heap.push(Reverse(priority[d.index()]));
+            let meet_changed = *meet_acc != *consumed;
+            if meet_changed {
+                consumed.copy_from(meet_acc);
+            }
+            if !meet_changed && transfers[bi] > 0 {
+                // The transfer function is deterministic: same consumed value,
+                // same produced value. Nothing to do for this pop.
+                continue;
+            }
+
+            let consumed = match direction {
+                Direction::Forward => &ins[bi],
+                Direction::Backward => &outs[bi],
+            };
+            problem.transfer(b, consumed, scratch);
+            blocks_processed += 1;
+            transfers[bi] += 1;
+            let produced = match direction {
+                Direction::Forward => &mut outs[bi],
+                Direction::Backward => &mut ins[bi],
+            };
+            let produced_changed = *scratch != *produced;
+            if produced_changed {
+                produced.copy_from(scratch);
+            }
+
+            if meet_changed || produced_changed {
+                // Re-dirty the blocks that consume this block's values. Forward
+                // consumers may read either side (exceptional edges carry the
+                // input set), so both kinds of change propagate.
+                let dependents = match direction {
+                    Direction::Forward => &cfg.succs()[bi],
+                    Direction::Backward => &cfg.preds()[bi],
+                };
+                for &d in dependents {
+                    if !queued[d.index()] {
+                        queued[d.index()] = true;
+                        heap.push(Reverse(priority[d.index()]));
+                    }
                 }
             }
         }
-    }
 
-    Solution {
-        ins,
-        outs,
-        iterations: transfers.iter().copied().max().unwrap_or(0),
-        worklist_pops,
-        blocks_processed,
+        Solution {
+            ins,
+            outs,
+            iterations: transfers.iter().copied().max().unwrap_or(0),
+            worklist_pops,
+            blocks_processed,
+        }
     }
 }
 

@@ -147,12 +147,10 @@ fn verify_function(f: &EmittedFunction, text: &[u8], platform: &Platform) -> FnR
     // Full decode: every byte of the function must be in the subset.
     let code = &text[f.text_off as usize..(f.text_off + f.text_len) as usize];
     let mut decoded: Vec<(u32, Dec)> = Vec::new();
-    let mut boundaries: BTreeMap<u32, usize> = BTreeMap::new();
     let mut pos = 0usize;
     while pos < code.len() {
         match decode_one(code, pos) {
             Ok((dec, len)) => {
-                boundaries.insert(pos as u32, decoded.len());
                 decoded.push((pos as u32, dec));
                 pos += len;
             }
@@ -171,6 +169,10 @@ fn verify_function(f: &EmittedFunction, text: &[u8], platform: &Platform) -> FnR
             }
         }
     }
+
+    // `decoded` is sorted by offset: the index of the instruction that
+    // starts at `off`, if one does.
+    let boundary = |off: u32| decoded.binary_search_by_key(&off, |&(p, _)| p).ok();
 
     let explicit_checks = decoded
         .iter()
@@ -192,7 +194,7 @@ fn verify_function(f: &EmittedFunction, text: &[u8], platform: &Platform) -> FnR
                 ));
             }
         }
-        let Some(&idx) = boundaries.get(&site.byte_off) else {
+        let Some(idx) = boundary(site.byte_off) else {
             findings.push(finding(
                 site.byte_off,
                 site.check,
@@ -345,13 +347,13 @@ fn verify_function(f: &EmittedFunction, text: &[u8], platform: &Platform) -> FnR
             continue;
         }
         for (what, off) in [("start", h.start), ("handler entry", h.handler)] {
-            if !boundaries.contains_key(&off) {
+            if boundary(off).is_none() {
                 findings.push(bad(format!(
                     "{what} {off:#x} is not an instruction boundary"
                 )));
             }
         }
-        if h.end < f.text_len && !boundaries.contains_key(&h.end) {
+        if h.end < f.text_len && boundary(h.end).is_none() {
             findings.push(bad(format!(
                 "end {:#x} is not an instruction boundary",
                 h.end

@@ -45,12 +45,12 @@
 
 use njc_arch::TrapModel;
 use njc_core::ctx::AnalysisCtx;
-use njc_core::nonnull::{compute_sets_assumed, NonNullProblem};
-use njc_core::{EntryAssumptions, FnFacts};
-use njc_dataflow::solve;
+use njc_core::nonnull::NonNullProblem;
+use njc_core::{EntryAssumptions, FnFacts, Workspace};
+use njc_dataflow::BitSet;
 use njc_ir::{
-    CallTarget, CheckId, FieldId, Function, FunctionId, Inst, Module, NullCheckKind, Terminator,
-    Type, VarId,
+    CallTarget, CfgCache, CheckId, FieldId, Function, FunctionId, Inst, Module, NullCheckKind,
+    Terminator, Type, VarId,
 };
 
 /// The intra-module call graph, with dynamic targets conservatively
@@ -221,7 +221,7 @@ fn init_before_escape(rest: &[Inst], obj: VarId, field: FieldId, in_try: bool) -
             // A null check of the fresh object never fires.
             Inst::NullCheck { var, .. } if *var == obj => {}
             _ => {
-                if inst.uses().contains(&obj) {
+                if inst.uses().any(|v| v == obj) {
                     return false; // escapes
                 }
                 if in_try {
@@ -248,6 +248,11 @@ pub fn infer_with_stats(module: &Module) -> (EntryAssumptions, InferStats) {
     let cg = build_call_graph(module);
     let mut st = State::optimistic(module, &cg);
     let mut rounds = 0;
+    // Each function's CFG is computed once and its solves share one
+    // workspace: bodies do not change across rounds.
+    let mut cfgs = vec![CfgCache::new(); module.num_functions()];
+    let mut ws = Workspace::new();
+    let mut set = BitSet::default();
     loop {
         rounds += 1;
         let asm = st.to_assumptions(module, &cg);
@@ -267,16 +272,19 @@ pub fn infer_with_stats(module: &Module) -> (EntryAssumptions, InferStats) {
                 continue;
             }
             // Exactly the analysis phase 1 consumes the facts with.
+            let cfg = &mut cfgs[fi];
+            cfg.ensure(f);
             let problem = NonNullProblem {
                 func: f,
-                sets: compute_sets_assumed(&ctx, f),
+                sets: ws.sets.compute(Some(&ctx), f),
                 earliest: None,
                 entry: ctx.entry_facts(f, nv),
                 num_facts: nv,
             };
-            let sol = solve(f, &problem);
+            let sol = ws.solver.solve(f, cfg, &problem);
+            ws.sets.recycle(problem.sets);
             for (bi, b) in f.blocks().iter().enumerate() {
-                let mut set = sol.ins[bi].clone();
+                set.clone_from(&sol.ins[bi]);
                 let in_try = b.try_region.is_some();
                 for (ii, inst) in b.insts.iter().enumerate() {
                     // Judge the instruction against the current facts...
@@ -290,18 +298,22 @@ pub fn infer_with_stats(module: &Module) -> (EntryAssumptions, InferStats) {
                             for t in resolve_targets(module, target) {
                                 let callee = module.function(t);
                                 let np = callee.params().len();
-                                let argv: Vec<VarId> = if callee.is_instance() {
-                                    receiver
-                                        .iter()
-                                        .copied()
-                                        .chain(args.iter().copied())
-                                        .collect()
+                                // The actuals are the receiver (for an
+                                // instance callee) followed by the args.
+                                let recv: &[VarId] = if callee.is_instance() {
+                                    receiver.as_slice()
                                 } else {
-                                    args.clone()
+                                    &[]
                                 };
+                                let arity_ok = recv.len() + args.len() == np;
                                 for j in 0..np {
-                                    let passes_nonnull =
-                                        argv.len() == np && set.contains(argv[j].index());
+                                    let passes_nonnull = arity_ok && {
+                                        let a = match j.checked_sub(recv.len()) {
+                                            None => recv[j],
+                                            Some(k) => args[k],
+                                        };
+                                        set.contains(a.index())
+                                    };
                                     if !passes_nonnull {
                                         changed |= demote_param(&mut st, t.index(), j);
                                     }
@@ -355,6 +367,7 @@ pub fn infer_with_stats(module: &Module) -> (EntryAssumptions, InferStats) {
                     }
                 }
             }
+            ws.solver.recycle(sol);
         }
         if !changed {
             let asm = st.to_assumptions(module, &cg);

@@ -43,49 +43,31 @@ impl Terminator {
     /// Appends the terminator's explicit successor blocks to `out`
     /// (not including the exceptional edge to a try handler).
     pub fn successors_into(&self, out: &mut Vec<BlockId>) {
-        match *self {
-            Terminator::Goto(t) => out.push(t),
-            Terminator::If {
-                then_bb, else_bb, ..
-            } => {
-                out.push(then_bb);
-                out.push(else_bb);
-            }
-            Terminator::IfNull {
-                on_null,
-                on_nonnull,
-                ..
-            } => {
-                out.push(on_null);
-                out.push(on_nonnull);
-            }
-            Terminator::Return(_) | Terminator::Throw(_) => {}
-        }
+        out.extend(self.successors());
     }
 
     /// Whether `b` is one of the terminator's explicit successors (not
-    /// counting the exceptional edge). Allocation-free, unlike
-    /// `successors().contains(&b)`.
+    /// counting the exceptional edge).
     pub fn has_successor(&self, b: BlockId) -> bool {
-        match *self {
-            Terminator::Goto(t) => t == b,
+        self.successors().any(|s| s == b)
+    }
+
+    /// The terminator's explicit successors, in order (not including the
+    /// exceptional edge to a try handler). Allocates nothing.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let pair = match *self {
+            Terminator::Goto(t) => [Some(t), None],
             Terminator::If {
                 then_bb, else_bb, ..
-            } => then_bb == b || else_bb == b,
+            } => [Some(then_bb), Some(else_bb)],
             Terminator::IfNull {
                 on_null,
                 on_nonnull,
                 ..
-            } => on_null == b || on_nonnull == b,
-            Terminator::Return(_) | Terminator::Throw(_) => false,
-        }
-    }
-
-    /// Returns the terminator's explicit successors as a fresh vector.
-    pub fn successors(&self) -> Vec<BlockId> {
-        let mut v = Vec::with_capacity(2);
-        self.successors_into(&mut v);
-        v
+            } => [Some(on_null), Some(on_nonnull)],
+            Terminator::Return(_) | Terminator::Throw(_) => [None, None],
+        };
+        pair.into_iter().flatten()
     }
 
     /// Rewrites every successor id through `f` (used by block splicing in the
@@ -111,11 +93,15 @@ impl Terminator {
         }
     }
 
-    /// Variables read by the terminator.
-    pub fn uses(&self) -> Vec<VarId> {
-        let mut out = Vec::new();
-        self.for_each_use(|v| out.push(v));
-        out
+    /// Variables read by the terminator. Allocates nothing.
+    pub fn uses(&self) -> impl Iterator<Item = VarId> {
+        let mut vars = [None; 2];
+        let mut n = 0;
+        self.for_each_use(|v| {
+            vars[n] = Some(v);
+            n += 1;
+        });
+        vars.into_iter().flatten()
     }
 
     /// Calls `f` on every variable the terminator reads, without
@@ -156,7 +142,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus one [`Terminator`].
-#[derive(Clone, PartialEq, Debug)]
+#[derive(PartialEq, Debug)]
 pub struct BasicBlock {
     /// The block's id (its index in the function's block arena).
     pub id: BlockId,
@@ -167,6 +153,25 @@ pub struct BasicBlock {
     /// The try region this block belongs to, if any. Blocks inside a try
     /// region have an implicit exceptional edge to the region's handler.
     pub try_region: Option<TryRegionId>,
+}
+
+impl Clone for BasicBlock {
+    fn clone(&self) -> Self {
+        BasicBlock {
+            id: self.id,
+            insts: self.insts.clone(),
+            term: self.term.clone(),
+            try_region: self.try_region,
+        }
+    }
+
+    /// Refills `self` in place, reusing its instruction list's capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.id = source.id;
+        self.insts.clone_from(&source.insts);
+        self.term.clone_from(&source.term);
+        self.try_region = source.try_region;
+    }
 }
 
 impl BasicBlock {
@@ -199,7 +204,7 @@ mod tests {
     #[test]
     fn goto_successors() {
         let t = Terminator::Goto(BlockId(3));
-        assert_eq!(t.successors(), vec![BlockId(3)]);
+        assert_eq!(t.successors().collect::<Vec<_>>(), vec![BlockId(3)]);
         assert!(!t.is_exit());
     }
 
@@ -212,15 +217,18 @@ mod tests {
             then_bb: BlockId(1),
             else_bb: BlockId(2),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(t.uses(), vec![VarId(0), VarId(1)]);
+        assert_eq!(
+            t.successors().collect::<Vec<_>>(),
+            vec![BlockId(1), BlockId(2)]
+        );
+        assert_eq!(t.uses().collect::<Vec<_>>(), vec![VarId(0), VarId(1)]);
     }
 
     #[test]
     fn return_and_throw_are_exits() {
         assert!(Terminator::Return(None).is_exit());
         assert!(Terminator::Throw(ExceptionKind::User(1)).is_exit());
-        assert!(Terminator::Return(Some(VarId(0))).uses() == vec![VarId(0)]);
+        assert!(Terminator::Return(Some(VarId(0))).uses().eq([VarId(0)]));
     }
 
     #[test]
@@ -231,7 +239,10 @@ mod tests {
             on_nonnull: BlockId(2),
         };
         t.map_successors(|b| BlockId(b.0 + 10));
-        assert_eq!(t.successors(), vec![BlockId(11), BlockId(12)]);
+        assert_eq!(
+            t.successors().collect::<Vec<_>>(),
+            vec![BlockId(11), BlockId(12)]
+        );
     }
 
     #[test]

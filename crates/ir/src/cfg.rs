@@ -53,6 +53,9 @@ pub struct CfgCache {
     dom: Option<DomTree>,
     /// Lazily computed natural-loop headers; reset on every recompute.
     loop_headers: Option<Vec<BlockId>>,
+    /// The RPO walk's stack of (block, next successor); empty between
+    /// recomputes, kept for its capacity.
+    dfs: Vec<(BlockId, usize)>,
 }
 
 impl CfgCache {
@@ -106,17 +109,48 @@ impl CfgCache {
                 self.preds[s.index()].push(BlockId::new(bi));
             }
         }
-        self.rpo = func.reverse_postorder();
-        self.postorder.clear();
-        self.postorder.extend(self.rpo.iter().rev());
         self.rpo_pos.clear();
         self.rpo_pos.resize(n, usize::MAX);
+        self.fill_rpo(func.entry());
+        self.postorder.clear();
+        self.postorder.extend(self.rpo.iter().rev());
         for (i, b) in self.rpo.iter().enumerate() {
             self.rpo_pos[b.index()] = i;
         }
         self.dom = None;
         self.loop_headers = None;
         self.generation = Some(func.generation());
+    }
+
+    /// Refills `rpo` with [`Function::reverse_postorder`] — the same DFS,
+    /// over the cached successor lists — reusing its buffer and the walk's
+    /// stack. `rpo_pos` must hold `usize::MAX` everywhere; the walk marks
+    /// visited blocks in it, and the caller then overwrites it with
+    /// positions.
+    fn fill_rpo(&mut self, entry: BlockId) {
+        let visited = &mut self.rpo_pos;
+        self.rpo.clear();
+        visited[entry.index()] = 0;
+        self.dfs.push((entry, 0));
+        while let Some(&mut (b, ref mut next)) = self.dfs.last_mut() {
+            if let Some(&s) = self.succs[b.index()].get(*next) {
+                *next += 1;
+                if visited[s.index()] == usize::MAX {
+                    visited[s.index()] = 0;
+                    self.dfs.push((s, 0));
+                }
+            } else {
+                self.rpo.push(b);
+                self.dfs.pop();
+            }
+        }
+        self.rpo.reverse();
+        // Unreachable blocks follow, in index order.
+        for (i, &pos) in visited.iter().enumerate() {
+            if pos == usize::MAX {
+                self.rpo.push(BlockId::new(i));
+            }
+        }
     }
 
     /// Whether the cached successor lists equal the function's current

@@ -52,7 +52,7 @@ pub struct TryRegion {
 /// Instruction-list-only mutation through [`Function::insts_mut`] does not
 /// bump the counter, because inserting or removing non-terminator
 /// instructions cannot change the CFG.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Function {
     name: String,
     /// Parameter types; parameters occupy variables `v0..vN`.
@@ -70,6 +70,36 @@ pub struct Function {
     /// Bumped on every potentially CFG-mutating access; not part of the
     /// function's identity (excluded from `PartialEq`).
     generation: u64,
+}
+
+impl Clone for Function {
+    fn clone(&self) -> Self {
+        Function {
+            name: self.name.clone(),
+            params: self.params.clone(),
+            ret: self.ret,
+            is_instance: self.is_instance,
+            var_types: self.var_types.clone(),
+            blocks: self.blocks.clone(),
+            entry: self.entry,
+            try_regions: self.try_regions.clone(),
+            generation: self.generation,
+        }
+    }
+
+    /// Refills `self` in place, reusing its vectors' capacity down to each
+    /// block's instruction list.
+    fn clone_from(&mut self, source: &Self) {
+        self.name.clone_from(&source.name);
+        self.params.clone_from(&source.params);
+        self.ret = source.ret;
+        self.is_instance = source.is_instance;
+        self.var_types.clone_from(&source.var_types);
+        self.blocks.clone_from(&source.blocks);
+        self.entry = source.entry;
+        self.try_regions.clone_from(&source.try_regions);
+        self.generation = source.generation;
+    }
 }
 
 impl PartialEq for Function {

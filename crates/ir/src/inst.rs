@@ -444,56 +444,33 @@ impl Inst {
         }
     }
 
-    /// Appends every variable read by this instruction to `out`.
-    pub fn uses_into(&self, out: &mut Vec<VarId>) {
-        match self {
-            Inst::Const { .. } => {}
-            Inst::Move { src, .. } | Inst::Neg { src, .. } | Inst::Convert { src, .. } => {
-                out.push(*src)
-            }
+    /// Every variable read by this instruction, in operand order (a call's
+    /// receiver before its arguments). Allocates nothing.
+    pub fn uses(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (fixed, rest): ([Option<VarId>; 3], &[VarId]) = match *self {
+            Inst::Const { .. } | Inst::New { .. } => ([None; 3], &[]),
+            Inst::Move { src, .. }
+            | Inst::Neg { src, .. }
+            | Inst::Convert { src, .. }
+            | Inst::IntrinsicOp { src, .. } => ([Some(src), None, None], &[]),
             Inst::BinOp { lhs, rhs, .. } | Inst::FCmp { lhs, rhs, .. } => {
-                out.push(*lhs);
-                out.push(*rhs);
+                ([Some(lhs), Some(rhs), None], &[])
             }
-            Inst::NullCheck { var, .. } | Inst::Observe { var } => out.push(*var),
-            Inst::BoundCheck { index, length } => {
-                out.push(*index);
-                out.push(*length);
-            }
-            Inst::GetField { obj, .. } => out.push(*obj),
-            Inst::PutField { obj, value, .. } => {
-                out.push(*obj);
-                out.push(*value);
-            }
-            Inst::ArrayLength { arr, .. } => out.push(*arr),
-            Inst::ArrayLoad { arr, index, .. } => {
-                out.push(*arr);
-                out.push(*index);
-            }
+            Inst::NullCheck { var, .. } | Inst::Observe { var } => ([Some(var), None, None], &[]),
+            Inst::BoundCheck { index, length } => ([Some(index), Some(length), None], &[]),
+            Inst::GetField { obj, .. } => ([Some(obj), None, None], &[]),
+            Inst::PutField { obj, value, .. } => ([Some(obj), Some(value), None], &[]),
+            Inst::ArrayLength { arr, .. } => ([Some(arr), None, None], &[]),
+            Inst::ArrayLoad { arr, index, .. } => ([Some(arr), Some(index), None], &[]),
             Inst::ArrayStore {
                 arr, index, value, ..
-            } => {
-                out.push(*arr);
-                out.push(*index);
-                out.push(*value);
-            }
-            Inst::New { .. } => {}
-            Inst::NewArray { len, .. } => out.push(*len),
-            Inst::Call { receiver, args, .. } => {
-                if let Some(r) = receiver {
-                    out.push(*r);
-                }
-                out.extend_from_slice(args);
-            }
-            Inst::IntrinsicOp { src, .. } => out.push(*src),
-        }
-    }
-
-    /// Returns every variable read by this instruction.
-    pub fn uses(&self) -> Vec<VarId> {
-        let mut v = Vec::with_capacity(3);
-        self.uses_into(&mut v);
-        v
+            } => ([Some(arr), Some(index), Some(value)], &[]),
+            Inst::NewArray { len, .. } => ([Some(len), None, None], &[]),
+            Inst::Call {
+                receiver, ref args, ..
+            } => ([receiver, None, None], args.as_slice()),
+        };
+        fixed.into_iter().flatten().chain(rest.iter().copied())
     }
 
     /// The reference variable this instruction dereferences — the *target* of
@@ -672,7 +649,7 @@ mod tests {
             exception_site: false,
         };
         assert_eq!(i.def(), Some(VarId(1)));
-        assert_eq!(i.uses(), vec![VarId(0)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![VarId(0)]);
         assert_eq!(i.requires_null_check(), Some(VarId(0)));
         let sa = i.slot_access(off).unwrap();
         assert_eq!(sa.offset, Some(16));

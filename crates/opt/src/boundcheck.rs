@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem};
+use njc_dataflow::{BitSet, Direction, Meet, Problem, SolverWorkspace};
 use njc_ir::{BlockId, CfgCache, Function, Inst, VarId};
 
 /// Statistics from one bounds check elimination application.
@@ -121,9 +121,13 @@ impl Problem for Checked<'_> {
 }
 
 /// Runs redundant bounds check elimination on `func` in place, solving
-/// over `cfg` (revalidated first). Only instruction lists change, so the
-/// cache stays fresh.
-pub fn run(func: &mut Function, cfg: &mut CfgCache) -> BoundCheckStats {
+/// over `cfg` (revalidated first) in `solver`. Only instruction lists
+/// change, so the cache stays fresh.
+pub fn run(
+    func: &mut Function,
+    cfg: &mut CfgCache,
+    solver: &mut SolverWorkspace,
+) -> BoundCheckStats {
     let pairs = PairTable::build(func);
     let mut stats = BoundCheckStats::default();
     if pairs.len() == 0 {
@@ -131,33 +135,31 @@ pub fn run(func: &mut Function, cfg: &mut CfgCache) -> BoundCheckStats {
     }
     cfg.ensure(func);
     let problem = Checked::new(func, &pairs);
-    let sol = solve_cached(func, cfg, &problem);
-    for (bi, mut set) in sol.ins.into_iter().enumerate() {
-        let insts = func.insts_mut(BlockId::new(bi));
-        let mut kept = Vec::with_capacity(insts.len());
-        for inst in insts.drain(..) {
-            match &inst {
-                Inst::BoundCheck { index, length } => {
-                    let id = pairs.id(*index, *length).expect("pair enumerated");
-                    if set.contains(id) {
-                        stats.eliminated += 1;
-                        continue;
-                    }
-                    set.insert(id);
-                    kept.push(inst);
+    let sol = solver.solve(func, cfg, &problem);
+    let mut set = BitSet::default();
+    for (bi, entry) in sol.ins.iter().enumerate() {
+        set.clone_from(entry);
+        func.insts_mut(BlockId::new(bi)).retain(|inst| match inst {
+            Inst::BoundCheck { index, length } => {
+                let id = pairs.id(*index, *length).expect("pair enumerated");
+                if set.contains(id) {
+                    stats.eliminated += 1;
+                    return false;
                 }
-                _ => {
-                    if let Some(d) = inst.def() {
-                        for id in pairs.involving(d) {
-                            set.remove(id);
-                        }
-                    }
-                    kept.push(inst);
-                }
+                set.insert(id);
+                true
             }
-        }
-        *insts = kept;
+            _ => {
+                if let Some(d) = inst.def() {
+                    for id in pairs.involving(d) {
+                        set.remove(id);
+                    }
+                }
+                true
+            }
+        });
     }
+    solver.recycle(sol);
     stats
 }
 
@@ -172,7 +174,7 @@ mod tests {
             "func f(v0: int, v1: int) -> int {\nbb0:\n  boundcheck v0, v1\n  boundcheck v0, v1\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.eliminated, 1);
     }
 
@@ -182,7 +184,7 @@ mod tests {
             "func f(v0: int, v1: int) -> int {\nbb0:\n  boundcheck v0, v1\n  v0 = add.int v0, v0\n  boundcheck v0, v1\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.eliminated, 0);
     }
 
@@ -202,7 +204,7 @@ bb3:
   return v0
 }";
         let mut f = parse_function(src).unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.eliminated, 0, "{f}");
     }
 
@@ -222,14 +224,14 @@ bb3:
   return v0
 }";
         let mut f = parse_function(src).unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.eliminated, 1, "{f}");
     }
 
     #[test]
     fn no_checks_is_a_noop() {
         let mut f = parse_function("func f(v0: int) -> int {\nbb0:\n  return v0\n}").unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.eliminated, 0);
     }
 }

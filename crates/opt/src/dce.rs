@@ -5,7 +5,7 @@
 //! calls, allocations, and anything marked as an exception site are never
 //! removed here — their effects are not value flow.
 
-use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem};
+use njc_dataflow::{BitSet, Direction, Meet, Problem, SolverWorkspace};
 use njc_ir::{BlockId, CfgCache, Function, Inst};
 
 /// Statistics from one DCE application.
@@ -52,7 +52,6 @@ impl Liveness {
         let nv = func.num_vars();
         let mut uses = Vec::with_capacity(func.num_blocks());
         let mut defs = Vec::with_capacity(func.num_blocks());
-        let mut reads = Vec::with_capacity(4);
         for b in func.blocks() {
             let mut u = BitSet::new(nv);
             let mut d = BitSet::new(nv);
@@ -64,9 +63,7 @@ impl Liveness {
                     u.remove(x.index());
                     d.insert(x.index());
                 }
-                reads.clear();
-                inst.uses_into(&mut reads);
-                for r in &reads {
+                for r in inst.uses() {
                     u.insert(r.index());
                 }
             }
@@ -99,17 +96,18 @@ impl Problem for Liveness {
 }
 
 /// Runs DCE to a fixpoint on `func` in place, solving over `cfg`
-/// (revalidated first). Only instruction lists change, so the cache stays
-/// fresh.
-pub fn run(func: &mut Function, cfg: &mut CfgCache) -> DceStats {
+/// (revalidated first) in `solver`. Only instruction lists change, so the
+/// cache stays fresh.
+pub fn run(func: &mut Function, cfg: &mut CfgCache, solver: &mut SolverWorkspace) -> DceStats {
     let mut stats = DceStats::default();
     cfg.ensure(func);
-    let mut reads = Vec::with_capacity(4);
     let mut keep = Vec::new();
+    let mut live = BitSet::default();
     loop {
-        let sol = solve_cached(func, cfg, &Liveness::new(func));
+        let sol = solver.solve(func, cfg, &Liveness::new(func));
         let mut removed_this_round = 0;
-        for (bi, mut live) in sol.outs.into_iter().enumerate() {
+        for (bi, live_out) in sol.outs.iter().enumerate() {
+            live.clone_from(live_out);
             // For a backward problem the solver's `outs` hold the meet of
             // the successors (live-out). Walk back from it to know what is
             // live *after* each instruction.
@@ -133,9 +131,7 @@ pub fn run(func: &mut Function, cfg: &mut CfgCache) -> DceStats {
                 if let Some(d) = inst.def() {
                     live.remove(d.index());
                 }
-                reads.clear();
-                inst.uses_into(&mut reads);
-                for u in &reads {
+                for u in inst.uses() {
                     live.insert(u.index());
                 }
             }
@@ -144,6 +140,7 @@ pub fn run(func: &mut Function, cfg: &mut CfgCache) -> DceStats {
                 func.insts_mut(block_id).retain(|_| *it.next().unwrap());
             }
         }
+        solver.recycle(sol);
         stats.removed += removed_this_round;
         if removed_this_round == 0 {
             break;
@@ -163,7 +160,7 @@ mod tests {
             "func f(v0: int) -> int {\n  locals v1: int\nbb0:\n  v1 = const 42\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.removed, 1);
         assert!(f.block(BlockId(0)).insts.is_empty());
     }
@@ -174,7 +171,7 @@ mod tests {
             "func f(v0: int) -> int {\n  locals v1: int v2: int v3: int\nbb0:\n  v1 = const 1\n  v2 = add.int v1, v0\n  v3 = add.int v2, v2\n  return v0\n}",
         )
         .unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.removed, 3);
     }
 
@@ -184,7 +181,7 @@ mod tests {
             "func f(v0: ref) -> int {\n  locals v1: int\nbb0:\n  nullcheck v0\n  v1 = const 0\n  return v1\n}",
         )
         .unwrap();
-        run(&mut f, &mut CfgCache::new());
+        run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert!(f
             .block(BlockId(0))
             .insts
@@ -198,7 +195,7 @@ mod tests {
             "func f(v0: ref) -> int {\n  locals v1: int v2: int v3: int\nbb0:\n  v1 = getfield v0, field0\n  v2 = getfield v0, field1 [site]\n  v3 = const 0\n  return v3\n}",
         )
         .unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.removed, 1, "{f}");
         assert!(f
             .block(BlockId(0))
@@ -222,7 +219,7 @@ bb2:
   return v1
 }";
         let mut f = parse_function(src).unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.removed, 0, "{f}");
     }
 
@@ -232,7 +229,7 @@ bb2:
             "func f(v0: ref, v1: int) -> int {\nbb0:\n  putfield v0, field0, v1\n  v2 = call fn0(v1)\n  return v1\n}",
         )
         .unwrap();
-        let stats = run(&mut f, &mut CfgCache::new());
+        let stats = run(&mut f, &mut CfgCache::new(), &mut SolverWorkspace::new());
         assert_eq!(stats.removed, 0, "call result dead but call kept: {f}");
     }
 }

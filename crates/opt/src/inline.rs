@@ -103,11 +103,13 @@ fn inlinable(callee: &Function, config: InlineConfig) -> bool {
             .all(|i| !matches!(i, Inst::Call { .. }))
 }
 
-/// Inlines eligible direct/static call sites in `caller`. `callees` maps
-/// function ids to (cloned) bodies — cloned up front so the caller can be
-/// mutated while reading them.
+/// Inlines eligible direct/static call sites in `caller`, whose id is
+/// `caller_id`. `callees` maps function ids to (cloned) bodies — cloned up
+/// front so the caller can be mutated while reading them. The caller's own
+/// snapshot is skipped: a function never inlines itself.
 fn inline_in_function(
     caller: &mut Function,
+    caller_id: FunctionId,
     callees: &HashMap<FunctionId, Function>,
     config: InlineConfig,
 ) -> usize {
@@ -126,7 +128,7 @@ fn inline_in_function(
                 Inst::Call {
                     target: CallTarget::Direct(f) | CallTarget::Static(f),
                     ..
-                } if callees.contains_key(f)
+                } if *f != caller_id && callees.contains_key(f)
             )
         });
         let Some(pos) = site else {
@@ -418,11 +420,7 @@ pub fn run(module: &mut Module, config: InlineConfig) -> InlineStats {
                 vec![],
             ),
         );
-        // A function must not inline itself (snapshot excludes it while it
-        // is checked out, but the snapshot was taken before).
-        let mut local = bodies.clone();
-        local.remove(&id);
-        stats.inlined += inline_in_function(&mut func, &local, config);
+        stats.inlined += inline_in_function(&mut func, id, &bodies, config);
         *module.function_mut(id) = func;
     }
     stats

@@ -95,6 +95,7 @@ pub fn find_loops(func: &Function, cfg: &CfgCache, doms: &Dominators) -> Vec<Nat
     let n = func.num_blocks();
     let preds = cfg.preds();
     let mut by_header: Vec<Option<NaturalLoop>> = vec![None; n];
+    let (mut body, mut stack) = (BitSet::new(n), Vec::new());
 
     for (bi, succs) in cfg.succs().iter().enumerate() {
         let b = BlockId::new(bi);
@@ -102,9 +103,9 @@ pub fn find_loops(func: &Function, cfg: &CfgCache, doms: &Dominators) -> Vec<Nat
             if doms.dominates(s, b) {
                 // Back edge b -> s: collect the natural loop body.
                 let header = s;
-                let mut body = BitSet::new(n);
+                body.clear();
                 body.insert(header.index());
-                let mut stack = vec![b];
+                stack.push(b);
                 while let Some(x) = stack.pop() {
                     if body.insert(x.index()) {
                         for &p in &preds[x.index()] {
@@ -128,13 +129,11 @@ pub fn find_loops(func: &Function, cfg: &CfgCache, doms: &Dominators) -> Vec<Nat
     let mut loops: Vec<NaturalLoop> = by_header.into_iter().flatten().collect();
     // Determine preheaders.
     for l in &mut loops {
-        let outside: Vec<BlockId> = preds[l.header.index()]
+        let mut outside = preds[l.header.index()]
             .iter()
-            .copied()
-            .filter(|p| !l.body.contains(p.index()))
-            .collect();
-        l.preheader = match outside.as_slice() {
-            [p] => {
+            .filter(|p| !l.body.contains(p.index()));
+        l.preheader = match (outside.next(), outside.next()) {
+            (Some(p), None) => {
                 // The preheader must branch only to the header (otherwise an
                 // insertion there would execute on unrelated paths) and must
                 // not sit inside a different try region.

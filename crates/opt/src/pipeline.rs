@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use njc_arch::{Platform, TrapModel};
 use njc_core::ctx::{AnalysisCtx, EntryAssumptions, ExplicitOverride};
-use njc_core::{collect_site_records, phase1, phase2, trivial, whaley, NullCheckStats};
+use njc_core::{collect_site_records, phase1, phase2, trivial, whaley, NullCheckStats, Workspace};
 use njc_ir::{CfgCache, Function, FunctionId, Module};
 use njc_observe::{CheckEvent, FunctionTrace, Ledger, ModuleTrace, PassClock, Recorder};
 
@@ -830,7 +830,7 @@ fn optimize_function(
         assumptions,
         ctx,
     };
-    let (mut cfg, mut loops) = (CfgCache::new(), LoopCache::new());
+    let mut fw = FunctionWorkspace::default();
 
     // Every check the function arrives with gets its stable identity (and,
     // when tracing, an origin event) before any pass touches it.
@@ -838,16 +838,24 @@ fn optimize_function(
 
     // Figure 2's iterated architecture-independent loop, up to its fixed
     // point. The last permitted round needs no snapshot: nothing follows it.
+    // One snapshot is refilled in place each round.
     let mut clock = PassClock::start();
     let rounds = config.iterations.max(1);
+    let mut snapshot: Option<Function> = None;
     for round in 1..=rounds {
-        let before = (round < rounds).then(|| (func.clone(), rec.issued(), rec.events.len()));
-        pipeline.round(func, &mut cfg, &mut loops, rec, &mut stats, &mut clock);
-        if let Some((snapshot, issued, events)) = before {
-            if *func == snapshot && rec.issued() == issued && rec.events.len() == events {
+        let before = (round < rounds).then(|| {
+            match &mut snapshot {
+                Some(s) => s.clone_from(func),
+                None => snapshot = Some(func.clone()),
+            }
+            (rec.issued(), rec.events.len())
+        });
+        pipeline.round(func, &mut fw, rec, &mut stats, &mut clock);
+        if let (Some((issued, events)), Some(snapshot)) = (before, &snapshot) {
+            if *func == *snapshot && rec.issued() == issued && rec.events.len() == events {
                 #[cfg(debug_assertions)]
                 {
-                    pipeline.assert_fixed_point(func, &cfg, &loops, rec);
+                    pipeline.assert_fixed_point(func, &fw, rec);
                     clock.lap();
                 }
                 break;
@@ -855,6 +863,7 @@ fn optimize_function(
         }
     }
     let ctx = &pipeline.ctx;
+    let FunctionWorkspace { cfg, loops, ws } = &mut fw;
 
     // Array bounds check optimization, part 2: loop versioning. Runs once
     // after the iterated loop (versioning duplicates loop bodies, which
@@ -863,7 +872,7 @@ fn optimize_function(
     // where phase 1 hoisted the null checks first.
     let before = checks_before(rec, func);
     if config.versioning {
-        let s = versioning::run(func, &mut cfg, &mut loops);
+        let s = versioning::run(func, cfg, loops);
         stats.loops_versioned += s.loops_versioned;
         stats.boundchecks_eliminated += s.checks_removed;
     }
@@ -871,9 +880,9 @@ fn optimize_function(
     // chance: versioned fast loops just lost their bounds checks and may
     // now be promotable.
     stats.copies_propagated += copyprop::run(func).replaced_uses;
-    stats.dead_removed += dce::run(func, &mut cfg).removed;
+    stats.dead_removed += dce::run(func, cfg, &mut ws.solver).removed;
     if config.sinking {
-        stats.fields_promoted += sink::run(ctx, func, &mut cfg, &mut loops).promoted;
+        stats.fields_promoted += sink::run(ctx, func, cfg, loops, ws).promoted;
     }
     record_pass_delta(rec, "versioning", before, func);
     if config.validate {
@@ -891,7 +900,7 @@ fn optimize_function(
     // Architecture dependent phase (or the trivial conversion).
     let orig = config.validate.then(|| func.clone());
     if config.phase2 {
-        let s = phase2::run_recorded(ctx, func, &mut cfg, rec);
+        let s = phase2::run_recorded(ctx, func, cfg, ws, rec);
         stats.null_checks.phase2.converted_implicit += s.converted_implicit;
         stats.null_checks.phase2.explicit_inserted += s.explicit_inserted;
         stats.null_checks.phase2.substituted += s.substituted;
@@ -939,6 +948,17 @@ fn optimize_function(
     stats
 }
 
+/// What one function's trip through the pipeline keeps from pass to pass
+/// and round to round: the CFG structures and the loops (each valid for
+/// one CFG generation) and the analyses' buffers. It lives exactly as long
+/// as that trip, so nothing is shared across functions or threads.
+#[derive(Clone, Debug, Default)]
+struct FunctionWorkspace {
+    cfg: CfgCache,
+    loops: LoopCache,
+    ws: Workspace,
+}
+
 /// The read-only inputs of one function's trip through the pipeline.
 struct FunctionPipeline<'a> {
     module: &'a Module,
@@ -954,12 +974,12 @@ impl FunctionPipeline<'_> {
     fn round(
         &self,
         func: &mut Function,
-        cfg: &mut CfgCache,
-        loops: &mut LoopCache,
+        fw: &mut FunctionWorkspace,
         rec: &mut Recorder,
         stats: &mut PipelineStats,
         clock: &mut PassClock,
     ) {
+        let FunctionWorkspace { cfg, loops, ws } = fw;
         let FunctionPipeline {
             module,
             platform,
@@ -974,9 +994,9 @@ impl FunctionPipeline<'_> {
             NullOpt::Whaley => {
                 let orig = config.validate.then(|| func.clone());
                 let s = if config.gvn {
-                    whaley::run_recorded_gvn(func, cfg, rec)
+                    whaley::run_recorded_gvn(func, cfg, ws, rec)
                 } else {
-                    whaley::run_recorded(func, cfg, rec)
+                    whaley::run_recorded(func, cfg, ws, rec)
                 };
                 stats.null_checks.whaley.eliminated += s.eliminated;
                 stats.null_checks.whaley.gvn_eliminated += s.gvn_eliminated;
@@ -998,9 +1018,9 @@ impl FunctionPipeline<'_> {
             NullOpt::Phase1 => {
                 let orig = config.validate.then(|| func.clone());
                 let s = if config.gvn {
-                    phase1::run_recorded_gvn(ctx, func, cfg, rec)
+                    phase1::run_recorded_gvn(ctx, func, cfg, ws, rec)
                 } else {
-                    phase1::run_recorded(ctx, func, cfg, rec)
+                    phase1::run_recorded(ctx, func, cfg, ws, rec)
                 };
                 stats.null_checks.phase1.eliminated += s.eliminated;
                 stats.null_checks.phase1.gvn_eliminated += s.gvn_eliminated;
@@ -1027,7 +1047,7 @@ impl FunctionPipeline<'_> {
 
         // Array bounds check optimization.
         let before = checks_before(rec, func);
-        stats.boundchecks_eliminated += boundcheck::run(func, cfg).eliminated;
+        stats.boundchecks_eliminated += boundcheck::run(func, cfg, &mut ws.solver).eliminated;
         record_pass_delta(rec, "boundcheck", before, func);
         if config.validate {
             validate_coverage(
@@ -1049,6 +1069,7 @@ impl FunctionPipeline<'_> {
             func,
             cfg,
             loops,
+            ws,
             ScalarConfig {
                 speculation: allow_spec,
             },
@@ -1061,7 +1082,7 @@ impl FunctionPipeline<'_> {
         // Store sinking (Figure 4 (5)) — only fires once the loop is
         // check-free, i.e. after phase 1 did its part.
         if config.sinking {
-            stats.fields_promoted += sink::run(ctx, func, cfg, loops).promoted;
+            stats.fields_promoted += sink::run(ctx, func, cfg, loops, ws).promoted;
         }
         record_pass_delta(rec, "scalar", before, func);
         if config.validate {
@@ -1072,7 +1093,7 @@ impl FunctionPipeline<'_> {
         // Cleanup.
         let before = checks_before(rec, func);
         stats.copies_propagated += copyprop::run(func).replaced_uses;
-        stats.dead_removed += dce::run(func, cfg).removed;
+        stats.dead_removed += dce::run(func, cfg, &mut ws.solver).removed;
         record_pass_delta(rec, "cleanup", before, func);
         if config.validate {
             validate_coverage(stats, module, platform.trap, assumptions, "cleanup", func);
@@ -1082,22 +1103,16 @@ impl FunctionPipeline<'_> {
 
     /// The debug-build proof obligation of the loop's early exit: one more
     /// round on a copy of the fixed point changes no instruction, draws no
-    /// check id, records no event and counts no transformation.
+    /// check id, records no event and counts no transformation. The round
+    /// runs on its own copy of the function workspace.
     #[cfg(debug_assertions)]
-    fn assert_fixed_point(
-        &self,
-        func: &Function,
-        cfg: &CfgCache,
-        loops: &LoopCache,
-        rec: &Recorder,
-    ) {
+    fn assert_fixed_point(&self, func: &Function, fw: &FunctionWorkspace, rec: &Recorder) {
         let mut f = func.clone();
         let mut fork = rec.fork();
         let mut extra = PipelineStats::default();
         self.round(
             &mut f,
-            &mut cfg.clone(),
-            &mut loops.clone(),
+            &mut fw.clone(),
             &mut fork,
             &mut extra,
             &mut PassClock::start(),

@@ -24,11 +24,11 @@
 //! work.
 
 use njc_core::ctx::{AccessClass, AnalysisCtx};
-use njc_core::nonnull::{compute_sets, NonNullProblem};
-use njc_dataflow::{solve_cached, BitSet};
+use njc_core::Workspace;
+use njc_dataflow::BitSet;
 use njc_ir::{BlockId, CfgCache, FieldId, Function, Inst, Type, VarId};
 
-use crate::loops::{Dominators, LoopCache, NaturalLoop};
+use crate::loops::{LoopCache, NaturalLoop};
 
 /// Configuration for the scalar replacement pass.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -70,13 +70,13 @@ pub fn run(
     func: &mut Function,
     cfg: &mut CfgCache,
     loops: &mut LoopCache,
+    ws: &mut Workspace,
     config: ScalarConfig,
 ) -> ScalarStats {
     let mut stats = ScalarStats::default();
     local_load_reuse(func, &mut stats);
     cfg.ensure(func);
-    let (doms, loops) = loops.get(func, cfg);
-    licm(ctx, func, cfg, doms, loops, config, &mut stats);
+    licm(ctx, func, cfg, loops, ws, config, &mut stats);
     stats
 }
 
@@ -284,32 +284,42 @@ fn blocks_check_hoist(inst: &Inst) -> bool {
 /// the blocks dominating the loop entry — e.g. an outer loop's body —
 /// count too). Facts are invalidated by redefinition of any participating
 /// variable later in the chain.
-fn preheader_bounds(func: &Function, cfg: &CfgCache, preheader: BlockId) -> Vec<(VarId, VarId)> {
-    use std::collections::HashMap;
-    // Collect the dominating single-pred chain, oldest first.
+fn preheader_bounds(
+    func: &Function,
+    cfg: &CfgCache,
+    preheader: BlockId,
+    ok: &mut Vec<(VarId, VarId)>,
+    len_of: &mut Vec<(VarId, VarId)>,
+) {
+    // Collect the dominating single-pred chain, oldest last.
     let preds = cfg.preds();
-    let mut chain = vec![preheader];
+    let mut chain = [preheader; 5];
+    let mut depth = 1;
     let mut cur = preheader;
     for _ in 0..4 {
         match preds[cur.index()].as_slice() {
-            [p] if *p != cur && !chain.contains(p) => {
-                chain.push(*p);
+            [p] if *p != cur && !chain[..depth].contains(p) => {
+                chain[depth] = *p;
+                depth += 1;
                 cur = *p;
             }
             _ => break,
         }
     }
-    chain.reverse();
-    let mut len_of: HashMap<VarId, VarId> = HashMap::new();
-    let mut ok: Vec<(VarId, VarId)> = Vec::new();
-    for b in chain {
+    // `len_of` maps an array length's variable to its array; the chain
+    // is a handful of blocks, so a list beats a map.
+    len_of.clear();
+    ok.clear();
+    for &b in chain[..depth].iter().rev() {
         for inst in &func.block(b).insts {
             match inst {
-                Inst::ArrayLength { dst, arr, .. } => {
-                    len_of.insert(*dst, *arr);
-                }
+                Inst::ArrayLength { dst, arr, .. } => match len_of.iter_mut().find(|e| e.0 == *dst)
+                {
+                    Some(e) => e.1 = *arr,
+                    None => len_of.push((*dst, *arr)),
+                },
                 Inst::BoundCheck { index, length } => {
-                    if let Some(&arr) = len_of.get(length) {
+                    if let Some(&(_, arr)) = len_of.iter().find(|e| e.0 == *length) {
                         ok.push((*index, arr));
                     }
                 }
@@ -317,7 +327,7 @@ fn preheader_bounds(func: &Function, cfg: &CfgCache, preheader: BlockId) -> Vec<
             }
             if let Some(d) = inst.def() {
                 if !matches!(inst, Inst::ArrayLength { .. }) {
-                    len_of.remove(&d);
+                    len_of.retain(|e| e.0 != d);
                 }
                 // A redefinition of an index or base var invalidates facts
                 // about it.
@@ -325,23 +335,24 @@ fn preheader_bounds(func: &Function, cfg: &CfgCache, preheader: BlockId) -> Vec<
             }
         }
     }
-    ok
 }
 
-/// `cfg` must be fresh for `func`, and `doms` and `loops` its dominators
+/// `cfg` must be fresh for `func`, and `loop_cache` serves its dominators
 /// and natural loops; hoisting moves instructions only, so all three stay
 /// fresh throughout.
 fn licm(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &CfgCache,
-    doms: &Dominators,
-    loops: &[NaturalLoop],
+    loop_cache: &mut LoopCache,
+    ws: &mut Workspace,
     config: ScalarConfig,
     stats: &mut ScalarStats,
 ) {
+    let (doms, loops) = loop_cache.get(func, cfg);
     let counts = def_counts(func);
     let mut nonnull_sol = None;
+    let (mut bounds, mut len_of) = (Vec::new(), Vec::new());
 
     for l in loops {
         let Some(preheader) = l.preheader else {
@@ -353,16 +364,7 @@ fn licm(
         // after an earlier loop hoisted something.
         let sol = match &nonnull_sol {
             Some(sol) => sol,
-            None => {
-                let p = NonNullProblem {
-                    func,
-                    sets: compute_sets(func),
-                    earliest: None,
-                    entry: None,
-                    num_facts: func.num_vars(),
-                };
-                nonnull_sol.insert(solve_cached(func, cfg, &p))
-            }
+            None => nonnull_sol.insert(ws.solve_nonnull(func, cfg)),
         };
         let nonnull = sol.outs[preheader.index()].clone();
         let mut info = loop_info(func, l);
@@ -372,7 +374,7 @@ fn licm(
         loop {
             let mut hoisted_one = false;
             // Re-scan preheader bounds each round (hoists add to it).
-            let bounds = preheader_bounds(func, cfg, preheader);
+            preheader_bounds(func, cfg, preheader, &mut bounds, &mut len_of);
 
             'scan: for bi in l.body.iter() {
                 let block_id = BlockId::new(bi);
@@ -474,7 +476,9 @@ fn licm(
                         _ => stats.hoisted_pure += 1,
                     }
                     func.insts_mut(preheader).push(inst);
-                    nonnull_sol = None;
+                    if let Some(sol) = nonnull_sol.take() {
+                        ws.solver.recycle(sol);
+                    }
                     hoisted_one = true;
                     // Positions shifted: restart the scan.
                     break 'scan;
@@ -484,6 +488,9 @@ fn licm(
                 break;
             }
         }
+    }
+    if let Some(sol) = nonnull_sol {
+        ws.solver.recycle(sol);
     }
 }
 
@@ -579,6 +586,7 @@ bb2:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig::default(),
         );
         assert_eq!(stats.hoisted_loads, 0, "{f}");
@@ -597,6 +605,7 @@ bb2:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig::default(),
         );
         assert_eq!(stats.hoisted_loads, 1, "{f}");
@@ -621,6 +630,7 @@ bb2:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig { speculation: true },
         );
         assert_eq!(stats.hoisted_loads, 1, "{f}");
@@ -632,6 +642,7 @@ bb2:
             &mut f2,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig { speculation: false },
         );
         assert_eq!(stats2.hoisted_loads, 0);
@@ -648,6 +659,7 @@ bb2:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig { speculation: true },
         );
         assert_eq!(stats.hoisted_loads, 0, "{f}");
@@ -681,6 +693,7 @@ bb2:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig::default(),
         );
         assert_eq!(stats.hoisted_loads, 0, "aliasing store blocks hoist: {f}");
@@ -707,6 +720,7 @@ bb0:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig::default(),
         );
         assert_eq!(stats.local_loads_reused, 1, "{f}");
@@ -738,6 +752,7 @@ bb0:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig::default(),
         );
         assert_eq!(stats.local_loads_reused, 1, "{f}");
@@ -766,6 +781,7 @@ bb0:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig::default(),
         );
         // v1 may alias v0: the second load must not reuse v2. (The store
@@ -815,6 +831,7 @@ bb2:
                 &mut f,
                 &mut CfgCache::new(),
                 &mut LoopCache::new(),
+                &mut Workspace::new(),
                 ScalarConfig::default(),
             );
             total.hoisted_loads += s.hoisted_loads;
@@ -858,6 +875,7 @@ bb2:
             &mut f,
             &mut CfgCache::new(),
             &mut LoopCache::new(),
+            &mut Workspace::new(),
             ScalarConfig::default(),
         );
         // v3 (index) varies: the element load and bounds check stay.

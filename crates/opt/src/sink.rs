@@ -17,8 +17,7 @@
 use std::collections::BTreeMap;
 
 use njc_core::ctx::AnalysisCtx;
-use njc_core::nonnull::{compute_sets, NonNullProblem};
-use njc_dataflow::solve_cached;
+use njc_core::Workspace;
 use njc_ir::{BlockId, CfgCache, FieldId, Function, Inst, Terminator, VarId};
 
 use crate::loops::{LoopCache, NaturalLoop};
@@ -156,7 +155,7 @@ fn promote(
         std::collections::HashMap::new();
     let body_blocks: Vec<BlockId> = l.body.iter().map(BlockId::new).collect();
     for &b in &body_blocks {
-        let succs: Vec<BlockId> = func.block(b).term.successors();
+        let succs: Vec<BlockId> = func.block(b).term.successors().collect();
         for s in succs {
             if l.contains(s) {
                 continue;
@@ -188,6 +187,7 @@ pub fn run(
     func: &mut Function,
     cfg: &mut CfgCache,
     loops: &mut LoopCache,
+    ws: &mut Workspace,
 ) -> SinkStats {
     let mut stats = SinkStats::default();
     loop {
@@ -206,22 +206,16 @@ pub fn run(
             let Some(cand) = find_candidate(func, l) else {
                 continue;
             };
-            let nonnull = nonnull.get_or_insert_with(|| {
-                let p = NonNullProblem {
-                    func,
-                    sets: compute_sets(func),
-                    earliest: None,
-                    entry: None,
-                    num_facts: func.num_vars(),
-                };
-                solve_cached(func, cfg, &p)
-            });
+            let nonnull = nonnull.get_or_insert_with(|| ws.solve_nonnull(func, cfg));
             if !nonnull.outs[preheader.index()].contains(cand.base.index()) {
                 continue; // the preheader load could fault
             }
             promote(ctx, func, l, preheader, &cand, &mut stats);
             applied = true;
             break; // CFG changed: recompute loops
+        }
+        if let Some(sol) = nonnull {
+            ws.solver.recycle(sol);
         }
         if !applied {
             break;
@@ -266,7 +260,13 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(FIG4).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            &mut Workspace::new(),
+        );
         assert_eq!(stats.promoted, 1, "{f}");
         assert_eq!(stats.accesses_rewritten, 2);
         verify(&f).unwrap();
@@ -308,7 +308,13 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            &mut Workspace::new(),
+        );
         assert_eq!(stats.promoted, 0, "{f}");
     }
 
@@ -332,7 +338,13 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            &mut Workspace::new(),
+        );
         assert_eq!(stats.promoted, 0, "v0 and v1 may alias: {f}");
     }
 
@@ -355,7 +367,13 @@ bb2:
         let m = module();
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            &mut Workspace::new(),
+        );
         assert_eq!(stats.promoted, 0);
     }
 
@@ -382,7 +400,13 @@ bb2:
         let ctx = AnalysisCtx::new(&m, TrapModel::windows_ia32());
         let mut f = parse_function(src).unwrap();
         phase1::run(&ctx, &mut f);
-        let stats = run(&ctx, &mut f, &mut CfgCache::new(), &mut LoopCache::new());
+        let stats = run(
+            &ctx,
+            &mut f,
+            &mut CfgCache::new(),
+            &mut LoopCache::new(),
+            &mut Workspace::new(),
+        );
         assert_eq!(stats.promoted, 1, "{f}");
         verify(&f).unwrap();
     }
