@@ -3,10 +3,13 @@
 //!
 //! Per workload, compiles once sequentially and once on four threads and
 //! checks the two outputs are byte-identical, and fingerprints the
-//! optimized IR under `Full` and under `Full` with interprocedural
-//! inference and value-numbered non-nullness on; then runs the worklist
-//! solver and the round-robin oracle once each on the same non-nullness
-//! analyses and compares the blocks they process. Everything recorded in
+//! optimized IR under `Full`, under `Full` with interprocedural inference
+//! and value-numbered non-nullness on, and under `OldNullCheck` with
+//! value numbering on; then runs the worklist solver and the round-robin
+//! oracle once each on the same non-nullness analyses and compares the
+//! blocks they process. Last, it runs the 17 paper programs on the VM under
+//! IA32 `Full` and AIX `Speculation`, each without and with the two
+//! optional analyses, and records their modeled cycles. Everything recorded in
 //! `BENCH_compile.json` is a count or a content hash, so a fresh run
 //! reproduces the committed file byte for byte. Host time lives in perfbench (its
 //! `opt.pass.*_ms` metrics break the optimizer down per pass).
@@ -25,6 +28,7 @@ use njc_bench::cli::Spec;
 use njc_core::nonnull::{compute_sets, NonNullProblem};
 use njc_dataflow::{solve_cached, solve_round_robin};
 use njc_ir::{CfgCache, Cond, FuncBuilder, Module, Type};
+use njc_jit::{compile_config, execute};
 use njc_observe::{json_obj, Json};
 use njc_opt::{ConfigKind, OptConfig, PipelineStats};
 use njc_workloads::Workload;
@@ -179,6 +183,58 @@ fn solve_module(module: &Module, worklist: bool) -> SolverSample {
     sample
 }
 
+/// The settings of the two optional analyses the modeled-cycles row
+/// compares: `(name, interproc, gvn)`.
+const ANALYSES: [(&str, bool, bool); 4] = [
+    ("base", false, false),
+    ("interproc", true, false),
+    ("gvn", false, true),
+    ("both", true, true),
+];
+
+/// The modeled cycles of every paper program under `kind` on `platform`,
+/// once per entry of [`ANALYSES`], as a row of the report. Also prints how
+/// many programs interprocedural inference slows down and how many value
+/// numbering changes at all.
+fn modeled_cycles(programs: &[Workload], platform: &Platform, kind: ConfigKind) -> Json {
+    let mut totals = [0u64; ANALYSES.len()];
+    let mut rows = Vec::new();
+    let (mut slower_interproc, mut changed_gvn) = (0, 0);
+    for w in programs {
+        let cycles = ANALYSES.map(|(_, interproc, gvn)| {
+            let config = OptConfig {
+                interproc,
+                gvn,
+                ..kind.to_config(platform)
+            };
+            let out = execute(&compile_config(w, platform, kind, &config), platform)
+                .unwrap_or_else(|f| panic!("{} [{kind:?}] on {}: {f}", w.name, platform.name));
+            assert!(out.exception.is_none(), "{} escaped", w.name);
+            out.stats.cycles
+        });
+        slower_interproc += usize::from(cycles[1] > cycles[0]);
+        changed_gvn += usize::from(cycles[2] != cycles[0]);
+        let mut row = json_obj! {"name": w.name};
+        for (&(name, _, _), (c, total)) in ANALYSES.iter().zip(cycles.iter().zip(&mut totals)) {
+            *total += c;
+            row = row.with(name, *c);
+        }
+        rows.push(row);
+    }
+    println!(
+        "  modeled cycles {} {:?}: {totals:?} (base, +interproc, +gvn, +both); \
+         {slower_interproc} of {} programs slower with interproc, {changed_gvn} changed by gvn",
+        platform.name,
+        kind,
+        programs.len()
+    );
+    let total = Json::map(ANALYSES.iter().zip(totals).map(|((n, _, _), t)| (*n, t)));
+    json_obj! {
+        "platform": platform.name, "config": kind.to_config(platform).name,
+        "total": total, "programs": Json::Array(rows),
+    }
+}
+
 fn main() {
     let args = SPEC
         .parse(std::env::args().skip(1))
@@ -203,6 +259,11 @@ fn main() {
         gvn: true,
         ..base
     };
+    // The Whaley baseline with value numbering, the other path GVN takes.
+    let old_gvn = OptConfig {
+        gvn: true,
+        ..ConfigKind::OldNullCheck.to_config(&platform)
+    };
     let mut workload_json = Vec::new();
     let mut solver_json = Vec::new();
     let mut failures = 0usize;
@@ -226,6 +287,7 @@ fn main() {
         }
         let ir_hash_full = ir_hash(&seq_module);
         let ir_hash_analyses = ir_hash(&compile_once(module, &platform, &analyses).1);
+        let ir_hash_old_gvn = ir_hash(&compile_once(module, &platform, &old_gvn).1);
         let pops = seq_stats.null_checks.solver_pops();
         let iterations = seq_stats.null_checks.solver_iterations();
         println!(
@@ -235,7 +297,10 @@ fn main() {
         workload_json.push(json_obj! {
             "name": name, "functions": module.num_functions(), "config": base.name,
             "deterministic": deterministic, "solver_pops": pops, "solver_iterations": iterations,
-            "ir_hash": json_obj! { "full": ir_hash_full, "full_interproc_gvn": ir_hash_analyses },
+            "ir_hash": json_obj! {
+                "full": ir_hash_full, "full_interproc_gvn": ir_hash_analyses,
+                "old_gvn": ir_hash_old_gvn,
+            },
         });
     }
 
@@ -287,6 +352,12 @@ fn main() {
         failures += 1;
     }
 
+    let programs = njc_workloads::all();
+    let modeled_json = vec![
+        modeled_cycles(&programs, &platform, ConfigKind::Full),
+        modeled_cycles(&programs, &Platform::aix_ppc(), ConfigKind::AixSpeculation),
+    ];
+
     if failures > 0 {
         eprintln!("{failures} gate(s) failed");
         std::process::exit(1);
@@ -296,12 +367,15 @@ fn main() {
         "generated_by": "compile_bench",
         "note": "every figure is a count or a hash, reproducible run to run: 'deterministic' \
                  holds a sequential and a 4-thread compile to byte-identical output; 'ir_hash' \
-                 folds the body hash of every optimized function under Full and under Full with \
-                 interproc and gvn on; 'solver' compares \
+                 folds the body hash of every optimized function under Full, under Full with \
+                 interproc and gvn on, and under OldNullCheck with gvn on; 'solver' compares \
                  the worklist solver to the round-robin oracle — one-sweep CFGs sit at the 2.0 \
                  compute+confirm blocks_speedup floor, the 'irregular chains' entry is where the \
-                 schedules diverge; host time is perfbench's",
+                 schedules diverge; 'modeled_cycles' runs the 17 paper programs on the VM under \
+                 IA32 Full and AIX Speculation without the optional analyses (base), with \
+                 interproc, with gvn and with both; host time is perfbench's",
         "workloads": Json::Array(workload_json), "solver": Json::Array(solver_json),
+        "modeled_cycles": Json::Array(modeled_json),
     }
     .report();
     std::fs::write(&out_path, json).expect("write BENCH_compile.json");

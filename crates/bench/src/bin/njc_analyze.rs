@@ -48,6 +48,9 @@
 //! ```text
 //! cargo run --release -p njc-bench --bin njc_analyze -- --gvn [--json] [--smoke]
 //! ```
+//!
+//! [`Redundancy::Interproc`]: njc_observe::Redundancy::Interproc
+//! [`Redundancy::Gvn`]: njc_observe::Redundancy::Gvn
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

@@ -596,7 +596,7 @@ fn verdict_delta(base: &Verdict, v: &Verdict) -> String {
 /// run of the same optimized module: any channel of their
 /// [`Observation`]s (result, escaped exception, observation trace,
 /// exception events, heap digest, missed NPEs), then explicit checks and
-/// traps taken; faults compare by [`fault_label`]. This is the comparison
+/// traps taken; faults compare by `fault_label`. This is the comparison
 /// behind the `+bytes` column ([`byte_verdict`]): it catches encoder bugs
 /// (wrong displacement, dropped site entry, mis-dispatched trap) that the
 /// IR-level axes cannot see. `None` when the two agree.

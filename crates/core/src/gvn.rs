@@ -25,12 +25,12 @@
 //!   different value). `exc_mask` semantics fall out per class: a copy
 //!   doesn't throw, so copy-propagated facts survive to the handler; only
 //!   gens at or after the block's first throw point are masked off.
-//! * [`eliminate_redundant_gvn`] replays blocks against *both* the legacy
+//! * The VN solution is an optional *witness* of the one elimination walk,
+//!   [`nonnull::eliminate_redundant`]: it replays blocks against both the
 //!   per-variable solution and the VN solution, so GVN-on removes a strict
-//!   superset of checks, every legacy-provable kill keeps its legacy
-//!   provenance, and each GVN-only kill is attributed
-//!   [`Redundancy::Gvn`] `{ representative, class_size }` for the
-//!   conservation ledger.
+//!   superset of checks, every per-variable kill keeps its provenance, and
+//!   each GVN-only kill is attributed `Redundancy::Gvn`
+//!   `{ representative, class_size }` for the conservation ledger.
 //!
 //! The numbering is also the precision backbone of the static coverage
 //! validator (`njc-analysis`): a sound validator may use any sound
@@ -42,8 +42,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use njc_dataflow::{BitSet, Direction, Meet, Problem};
-use njc_ir::{BlockId, CfgCache, Function, Inst, Terminator, VarId};
-use njc_observe::{CheckEvent, Recorder, Redundancy};
+use njc_ir::{BlockId, CfgCache, Function, Inst, Terminator};
 
 use crate::ctx::AnalysisCtx;
 use crate::nonnull::{self, is_exceptional_edge};
@@ -369,7 +368,12 @@ impl GvnWorkspace {
         self.spare = Some(vn);
     }
 
-    /// [`compute_gvn_sets`], refilling recycled sets when there are some.
+    /// Computes the gen sets of the value-numbered problem over `func`'s
+    /// numbering `vn`, refilling recycled sets when there are some. With a
+    /// context, interprocedurally assumed defs (non-null-returning calls,
+    /// always-initialized field loads) gen their destination's VN — for a
+    /// field load that is the *Load class* itself, so every congruent
+    /// re-load inherits the call-site fact.
     pub fn sets(
         &mut self,
         ctx: Option<&AnalysisCtx<'_>>,
@@ -377,7 +381,37 @@ impl GvnWorkspace {
         vn: &ValueNumbering,
     ) -> GvnNonNullSets {
         let mut out = self.spare_sets.take().unwrap_or_default();
-        fill_gvn_sets(ctx, func, vn, &mut out, &mut self.state);
+        let state = &mut self.state;
+        let nf = vn.num_vns;
+        let nb = func.num_blocks();
+        nonnull::fit_sets(&mut out.gen, nb, nf);
+        nonnull::fit_sets(&mut out.exc_gen, nb, nf);
+        for (b, (g, eg)) in func
+            .blocks()
+            .iter()
+            .zip(out.gen.iter_mut().zip(&mut out.exc_gen))
+        {
+            let bi = b.id.index();
+            assign(state, vn.entry_vn(bi));
+            for (i, inst) in b.insts.iter().enumerate() {
+                let gvn = if ctx.and_then(|c| c.assumed_nonnull_def(inst)).is_some() {
+                    Some(vn.def_vn(bi)[i])
+                } else {
+                    match inst {
+                        Inst::NullCheck { var, .. } => Some(state[var.index()]),
+                        Inst::New { .. } | Inst::NewArray { .. } => Some(vn.def_vn(bi)[i]),
+                        _ => None,
+                    }
+                };
+                vn.step(bi, i, inst, state);
+                if let Some(x) = gvn {
+                    g.insert(x as usize);
+                    if i < vn.exc_cut[bi] {
+                        eg.insert(x as usize);
+                    }
+                }
+            }
+        }
         out
     }
 
@@ -643,70 +677,17 @@ pub struct GvnNonNullSets {
     pub exc_gen: Vec<BitSet>,
 }
 
-/// Computes the gen sets. With a context, interprocedurally assumed defs
-/// (non-null-returning calls, always-initialized field loads) gen their
-/// destination's VN — for a field load that is the *Load class* itself, so
-/// every congruent re-load inherits the call-site fact.
-pub fn compute_gvn_sets(
-    ctx: Option<&AnalysisCtx<'_>>,
-    func: &Function,
-    vn: &ValueNumbering,
-) -> GvnNonNullSets {
-    let mut sets = GvnNonNullSets::default();
-    fill_gvn_sets(ctx, func, vn, &mut sets, &mut Vec::new());
-    sets
-}
-
-/// [`compute_gvn_sets`] into `out`, reusing its sets; `state` is scratch.
-fn fill_gvn_sets(
-    ctx: Option<&AnalysisCtx<'_>>,
-    func: &Function,
-    vn: &ValueNumbering,
-    out: &mut GvnNonNullSets,
-    state: &mut Vec<u32>,
-) {
-    let nf = vn.num_vns;
-    let nb = func.num_blocks();
-    nonnull::fit_sets(&mut out.gen, nb, nf);
-    nonnull::fit_sets(&mut out.exc_gen, nb, nf);
-    for (b, (g, eg)) in func
-        .blocks()
-        .iter()
-        .zip(out.gen.iter_mut().zip(&mut out.exc_gen))
-    {
-        let bi = b.id.index();
-        assign(state, vn.entry_vn(bi));
-        for (i, inst) in b.insts.iter().enumerate() {
-            let gvn = if ctx.and_then(|c| c.assumed_nonnull_def(inst)).is_some() {
-                Some(vn.def_vn(bi)[i])
-            } else {
-                match inst {
-                    Inst::NullCheck { var, .. } => Some(state[var.index()]),
-                    Inst::New { .. } | Inst::NewArray { .. } => Some(vn.def_vn(bi)[i]),
-                    _ => None,
-                }
-            };
-            vn.step(bi, i, inst, state);
-            if let Some(x) = gvn {
-                g.insert(x as usize);
-                if i < vn.exc_cut[bi] {
-                    eg.insert(x as usize);
-                }
-            }
-        }
-    }
-}
-
 /// The non-nullness dataflow problem over value numbers. Mirrors
 /// [`nonnull::NonNullProblem`] — same meet, same boundary seeds, same
 /// `Earliest` insertion-point modeling, same `IfNull` edge gen — but facts
-/// are VN-indexed and cross every edge by translation.
+/// are VN-indexed and cross every edge by translation. The library builds
+/// it in one place, `Workspace::solve_gvn_nonnull`.
 pub struct GvnNonNullProblem<'a> {
     /// The function under analysis.
     pub func: &'a Function,
     /// Its value numbering (computed with [`default_throw_point`]).
     pub vn: &'a ValueNumbering,
-    /// Per-block transfer sets from [`compute_gvn_sets`].
+    /// Per-block transfer sets from [`GvnWorkspace::sets`].
     pub sets: GvnNonNullSets,
     /// Phase 1 insertion points (variable-indexed), or `None` for Whaley.
     pub earliest: Option<&'a [BitSet]>,
@@ -814,186 +795,13 @@ impl Problem for GvnNonNullProblem<'_> {
     }
 }
 
-/// What [`eliminate_redundant_gvn`] did: total checks removed, and how many
-/// of those only the value-numbered analysis could justify.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct GvnElimination {
-    /// Checks removed (legacy-provable plus GVN-only).
-    pub eliminated: usize,
-    /// The strict surplus over the legacy per-variable analysis: kills
-    /// attributed [`Redundancy::Gvn`].
-    pub gvn_only: usize,
-}
-
-/// Removes every check redundant under *either* solution — the legacy
-/// per-variable `ins` or the VN-indexed `gvn_ins` — so the GVN column
-/// eliminates a strict superset of the baseline. Runs both replays in
-/// lockstep: a legacy-provable kill keeps its legacy provenance (entry
-/// fact, prior check, allocation, interprocedural fact), a GVN-only kill
-/// is attributed to its congruence class.
-#[allow(clippy::too_many_arguments)]
-pub fn eliminate_redundant_gvn(
-    ctx: Option<&AnalysisCtx<'_>>,
-    func: &mut Function,
-    vn: &ValueNumbering,
-    gvn_ins: &[BitSet],
-    legacy_ins: &[BitSet],
-    legacy_base_ins: Option<&[BitSet]>,
-    rec: &mut Recorder,
-    phase1: bool,
-) -> GvnElimination {
-    let nv = func.num_vars();
-    let mut result = GvnElimination::default();
-    let mut lwhy: Vec<Redundancy> = if rec.is_enabled() {
-        vec![Redundancy::NonNullAtEntry; nv]
-    } else {
-        Vec::new()
-    };
-    let sources: Vec<Option<Redundancy>> = match (ctx, rec.is_enabled()) {
-        (Some(c), true) if c.assumptions().is_some() => nonnull::interproc_sources(c, func, nv),
-        _ => Vec::new(),
-    };
-    let mut state = Vec::with_capacity(nv);
-    let (mut vset, mut lset) = (BitSet::default(), BitSet::default());
-    for bi in 0..func.num_blocks() {
-        let block_id = BlockId::new(bi);
-        assign(&mut state, vn.entry_vn(bi));
-        vset.clone_from(&gvn_ins[bi]);
-        lset.clone_from(&legacy_ins[bi]);
-        if rec.is_enabled() {
-            lwhy.iter_mut()
-                .for_each(|w| *w = Redundancy::NonNullAtEntry);
-            if let Some(base) = legacy_base_ins {
-                if !sources.is_empty() {
-                    for v in legacy_ins[bi].iter() {
-                        if !base[bi].contains(v) {
-                            if let Some(s) = sources[v] {
-                                lwhy[v] = s;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // insts_mut: instruction-only rewrite, CFG caches stay valid. The
-        // replay keeps what `retain` keeps, in order; `idx` is each
-        // instruction's original index.
-        let mut idx = 0;
-        func.insts_mut(block_id).retain(|inst| {
-            let i = idx;
-            idx += 1;
-            match inst {
-                Inst::NullCheck { var, id, .. } => {
-                    let x = state[var.index()] as usize;
-                    let legacy_hit = lset.contains(var.index());
-                    if legacy_hit || vset.contains(x) {
-                        result.eliminated += 1;
-                        if !legacy_hit {
-                            result.gvn_only += 1;
-                        }
-                        if rec.is_enabled() {
-                            let why = if legacy_hit {
-                                lwhy[var.index()]
-                            } else {
-                                // The class justified it: name the lowest
-                                // *other* member currently bound to the VN
-                                // (the variable whose check/def this one
-                                // rides on), and the live class size.
-                                let mut rep = *var;
-                                let mut size = 0u32;
-                                for (w, &wvn) in state.iter().enumerate() {
-                                    if wvn as usize == x {
-                                        size += 1;
-                                        if w != var.index() && rep == *var {
-                                            rep = VarId::new(w);
-                                        }
-                                    }
-                                }
-                                Redundancy::Gvn {
-                                    representative: rep,
-                                    class_size: size,
-                                }
-                            };
-                            rec.record(if phase1 {
-                                CheckEvent::Phase1Eliminated {
-                                    id: *id,
-                                    var: *var,
-                                    block: block_id,
-                                    why,
-                                }
-                            } else {
-                                CheckEvent::WhaleyEliminated {
-                                    id: *id,
-                                    var: *var,
-                                    block: block_id,
-                                    why,
-                                }
-                            });
-                        }
-                        return false;
-                    }
-                    vset.insert(x);
-                    lset.insert(var.index());
-                    if rec.is_enabled() {
-                        lwhy[var.index()] = Redundancy::PriorCheck(*id);
-                    }
-                    true
-                }
-                Inst::New { dst, .. } | Inst::NewArray { dst, .. } => {
-                    vn.step(bi, i, inst, &mut state);
-                    vset.insert(state[dst.index()] as usize);
-                    lset.insert(dst.index());
-                    if rec.is_enabled() {
-                        lwhy[dst.index()] = Redundancy::Allocation;
-                    }
-                    true
-                }
-                Inst::Move { dst, src } => {
-                    // Legacy replay: the copy inherits the source's status
-                    // and provenance. The VN replay needs nothing — both
-                    // sides share a number.
-                    if lset.contains(src.index()) {
-                        lset.insert(dst.index());
-                        if rec.is_enabled() {
-                            lwhy[dst.index()] = lwhy[src.index()];
-                        }
-                    } else {
-                        lset.remove(dst.index());
-                    }
-                    vn.step(bi, i, inst, &mut state);
-                    true
-                }
-                _ => {
-                    if let Some(d) = ctx.and_then(|c| c.assumed_nonnull_def(inst)) {
-                        lset.insert(d.index());
-                        if rec.is_enabled() {
-                            lwhy[d.index()] = nonnull::assumed_source(
-                                ctx.expect("assumed gen has a context"),
-                                inst,
-                            );
-                        }
-                        vn.step(bi, i, inst, &mut state);
-                        vset.insert(state[d.index()] as usize);
-                    } else {
-                        if let Some(d) = inst.def() {
-                            lset.remove(d.index());
-                        }
-                        vn.step(bi, i, inst, &mut state);
-                    }
-                    true
-                }
-            }
-        });
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonnull::{compute_sets, NonNullProblem};
+    use crate::nonnull::{compute_sets, eliminate_redundant, Elimination, NonNullProblem};
     use njc_dataflow::solve;
-    use njc_ir::parse_function;
+    use njc_ir::{parse_function, VarId};
+    use njc_observe::{CheckEvent, Recorder, Redundancy};
 
     fn solve_both(f: &Function) -> (Vec<BitSet>, ValueNumbering, Vec<BitSet>) {
         let legacy = NonNullProblem {
@@ -1005,22 +813,22 @@ mod tests {
         };
         let lsol = solve(f, &legacy);
         let vn = ValueNumbering::compute(f, &default_throw_point);
-        let sets = compute_gvn_sets(None, f, &vn);
+        let sets = GvnWorkspace::default().sets(None, f, &vn);
         let gp = GvnNonNullProblem::new(f, &vn, sets, None, None);
         let gsol = solve(f, &gp);
         (lsol.ins, vn, gsol.ins)
     }
 
-    fn run_gvn(src: &str) -> (Function, GvnElimination) {
+    fn run_gvn(src: &str) -> (Function, Elimination) {
         let mut f = parse_function(src).unwrap();
         let (lins, vn, gins) = solve_both(&f);
-        let r = eliminate_redundant_gvn(
+        let witness = Some((&vn, gins.as_slice()));
+        let r = eliminate_redundant(
             None,
             &mut f,
-            &vn,
-            &gins,
             &lins,
             None,
+            witness,
             &mut Recorder::disabled(),
             false,
         );
@@ -1193,7 +1001,8 @@ mod tests {
         let (lins, vn, gins) = solve_both(&f);
         let mut rec = Recorder::new(true);
         rec.assign_origins(&mut f);
-        let r = eliminate_redundant_gvn(None, &mut f, &vn, &gins, &lins, None, &mut rec, false);
+        let witness = Some((&vn, gins.as_slice()));
+        let r = eliminate_redundant(None, &mut f, &lins, None, witness, &mut rec, false);
         assert_eq!(r.gvn_only, 1);
         let gvn_kill = rec.events.iter().find_map(|e| match e {
             CheckEvent::WhaleyEliminated {

@@ -52,11 +52,11 @@ pub use phase2::Phase2Stats;
 pub use trivial::TrivialStats;
 pub use whaley::WhaleyStats;
 
-use njc_dataflow::{Solution, SolverWorkspace};
+use njc_dataflow::{BitSet, Solution, SolverWorkspace};
 use njc_ir::{BlockId, CfgCache, CheckId, Function};
 use njc_observe::{CheckEvent, Recorder, SiteProvenance, SiteRecord};
 
-use gvn::GvnWorkspace;
+use gvn::{default_throw_point, GvnNonNullProblem, GvnWorkspace};
 use nonnull::{NonNullProblem, SetsWorkspace};
 
 /// One function's reusable analysis buffers: the dataflow solver's, the
@@ -81,20 +81,59 @@ impl Workspace {
         Self::default()
     }
 
-    /// Solves the plain non-nullness problem over `func` (no
-    /// interprocedural facts, no insertion points): the facts scalar
-    /// replacement and store sinking hoist under. `cfg` must be fresh.
-    pub fn solve_nonnull(&mut self, func: &Function, cfg: &CfgCache) -> Solution {
+    /// Builds and solves the forward non-nullness problem over `func`, the
+    /// one analysis under phase 1, the Whaley baseline, the interprocedural
+    /// inference and the passes that hoist under non-null facts. With
+    /// `ctx`, its interprocedural assumptions enter: proven parameters at
+    /// the boundary, non-null-returning calls and always-initialized field
+    /// loads as gens. With `earliest`, phase 1's insertion points are
+    /// assumed inserted at each block's exit. `cfg` must be fresh.
+    ///
+    /// Returns the solution and whether an assumption entered the problem;
+    /// when none did, the solution is that of the problem without `ctx`.
+    pub fn solve_nonnull(
+        &mut self,
+        func: &Function,
+        cfg: &CfgCache,
+        ctx: Option<&AnalysisCtx<'_>>,
+        earliest: Option<&[BitSet]>,
+    ) -> (Solution, bool) {
+        let nv = func.num_vars();
         let p = NonNullProblem {
             func,
-            sets: self.sets.compute(None, func),
-            earliest: None,
-            entry: None,
-            num_facts: func.num_vars(),
+            sets: self.sets.compute(ctx, func),
+            earliest,
+            entry: ctx.and_then(|c| c.entry_facts(func, nv)),
+            num_facts: nv,
         };
         let sol = self.solver.solve(func, cfg, &p);
+        let assumed = p.entry.is_some() || p.sets.assumed_gens;
         self.sets.recycle(p.sets);
-        sol
+        (sol, assumed)
+    }
+
+    /// [`Workspace::solve_nonnull`] over value numbers: numbers `func`
+    /// (with [`default_throw_point`]) and solves the value-numbered
+    /// problem under the same `ctx` and `earliest`. Returns the numbering
+    /// and the solution, the witness [`nonnull::eliminate_redundant`] takes.
+    pub(crate) fn solve_gvn_nonnull(
+        &mut self,
+        func: &Function,
+        cfg: &CfgCache,
+        ctx: Option<&AnalysisCtx<'_>>,
+        earliest: Option<&[BitSet]>,
+    ) -> (ValueNumbering, Solution) {
+        let vn = self.gvn.compute(func, cfg, &default_throw_point);
+        let p = GvnNonNullProblem::new(
+            func,
+            &vn,
+            self.gvn.sets(ctx, func, &vn),
+            earliest,
+            ctx.and_then(|c| c.entry_facts(func, func.num_vars())),
+        );
+        let sol = self.solver.solve(func, cfg, &p);
+        self.gvn.recycle_sets(p.sets);
+        (vn, sol)
     }
 }
 

@@ -1,5 +1,7 @@
 //! The forward non-nullness analysis shared by phase 1 (§4.1.2) and the
-//! Whaley baseline (§2.2).
+//! Whaley baseline (§2.2), and their one elimination walk,
+//! [`eliminate_redundant`], which takes the value numbering of
+//! [`crate::gvn`] as an optional second witness.
 //!
 //! Facts are variables known to hold non-null references. The analysis is a
 //! must-analysis (intersection meet); facts are generated by null checks,
@@ -35,10 +37,11 @@
 //! destination the way a real overwrite does.
 
 use njc_dataflow::{BitSet, Direction, Meet, Problem};
-use njc_ir::{BlockId, Function, Inst, Terminator, VarId};
+use njc_ir::{BlockId, CheckId, Function, Inst, Terminator, VarId};
 use njc_observe::{CheckEvent, InterprocFact, Recorder, Redundancy};
 
 use crate::ctx::AnalysisCtx;
+use crate::gvn::ValueNumbering;
 
 /// Per-block transfer sets for the non-nullness analysis.
 #[derive(Clone, Debug, Default)]
@@ -67,18 +70,9 @@ pub struct NonNullSets {
     pub assumed_gens: bool,
 }
 
-/// Computes the per-block sets.
+/// Computes the per-block sets without interprocedural assumptions.
 pub fn compute_sets(func: &Function) -> NonNullSets {
     SetsWorkspace::default().compute(None, func)
-}
-
-/// [`compute_sets`] under interprocedural assumptions: a call whose every
-/// resolvable callee provably returns non-null and a load of an
-/// always-initialized non-null field additionally generate a fact for
-/// their destination, mirroring the allocation arm. With no assumptions
-/// attached to the context this is byte-identical to [`compute_sets`].
-pub fn compute_sets_assumed(ctx: &AnalysisCtx<'_>, func: &Function) -> NonNullSets {
-    SetsWorkspace::default().compute(Some(ctx), func)
 }
 
 /// What a variable holds at a program point, for the symbolic block walk.
@@ -177,8 +171,12 @@ impl SetsWorkspace {
         self.spare.push(sets);
     }
 
-    /// [`compute_sets`] (`ctx` `None`) or [`compute_sets_assumed`],
-    /// reusing this workspace's buffers.
+    /// Computes the per-block sets, reusing this workspace's buffers. With
+    /// `ctx`, its interprocedural assumptions add gens: a call whose every
+    /// resolvable callee provably returns non-null and a load of an
+    /// always-initialized non-null field generate a fact for their
+    /// destination, mirroring the allocation arm. With no assumptions
+    /// attached to the context they are those of [`compute_sets`].
     pub fn compute(&mut self, ctx: Option<&AnalysisCtx<'_>>, func: &Function) -> NonNullSets {
         let nv = func.num_vars();
         let nb = func.num_blocks();
@@ -328,11 +326,12 @@ pub fn is_exceptional_edge(func: &Function, from: BlockId, to: BlockId) -> bool 
 
 /// The non-nullness dataflow problem. `earliest`, when present, models the
 /// phase 1 insertion points: those checks are assumed already inserted at
-/// each block's exit (§4.1.2's `∪ Earliest(m)` term).
+/// each block's exit (§4.1.2's `∪ Earliest(m)` term). The library builds
+/// it in one place, [`crate::Workspace::solve_nonnull`].
 pub struct NonNullProblem<'a> {
     /// The function under analysis.
     pub func: &'a Function,
-    /// Per-block transfer sets from [`compute_sets`].
+    /// Per-block transfer sets from [`SetsWorkspace::compute`].
     pub sets: NonNullSets,
     /// Phase 1 insertion points, or `None` for the Whaley baseline.
     pub earliest: Option<&'a [BitSet]>,
@@ -418,26 +417,6 @@ impl Problem for NonNullProblem<'_> {
     }
 }
 
-/// Removes every null check whose target is non-null at the point
-/// immediately preceding it, given the solved per-block entry sets.
-/// Returns the number of checks removed.
-pub fn eliminate_redundant(func: &mut Function, ins: &[BitSet]) -> usize {
-    eliminate_redundant_recorded(func, ins, &mut Recorder::disabled(), false)
-}
-
-/// [`eliminate_redundant`] with provenance: every removal records *which*
-/// fact justified it — the `In_fwd` entry fact, a prior check in the block
-/// (by id), or an in-block allocation. `phase1` selects the event variant
-/// (phase 1's forward pass vs the Whaley baseline).
-pub fn eliminate_redundant_recorded(
-    func: &mut Function,
-    ins: &[BitSet],
-    rec: &mut Recorder,
-    phase1: bool,
-) -> usize {
-    eliminate_redundant_assumed(None, func, ins, None, rec, phase1)
-}
-
 /// The provenance an assumed gen instruction contributes (see
 /// [`AnalysisCtx::assumed_nonnull_def`]).
 pub(crate) fn assumed_source(ctx: &AnalysisCtx<'_>, inst: &Inst) -> Redundancy {
@@ -487,40 +466,122 @@ pub(crate) fn interproc_sources(
     source
 }
 
-/// [`eliminate_redundant_recorded`] under interprocedural assumptions:
-/// the in-block replay treats assumed gens (non-null-returning calls,
-/// always-initialized field loads) as facts, matching
-/// [`compute_sets_assumed`]. When `base_ins` — the solution of the *same*
-/// problem without assumptions — is supplied and recording is on, each
-/// entry fact present only in the assumed solution is attributed to the
-/// interprocedural fact that introduced it
-/// ([`Redundancy::Interproc`]), so `njc explain` can tell an
-/// interprocedurally-dead check from an intraprocedurally-dead one.
-pub fn eliminate_redundant_assumed(
+/// What [`eliminate_redundant`] did: total checks removed, and how many
+/// of those only the value-numbered witness could justify.
+#[derive(Default, Clone, Copy, Debug)]
+pub struct Elimination {
+    /// Checks removed.
+    pub eliminated: usize,
+    /// The subset of `eliminated` the per-variable solution does not
+    /// justify: kills attributed [`Redundancy::Gvn`].
+    pub gvn_only: usize,
+}
+
+/// The event recording one removal: phase 1's forward pass or the Whaley
+/// baseline.
+fn eliminated_event(
+    phase1: bool,
+    id: CheckId,
+    var: VarId,
+    block: BlockId,
+    why: Redundancy,
+) -> CheckEvent {
+    if phase1 {
+        CheckEvent::Phase1Eliminated {
+            id,
+            var,
+            block,
+            why,
+        }
+    } else {
+        CheckEvent::WhaleyEliminated {
+            id,
+            var,
+            block,
+            why,
+        }
+    }
+}
+
+/// A kill only the congruence class justified, attributed to the lowest
+/// *other* variable bound to `var`'s number (the one whose check or def
+/// this one rides on) and the class's live size.
+fn class_witness(state: &[u32], var: VarId) -> Redundancy {
+    let x = state[var.index()];
+    let mut representative = var;
+    let mut class_size = 0u32;
+    for (w, &wvn) in state.iter().enumerate() {
+        if wvn == x {
+            class_size += 1;
+            if w != var.index() && representative == var {
+                representative = VarId::new(w);
+            }
+        }
+    }
+    Redundancy::Gvn {
+        representative,
+        class_size,
+    }
+}
+
+/// Removes every null check whose target is non-null at the point
+/// immediately preceding it, given the solved per-block entry sets `ins`,
+/// by replaying each block from its entry facts. Every removal records
+/// *which* fact justified it — the `In_fwd` entry fact, a prior check in
+/// the block (by id), an in-block allocation, or an interprocedural fact.
+/// `phase1` selects the event variant (phase 1's forward pass vs the
+/// Whaley baseline).
+///
+/// * `ctx`: the replay treats its assumed gens (non-null-returning calls,
+///   always-initialized field loads) as facts, as the problem
+///   [`crate::Workspace::solve_nonnull`] solved under it does. When
+///   `base_ins` — the solution of the *same* problem without assumptions —
+///   is supplied and recording is on, each entry fact present only in
+///   `ins` is attributed to the interprocedural fact that introduced it
+///   ([`Redundancy::Interproc`]), so `njc explain` can tell an
+///   interprocedurally-dead check from an intraprocedurally-dead one.
+/// * `gvn`: a value numbering and the entry sets of the value-numbered
+///   problem over it. A second replay runs in lockstep, so a check dies
+///   when *either* solution proves it: a strict superset of the
+///   per-variable kills. A kill the per-variable replay also proves keeps
+///   its provenance; the rest are attributed to their congruence class
+///   ([`Redundancy::Gvn`]) and counted in [`Elimination::gvn_only`].
+pub fn eliminate_redundant(
     ctx: Option<&AnalysisCtx<'_>>,
     func: &mut Function,
     ins: &[BitSet],
     base_ins: Option<&[BitSet]>,
+    gvn: Option<(&ValueNumbering, &[BitSet])>,
     rec: &mut Recorder,
     phase1: bool,
-) -> usize {
-    let mut eliminated = 0;
+) -> Elimination {
+    let mut result = Elimination::default();
     let nv = func.num_vars();
+    let recording = rec.is_enabled();
     // Why each in-set variable is non-null, tracked only when recording.
-    let mut why: Vec<Redundancy> = if rec.is_enabled() {
+    let mut why: Vec<Redundancy> = if recording {
         vec![Redundancy::NonNullAtEntry; nv]
     } else {
         Vec::new()
     };
-    let sources: Vec<Option<Redundancy>> = match (ctx, rec.is_enabled()) {
+    let sources: Vec<Option<Redundancy>> = match (ctx, recording) {
         (Some(c), true) if c.assumptions().is_some() => interproc_sources(c, func, nv),
         _ => Vec::new(),
     };
     let mut set = BitSet::default();
+    // The value-numbered replay: each variable's number, and the numbers
+    // known non-null.
+    let mut state: Vec<u32> = Vec::new();
+    let mut vset = BitSet::default();
     for (bi, in_set) in ins.iter().enumerate().take(func.num_blocks()) {
         let block_id = BlockId::new(bi);
         set.clone_from(in_set);
-        if rec.is_enabled() {
+        if let Some((vn, gvn_ins)) = gvn {
+            state.clear();
+            state.extend_from_slice(vn.entry_vn(bi));
+            vset.clone_from(&gvn_ins[bi]);
+        }
+        if recording {
             why.iter_mut().for_each(|w| *w = Redundancy::NonNullAtEntry);
             // Attribute entry facts the plain analysis does not have to
             // the interprocedural fact that minted them.
@@ -536,74 +597,87 @@ pub fn eliminate_redundant_assumed(
                 }
             }
         }
-        // insts_mut: instruction-only rewrite, CFG caches stay valid.
+        // insts_mut: instruction-only rewrite, CFG caches stay valid. The
+        // replay keeps what `retain` keeps, in order; `idx` is each
+        // instruction's original index, which the numbering is keyed by.
+        let mut idx = 0;
         func.insts_mut(block_id).retain(|inst| {
-            match inst {
+            let i = idx;
+            idx += 1;
+            // The variable this instruction proves non-null, if any.
+            let gen = match inst {
                 Inst::NullCheck { var, id, .. } => {
-                    if set.contains(var.index()) {
-                        eliminated += 1;
-                        if !why.is_empty() {
-                            let ev = if phase1 {
-                                CheckEvent::Phase1Eliminated {
-                                    id: *id,
-                                    var: *var,
-                                    block: block_id,
-                                    why: why[var.index()],
-                                }
+                    let class = gvn.map(|_| state[var.index()] as usize);
+                    let hit = set.contains(var.index());
+                    if hit || class.is_some_and(|x| vset.contains(x)) {
+                        result.eliminated += 1;
+                        result.gvn_only += usize::from(!hit);
+                        if recording {
+                            let w = if hit {
+                                why[var.index()]
                             } else {
-                                CheckEvent::WhaleyEliminated {
-                                    id: *id,
-                                    var: *var,
-                                    block: block_id,
-                                    why: why[var.index()],
-                                }
+                                class_witness(&state, *var)
                             };
-                            rec.record(ev);
+                            rec.record(eliminated_event(phase1, *id, *var, block_id, w));
                         }
                         return false;
                     }
                     set.insert(var.index());
-                    if !why.is_empty() {
+                    if let Some(x) = class {
+                        vset.insert(x);
+                    }
+                    if recording {
                         why[var.index()] = Redundancy::PriorCheck(*id);
                     }
-                    true
+                    // A check defines nothing: the numbering does not step.
+                    return true;
                 }
                 Inst::New { dst, .. } | Inst::NewArray { dst, .. } => {
                     set.insert(dst.index());
-                    if !why.is_empty() {
+                    if recording {
                         why[dst.index()] = Redundancy::Allocation;
                     }
-                    true
+                    Some(*dst)
                 }
                 Inst::Move { dst, src } => {
                     // The copy inherits the source's null status (and its
                     // provenance: a check of the source covers the copy).
+                    // The numbered replay needs nothing: both sides share
+                    // a number.
                     if set.contains(src.index()) {
                         set.insert(dst.index());
-                        if !why.is_empty() {
+                        if recording {
                             why[dst.index()] = why[src.index()];
                         }
                     } else {
                         set.remove(dst.index());
                     }
-                    true
+                    None
                 }
                 _ => {
-                    if let Some(d) = ctx.and_then(|c| c.assumed_nonnull_def(inst)) {
+                    let assumed = ctx.and_then(|c| c.assumed_nonnull_def(inst));
+                    if let Some(d) = assumed {
                         set.insert(d.index());
-                        if !why.is_empty() {
+                        if recording {
                             why[d.index()] =
                                 assumed_source(ctx.expect("assumed gen has a context"), inst);
                         }
                     } else if let Some(d) = inst.def() {
                         set.remove(d.index());
                     }
-                    true
+                    assumed
+                }
+            };
+            if let Some((vn, _)) = gvn {
+                vn.step(bi, i, inst, &mut state);
+                if let Some(d) = gen {
+                    vset.insert(state[d.index()] as usize);
                 }
             }
+            true
         });
     }
-    eliminated
+    result
 }
 
 #[cfg(test)]
@@ -621,6 +695,10 @@ mod tests {
             num_facts: f.num_vars(),
         };
         solve(f, &p).ins
+    }
+
+    fn eliminate(f: &mut Function, ins: &[BitSet]) -> usize {
+        eliminate_redundant(None, f, ins, None, None, &mut Recorder::disabled(), false).eliminated
     }
 
     #[test]
@@ -651,7 +729,7 @@ mod tests {
         )
         .unwrap();
         let ins = solve_fn(&f);
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(
             removed, 0,
             "the copy re-targets v0 at the unchecked v1; no fact transfers"
@@ -667,7 +745,7 @@ mod tests {
         )
         .unwrap();
         let ins = solve_fn(&f);
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(removed, 1, "the copy's check is redundant: {f}");
     }
 
@@ -679,7 +757,7 @@ mod tests {
         .unwrap();
         let ins = solve_fn(&f);
         assert!(ins[1].contains(1), "copy pair carries the fact to bb1");
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(removed, 1, "{f}");
     }
 
@@ -692,7 +770,7 @@ mod tests {
         .unwrap();
         let ins = solve_fn(&f);
         assert!(ins[1].contains(2));
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(removed, 1, "{f}");
     }
 
@@ -703,7 +781,7 @@ mod tests {
         )
         .unwrap();
         let ins = solve_fn(&f);
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(removed, 0, "v1 carries no fact for its copy");
     }
 
@@ -718,7 +796,7 @@ mod tests {
         .unwrap();
         let ins = solve_fn(&f);
         assert!(ins[2].contains(1), "handler entry holds the copied fact");
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(removed, 1, "handler check eliminated: {f}");
     }
 
@@ -732,7 +810,7 @@ mod tests {
         .unwrap();
         let ins = solve_fn(&f);
         assert!(!ins[2].contains(1), "late copy must not leak to handler");
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(removed, 0, "{f}");
     }
 
@@ -751,7 +829,7 @@ mod tests {
         // post-overwrite value. The normal edge out of bb1 is a return, so
         // only the exceptional edge reaches bb2.
         assert!(ins[2].contains(0), "entry fact valid at the throw point");
-        let removed = eliminate_redundant(&mut f, &ins);
+        let removed = eliminate(&mut f, &ins);
         assert_eq!(removed, 1, "{f}");
     }
 }

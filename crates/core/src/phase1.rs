@@ -36,13 +36,12 @@
 //! block, and if generated, generated before the first throwing
 //! instruction).
 
-use njc_dataflow::{BitSet, Direction, Meet, Problem, Solution};
+use njc_dataflow::{BitSet, Direction, Meet, Problem};
 use njc_ir::{BlockId, CfgCache, Function, Inst, NullCheckKind, VarId};
 use njc_observe::{CheckEvent, Recorder};
 
 use crate::ctx::AnalysisCtx;
-use crate::gvn::{default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem};
-use crate::nonnull::{eliminate_redundant_assumed, NonNullProblem};
+use crate::nonnull::eliminate_redundant;
 use crate::Workspace;
 
 /// Statistics from one phase 1 application.
@@ -51,7 +50,7 @@ pub struct Phase1Stats {
     /// Null checks removed because their target was known non-null.
     pub eliminated: usize,
     /// The subset of `eliminated` only the value-numbered analysis could
-    /// justify (zero unless [`run_recorded_gvn`] ran).
+    /// justify (zero unless [`run_recorded`] ran with `gvn`).
     pub gvn_eliminated: usize,
     /// Null checks inserted at earliest points (hoisted copies).
     pub inserted: usize,
@@ -158,42 +157,6 @@ fn compute_earliest(func: &Function, preds: &[Vec<BlockId>], outs: &[BitSet]) ->
     earliest
 }
 
-/// When tracing with assumptions, the solution of the *plain* problem
-/// (`assumed` without its interprocedural facts): an entry fact present
-/// only in the assumed solution is attributed to the interprocedural fact
-/// that minted it. Deliberately excluded from the solver statistics so
-/// traced and plain runs report identically.
-///
-/// `None` when not tracing, and also when `assumed` has no entry fact and
-/// no assumed gen fired: then the two problems are the same problem, the
-/// assumed solution holds no fact the plain one lacks, and every kill
-/// keeps its intraprocedural attribution without a second solve.
-fn plain_solution(
-    ctx: &AnalysisCtx<'_>,
-    cfg: &CfgCache,
-    ws: &mut Workspace,
-    assumed: &NonNullProblem<'_>,
-    rec: &Recorder,
-) -> Option<Solution> {
-    if !rec.is_enabled() || ctx.assumptions().is_none() {
-        return None;
-    }
-    if assumed.entry.is_none() && !assumed.sets.assumed_gens {
-        return None;
-    }
-    let func = assumed.func;
-    let base = NonNullProblem {
-        func,
-        sets: ws.sets.compute(None, func),
-        earliest: assumed.earliest,
-        entry: None,
-        num_facts: assumed.num_facts,
-    };
-    let sol = ws.solver.solve(func, cfg, &base);
-    ws.sets.recycle(base.sets);
-    Some(sol)
-}
-
 /// Runs phase 1 on `func`: moves null checks backward to their earliest
 /// points and eliminates redundant ones. Computes the CFG structures on
 /// the spot; the pipeline uses [`run_recorded`] with its own cache.
@@ -206,20 +169,31 @@ pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> Phase1Stats {
         &mut CfgCache::new(),
         &mut Workspace::new(),
         &mut Recorder::disabled(),
+        false,
     )
 }
 
 /// [`run`] with provenance, reusing (and revalidating) the caller's
 /// [`CfgCache`] and solving in the caller's [`Workspace`]: eliminations
 /// record the justifying `In_fwd` fact, insertions the earliest block they
-/// were hoisted to, and inserted checks draw fresh ids from the recorder. Phase 1 only rewrites instruction
-/// lists, so the cache stays valid for the caller afterwards.
+/// were hoisted to, and inserted checks draw fresh ids from the recorder.
+/// Phase 1 only rewrites instruction lists, so the cache stays valid for
+/// the caller afterwards.
+///
+/// With `gvn` (`OptConfig::gvn`), the forward non-nullness also runs over
+/// value numbers, as a witness beside the per-variable solution: the
+/// elimination removes every check either solution justifies (a strict
+/// superset of the per-variable kills), and an insertion point whose class
+/// is already non-null at the block's exit is dropped. GVN-only kills are
+/// attributed `Redundancy::Gvn`; the solver counters sum both forward
+/// analyses.
 pub fn run_recorded(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &mut CfgCache,
     ws: &mut Workspace,
     rec: &mut Recorder,
+    gvn: bool,
 ) -> Phase1Stats {
     let nv = func.num_vars();
     let mut stats = Phase1Stats::default();
@@ -228,7 +202,8 @@ pub fn run_recorded(
     }
     cfg.ensure(func);
 
-    // §4.1.1 — backward motion and insertion points.
+    // §4.1.1 — backward motion and insertion points. Motion is about check
+    // *positions*, which the value numbering does not change.
     let motion = BackwardMotion {
         func,
         sets: compute_motion_sets(ctx, func),
@@ -243,145 +218,52 @@ pub fn run_recorded(
     // interprocedural assumptions on the context, proven parameters seed
     // the entry boundary and proven call returns / field loads generate
     // facts; without them this is byte-identical to the plain analysis.
-    let nonnull = NonNullProblem {
-        func,
-        sets: ws.sets.compute(Some(ctx), func),
-        earliest: Some(&earliest),
-        entry: ctx.entry_facts(func, nv),
-        num_facts: nv,
-    };
-    let sol_fwd = ws.solver.solve(func, cfg, &nonnull);
+    let (sol_fwd, assumed) = ws.solve_nonnull(func, cfg, Some(ctx), Some(&earliest));
+    let witness = gvn.then(|| ws.solve_gvn_nonnull(func, cfg, Some(ctx), Some(&earliest)));
     stats.nonnull_iterations = sol_fwd.iterations;
     stats.nonnull_pops = sol_fwd.worklist_pops;
+    if let Some((_, sol)) = &witness {
+        stats.nonnull_iterations += sol.iterations;
+        stats.nonnull_pops += sol.worklist_pops;
+    }
 
-    let base_sol = plain_solution(ctx, cfg, ws, &nonnull, rec);
-    ws.sets.recycle(nonnull.sets);
+    // When tracing with assumptions that entered the problem, the solution
+    // of the plain problem: an entry fact present only in the assumed
+    // solution is attributed to the interprocedural fact that minted it.
+    // Deliberately excluded from the solver statistics so traced and plain
+    // runs report identically. When no assumption entered, the two
+    // problems are the same problem and every kill keeps its
+    // intraprocedural attribution without a second solve.
+    let base_sol =
+        (rec.is_enabled() && assumed).then(|| ws.solve_nonnull(func, cfg, None, Some(&earliest)).0);
 
     // Rewrite: remove redundant checks...
-    stats.eliminated = eliminate_redundant_assumed(
+    let r = eliminate_redundant(
         Some(ctx),
         func,
         &sol_fwd.ins,
         base_sol.as_ref().map(|s| s.ins.as_slice()),
-        rec,
-        true,
-    );
-
-    // ... then insert at the earliest points: Earliest(n) -= Out_fwd(n),
-    // remaining checks go at the block exit (§4.1.2 last equation).
-    for (bi, e) in earliest.iter_mut().enumerate().take(func.num_blocks()) {
-        e.subtract(&sol_fwd.outs[bi]);
-        let block = BlockId::new(bi);
-        let mut fresh = Vec::new();
-        for v in e.iter() {
-            let id = rec.fresh();
-            fresh.push(Inst::NullCheck {
-                var: VarId::new(v),
-                kind: NullCheckKind::Explicit,
-                id,
-            });
-            rec.record(CheckEvent::Phase1Inserted {
-                id,
-                var: VarId::new(v),
-                block,
-            });
-            stats.inserted += 1;
-        }
-        func.insts_mut(block).extend(fresh);
-    }
-    ws.solver.recycle(sol_bwd);
-    ws.solver.recycle(sol_fwd);
-    if let Some(sol) = base_sol {
-        ws.solver.recycle(sol);
-    }
-
-    stats
-}
-
-/// [`run_recorded`] under `OptConfig::gvn`: the forward non-nullness runs
-/// both per-variable and per-value-number, the elimination removes every
-/// check either solution justifies (a strict superset of the baseline),
-/// and insertion points already covered by either solution's out-facts are
-/// suppressed. GVN-only kills are attributed `Redundancy::Gvn`; solver
-/// counters sum both forward analyses.
-pub fn run_recorded_gvn(
-    ctx: &AnalysisCtx<'_>,
-    func: &mut Function,
-    cfg: &mut CfgCache,
-    ws: &mut Workspace,
-    rec: &mut Recorder,
-) -> Phase1Stats {
-    let nv = func.num_vars();
-    let mut stats = Phase1Stats::default();
-    if nv == 0 {
-        return stats;
-    }
-    cfg.ensure(func);
-
-    // §4.1.1 — backward motion and insertion points (identical to the
-    // per-variable pipeline: motion is about check *positions*, which the
-    // value numbering does not change).
-    let motion = BackwardMotion {
-        func,
-        sets: compute_motion_sets(ctx, func),
-        num_facts: nv,
-    };
-    let sol_bwd = ws.solver.solve(func, cfg, &motion);
-    stats.motion_iterations = sol_bwd.iterations;
-    stats.motion_pops = sol_bwd.worklist_pops;
-    let mut earliest = compute_earliest(func, cfg.preds(), &sol_bwd.outs);
-
-    // §4.1.2 — the per-variable forward analysis (the dual replay needs
-    // it to keep legacy-provable kills on their legacy provenance) ...
-    let nonnull = NonNullProblem {
-        func,
-        sets: ws.sets.compute(Some(ctx), func),
-        earliest: Some(&earliest),
-        entry: ctx.entry_facts(func, nv),
-        num_facts: nv,
-    };
-    let sol_fwd = ws.solver.solve(func, cfg, &nonnull);
-
-    // ... and the value-numbered one, interprocedural facts seeded onto
-    // entry VNs and assumed gens onto their classes.
-    let vn = ws.gvn.compute(func, cfg, &default_throw_point);
-    let gvn_problem = GvnNonNullProblem::new(
-        func,
-        &vn,
-        ws.gvn.sets(Some(ctx), func, &vn),
-        Some(&earliest),
-        ctx.entry_facts(func, nv),
-    );
-    let sol_gvn = ws.solver.solve(func, cfg, &gvn_problem);
-    ws.gvn.recycle_sets(gvn_problem.sets);
-    stats.nonnull_iterations = sol_fwd.iterations + sol_gvn.iterations;
-    stats.nonnull_pops = sol_fwd.worklist_pops + sol_gvn.worklist_pops;
-
-    let base_sol = plain_solution(ctx, cfg, ws, &nonnull, rec);
-    ws.sets.recycle(nonnull.sets);
-
-    let r = eliminate_redundant_gvn(
-        Some(ctx),
-        func,
-        &vn,
-        &sol_gvn.ins,
-        &sol_fwd.ins,
-        base_sol.as_ref().map(|s| s.ins.as_slice()),
+        witness.as_ref().map(|(vn, s)| (vn, s.ins.as_slice())),
         rec,
         true,
     );
     stats.eliminated = r.eliminated;
     stats.gvn_eliminated = r.gvn_only;
 
-    // Insertion, with the VN out-facts as an additional suppressor: if the
-    // class is already non-null at the block's exit, the hoisted check is
-    // as dead as its original.
+    // ... then insert at the earliest points: Earliest(n) -= Out_fwd(n),
+    // remaining checks go at the block exit (§4.1.2 last equation). The
+    // value-numbered out-facts suppress too: if the class is already
+    // non-null at the block's exit, the hoisted check is as dead as its
+    // original.
     for (bi, e) in earliest.iter_mut().enumerate().take(func.num_blocks()) {
         e.subtract(&sol_fwd.outs[bi]);
         let block = BlockId::new(bi);
         let mut fresh = Vec::new();
         for v in e.iter() {
-            if sol_gvn.outs[bi].contains(vn.exit_vn(bi)[v] as usize) {
+            if witness
+                .as_ref()
+                .is_some_and(|(vn, s)| s.outs[bi].contains(vn.exit_vn(bi)[v] as usize))
+            {
                 continue;
             }
             let id = rec.fresh();
@@ -401,11 +283,13 @@ pub fn run_recorded_gvn(
     }
     ws.solver.recycle(sol_bwd);
     ws.solver.recycle(sol_fwd);
-    ws.solver.recycle(sol_gvn);
     if let Some(sol) = base_sol {
         ws.solver.recycle(sol);
     }
-    ws.gvn.recycle(vn);
+    if let Some((vn, sol)) = witness {
+        ws.gvn.recycle(vn);
+        ws.solver.recycle(sol);
+    }
 
     stats
 }

@@ -14,8 +14,7 @@
 use njc_ir::{CfgCache, Function};
 use njc_observe::Recorder;
 
-use crate::gvn::{default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem};
-use crate::nonnull::eliminate_redundant_recorded;
+use crate::nonnull::eliminate_redundant;
 use crate::Workspace;
 
 /// Statistics from one Whaley-baseline application.
@@ -24,7 +23,7 @@ pub struct WhaleyStats {
     /// Null checks removed.
     pub eliminated: usize,
     /// The subset of `eliminated` only the value-numbered analysis could
-    /// justify (zero unless [`run_recorded_gvn`] ran).
+    /// justify (zero unless [`run_recorded`] ran with `gvn`).
     pub gvn_eliminated: usize,
     /// Solver convergence depth.
     pub iterations: usize,
@@ -39,63 +38,54 @@ pub fn run(func: &mut Function) -> WhaleyStats {
         &mut CfgCache::new(),
         &mut Workspace::new(),
         &mut Recorder::disabled(),
+        false,
     )
 }
 
 /// [`run`] with provenance, reusing (and revalidating) the caller's
 /// [`CfgCache`] and solving in the caller's [`Workspace`]: every
 /// elimination records the `In_fwd` fact that justified it.
+///
+/// With `gvn` (`OptConfig::gvn`), the value-numbered problem is solved
+/// too, as a witness beside the per-variable one: every check either
+/// justifies is removed — a strict superset of the baseline's kills, with
+/// each GVN-only kill attributed to its congruence class
+/// (`Redundancy::Gvn`). Solver counters sum both analyses.
 pub fn run_recorded(
     func: &mut Function,
     cfg: &mut CfgCache,
     ws: &mut Workspace,
     rec: &mut Recorder,
+    gvn: bool,
 ) -> WhaleyStats {
     if func.num_vars() == 0 {
         return WhaleyStats::default();
     }
     cfg.ensure(func);
-    let sol = ws.solve_nonnull(func, cfg);
-    let stats = WhaleyStats {
-        eliminated: eliminate_redundant_recorded(func, &sol.ins, rec, false),
-        gvn_eliminated: 0,
+    let (sol, _) = ws.solve_nonnull(func, cfg, None, None);
+    let witness = gvn.then(|| ws.solve_gvn_nonnull(func, cfg, None, None));
+    let r = eliminate_redundant(
+        None,
+        func,
+        &sol.ins,
+        None,
+        witness.as_ref().map(|(vn, s)| (vn, s.ins.as_slice())),
+        rec,
+        false,
+    );
+    let mut stats = WhaleyStats {
+        eliminated: r.eliminated,
+        gvn_eliminated: r.gvn_only,
         iterations: sol.iterations,
         pops: sol.worklist_pops,
     };
     ws.solver.recycle(sol);
-    stats
-}
-
-/// [`run_recorded`] under `OptConfig::gvn`: solves the per-variable
-/// problem *and* the value-numbered one, then removes every check either
-/// justifies — a strict superset of the baseline's kills, with each
-/// GVN-only kill attributed to its congruence class
-/// (`Redundancy::Gvn`). Solver counters sum both analyses.
-pub fn run_recorded_gvn(
-    func: &mut Function,
-    cfg: &mut CfgCache,
-    ws: &mut Workspace,
-    rec: &mut Recorder,
-) -> WhaleyStats {
-    if func.num_vars() == 0 {
-        return WhaleyStats::default();
+    if let Some((vn, gsol)) = witness {
+        stats.iterations += gsol.iterations;
+        stats.pops += gsol.worklist_pops;
+        ws.gvn.recycle(vn);
+        ws.solver.recycle(gsol);
     }
-    cfg.ensure(func);
-    let lsol = ws.solve_nonnull(func, cfg);
-    let vn = ws.gvn.compute(func, cfg, &default_throw_point);
-    let gp = GvnNonNullProblem::new(func, &vn, ws.gvn.sets(None, func, &vn), None, None);
-    let gsol = ws.solver.solve(func, cfg, &gp);
-    ws.gvn.recycle_sets(gp.sets);
-    let r = eliminate_redundant_gvn(None, func, &vn, &gsol.ins, &lsol.ins, None, rec, false);
-    let stats = WhaleyStats {
-        eliminated: r.eliminated,
-        gvn_eliminated: r.gvn_only,
-        iterations: lsol.iterations + gsol.iterations,
-        pops: lsol.worklist_pops + gsol.worklist_pops,
-    };
-    ws.solver.recycle(lsol);
-    ws.solver.recycle(gsol);
-    ws.gvn.recycle(vn);
     stats
 }
 

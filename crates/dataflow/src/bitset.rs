@@ -2,7 +2,7 @@
 //!
 //! Facts in the null check analyses are local variables, so sets are small
 //! and dense — a word array beats hash sets by a wide margin and makes the
-//! meet operators single-word loops. Sets of up to [`INLINE_WORDS`] words
+//! meet operators single-word loops. Sets of up to `INLINE_WORDS` words
 //! keep them inline, so creating or cloning one does not allocate; the
 //! solver makes two per block per solve, and most functions have a few
 //! dozen facts.

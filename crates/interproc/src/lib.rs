@@ -22,8 +22,9 @@
 //! candidates ordered by inclusion. Inference starts **optimistically**
 //! (all candidates assumed) and repeatedly re-judges every function's
 //! body under the current assumption set — using exactly the analysis
-//! phase 1 will later consume ([`njc_core::nonnull::compute_sets_assumed`]
-//! plus the entry boundary), so inference and consumption cannot drift.
+//! phase 1 will later consume ([`njc_core::Workspace::solve_nonnull`]
+//! under the assumptions' context), so inference and consumption cannot
+//! drift.
 //! Any violated candidate is removed and the loop repeats until no fact
 //! changes: a greatest-fixpoint computation that terminates because facts
 //! only ever shrink.
@@ -45,7 +46,6 @@
 
 use njc_arch::TrapModel;
 use njc_core::ctx::AnalysisCtx;
-use njc_core::nonnull::NonNullProblem;
 use njc_core::{EntryAssumptions, FnFacts, Workspace};
 use njc_dataflow::BitSet;
 use njc_ir::{
@@ -274,15 +274,7 @@ pub fn infer_with_stats(module: &Module) -> (EntryAssumptions, InferStats) {
             // Exactly the analysis phase 1 consumes the facts with.
             let cfg = &mut cfgs[fi];
             cfg.ensure(f);
-            let problem = NonNullProblem {
-                func: f,
-                sets: ws.sets.compute(Some(&ctx), f),
-                earliest: None,
-                entry: ctx.entry_facts(f, nv),
-                num_facts: nv,
-            };
-            let sol = ws.solver.solve(f, cfg, &problem);
-            ws.sets.recycle(problem.sets);
+            let (sol, _) = ws.solve_nonnull(f, cfg, Some(&ctx), None);
             for (bi, b) in f.blocks().iter().enumerate() {
                 set.clone_from(&sol.ins[bi]);
                 let in_try = b.try_region.is_some();

@@ -183,172 +183,88 @@ impl ConfigKind {
         Self::ALL.into_iter().find(|k| k.as_str() == s)
     }
 
-    /// Resolves the preset against a platform.
+    /// Resolves the preset against a platform. Every preset inlines, runs
+    /// Figure 2's loop up to three rounds with versioning and sinking, and
+    /// compiles for the platform's trap model on one thread, with the
+    /// validator and both optional analyses off; each differs from that
+    /// base only where its arm says.
     pub fn to_config(self, platform: &Platform) -> OptConfig {
-        let trap = platform.trap;
+        let base = OptConfig {
+            name: "",
+            null_opt: NullOpt::Phase1,
+            phase2: false,
+            trivial_trap: true,
+            compiler_trap: platform.trap,
+            speculation: false,
+            inline: true,
+            iterations: 3,
+            versioning: true,
+            sinking: true,
+            validate: false,
+            interproc: false,
+            gvn: false,
+            threads: 1,
+        };
         match self {
             ConfigKind::NoNullOptNoTrap => OptConfig {
                 name: "No Null Opt. (No Hardware Trap)",
                 null_opt: NullOpt::None,
-                phase2: false,
                 trivial_trap: false,
                 compiler_trap: TrapModel::no_traps(),
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::NoNullOptTrap => OptConfig {
                 name: "No Null Opt. (Hardware Trap)",
                 null_opt: NullOpt::None,
-                phase2: false,
-                trivial_trap: true,
-                compiler_trap: trap,
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::OldNullCheck => OptConfig {
                 name: "Old Null Check",
                 null_opt: NullOpt::Whaley,
-                phase2: false,
-                trivial_trap: true,
-                compiler_trap: trap,
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::Phase1Only => OptConfig {
                 name: "New Null Check (Phase1 only)",
-                null_opt: NullOpt::Phase1,
-                phase2: false,
-                trivial_trap: true,
-                compiler_trap: trap,
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::Full => OptConfig {
                 name: "New Null Check (Phase1+Phase2)",
-                null_opt: NullOpt::Phase1,
                 phase2: true,
                 trivial_trap: false,
-                compiler_trap: trap,
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::RefJit => OptConfig {
                 name: "RefJit (HotSpot stand-in)",
                 null_opt: NullOpt::Whaley,
-                phase2: false,
-                trivial_trap: true,
-                compiler_trap: trap,
-                speculation: false,
-                inline: true,
                 iterations: 1,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::AixSpeculation => OptConfig {
                 name: "Speculation",
-                null_opt: NullOpt::Phase1,
-                phase2: false,
                 trivial_trap: false, // §5.4: all null checks explicit on AIX
-                compiler_trap: trap,
                 speculation: true,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::AixNoSpeculation => OptConfig {
                 name: "No Speculation",
-                null_opt: NullOpt::Phase1,
-                phase2: false,
                 trivial_trap: false,
-                compiler_trap: trap,
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::AixNoNullOpt => OptConfig {
                 name: "No Null Check Optimization",
                 null_opt: NullOpt::None,
-                phase2: false,
                 trivial_trap: false,
-                compiler_trap: trap,
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
             ConfigKind::AixIllegalImplicit => OptConfig {
                 name: "Illegal Implicit (No Speculation)",
-                null_opt: NullOpt::Phase1,
                 phase2: true,
                 trivial_trap: false,
                 // Pretend the platform traps on reads and writes — on AIX
                 // this is a lie and a NullPointerException may be missed
                 // (§5.4; the VM records the violation).
                 compiler_trap: TrapModel::windows_ia32(),
-                speculation: false,
-                inline: true,
-                iterations: 3,
-                versioning: true,
-                sinking: true,
-                validate: false,
-                interproc: false,
-                gvn: false,
-                threads: 1,
+                ..base
             },
         }
     }
@@ -993,11 +909,7 @@ impl FunctionPipeline<'_> {
             NullOpt::None => {}
             NullOpt::Whaley => {
                 let orig = config.validate.then(|| func.clone());
-                let s = if config.gvn {
-                    whaley::run_recorded_gvn(func, cfg, ws, rec)
-                } else {
-                    whaley::run_recorded(func, cfg, ws, rec)
-                };
+                let s = whaley::run_recorded(func, cfg, ws, rec, config.gvn);
                 stats.null_checks.whaley.eliminated += s.eliminated;
                 stats.null_checks.whaley.gvn_eliminated += s.gvn_eliminated;
                 stats.null_checks.whaley.iterations += s.iterations;
@@ -1017,11 +929,7 @@ impl FunctionPipeline<'_> {
             }
             NullOpt::Phase1 => {
                 let orig = config.validate.then(|| func.clone());
-                let s = if config.gvn {
-                    phase1::run_recorded_gvn(ctx, func, cfg, ws, rec)
-                } else {
-                    phase1::run_recorded(ctx, func, cfg, ws, rec)
-                };
+                let s = phase1::run_recorded(ctx, func, cfg, ws, rec, config.gvn);
                 stats.null_checks.phase1.eliminated += s.eliminated;
                 stats.null_checks.phase1.gvn_eliminated += s.gvn_eliminated;
                 stats.null_checks.phase1.inserted += s.inserted;

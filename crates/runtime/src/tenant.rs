@@ -38,7 +38,7 @@
 //!   and install into every waiter.
 //!
 //! After every VM finishes, each tenant independently runs the post-run
-//! fixpoint ([`finalize_tenant`]) and a deterministic steady-state
+//! fixpoint (`finalize_tenant`) and a deterministic steady-state
 //! measurement run. Per-tenant observable behavior is *identical* to
 //! running that tenant alone — the shared pipeline changes only who pays
 //! for compilation, never what the program computes.

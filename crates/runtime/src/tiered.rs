@@ -46,7 +46,7 @@ use crate::tenant::{ServiceConfig, ServiceRuntime, TenantSpec};
 pub struct RuntimeConfig {
     /// The profile policy (thresholds from the platform's cost model).
     pub policy: ProfilePolicy,
-    /// Safe points between profile publications ([`RuntimeHooks::new`]).
+    /// Safe points between profile publications ([`RuntimeHooks::new`](njc_vm::RuntimeHooks::new)).
     pub snapshot_interval: u64,
     /// Code cache capacity, in artifacts.
     pub cache_capacity: usize,

@@ -776,9 +776,9 @@ struct State<'m> {
 
 /// The interpreter.
 ///
-/// Each function body is decoded once per run ([`Code`]); the run loop
+/// Each function body is decoded once per run (`Code`); the run loop
 /// steps through the decoded ops on the caller's thread. Calls push a
-/// [`Frame`] record and the callee's locals onto two flat stacks instead of
+/// `Frame` record and the callee's locals onto two flat stacks instead of
 /// recursing natively, so the host stack a run needs does not depend on
 /// its call depth.
 #[derive(Debug)]
